@@ -281,7 +281,7 @@ def load_activity_csv(
 
     docs: list[Document] = []
     seen_post_ids: set[str] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         _check_header(header, ACTIVITY_HEADER, str(path))
@@ -327,7 +327,7 @@ def load_members_csv(path: str | Path) -> list[InteractedMember]:
     duplicates are merged with activity types unioned."""
     path = Path(path)
     merged: dict[str, InteractedMember] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         _check_header(header, MEMBER_HEADER, str(path))

@@ -89,9 +89,9 @@ class BadHeaderError(DataError):
 
 
 class DimMismatchError(DataError):
-    def __init__(self, row: int, detail: str = "wrong number of vector components"):
+    def __init__(self, path: object, row: int, detail: str):
         self.row = row
-        super().__init__(f"row {row}: {detail}")
+        super().__init__(f"{path}: row {row}: {detail}")
 
 
 class DuplicateWordError(DataError):
@@ -101,8 +101,9 @@ class DuplicateWordError(DataError):
 
 
 class ZeroVectorError(DataError):
-    def __init__(self) -> None:
-        super().__init__("cannot take cosine distance of a zero vector")
+    def __init__(self, word: str, where: str = "in-memory word store"):
+        self.word = word
+        super().__init__(f"{where}: zero vector for {word!r}; its cosine distance is undefined")
 
 
 # --- classification -----------------------------------------------------------

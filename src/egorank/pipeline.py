@@ -12,9 +12,12 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from . import __version__
 from .classify import (
@@ -88,9 +91,23 @@ def _bucket_slug(bucket: Bucket) -> str:
     return f"{bucket.category.value}_{bucket.sentiment.value}"
 
 
-def _write_json(path: Path, payload: dict) -> None:
+@contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """Write a temp file beside ``path`` and rename it over ``path`` only on
+    success, so no reader ever sees a half-written report."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # a no-op once the rename has happened
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    with _replacing(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # --- ingest ---------------------------------------------------------------------
@@ -239,9 +256,7 @@ def rank_one_bucket(cfg: PipelineConfig, state: RankState, bucket: Bucket) -> Me
 def write_ranking_reports(cfg: PipelineConfig, ranking: MemberRanking) -> None:
     slug = _bucket_slug(ranking.bucket)
     out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"ranking_{slug}.csv"
-    with csv_path.open("w", newline="", encoding="utf-8") as fh:
+    with _replacing(out / f"ranking_{slug}.csv") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["rank", "member_id", "score", "best_doc_id"])
         for position, entry in enumerate(ranking.entries, start=1):
@@ -304,11 +319,9 @@ def write_target_reports(cfg: PipelineConfig, selection: TargetSelection,
                          members: list[InteractedMember]) -> Path:
     slug = _bucket_slug(selection.bucket)
     out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     by_id = {m.member_id: m for m in members}
 
-    csv_path = out / f"targets_{slug}.csv"
-    with csv_path.open("w", newline="", encoding="utf-8") as fh:
+    with _replacing(out / f"targets_{slug}.csv") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["section", "position", "member_id", "connections_count"])
         for section, ids in (

@@ -1,40 +1,40 @@
 """Recommendation index scoring and member ranking.
 
-For every target document in a (category, sentiment) bucket, each cross
-pair of distinct words between the ego's key document and the target
-document contributes (count_key + count_target) / distance; the pair sum
-times the documents' tf-idf cosine is the document's recommendation
-index. A target scored against several key documents keeps its best
-match, and a member is ranked by their best-scoring document.
+Each cross pair of distinct in-vocabulary words between an ego key document
+and a member's target document in one (category, sentiment) bucket
+contributes (count_key + count_target) / distance, with distance the cosine
+distance of the two word vectors floored at 1e-6. The pair sum times the
+documents' tf-idf cosine is the target's recommendation index; a target keeps
+its best key document, and a member is ranked by their best target.
 
-Scoring is embarrassingly parallel over document pairs. All iteration is
-over sorted words and sorted document ids, so results are bit-identical
-for any input order or execution schedule.
+The pair sum is the soft cosine of Sidorov et al. (2014) in bilinear form:
+with Ê the unit word vectors, C the word counts and I their 0/1 indicators on
+the key (K) and target (T) sides, W = 1 / max(1 - Ê_K Ê_Tᵀ, 1e-6) and
+sum_n = C_K W I_Tᵀ + I_K W C_Tᵀ; the tf-idf cosines are X_K X_Tᵀ. Targets go
+in blocks of BLOCK_ROWS, in sorted doc id and word order, so results are
+bit-identical for any input order, schedule or BLAS thread count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from .classify import Bucket
 from .corpus import EGO_DATASETS, InteractedMember
-from .errors import EmptyBucketError, InertDocumentError
+from .errors import EmptyBucketError, ZeroVectorError
 from .lexproc import DocumentSet, TokenizedDoc
-from .simdex import SimilarityModels, pair_distance, tfidf_cosine
+from .simdex import DISTANCE_FLOOR, SimilarityModels, WordVectorStore
+
+BLOCK_ROWS = 256
 
 
 class Normalization(str, Enum):
     RAW = "raw"    # plain pair sum; grows with document length
     MEAN = "mean"  # pair sum divided by the number of evaluated pairs
-
-
-@dataclass(frozen=True)
-class PairScore:
-    word_mu: str
-    word_tau: str
-    n_value: float
 
 
 @dataclass(frozen=True)
@@ -61,71 +61,32 @@ class MemberRanking:
     entries: list[RankEntry]
 
 
-def pair_score(
-    w_mu: str,
-    w_tau: str,
-    bow_mu: Mapping[str, int],
-    bow_tau: Mapping[str, int],
-    vectors,
-) -> PairScore | None:
-    """Score one cross word pair; None when either word has no vector."""
-    v_mu = vectors.get(w_mu)
-    v_tau = vectors.get(w_tau)
-    if v_mu is None or v_tau is None:
-        return None
-    distance = pair_distance(v_mu, v_tau)
-    return PairScore(w_mu, w_tau, (bow_mu[w_mu] + bow_tau[w_tau]) / distance)
+def _matrix(rows: Sequence[Mapping[str, float]], columns: Sequence[str]) -> np.ndarray:
+    """Dense rows x columns matrix of the given per-row word weights."""
+    index = {word: col for col, word in enumerate(columns)}
+    out = np.zeros((len(rows), len(columns)))
+    for r, row in enumerate(rows):
+        for word, value in row.items():
+            col = index.get(word)
+            if col is not None:
+                out[r, col] = value
+    return out
 
 
-def document_index(
-    key_doc: TokenizedDoc,
-    target_doc: TokenizedDoc,
-    models: SimilarityModels,
-    normalization: Normalization = Normalization.RAW,
-    _distance_cache: dict | None = None,
-) -> DocumentScore:
-    """Full cross-pair recommendation index of one target against one key doc."""
-    if key_doc.inert:
-        raise InertDocumentError(key_doc.doc_id)
-    if target_doc.inert:
-        raise InertDocumentError(target_doc.doc_id)
-    bow_mu = models.bow.row(key_doc.doc_id)
-    bow_tau = models.bow.row(target_doc.doc_id)
-    vectors = models.vectors.vectors
-    cache = _distance_cache if _distance_cache is not None else {}
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b summed by numpy's own loops: BLAS rounds differently with its
+    thread count and with where a row falls in the matrix."""
+    return np.einsum("ij,jk->ik", a, b)
 
-    total = 0.0
-    pairs = 0
-    for w_mu in sorted(bow_mu):
-        v_mu = vectors.get(w_mu)
-        if v_mu is None:
-            continue
-        c_mu = bow_mu[w_mu]
-        for w_tau in sorted(bow_tau):
-            v_tau = vectors.get(w_tau)
-            if v_tau is None:
-                continue
-            key = (w_mu, w_tau) if w_mu <= w_tau else (w_tau, w_mu)
-            distance = cache.get(key)
-            if distance is None:
-                distance = pair_distance(v_mu, v_tau)
-                cache[key] = distance
-            total += (c_mu + bow_tau[w_tau]) / distance
-            pairs += 1
 
-    if normalization is Normalization.MEAN:
-        sum_n = total / pairs if pairs else 0.0
-    else:
-        sum_n = total
-    ti_cs = tfidf_cosine(key_doc.doc_id, target_doc.doc_id, models.tfidf)
-    return DocumentScore(
-        target_doc_id=target_doc.doc_id,
-        key_doc_id=key_doc.doc_id,
-        owner_id=target_doc.owner_id,
-        sum_n=sum_n,
-        ti_cs=ti_cs,
-        r_plus=sum_n * ti_cs,
-    )
+def _unit_vectors(store: WordVectorStore, words: Sequence[str]) -> np.ndarray:
+    """Unit-length word vectors, one row per word."""
+    vectors = np.array([store.get(w) for w in words], dtype=np.float64).reshape(-1, store.dim)
+    norms = np.linalg.norm(vectors, axis=1)
+    if not norms.all():
+        # The loader rejects zero rows; this guards stores built in memory.
+        raise ZeroVectorError(words[int(np.argmin(norms))])
+    return vectors / norms[:, None]
 
 
 def score_bucket(
@@ -138,8 +99,8 @@ def score_bucket(
     """Score every member document in the bucket against the ego's key docs.
 
     Each target keeps the maximum index over all key documents (ties going
-    to the lowest key doc id). Raises EmptyBucket naming the side that has
-    no usable documents.
+    to the lowest key doc id). Inert and non-English documents are skipped.
+    Raises EmptyBucket naming the side that has no usable documents.
     """
     if document_set.buckets is None:
         raise RuntimeError("bucket index not built; run classify.assign_buckets first")
@@ -159,16 +120,48 @@ def score_bucket(
     if not targets:
         raise EmptyBucketError("member", bucket)
 
-    cache: dict = {}
-    scores: list[DocumentScore] = []
-    for target in targets:
-        best: DocumentScore | None = None
-        for key_doc in keys:  # sorted by doc id, so ties keep the lowest
-            candidate = document_index(key_doc, target, models, normalization, cache)
-            if best is None or candidate.r_plus > best.r_plus:
-                best = candidate
-        scores.append(best)
-    return scores
+    store = models.vectors
+    bow = models.bow
+    tfidf = models.tfidf.doc_vectors
+    key_terms = sorted({w for doc in keys for w in doc.tokens})
+    key_words = [w for w in key_terms if w in store]
+    unit_k = _unit_vectors(store, key_words)
+    counts_k = _matrix([bow.row(doc.doc_id) for doc in keys], key_words)
+    ones_k = (counts_k > 0).astype(np.float64)
+    tfidf_k = _matrix([tfidf[doc.doc_id] for doc in keys], key_terms)
+
+    # Twin targets (equal bags of words) share one stand-in column, so they
+    # score bit for bit alike and exact ties break as in the oracle.
+    bags = [tuple(sorted(bow.row(doc.doc_id).items())) for doc in targets]
+    stand_in = dict(zip(bags, targets))
+    distinct = list(stand_in.values())
+    best: dict[str, DocumentScore] = {}
+    for start in range(0, len(distinct), BLOCK_ROWS):
+        block = distinct[start:start + BLOCK_ROWS]
+        words = sorted({w for doc in block for w in doc.tokens if w in store})
+        counts_t = _matrix([bow.row(doc.doc_id) for doc in block], words)
+        ones_t = (counts_t > 0).astype(np.float64)
+        similarity = 1.0 / np.maximum(
+            1.0 - _product(unit_k, _unit_vectors(store, words).T), DISTANCE_FLOOR)
+        sum_n = (_product(_product(counts_k, similarity), ones_t.T)
+                 + _product(_product(ones_k, similarity), counts_t.T))
+        if normalization is Normalization.MEAN:
+            pairs = np.outer(ones_k.sum(axis=1), ones_t.sum(axis=1))
+            sum_n = np.divide(sum_n, pairs, out=np.zeros_like(sum_n), where=pairs > 0)
+        ti_cs = _product(tfidf_k, _matrix([tfidf[doc.doc_id] for doc in block], key_terms).T)
+        r_plus = sum_n * ti_cs
+        # argmax keeps the first maximum: ties go to the lowest key doc id.
+        for col, (doc, row) in enumerate(zip(block, r_plus.argmax(axis=0))):
+            best[doc.doc_id] = DocumentScore(
+                target_doc_id=doc.doc_id,
+                key_doc_id=keys[row].doc_id,
+                owner_id=doc.owner_id,
+                sum_n=float(sum_n[row, col]),
+                ti_cs=float(ti_cs[row, col]),
+                r_plus=float(r_plus[row, col]),
+            )
+    return [replace(best[stand_in[bag].doc_id], target_doc_id=doc.doc_id, owner_id=doc.owner_id)
+            for doc, bag in zip(targets, bags)]
 
 
 def rank_members(

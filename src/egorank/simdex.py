@@ -1,10 +1,11 @@
 """Similarity models: word-vector store, BoW table, tf-idf with cosine.
 
 Three structures are built once per run and shared read-only by the
-scoring stage: a text-format embedding store for pairwise word distances,
-exact per-document token counts, and smoothed tf-idf vectors with their
-L2 lengths. "Pairwise distance" is cosine distance, floored at 1e-6 so
-identical shared words score very high instead of dividing by zero.
+scoring stage: a text-format embedding store for word distances, exact
+per-document token counts, and smoothed tf-idf vectors with their L2
+lengths. Word distance is cosine distance, floored at DISTANCE_FLOOR so
+identical shared words score very high instead of dividing by zero; the
+loader rejects zero vectors, whose cosine is undefined.
 """
 
 from __future__ import annotations
@@ -69,13 +70,16 @@ def load_word_vectors(path: str | Path) -> WordVectorStore:
             if word in vectors:
                 raise DuplicateWordError(word)
             if len(parts) - 1 != dim:
-                raise DimMismatchError(row_no, f"expected {dim} components, got {len(parts) - 1}")
+                raise DimMismatchError(
+                    path, row_no, f"expected {dim} components, got {len(parts) - 1}")
             try:
                 vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
             except ValueError:
-                raise DimMismatchError(row_no, "non-numeric vector component") from None
+                raise DimMismatchError(path, row_no, "non-numeric vector component") from None
             if not np.all(np.isfinite(vec)):
-                raise DimMismatchError(row_no, "non-finite vector component")
+                raise DimMismatchError(path, row_no, "non-finite vector component")
+            if not np.dot(vec, vec):
+                raise ZeroVectorError(word, f"{path}: row {row_no}")
             vectors[word] = vec
     return WordVectorStore(dim=dim, vectors=vectors)
 
@@ -100,20 +104,6 @@ def random_vectors(words: Iterable[str], dim: int, seed: int) -> dict[str, list[
     for word in sorted(set(words)):
         out[word] = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
     return out
-
-
-def pair_distance(v1: np.ndarray, v2: np.ndarray) -> float:
-    """Cosine distance 1 - cos(v1, v2), clamped below at 1e-6."""
-    v1 = np.asarray(v1, dtype=np.float64)
-    v2 = np.asarray(v2, dtype=np.float64)
-    if v1.shape != v2.shape:
-        raise DimMismatchError(-1, f"vector dimensions differ: {v1.shape} vs {v2.shape}")
-    n1 = float(np.linalg.norm(v1))
-    n2 = float(np.linalg.norm(v2))
-    if n1 == 0.0 or n2 == 0.0:
-        raise ZeroVectorError()
-    distance = 1.0 - float(np.dot(v1, v2)) / (n1 * n2)
-    return max(distance, DISTANCE_FLOOR)
 
 
 @dataclass

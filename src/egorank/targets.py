@@ -97,19 +97,20 @@ def remove_defaults(
     by_id = {m.member_id: m for m in members}
     effective: list[str] = []
     removed: list[str] = []
+    unknown = 0
     for member_id in selected:
         member = by_id.get(member_id)
         connections = member.connections_count if member is not None else None
         if connections is None:
-            if member is not None:
-                log.warning(
-                    "member %s has unknown connections_count; retained", member_id
-                )
+            unknown += member is not None
             effective.append(member_id)
         elif connections > threshold:
             removed.append(member_id)
         else:
             effective.append(member_id)
+    if unknown:
+        log.warning("%d of %d selected members have unknown connections_count; retained",
+                    unknown, len(selected))
     return effective, removed
 
 

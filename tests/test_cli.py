@@ -1,9 +1,18 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from egorank import pipeline
 from egorank.cli import main
+from egorank.config import load_config
+from egorank.recommend import MemberRanking, RankEntry
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +79,21 @@ class TestIngest:
         path.write_text("\n".join(lines) + "\n")
         assert run_cli("ingest", "--config", str(broken / "config.json")) == 2
 
+    def test_zero_embedding_row_exits_data_error(self, synth_dir, tmp_path, caplog):
+        broken = tmp_path / "zero"
+        shutil.copytree(synth_dir, broken)
+        path = broken / "embeddings.txt"
+        lines = path.read_text().splitlines()
+        word, *components = lines[3].split()
+        lines[3] = " ".join([word] + ["0.000000"] * len(components))
+        path.write_text("\n".join(lines) + "\n")
+        with caplog.at_level("ERROR"):
+            code = run_cli("run", "--config", str(broken / "config.json"),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert any(f"{path}: row 4" in r.message and repr(word) in r.message
+                   for r in caplog.records)
+
 
 class TestRank:
     def test_report_format_contract(self, synth_dir):
@@ -111,6 +135,22 @@ class TestRank:
         run_cli("rank", "--config", str(synth_dir / "config.json"))
         after = {p.name: p.read_bytes() for p in out.glob("ranking_*")}
         assert before == after
+
+    def test_failed_write_keeps_previous_report(self, synth_dir, tmp_path):
+        class Unprintable(float):
+            def __repr__(self):
+                raise RuntimeError("disk went away")
+
+        cfg = load_config(synth_dir / "config.json", {"out_dir": str(tmp_path)})
+        ranking = MemberRanking(bucket=pipeline.parse_bucket_filter("Sports/Negative")[0],
+                                entries=[RankEntry("m1", 2.0, "d6-a"), RankEntry("m2", 1.0, "d6-b")])
+        pipeline.write_ranking_reports(cfg, ranking)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # the second row fails after the header and the first row were written
+        ranking.entries[1] = RankEntry("m2", Unprintable(1.0), "d6-b")
+        with pytest.raises(RuntimeError, match="disk went away"):
+            pipeline.write_ranking_reports(cfg, ranking)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestTargets:
@@ -176,6 +216,28 @@ class TestRun:
         assert set(serial_files) == set(parallel_files)
         for name in serial_files:
             assert serial_files[name] == parallel_files[name], name
+
+    def test_blas_thread_count_does_not_change_reports(self, tmp_path):
+        # dim 300 puts the word-vector products above the size at which a BLAS
+        # starts threads; the synthetic vocabulary is small, so the bucket-wide
+        # test in test_recommend.py is the one where BLAS itself would differ
+        def cli(threads, *argv):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=str(SRC_DIR) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+            proc = subprocess.run([sys.executable, "-m", "egorank.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+
+        synth = tmp_path / "synth"
+        cli("1", "synth", "--out", str(synth), "--seed", "3", "--members", "30",
+            "--docs-per-member", "12", "--planted", "5", "--dim", "300")
+        outputs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            cli(threads, "run", "--config", str(synth / "config.json"), "--out-dir", str(out))
+            outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert any(name.startswith("ranking_") for name in outputs["1"])
+        assert outputs["1"] == outputs["2"]
 
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:

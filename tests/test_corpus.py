@@ -135,8 +135,22 @@ class TestLoadActivityCsv:
         docs = load_activity_csv(path, 6)
         assert [d.owner_id for d in docs] == ["m1", "m2"]
 
+    def test_utf8_bom_accepted(self, tmp_path):
+        path = tmp_path / "d1.csv"
+        path.write_text("\ufeff" + HEADER + f"\np1,hello world,Ego,ego,3,1,en,{T1},\n",
+                        encoding="utf-8")
+        docs = load_activity_csv(path, 1, "ego")
+        assert [(d.doc_id, d.text) for d in docs] == [("d1-p1", "hello world")]
+
 
 class TestMembersCsv:
+    def test_utf8_bom_accepted(self, tmp_path):
+        path = tmp_path / "d5.csv"
+        path.write_text("\ufeffmember_id,display_name,kind,activity_types,connections_count\n"
+                        "A,Alice,Friend,React,120\n", encoding="utf-8")
+        (member,) = load_members_csv(path)
+        assert (member.member_id, member.connections_count) == ("A", 120)
+
     def test_load_and_merge_duplicates(self, tmp_path):
         path = write_csv(tmp_path, "d5.csv", [
             ",".join(["member_id", "display_name", "kind", "activity_types", "connections_count"]),

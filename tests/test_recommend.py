@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,13 +11,12 @@ import pytest
 import oracle
 from egorank.classify import Bucket, Category, SentimentClass
 from egorank.corpus import InteractedMember, MemberKind, ActivityType
-from egorank.errors import EmptyBucketError, InertDocumentError
+from egorank.errors import EmptyBucketError
 from egorank.lexproc import DocumentSet, TokenizedDoc
 from egorank.recommend import (
+    BLOCK_ROWS,
     DocumentScore,
     Normalization,
-    document_index,
-    pair_score,
     rank_members,
     score_bucket,
 )
@@ -63,21 +66,31 @@ ORTHO = {
 }
 
 
+def score_one(key_tokens, target_tokens, embeddings, normalization=Normalization.RAW):
+    """The DocumentScore of one target doc against one key doc."""
+    ds, models = build_case([key_tokens], [("m1", target_tokens)], embeddings)
+    (score,) = score_bucket(ds, BUCKET, models, normalization=normalization)
+    return score
+
+
 class TestPairScore:
+    """One word pair's (c_key + c_target) / distance, seen through one-word docs."""
+
     def test_cited_arithmetic(self):
         # distance 0.5 from unit vectors at 60 degrees
         emb = {"u": [1.0, 0.0], "v": [0.5, math.sqrt(3) / 2]}
-        ps = pair_score("u", "v", {"u": 2}, {"v": 3}, store_from(emb))
-        assert ps.n_value == pytest.approx((2 + 3) / 0.5, rel=1e-9)
+        score = score_one(["u", "u"], ["v", "v", "v"], emb)
+        assert score.sum_n == pytest.approx((2 + 3) / 0.5, rel=1e-9)
 
     def test_identical_word_clamped_distance(self):
-        emb = {"u": [1.0, 2.0]}
-        ps = pair_score("u", "u", {"u": 1}, {"u": 1}, store_from(emb))
-        assert ps.n_value == pytest.approx(2.0 / 1e-6, rel=1e-9)
-        assert ps.n_value == pytest.approx(2_000_000.0, rel=1e-6)
+        score = score_one(["u"], ["u"], {"u": [1.0, 2.0]})
+        assert score.sum_n == pytest.approx(2.0 / 1e-6, rel=1e-9)
+        assert score.sum_n == pytest.approx(2_000_000.0, rel=1e-6)
 
     def test_oov_pair_skipped(self):
-        assert pair_score("u", "x", {"u": 1}, {"x": 1}, store_from({"u": [1.0]})) is None
+        score = score_one(["u"], ["x"], {"u": [1.0]})
+        assert score.sum_n == 0.0
+        assert score.r_plus == 0.0
 
     def test_nonnegative(self):
         rng = random.Random(1)
@@ -86,20 +99,20 @@ class TestPairScore:
                    "v": [rng.uniform(-1, 1) for _ in range(4)]}
             if not any(emb["u"]) or not any(emb["v"]):
                 continue
-            ps = pair_score("u", "v", {"u": 2}, {"v": 5}, store_from(emb))
-            assert ps.n_value >= 0
+            score = score_one(["u"] * 2, ["v"] * 5, emb)
+            assert score.sum_n >= 0
 
 
 class TestDocumentIndex:
+    """The index of one target against one key doc, through score_bucket."""
+
     def test_zero_cosine_annihilates(self):
-        ds, models = build_case([["a"]], [("m1", ["b"])], ORTHO)
-        score = document_index(ds.doc("d1-k00"), ds.doc("d6-t00"), models)
+        score = score_one(["a"], ["b"], ORTHO)
         assert score.ti_cs == 0.0
         assert score.r_plus == 0.0
 
     def test_single_pair_hand_trace(self):
-        ds, models = build_case([["a"]], [("m1", ["a"])], ORTHO)
-        score = document_index(ds.doc("d1-k00"), ds.doc("d6-t00"), models)
+        score = score_one(["a"], ["a"], ORTHO)
         assert score.sum_n == pytest.approx(2 / 1e-6, rel=1e-9)
         # identical one-word docs: cosine is exactly 1
         assert score.ti_cs == pytest.approx(1.0, abs=1e-9)
@@ -107,26 +120,28 @@ class TestDocumentIndex:
 
     def test_cross_product_pair_count_with_oov(self):
         emb = dict(ORTHO)  # 'd' deliberately missing
-        ds, models = build_case(
-            [["a", "b", "c"]], [("m1", ["a", "b", "c", "d"])], emb
-        )
-        raw = document_index(ds.doc("d1-k00"), ds.doc("d6-t00"), models,
-                             Normalization.RAW)
-        mean = document_index(ds.doc("d1-k00"), ds.doc("d6-t00"), models,
-                              Normalization.MEAN)
+        key, target = ["a", "b", "c"], ["a", "b", "c", "d"]
+        raw = score_one(key, target, emb, Normalization.RAW)
+        mean = score_one(key, target, emb, Normalization.MEAN)
         # 3 key words x 3 in-vocabulary target words = 9 evaluated pairs
         assert mean.sum_n == pytest.approx(raw.sum_n / 9, rel=1e-9)
 
+    def test_mean_without_in_vocabulary_pairs_is_zero(self):
+        score = score_one(["x"], ["x", "a"], ORTHO, Normalization.MEAN)
+        assert score.sum_n == 0.0
+        assert score.r_plus == 0.0
+
     def test_inert_document_rejected(self):
-        ds, models = build_case([["a"]], [("m1", ["a"])], ORTHO)
-        inert = tdoc("d6-z", [], owner="m1", dataset_no=6)
-        with pytest.raises(InertDocumentError):
-            document_index(ds.doc("d1-k00"), inert, models)
+        ds, models = build_case([["a"], []], [("m1", ["a"]), ("m2", [])], ORTHO)
+        scores = score_bucket(ds, BUCKET, models)
+        assert [(s.target_doc_id, s.key_doc_id) for s in scores] == [("d6-t00", "d1-k00")]
+        ds.buckets = {BUCKET: ["d1-k01", "d6-t00"]}
+        with pytest.raises(EmptyBucketError, match="ego"):
+            score_bucket(ds, BUCKET, models)
 
     def test_invariant_r_equals_sum_times_cosine(self):
-        ds, models = build_case([["a", "b"]], [("m1", ["a", "c"])], ORTHO)
         for mode in Normalization:
-            s = document_index(ds.doc("d1-k00"), ds.doc("d6-t00"), models, mode)
+            s = score_one(["a", "b"], ["a", "c"], ORTHO, mode)
             assert s.r_plus == pytest.approx(s.sum_n * s.ti_cs, rel=1e-12)
             assert s.r_plus >= 0
 
@@ -227,21 +242,86 @@ class TestScoreBucket:
         emb = dict(ORTHO)
         k = 3
         base_key, base_tgt = ["a", "b"], ["a", "c", "c"]
-        ds1, models1 = build_case([base_key], [("m1", base_tgt)], emb)
-        s1 = document_index(ds1.doc("d1-k00"), ds1.doc("d6-t00"), models1)
-        ds2, models2 = build_case([base_key * k], [("m1", base_tgt * k)], emb)
-        s2 = document_index(ds2.doc("d1-k00"), ds2.doc("d6-t00"), models2)
+        s1 = score_one(base_key, base_tgt, emb)
+        s2 = score_one(base_key * k, base_tgt * k, emb)
         assert s2.sum_n == pytest.approx(k * s1.sum_n, rel=1e-9)
         assert s2.ti_cs == pytest.approx(s1.ti_cs, abs=1e-9)
         assert s2.r_plus == pytest.approx(k * s1.r_plus, rel=1e-9)
 
     def test_monotonicity_extra_shared_occurrence(self):
-        emb = dict(ORTHO)
-        ds1, models1 = build_case([["a", "b"]], [("m1", ["a", "c"])], emb)
-        s1 = document_index(ds1.doc("d1-k00"), ds1.doc("d6-t00"), models1)
-        ds2, models2 = build_case([["a", "b"]], [("m1", ["a", "a", "c"])], emb)
-        s2 = document_index(ds2.doc("d1-k00"), ds2.doc("d6-t00"), models2)
+        s1 = score_one(["a", "b"], ["a", "c"], ORTHO)
+        s2 = score_one(["a", "b"], ["a", "a", "c"], ORTHO)
         assert s2.sum_n > s1.sum_n
+
+    def test_tied_key_docs_go_to_lowest_id(self):
+        # k01 and k02 hold the same words, so the oracle scores them equal;
+        # both beat k00 on every target
+        rng = random.Random(5)
+        emb = random_embeddings(rng, ["a", "b", "c", "d", "e"], 6, coverage=1.0)
+        keys = [["e"], ["a", "b", "a", "c"], ["a", "b", "a", "c"]]
+        members = [("m1", ["a", "b"]), ("m2", ["b", "c", "d"]), ("m3", ["a", "a", "e"])]
+        ds, models = build_case(keys, members, emb)
+        docs_tokens = {d.doc_id: list(d.tokens) for d in ds.documents}
+        for s in score_bucket(ds, BUCKET, models):
+            by_key = {k: oracle.r_plus(docs_tokens[k], docs_tokens[s.target_doc_id],
+                                       docs_tokens, emb) for k in ("d1-k00", "d1-k01", "d1-k02")}
+            assert by_key["d1-k01"] == by_key["d1-k02"] > by_key["d1-k00"]
+            assert s.key_doc_id == "d1-k01"
+            assert s.r_plus == pytest.approx(by_key["d1-k01"], rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_twin_target_docs_tie_bit_for_bit_across_blocks(self, seed):
+        # one bag of words in the first and in the last block, which holds it
+        # alone, scores bit-identically: exact ties then break as in the
+        # oracle, by member id
+        rng = random.Random(seed)
+        vocab = [f"w{i}" for i in range(60)]
+        emb = random_embeddings(rng, vocab, 8, coverage=1.0)
+        twin = rng.choices(vocab, k=12)
+        n = BLOCK_ROWS + 1
+        members = [("m9", rng.choices(vocab, k=rng.randrange(1, 30))) for _ in range(n)]
+        in_id_order = sorted(range(n), key=lambda i: f"d6-t{i:02d}")
+        first, last = in_id_order[0], in_id_order[-1]
+        members[first] = ("m2", rng.sample(twin, len(twin)))
+        members[last] = ("m1", rng.sample(twin, len(twin)))
+        ds, models = build_case([rng.choices(vocab, k=10) for _ in range(3)], members, emb)
+        scores = {s.target_doc_id: s for s in score_bucket(ds, BUCKET, models)}
+        a, b = scores[f"d6-t{first:02d}"], scores[f"d6-t{last:02d}"]
+        assert (a.key_doc_id, a.sum_n, a.ti_cs, a.r_plus) == (b.key_doc_id, b.sum_n, b.ti_cs, b.r_plus)
+        ranking = rank_members(list(scores.values()), [member("m1"), member("m2")], BUCKET)
+        assert [e.member_id for e in ranking.entries] == ["m1", "m2"]
+
+
+WIDE_BUCKET_SCRIPT = """
+import random
+from test_recommend import BUCKET, build_case, random_embeddings
+from egorank.recommend import score_bucket
+
+rng = random.Random(11)
+vocab = [f"w{i}" for i in range(400)]
+emb = random_embeddings(rng, vocab, 96, coverage=1.0)
+keys = [[rng.choice(vocab) for _ in range(20)] for _ in range(12)]
+members = [(f"m{i % 40}", [rng.choice(vocab) for _ in range(20)]) for i in range(300)]
+ds, models = build_case(keys, members, emb)
+for score in score_bucket(ds, BUCKET, models):
+    print(repr(score))
+"""
+
+
+def test_blas_thread_count_does_not_change_scores():
+    # a bucket wide enough (about 180 x 96 x 400 word-vector products) for a
+    # threaded BLAS to split the work, which would move the last digits
+    here = Path(__file__).resolve().parent
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+        proc = subprocess.run([sys.executable, "-c", WIDE_BUCKET_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].count("DocumentScore(") == 300
+    assert outputs[0] == outputs[1]
 
 
 class TestRankMembers:

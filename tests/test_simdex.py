@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from egorank.classify import Bucket, Category, SentimentClass
 from egorank.errors import (
     BadHeaderError,
+    DataError,
     DimMismatchError,
     DuplicateWordError,
     EmptyCorpusError,
@@ -15,13 +17,14 @@ from egorank.errors import (
     ZeroVectorError,
 )
 from egorank.lexproc import DocumentSet, TokenizedDoc
+from egorank.recommend import score_bucket
 from egorank.simdex import (
     DISTANCE_FLOOR,
     SimilarityModels,
+    WordVectorStore,
     build_bow,
     build_tfidf,
     load_word_vectors,
-    pair_distance,
     random_vectors,
     tfidf_cosine,
     write_embeddings,
@@ -59,8 +62,17 @@ class TestLoadWordVectors:
     def test_dim_mismatch(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("1 3\nalpha 0.1 0.2\n", encoding="utf-8")
-        with pytest.raises(DimMismatchError, match="row 2"):
+        with pytest.raises(DimMismatchError, match="row 2") as exc:
             load_word_vectors(path)
+        assert str(path) in str(exc.value)
+
+    def test_zero_vector_rejected_at_load(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("3 2\nalpha 0.1 0.2\nbeta 0.0 -0.0\ngamma 1 1\n", encoding="utf-8")
+        with pytest.raises(ZeroVectorError, match="row 3") as exc:
+            load_word_vectors(path)
+        assert isinstance(exc.value, DataError)
+        assert str(path) in str(exc.value) and "'beta'" in str(exc.value)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -94,38 +106,50 @@ class TestLoadWordVectors:
             assert [f"{x:.6f}" for x in store.get(word)] == lines[word]
 
 
+def pair_distance(u, v):
+    """Cosine distance of two word vectors as scoring sees it.
+
+    One-word key and target docs make sum_n = (1 + 1) / distance.
+    """
+    bucket = Bucket(Category.TECHNOLOGY, SentimentClass.POSITIVE)
+    docs = [tdoc("d1-k", ["u"]), tdoc("d6-t", ["v"], owner="m", dataset_no=6)]
+    ds = DocumentSet(documents=docs, ego_id="ego")
+    ds.buckets = {bucket: ["d1-k", "d6-t"]}
+    store = WordVectorStore(dim=len(u), vectors={"u": np.array(u, dtype=float),
+                                                 "v": np.array(v, dtype=float)})
+    (score,) = score_bucket(ds, bucket, SimilarityModels.build(ds, store))
+    return 2.0 / score.sum_n
+
+
 class TestPairDistance:
     def test_orthogonal(self):
-        assert pair_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(1.0)
+        assert pair_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
 
     def test_parallel_clamped(self):
-        assert pair_distance(np.array([2.0, 0.0]), np.array([1.0, 0.0])) == DISTANCE_FLOOR
+        assert pair_distance([2.0, 0.0], [1.0, 0.0]) == pytest.approx(DISTANCE_FLOOR, rel=1e-12)
 
     def test_hand_computed_45_degrees(self):
-        d = pair_distance(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+        d = pair_distance([1.0, 1.0], [1.0, 0.0])
         assert d == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-9)
         assert d == pytest.approx(0.29289, abs=1e-5)
 
     def test_zero_vector(self):
-        with pytest.raises(ZeroVectorError):
-            pair_distance(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimMismatchError):
-            pair_distance(np.array([1.0]), np.array([1.0, 2.0]))
+        # the loader rejects zero rows; a store built in memory is caught in scoring
+        with pytest.raises(ZeroVectorError, match="'u'"):
+            pair_distance([0.0, 0.0], [1.0, 0.0])
 
     @given(st.integers(0, 10 ** 6))
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     def test_symmetric_and_in_range(self, seed):
         rng = random.Random(seed)
-        u = np.array([rng.uniform(-2, 2) for _ in range(5)])
-        v = np.array([rng.uniform(-2, 2) for _ in range(5)])
+        u = [rng.uniform(-2, 2) for _ in range(5)]
+        v = [rng.uniform(-2, 2) for _ in range(5)]
         if not np.linalg.norm(u) or not np.linalg.norm(v):
             return
         d_uv = pair_distance(u, v)
         d_vu = pair_distance(v, u)
         assert d_uv == d_vu
-        assert DISTANCE_FLOOR <= d_uv <= 2.0 + 1e-12
+        assert DISTANCE_FLOOR * (1 - 1e-12) <= d_uv <= 2.0 + 1e-12
 
 
 class TestBoW:

@@ -110,6 +110,15 @@ class TestRemoveDefaults:
         assert removed == ["B"]
         assert any("unknown" in rec.message for rec in caplog.records)
 
+    def test_unknown_counts_warned_once_with_count(self, caplog):
+        members = [member(f"m{i}", connections=None) for i in range(4)]
+        members.append(member("big", connections=9000))
+        with caplog.at_level("WARNING"):
+            top_most(MemberRanking(BUCKET, [RankEntry(m.member_id, 1.0, "d") for m in members]),
+                     5, members, allow_small=True)
+        warnings = [r.message for r in caplog.records if "unknown" in r.message]
+        assert warnings == ["4 of 5 selected members have unknown connections_count; retained"]
+
     def test_order_of_survivors_preserved(self):
         members = [member("C", connections=1), member("A", connections=9000),
                    member("B", connections=2)]
