@@ -22,6 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .corpus import DEPENDENT_DATASETS, INDEPENDENT_DATASETS
 from .errors import (
     DependentDatasetError,
     MissingCategoryError,
@@ -172,7 +173,7 @@ def classify_category(doc: TokenizedDoc, model: CategoryClassifier | None) -> Ca
     """
     if model is None:
         raise UntrainedModelError()
-    if doc.dataset_no in (2, 3, 7, 8):
+    if doc.dataset_no in DEPENDENT_DATASETS:
         raise DependentDatasetError(doc.dataset_no)
     scores = model.posteriors(doc.tokens)
     return CategoryLabel(value=_argmax_category(scores), scores=scores)
@@ -270,11 +271,11 @@ def label_documents(
         return not doc.inert and not doc.flagged_non_english
 
     for doc in document_set.documents:
-        if doc.dataset_no in (1, 4, 6, 9) and eligible(doc):
+        if doc.dataset_no in INDEPENDENT_DATASETS and eligible(doc):
             labels[doc.doc_id] = classify_category(doc, model)
             sentiments[doc.doc_id] = analyzer.score(doc.text)
     for doc in document_set.documents:
-        if doc.dataset_no in (2, 3, 7, 8) and eligible(doc):
+        if doc.dataset_no in DEPENDENT_DATASETS and eligible(doc):
             try:
                 labels[doc.doc_id] = inherit_category(doc, labels)
             except OrphanDocumentError:

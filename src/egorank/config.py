@@ -102,7 +102,7 @@ def _as_path(value: Any, base: Path) -> Path | None:
 
 
 def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) -> PipelineConfig:
-    """Read a config file and apply CLI overrides on top.
+    """Read a config file, apply CLI overrides on top, and validate the result.
 
     Relative paths inside the file resolve against the file's directory.
     """
@@ -148,6 +148,7 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
     )
     if overrides:
         cfg = apply_overrides(cfg, overrides)
+    cfg.validate()
     return cfg
 
 

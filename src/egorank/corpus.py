@@ -80,21 +80,6 @@ DATASET_ACTIVITY = {
 
 
 @dataclass(frozen=True)
-class ActivityRecord:
-    """One raw activity row: the eight collected attributes plus thread links."""
-
-    post_id: str
-    content: str
-    user_name: str
-    user_id: str
-    react_count: int
-    share_count: int
-    language: str
-    time: datetime
-    comment_thread: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class Document:
     """One piece of activity text with provenance.
 
@@ -177,40 +162,6 @@ class Corpus:
         for no in CONTENT_DATASETS:
             out.extend(self.datasets.get(no, []))
         return out
-
-    def document(self, doc_id: str) -> Document | None:
-        for doc in self.all_documents():
-            if doc.doc_id == doc_id:
-                return doc
-        return None
-
-    def to_dict(self) -> dict:
-        return {
-            "platform": self.platform.value,
-            "ego_id": self.ego_id,
-            "window": [format_timestamp(self.window[0]), format_timestamp(self.window[1])],
-            "datasets": {
-                str(no): [_document_to_dict(d) for d in docs]
-                for no, docs in sorted(self.datasets.items())
-            },
-            "members": [_member_to_dict(m) for m in self.members],
-            "synthetic_truth": self.synthetic_truth.to_dict() if self.synthetic_truth else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Corpus":
-        truth = data.get("synthetic_truth")
-        return cls(
-            platform=Platform(data["platform"]),
-            ego_id=data["ego_id"],
-            window=(parse_timestamp(data["window"][0]), parse_timestamp(data["window"][1])),
-            datasets={
-                int(no): [_document_from_dict(d) for d in docs]
-                for no, docs in data["datasets"].items()
-            },
-            members=[_member_from_dict(m) for m in data["members"]],
-            synthetic_truth=SyntheticTruth.from_dict(truth) if truth else None,
-        )
 
 
 # --- timestamps ---------------------------------------------------------------
@@ -415,30 +366,6 @@ def build_interaction_list(corpus: Corpus, mentions: Iterable[str] = ()) -> list
 
 
 # --- serialization -------------------------------------------------------------
-
-def _document_to_dict(doc: Document) -> dict:
-    return {
-        "doc_id": doc.doc_id,
-        "owner_id": doc.owner_id,
-        "text": doc.text,
-        "dataset_no": doc.dataset_no,
-        "activity_type": doc.activity_type.value,
-        "parent_doc_id": doc.parent_doc_id,
-        "time": format_timestamp(doc.time),
-    }
-
-
-def _document_from_dict(data: Mapping) -> Document:
-    return Document(
-        doc_id=data["doc_id"],
-        owner_id=data["owner_id"],
-        text=data["text"],
-        dataset_no=int(data["dataset_no"]),
-        activity_type=ActivityType(data["activity_type"]),
-        parent_doc_id=data["parent_doc_id"],
-        time=parse_timestamp(data["time"]),
-    )
-
 
 def _member_to_dict(m: InteractedMember) -> dict:
     return {

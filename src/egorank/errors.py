@@ -136,12 +136,6 @@ class OrphanDocumentError(DataError):
 
 # --- scoring ------------------------------------------------------------------
 
-class InertDocumentError(EgorankError):
-    def __init__(self, doc_id: str):
-        self.doc_id = doc_id
-        super().__init__(f"document {doc_id!r} has no tokens and cannot be scored")
-
-
 class EmptyBucketError(EgorankError):
     def __init__(self, side: str, bucket: object = None):
         self.side = side

@@ -44,7 +44,7 @@ from .corpus import (
 )
 from .errors import ConfigError, EmptyBucketError, RankingTooSmallError
 from .lexproc import Lemmatizer, DocumentSet, build_document_set, remove_stop_words, tokenize
-from .recommend import MemberRanking, Normalization, rank_members, score_bucket
+from .recommend import MemberRanking, Normalization, RankEntry, rank_members, score_bucket
 from .resources import (
     load_english_words,
     load_labeled_seed,
@@ -114,7 +114,6 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def run_ingest(cfg: PipelineConfig) -> IngestResult:
     """Load all datasets, preprocess, merge mentions, write the bundle."""
-    cfg.validate()
     translator = None  # no translator ships with the artifact; flagged docs are excluded
     spelling = (
         load_spelling_dictionary(cfg.resources["spelling_dictionary"])
@@ -286,15 +285,8 @@ def run_rank(
     state = prepare_rank_state(cfg, clean_docs, members)
     buckets = parse_bucket_filter(bucket_filter if bucket_filter is not None else cfg.bucket)
 
-    rankings: dict[Bucket, MemberRanking] = {}
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = {b: pool.submit(rank_one_bucket, cfg, state, b) for b in buckets}
-            for bucket in buckets:
-                rankings[bucket] = futures[bucket].result()
-    else:
-        for bucket in buckets:
-            rankings[bucket] = rank_one_bucket(cfg, state, bucket)
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        rankings = dict(zip(buckets, pool.map(lambda b: rank_one_bucket(cfg, state, b), buckets)))
     for bucket in buckets:
         write_ranking_reports(cfg, rankings[bucket])
     return rankings
@@ -306,7 +298,6 @@ def load_ranking_report(cfg: PipelineConfig, bucket: Bucket) -> MemberRanking | 
     path = cfg.out_dir / f"ranking_{_bucket_slug(bucket)}.json"
     if not path.is_file():
         return None
-    from .recommend import RankEntry
     data = json.loads(path.read_text(encoding="utf-8"))
     entries = [
         RankEntry(e["member_id"], float(e["score"]), e["best_doc_id"])

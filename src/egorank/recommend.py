@@ -10,9 +10,10 @@ its best key document, and a member is ranked by their best target.
 The pair sum is the soft cosine of Sidorov et al. (2014) in bilinear form:
 with Ê the unit word vectors, C the word counts and I their 0/1 indicators on
 the key (K) and target (T) sides, W = 1 / max(1 - Ê_K Ê_Tᵀ, 1e-6) and
-sum_n = C_K W I_Tᵀ + I_K W C_Tᵀ; the tf-idf cosines are X_K X_Tᵀ. Targets go
-in blocks of BLOCK_ROWS, in sorted doc id and word order, so results are
-bit-identical for any input order, schedule or BLAS thread count.
+sum_n = C_K W I_Tᵀ + I_K W C_Tᵀ; the tf-idf cosines are X_K X_Tᵀ, with the
+tf-idf rows X = C idf / length built from the count rows over the key words.
+Targets go in blocks of BLOCK_ROWS, in sorted doc id and word order, so
+results are bit-identical for any input order, schedule or BLAS thread count.
 """
 
 from __future__ import annotations
@@ -79,6 +80,14 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jk->ik", a, b)
 
 
+def _tfidf_rows(models: SimilarityModels, docs: Sequence[TokenizedDoc],
+                terms: Sequence[str]) -> np.ndarray:
+    """Unit tf-idf rows over the given terms: count * idf / the doc's tf-idf length."""
+    idf = np.array([models.idf[w] for w in terms])
+    lengths = np.array([models.lengths[doc.doc_id] for doc in docs])
+    return _matrix([models.counts[doc.doc_id] for doc in docs], terms) * idf / lengths[:, None]
+
+
 def _unit_vectors(store: WordVectorStore, words: Sequence[str]) -> np.ndarray:
     """Unit-length word vectors, one row per word."""
     vectors = np.array([store.get(w) for w in words], dtype=np.float64).reshape(-1, store.dim)
@@ -121,25 +130,24 @@ def score_bucket(
         raise EmptyBucketError("member", bucket)
 
     store = models.vectors
-    bow = models.bow
-    tfidf = models.tfidf.doc_vectors
+    counts = models.counts
     key_terms = sorted({w for doc in keys for w in doc.tokens})
     key_words = [w for w in key_terms if w in store]
     unit_k = _unit_vectors(store, key_words)
-    counts_k = _matrix([bow.row(doc.doc_id) for doc in keys], key_words)
+    counts_k = _matrix([counts[doc.doc_id] for doc in keys], key_words)
     ones_k = (counts_k > 0).astype(np.float64)
-    tfidf_k = _matrix([tfidf[doc.doc_id] for doc in keys], key_terms)
+    tfidf_k = _tfidf_rows(models, keys, key_terms)
 
     # Twin targets (equal bags of words) share one stand-in column, so they
     # score bit for bit alike and exact ties break as in the oracle.
-    bags = [tuple(sorted(bow.row(doc.doc_id).items())) for doc in targets]
+    bags = [tuple(sorted(counts[doc.doc_id].items())) for doc in targets]
     stand_in = dict(zip(bags, targets))
     distinct = list(stand_in.values())
     best: dict[str, DocumentScore] = {}
     for start in range(0, len(distinct), BLOCK_ROWS):
         block = distinct[start:start + BLOCK_ROWS]
         words = sorted({w for doc in block for w in doc.tokens if w in store})
-        counts_t = _matrix([bow.row(doc.doc_id) for doc in block], words)
+        counts_t = _matrix([counts[doc.doc_id] for doc in block], words)
         ones_t = (counts_t > 0).astype(np.float64)
         similarity = 1.0 / np.maximum(
             1.0 - _product(unit_k, _unit_vectors(store, words).T), DISTANCE_FLOOR)
@@ -148,7 +156,7 @@ def score_bucket(
         if normalization is Normalization.MEAN:
             pairs = np.outer(ones_k.sum(axis=1), ones_t.sum(axis=1))
             sum_n = np.divide(sum_n, pairs, out=np.zeros_like(sum_n), where=pairs > 0)
-        ti_cs = _product(tfidf_k, _matrix([tfidf[doc.doc_id] for doc in block], key_terms).T)
+        ti_cs = _product(tfidf_k, _tfidf_rows(models, block, key_terms).T)
         r_plus = sum_n * ti_cs
         # argmax keeps the first maximum: ties go to the lowest key doc id.
         for col, (doc, row) in enumerate(zip(block, r_plus.argmax(axis=0))):

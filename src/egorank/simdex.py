@@ -1,9 +1,10 @@
-"""Similarity models: word-vector store, BoW table, tf-idf with cosine.
+"""Similarity models: word-vector store, token counts and tf-idf weights.
 
-Three structures are built once per run and shared read-only by the
-scoring stage: a text-format embedding store for word distances, exact
-per-document token counts, and smoothed tf-idf vectors with their L2
-lengths. Word distance is cosine distance, floored at DISTANCE_FLOOR so
+One model is built once per run and shared read-only by the scoring
+stage: a text-format embedding store for word distances, exact
+per-document token counts, and smoothed idf weights with each document's
+tf-idf L2 length, from which scoring builds tf-idf rows out of the count
+rows. Word distance is cosine distance, floored at DISTANCE_FLOOR so
 identical shared words score very high instead of dividing by zero; the
 loader rejects zero vectors, whose cosine is undefined.
 """
@@ -24,7 +25,6 @@ from .errors import (
     DimMismatchError,
     DuplicateWordError,
     EmptyCorpusError,
-    InertDocumentError,
     ZeroVectorError,
 )
 from .lexproc import DocumentSet
@@ -107,73 +107,33 @@ def random_vectors(words: Iterable[str], dim: int, seed: int) -> dict[str, list[
 
 
 @dataclass
-class BoWTable:
-    """Exact token counts per document; inert documents get empty rows."""
-
-    rows: dict[str, Counter]
-
-    def row(self, doc_id: str) -> Counter:
-        return self.rows[doc_id]
-
-
-def build_bow(document_set: DocumentSet) -> BoWTable:
-    return BoWTable(rows={d.doc_id: Counter(d.tokens) for d in document_set.documents})
-
-
-@dataclass
-class TfIdfModel:
-    """Smoothed tf-idf vectors, their raw L2 lengths, and unit-normalized forms.
+class SimilarityModels:
+    """Word vectors, per-document token counts and smoothed idf, shared by scoring.
 
     idf(w) = ln((1 + N) / (1 + df(w))) + 1 over the N non-inert documents,
-    so no idf is zero and single-document corpora still work.
+    so no idf is zero and single-document corpora still work. ``lengths``
+    holds the raw tf-idf L2 length of each non-inert document; its tf-idf
+    row is count(w) * idf(w) / length. Inert documents get empty counts.
     """
 
-    idf: dict[str, float]
-    doc_vectors: dict[str, dict[str, float]]
-    doc_lengths: dict[str, float]
-
-
-def build_tfidf(bow: BoWTable) -> TfIdfModel:
-    non_inert = [doc_id for doc_id, row in bow.rows.items() if row]
-    n = len(non_inert)
-    if n == 0:
-        raise EmptyCorpusError()
-    df: Counter = Counter()
-    for doc_id in non_inert:
-        df.update(bow.rows[doc_id].keys())
-    idf = {w: math.log((1 + n) / (1 + df[w])) + 1.0 for w in df}
-    doc_vectors: dict[str, dict[str, float]] = {}
-    doc_lengths: dict[str, float] = {}
-    for doc_id in sorted(non_inert):
-        row = bow.rows[doc_id]
-        raw = {w: row[w] * idf[w] for w in sorted(row)}
-        length = math.sqrt(sum(x * x for x in raw.values()))
-        doc_lengths[doc_id] = length
-        doc_vectors[doc_id] = {w: x / length for w, x in raw.items()}
-    return TfIdfModel(idf=idf, doc_vectors=doc_vectors, doc_lengths=doc_lengths)
-
-
-def tfidf_cosine(doc_a: str, doc_b: str, model: TfIdfModel) -> float:
-    """Cosine of the two documents' tf-idf vectors, in [0, 1]."""
-    for doc_id in (doc_a, doc_b):
-        if doc_id not in model.doc_vectors:
-            raise InertDocumentError(doc_id)
-    va = model.doc_vectors[doc_a]
-    vb = model.doc_vectors[doc_b]
-    if len(vb) < len(va):
-        va, vb = vb, va
-    return sum(x * vb[w] for w, x in sorted(va.items()) if w in vb)
-
-
-@dataclass
-class SimilarityModels:
-    """The model trio shared by the recommendation index."""
-
     vectors: WordVectorStore
-    bow: BoWTable
-    tfidf: TfIdfModel
+    counts: dict[str, Counter]
+    idf: dict[str, float]
+    lengths: dict[str, float]
 
     @classmethod
     def build(cls, document_set: DocumentSet, vectors: WordVectorStore) -> "SimilarityModels":
-        bow = build_bow(document_set)
-        return cls(vectors=vectors, bow=bow, tfidf=build_tfidf(bow))
+        counts = {d.doc_id: Counter(d.tokens) for d in document_set.documents}
+        non_inert = [doc_id for doc_id, row in counts.items() if row]
+        if not non_inert:
+            raise EmptyCorpusError()
+        df: Counter = Counter()
+        for doc_id in non_inert:
+            df.update(counts[doc_id].keys())
+        n = len(non_inert)
+        idf = {w: math.log((1 + n) / (1 + df[w])) + 1.0 for w in df}
+        lengths: dict[str, float] = {}
+        for doc_id in non_inert:
+            row = counts[doc_id]
+            lengths[doc_id] = math.sqrt(sum(x * x for x in (row[w] * idf[w] for w in sorted(row))))
+        return cls(vectors=vectors, counts=counts, idf=idf, lengths=lengths)

@@ -50,10 +50,7 @@ from egorank.recommend import Normalization, rank_members, score_bucket
 from egorank.simdex import (
     SimilarityModels,
     WordVectorStore,
-    build_bow,
-    build_tfidf,
     random_vectors,
-    tfidf_cosine,
 )
 from egorank.targets import filter_eligible, top_most
 from egorank.textprep import extract_mentions, primary_preprocess, strip_noise
@@ -173,25 +170,30 @@ def test_criterion_2_algorithm2_count_identity():
 # --- criterion 3: tf-idf / BoW worked example -------------------------------------
 
 def test_criterion_3_tfidf_worked_example():
-    ds = DocumentSet(documents=[tdoc("d1-00", ["a", "b"]), tdoc("d1-01", ["a", "c"])],
+    bucket = Bucket(Category.TECHNOLOGY, SentimentClass.POSITIVE)
+    ds = DocumentSet(documents=[tdoc("d1-00", ["a", "b"]),
+                                tdoc("d6-00", ["a", "c"], owner="m", dataset_no=6)],
                      ego_id="ego")
-    bow = build_bow(ds)
-    assert dict(bow.row("d1-00")) == {"a": 1, "b": 1}
-    model = build_tfidf(bow)
+    ds.buckets = {bucket: ["d1-00", "d6-00"]}
+    store = WordVectorStore(dim=4, vectors={
+        w: np.array(v) for w, v in random_vectors(["a", "b", "c"], 4, seed=1).items()})
+    models = SimilarityModels.build(ds, store)
+    assert dict(models.counts["d1-00"]) == {"a": 1, "b": 1}
+    (score,) = score_bucket(ds, bucket, models)
 
     idf_b = math.log(3 / 2) + 1.0          # hand: ln((1+2)/(1+1)) + 1
     length = math.sqrt(1.0 + idf_b ** 2)   # hand: sqrt(1*idf(a)^2 + 1*idf(b)^2)
     cosine = 1.0 / (length * length)       # hand: shared 'a' only
 
-    assert model.idf["a"] == pytest.approx(1.0, abs=1e-4)
-    assert model.idf["b"] == pytest.approx(1.4055, abs=1e-4)
-    assert model.idf["c"] == pytest.approx(1.4055, abs=1e-4)
-    assert model.doc_lengths["d1-00"] == pytest.approx(length, abs=1e-4)
-    assert tfidf_cosine("d1-00", "d1-01", model) == pytest.approx(cosine, abs=1e-4)
+    assert models.idf["a"] == pytest.approx(1.0, abs=1e-4)
+    assert models.idf["b"] == pytest.approx(1.4055, abs=1e-4)
+    assert models.idf["c"] == pytest.approx(1.4055, abs=1e-4)
+    assert models.lengths["d1-00"] == pytest.approx(length, abs=1e-4)
+    assert score.ti_cs == pytest.approx(cosine, abs=1e-4)
     # full-precision agreement with the derivation chain
-    assert model.doc_lengths["d1-00"] == pytest.approx(length, abs=1e-9)
-    assert tfidf_cosine("d1-00", "d1-01", model) == pytest.approx(cosine, abs=1e-9)
-    report(3, f"idf(a)=1.0, idf(b)={model.idf['b']:.4f}, length={length:.5f}, "
+    assert models.lengths["d1-00"] == pytest.approx(length, abs=1e-9)
+    assert score.ti_cs == pytest.approx(cosine, abs=1e-9)
+    report(3, f"idf(a)=1.0, idf(b)={models.idf['b']:.4f}, length={length:.5f}, "
               f"cross cosine={cosine:.5f} all within 1e-4 of hand derivation")
 
 

@@ -136,6 +136,23 @@ class TestRank:
         after = {p.name: p.read_bytes() for p in out.glob("ranking_*")}
         assert before == after
 
+    def test_bad_normalization_in_config_exits_config_error(self, synth_dir, caplog):
+        median = synth_dir / "median.json"
+        config = json.loads((synth_dir / "config.json").read_text())
+        config["normalization"] = "median"
+        median.write_text(json.dumps(config))
+        with caplog.at_level("ERROR"):
+            code = run_cli("rank", "--config", str(median))
+        assert code == 1
+        assert any("normalization" in r.message and "'median'" in r.message
+                   for r in caplog.records)
+
+    def test_zero_workers_exits_config_error(self, synth_dir, caplog):
+        with caplog.at_level("ERROR"):
+            code = run_cli("rank", "--config", str(synth_dir / "config.json"), "--workers", "0")
+        assert code == 1
+        assert any("workers must be >= 1" in r.message for r in caplog.records)
+
     def test_failed_write_keeps_previous_report(self, synth_dir, tmp_path):
         class Unprintable(float):
             def __repr__(self):

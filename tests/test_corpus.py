@@ -1,4 +1,3 @@
-import json
 from datetime import datetime, timezone
 
 import pytest
@@ -248,12 +247,12 @@ class TestSyntheticCorpus:
     def test_same_seed_identical(self):
         a = generate_synthetic_corpus(42, members=8, docs_per_member=5, planted_members=2)
         b = generate_synthetic_corpus(42, members=8, docs_per_member=5, planted_members=2)
-        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+        assert a == b
 
     def test_different_seed_differs(self):
         a = generate_synthetic_corpus(1, members=8, docs_per_member=5)
         b = generate_synthetic_corpus(2, members=8, docs_per_member=5)
-        assert json.dumps(a.to_dict()) != json.dumps(b.to_dict())
+        assert a != b
 
     def test_counts(self):
         corpus = generate_synthetic_corpus(7, members=50, docs_per_member=40)
@@ -312,4 +311,4 @@ class TestRoundTrip:
         write_corpus_csvs(reloaded, dir_b)
         for name in sorted(p.name for p in dir_a.iterdir()):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
-        assert reloaded.to_dict() == corpus.to_dict()
+        assert reloaded == corpus

@@ -13,7 +13,6 @@ from egorank.errors import (
     DimMismatchError,
     DuplicateWordError,
     EmptyCorpusError,
-    InertDocumentError,
     ZeroVectorError,
 )
 from egorank.lexproc import DocumentSet, TokenizedDoc
@@ -22,13 +21,13 @@ from egorank.simdex import (
     DISTANCE_FLOOR,
     SimilarityModels,
     WordVectorStore,
-    build_bow,
-    build_tfidf,
     load_word_vectors,
     random_vectors,
-    tfidf_cosine,
     write_embeddings,
 )
+
+BUCKET = Bucket(Category.TECHNOLOGY, SentimentClass.POSITIVE)
+NO_VECTORS = WordVectorStore(dim=2, vectors={})
 
 
 def tdoc(doc_id, tokens, owner="ego", dataset_no=1):
@@ -43,11 +42,33 @@ def docset(token_lists):
     return DocumentSet(documents=docs, ego_id="ego")
 
 
+def models_for(token_lists):
+    return SimilarityModels.build(docset(token_lists), NO_VECTORS)
+
+
+def key_member_set(key_lists, member_lists):
+    """Ego docs d1-NN (dataset 1) and member docs d6-NN (dataset 6)."""
+    docs = [tdoc(f"d1-{i:02d}", toks) for i, toks in enumerate(key_lists)]
+    docs += [tdoc(f"d6-{i:02d}", toks, owner=f"m{i}", dataset_no=6)
+             for i, toks in enumerate(member_lists)]
+    return DocumentSet(documents=docs, ego_id="ego")
+
+
+def ti_cs(ds, models, key_id, target_id):
+    """The tf-idf cosine that scoring reports for one key and one target doc."""
+    ds.buckets = {BUCKET: [key_id, target_id]}
+    (score,) = score_bucket(ds, BUCKET, models)
+    return score.ti_cs
+
+
+def tfidf_weight(models, doc_id, word):
+    return models.counts[doc_id][word] * models.idf[word] / models.lengths[doc_id]
+
+
 @pytest.fixture
 def two_doc_model():
-    ds = docset([["a", "b"], ["a", "c"]])
-    bow = build_bow(ds)
-    return ds, bow, build_tfidf(bow)
+    ds = key_member_set([["a", "b"]], [["a", "c"]])
+    return ds, SimilarityModels.build(ds, NO_VECTORS)
 
 
 class TestLoadWordVectors:
@@ -111,13 +132,12 @@ def pair_distance(u, v):
 
     One-word key and target docs make sum_n = (1 + 1) / distance.
     """
-    bucket = Bucket(Category.TECHNOLOGY, SentimentClass.POSITIVE)
     docs = [tdoc("d1-k", ["u"]), tdoc("d6-t", ["v"], owner="m", dataset_no=6)]
     ds = DocumentSet(documents=docs, ego_id="ego")
-    ds.buckets = {bucket: ["d1-k", "d6-t"]}
+    ds.buckets = {BUCKET: ["d1-k", "d6-t"]}
     store = WordVectorStore(dim=len(u), vectors={"u": np.array(u, dtype=float),
                                                  "v": np.array(v, dtype=float)})
-    (score,) = score_bucket(ds, bucket, SimilarityModels.build(ds, store))
+    (score,) = score_bucket(ds, BUCKET, SimilarityModels.build(ds, store))
     return 2.0 / score.sum_n
 
 
@@ -154,116 +174,114 @@ class TestPairDistance:
 
 class TestBoW:
     def test_counts(self):
-        ds = docset([["a", "b", "a"]])
-        bow = build_bow(ds)
-        assert bow.row("d1-00") == {"a": 2, "b": 1}
+        assert models_for([["a", "b", "a"]]).counts["d1-00"] == {"a": 2, "b": 1}
 
     def test_inert_doc_empty_row(self):
-        ds = docset([[]])
-        assert build_bow(ds).row("d1-00") == {}
+        assert models_for([[], ["a"]]).counts["d1-00"] == {}
 
     def test_rows_equal_independent_counter(self):
         rng = random.Random(5)
         vocab = list("abcdefgh")
         token_lists = [rng.choices(vocab, k=rng.randrange(0, 20)) for _ in range(20)]
-        ds = docset(token_lists)
-        bow = build_bow(ds)
+        counts = models_for(token_lists).counts
         for i, tokens in enumerate(token_lists):
             expected = {}
             for tok in tokens:
                 expected[tok] = expected.get(tok, 0) + 1
-            assert dict(bow.row(f"d1-{i:02d}")) == expected
+            assert dict(counts[f"d1-{i:02d}"]) == expected
 
     def test_row_sums_equal_token_counts(self):
         rng = random.Random(6)
         token_lists = [rng.choices("abcd", k=rng.randrange(0, 30)) for _ in range(50)]
-        bow = build_bow(docset(token_lists))
+        counts = models_for(token_lists).counts
         for i, tokens in enumerate(token_lists):
-            assert sum(bow.row(f"d1-{i:02d}").values()) == len(tokens)
+            assert sum(counts[f"d1-{i:02d}"].values()) == len(tokens)
 
 
 class TestTfIdf:
     def test_worked_example_idf(self, two_doc_model):
-        _, _, model = two_doc_model
+        _, model = two_doc_model
         assert model.idf["a"] == pytest.approx(1.0, abs=1e-4)
         assert model.idf["b"] == pytest.approx(1.4055, abs=1e-4)
         assert model.idf["c"] == pytest.approx(1.4055, abs=1e-4)
 
     def test_worked_example_length(self, two_doc_model):
         # hand derivation: sqrt(1^2 * idf(a)^2 + 1^2 * idf(b)^2)
-        _, _, model = two_doc_model
+        _, model = two_doc_model
         expected = math.sqrt(1.0 + (math.log(3 / 2) + 1.0) ** 2)
         assert expected == pytest.approx(1.72492, abs=1e-4)
-        assert model.doc_lengths["d1-00"] == pytest.approx(expected, abs=1e-9)
+        assert model.lengths["d1-00"] == pytest.approx(expected, abs=1e-9)
 
     def test_single_doc_idf_is_one(self):
-        bow = build_bow(docset([["a", "b"]]))
-        model = build_tfidf(bow)
+        model = models_for([["a", "b"]])
         assert model.idf["a"] == pytest.approx(math.log(2 / 2) + 1) == 1.0
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpusError):
-            build_tfidf(build_bow(docset([[], []])))
+            models_for([[], []])
 
     def test_normalized_vectors_unit_length(self):
         rng = random.Random(8)
         token_lists = [rng.choices("abcdef", k=rng.randrange(1, 15)) for _ in range(12)]
-        model = build_tfidf(build_bow(docset(token_lists)))
-        for doc_id, vec in model.doc_vectors.items():
-            assert math.sqrt(sum(x * x for x in vec.values())) == pytest.approx(1.0, abs=1e-9)
+        model = models_for(token_lists)
+        for doc_id in model.lengths:
+            weights = [tfidf_weight(model, doc_id, w) for w in model.counts[doc_id]]
+            assert math.sqrt(sum(x * x for x in weights)) == pytest.approx(1.0, abs=1e-9)
 
     def test_inert_docs_excluded_from_n(self):
         # idf over 2 non-inert docs must ignore the inert third
-        bow = build_bow(docset([["a", "b"], ["a", "c"], []]))
-        model = build_tfidf(bow)
+        model = models_for([["a", "b"], ["a", "c"], []])
         assert model.idf["a"] == pytest.approx(1.0)
-        assert "d1-02" not in model.doc_vectors
+        assert "d1-02" not in model.lengths
 
 
 class TestTfIdfCosine:
     def test_identical_docs(self):
-        model = build_tfidf(build_bow(docset([["x", "y"], ["x", "y"]])))
-        assert tfidf_cosine("d1-00", "d1-01", model) == pytest.approx(1.0, abs=1e-9)
+        ds = key_member_set([["x", "y"]], [["x", "y"]])
+        model = SimilarityModels.build(ds, NO_VECTORS)
+        assert ti_cs(ds, model, "d1-00", "d6-00") == pytest.approx(1.0, abs=1e-9)
 
     def test_disjoint_docs(self):
-        model = build_tfidf(build_bow(docset([["x"], ["y"]])))
-        assert tfidf_cosine("d1-00", "d1-01", model) == 0.0
+        ds = key_member_set([["x"]], [["y"]])
+        model = SimilarityModels.build(ds, NO_VECTORS)
+        assert ti_cs(ds, model, "d1-00", "d6-00") == 0.0
 
     def test_worked_example_cross_cosine(self, two_doc_model):
         # only 'a' is shared: (1*idf(a) * 1*idf(a)) / (len * len) = 1 / len^2
-        _, _, model = two_doc_model
+        ds, model = two_doc_model
         length = math.sqrt(1.0 + (math.log(3 / 2) + 1.0) ** 2)
         expected = 1.0 / (length * length)
         assert expected == pytest.approx(0.33610, abs=1e-4)
-        assert tfidf_cosine("d1-00", "d1-01", model) == pytest.approx(expected, abs=1e-9)
-
-    def test_inert_document(self):
-        model = build_tfidf(build_bow(docset([["x"], []])))
-        with pytest.raises(InertDocumentError):
-            tfidf_cosine("d1-00", "d1-01", model)
+        assert ti_cs(ds, model, "d1-00", "d6-00") == pytest.approx(expected, abs=1e-9)
 
     def test_symmetry_exact_and_range(self):
+        # Each doc is both a key (d1-NN) and a target (d6-NN), so cos(a, b)
+        # and cos(b, a) read the same counts, idf and lengths. The products
+        # round in a different order, so symmetry holds to 1e-12 relative.
         rng = random.Random(11)
         token_lists = [rng.choices("abcdefgh", k=rng.randrange(1, 12)) for _ in range(10)]
-        model = build_tfidf(build_bow(docset(token_lists)))
-        ids = [f"d1-{i:02d}" for i in range(10)]
-        for a in ids:
-            for b in ids:
-                cs = tfidf_cosine(a, b, model)
-                assert cs == tfidf_cosine(b, a, model)
+        ds = key_member_set(token_lists, token_lists)
+        model = SimilarityModels.build(ds, NO_VECTORS)
+        for a in range(10):
+            for b in range(10):
+                cs = ti_cs(ds, model, f"d1-{a:02d}", f"d6-{b:02d}")
+                assert cs == pytest.approx(ti_cs(ds, model, f"d1-{b:02d}", f"d6-{a:02d}"),
+                                           rel=1e-12, abs=0)
                 assert -1e-12 <= cs <= 1.0 + 1e-9
 
     def test_uniform_token_duplication_invariance(self):
         base = [["a", "b", "b"], ["b", "c"], ["a", "c", "d"]]
         doubled = [base[0] * 3, base[1], base[2]]
-        model_a = build_tfidf(build_bow(docset(base)))
-        model_b = build_tfidf(build_bow(docset(doubled)))
-        for w in model_a.doc_vectors["d1-00"]:
-            assert model_a.doc_vectors["d1-00"][w] == pytest.approx(
-                model_b.doc_vectors["d1-00"][w], abs=1e-9
+        ds_a = key_member_set(base[:1], base[1:])
+        ds_b = key_member_set(doubled[:1], doubled[1:])
+        model_a = SimilarityModels.build(ds_a, NO_VECTORS)
+        model_b = SimilarityModels.build(ds_b, NO_VECTORS)
+        for w in model_a.counts["d1-00"]:
+            assert tfidf_weight(model_a, "d1-00", w) == pytest.approx(
+                tfidf_weight(model_b, "d1-00", w), abs=1e-9
             )
-        assert tfidf_cosine("d1-00", "d1-01", model_a) == pytest.approx(
-            tfidf_cosine("d1-00", "d1-01", model_b), abs=1e-9
+        assert ti_cs(ds_a, model_a, "d1-00", "d6-00") == pytest.approx(
+            ti_cs(ds_b, model_b, "d1-00", "d6-00"), abs=1e-9
         )
 
 
@@ -275,5 +293,5 @@ class TestSimilarityModels:
         store = load_word_vectors(path)
         models = SimilarityModels.build(ds, store)
         assert models.vectors is store
-        assert models.bow.row("d1-00") == {"a": 1, "b": 1}
-        assert "d1-01" in models.tfidf.doc_vectors
+        assert models.counts["d1-00"] == {"a": 1, "b": 1}
+        assert "d1-01" in models.lengths
