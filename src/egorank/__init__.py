@@ -12,11 +12,10 @@ __version__ = "0.1.0"
 from .classify import Bucket, Category, SentimentClass  # noqa: F401
 from .corpus import (  # noqa: F401
     ActivityType,
-    Corpus,
     Document,
     InteractedMember,
     MemberKind,
     Platform,
-    generate_synthetic_corpus,
 )
 from .errors import EgorankError  # noqa: F401
+from .synth import Corpus, generate_synthetic_corpus  # noqa: F401

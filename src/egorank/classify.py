@@ -95,13 +95,6 @@ class CategoryClassifier:
         self._token_log_probs = {c: dict(p) for c, p in token_log_probs.items()}
         self._vocabulary = vocabulary
 
-    @property
-    def vocabulary(self) -> frozenset[str]:
-        return self._vocabulary
-
-    def token_log_prob(self, category: Category, token: str) -> float:
-        return self._token_log_probs[category][token]
-
     def posteriors(self, tokens: Sequence[str]) -> dict[Category, float]:
         """Normalized posterior over the five categories.
 
@@ -244,10 +237,6 @@ class SentimentAnalyzer:
         compound = max(-1.0, min(1.0, compound))
         clazz = SentimentClass.POSITIVE if compound >= 0 else SentimentClass.NEGATIVE
         return SentimentResult(clazz=clazz, compound=compound)
-
-
-def sentiment(text: str, analyzer: SentimentAnalyzer) -> SentimentResult:
-    return analyzer.score(text)
 
 
 def label_documents(

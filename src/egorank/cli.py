@@ -14,20 +14,9 @@ from pathlib import Path
 
 from . import __version__
 from .config import load_config
-from .corpus import (
-    DEMO_TOPIC_PROFILES,
-    DEMO_FILLER_VOCAB,
-    GLUE_WORDS,
-    NEGATIVE_SEED_WORDS,
-    POSITIVE_SEED_WORDS,
-    format_timestamp,
-    generate_synthetic_corpus,
-    synthetic_seed_corpus,
-    write_corpus_csvs,
-)
 from .errors import ConfigError, DataError, EgorankError
-from .pipeline import run_all, run_ingest, run_rank, run_targets
-from .simdex import random_vectors, write_embeddings
+from .pipeline import parse_bucket_filter, run_all, run_ingest, run_rank, run_targets
+from .synth import synth
 
 log = logging.getLogger(__name__)
 
@@ -52,7 +41,6 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threshold", type=int)
     parser.add_argument("--normalization", choices=["raw", "mean"])
     parser.add_argument("--allow-small", dest="allow_small", action="store_const", const=True)
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--out-dir", dest="out_dir")
     parser.add_argument("--workers", type=int)
     parser.add_argument("--since")
@@ -94,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
     keys = ("platform", "ego_id", "bucket", "n_it", "threshold", "normalization",
-            "allow_small", "seed", "out_dir", "workers", "since", "until",
+            "allow_small", "out_dir", "workers", "since", "until",
             "stop_list", "lemma_dictionary", "sentiment_lexicon", "negators",
             "boosters", "spelling_dictionary", "embeddings", "labeled_seed")
     return {k: getattr(args, k, None) for k in keys}
@@ -102,57 +90,18 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    corpus = generate_synthetic_corpus(
+    truth = synth(
+        out,
         seed=args.seed,
         members=args.members,
         docs_per_member=args.docs_per_member,
         ego_docs=args.ego_docs,
-        planted_members=args.planted,
-        mega_members=args.mega,
-        group_members=args.groups,
+        planted=args.planted,
+        mega=args.mega,
+        groups=args.groups,
+        dim=args.dim,
+        extra_vocab=args.extra_vocab,
     )
-    write_corpus_csvs(corpus, out)
-
-    words = set(GLUE_WORDS) | set(DEMO_FILLER_VOCAB)
-    words |= set(POSITIVE_SEED_WORDS) | set(NEGATIVE_SEED_WORDS)
-    for profile in DEMO_TOPIC_PROFILES.values():
-        words |= set(profile)
-    if args.extra_vocab > len(words):
-        words |= {f"w{i:05d}" for i in range(args.extra_vocab - len(words))}
-    write_embeddings(out / "embeddings.txt", random_vectors(sorted(words), args.dim, args.seed))
-
-    seed_rows = synthetic_seed_corpus(args.seed)
-    with (out / "seed_categories.csv").open("w", encoding="utf-8", newline="") as fh:
-        fh.write("text,category\n")
-        for text, category in seed_rows:
-            fh.write(f"{text},{category}\n")
-
-    eligible_size = args.members - args.groups
-    # Ask for about as many targets as were planted; bucket rankings in a
-    # synthetic corpus only hold members with documents in that bucket.
-    n_it = min(50, args.planted) if args.planted else min(50, eligible_size)
-    config = {
-        "platform": corpus.platform.value,
-        "ego_id": corpus.ego_id,
-        "datasets": {str(no): f"dataset_{no}.csv" for no in (1, 2, 3, 4, 6, 7, 8, 9)}
-        | {"5": "members.csv"},
-        "window": {
-            "since": format_timestamp(corpus.window[0]),
-            "until": format_timestamp(corpus.window[1]),
-        },
-        "resources": {"embeddings": "embeddings.txt", "labeled_seed": "seed_categories.csv"},
-        "bucket": "all",
-        "n_it": n_it,
-        "threshold": 5000,
-        "normalization": "raw",
-        "allow_small": True,
-        "seed": args.seed,
-        "out_dir": "out",
-    }
-    (out / "config.json").write_text(
-        json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    truth = corpus.synthetic_truth
     print(f"synthetic corpus written to {out}")
     print(f"  members={args.members} docs_per_member={args.docs_per_member} "
           f"planted={len(truth.planted)} mega={len(truth.mega)}")
@@ -176,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
             result = run_ingest(cfg)
             print(json.dumps(result.report, indent=2, sort_keys=True))
         elif args.command == "rank":
-            rankings = run_rank(cfg)
+            rankings = run_rank(cfg, parse_bucket_filter(cfg.bucket))
             for bucket, ranking in rankings.items():
                 print(f"{bucket}: {len(ranking.entries)} ranked members")
         elif args.command == "targets":

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .corpus import CONTENT_DATASETS, Platform, parse_timestamp
-from .errors import ConfigError, MissingDatasetError
+from .errors import BadTimestampError, ConfigError, MissingDatasetError
 
 # Wide-open default window: ingest everything unless the config narrows it.
 DEFAULT_SINCE = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -45,7 +45,6 @@ class PipelineConfig:
     threshold: int = 5000
     normalization: str = "raw"
     allow_small: bool = False
-    seed: int = 0
     out_dir: Path = Path("out")
     workers: int = 1
 
@@ -67,7 +66,6 @@ class PipelineConfig:
             "threshold": self.threshold,
             "normalization": self.normalization,
             "allow_small": self.allow_small,
-            "seed": self.seed,
         }
 
     def config_hash(self) -> str:
@@ -101,6 +99,25 @@ def _as_path(value: Any, base: Path) -> Path | None:
     return p if p.is_absolute() else base / p
 
 
+def _integer(raw: Mapping[str, Any], key: str, default: int) -> int:
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _timestamp(value: Any, name: str, default: datetime) -> datetime:
+    """Parse one window bound; an absent or empty bound keeps ``default``."""
+    if not value:
+        return default
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be an ISO-8601 timestamp string, got {value!r}")
+    try:
+        return parse_timestamp(value)
+    except BadTimestampError:
+        raise ConfigError(f"{name} is not an ISO-8601 timestamp: {value!r}") from None
+
+
 def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) -> PipelineConfig:
     """Read a config file, apply CLI overrides on top, and validate the result.
 
@@ -122,12 +139,19 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
     datasets_raw = raw.get("datasets", {})
     datasets: dict[int, Path] = {}
     for key, value in datasets_raw.items():
+        try:
+            no = int(key)
+        except ValueError:
+            raise ConfigError(f"datasets key must be a dataset number, got {key!r}") from None
         resolved = _as_path(value, base)
         if resolved is not None:
-            datasets[int(key)] = resolved
+            datasets[no] = resolved
     window_raw = raw.get("window") or {}
-    since = parse_timestamp(window_raw["since"]) if window_raw.get("since") else DEFAULT_SINCE
-    until = parse_timestamp(window_raw["until"]) if window_raw.get("until") else DEFAULT_UNTIL
+    since = _timestamp(window_raw.get("since"), "window.since", DEFAULT_SINCE)
+    until = _timestamp(window_raw.get("until"), "window.until", DEFAULT_UNTIL)
+    allow_small = raw.get("allow_small", False)
+    if not isinstance(allow_small, bool):
+        raise ConfigError(f"allow_small must be true or false, got {allow_small!r}")
     resources_raw = raw.get("resources", {})
     resources = {key: _as_path(resources_raw.get(key), base) for key in RESOURCE_KEYS}
 
@@ -138,13 +162,12 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
         window=(since, until),
         resources=resources,
         bucket=raw.get("bucket", "all"),
-        n_it=int(raw.get("n_it", 50)),
-        threshold=int(raw.get("threshold", 5000)),
+        n_it=_integer(raw, "n_it", 50),
+        threshold=_integer(raw, "threshold", 5000),
         normalization=raw.get("normalization", "raw"),
-        allow_small=bool(raw.get("allow_small", False)),
-        seed=int(raw.get("seed", 0)),
+        allow_small=allow_small,
         out_dir=_as_path(raw.get("out_dir", "out"), base) or base / "out",
-        workers=int(raw.get("workers", 1)),
+        workers=_integer(raw, "workers", 1),
     )
     if overrides:
         cfg = apply_overrides(cfg, overrides)
@@ -156,7 +179,7 @@ def apply_overrides(cfg: PipelineConfig, overrides: Mapping[str, Any]) -> Pipeli
     """Apply flag values (already typed) over a loaded config."""
     updates: dict[str, Any] = {}
     simple = ("ego_id", "bucket", "n_it", "threshold", "normalization",
-              "allow_small", "seed", "workers")
+              "allow_small", "workers")
     for key in simple:
         if overrides.get(key) is not None:
             updates[key] = overrides[key]
@@ -168,8 +191,8 @@ def apply_overrides(cfg: PipelineConfig, overrides: Mapping[str, Any]) -> Pipeli
     if overrides.get("out_dir") is not None:
         updates["out_dir"] = Path(overrides["out_dir"])
     if overrides.get("since") is not None or overrides.get("until") is not None:
-        since = parse_timestamp(overrides["since"]) if overrides.get("since") else cfg.window[0]
-        until = parse_timestamp(overrides["until"]) if overrides.get("until") else cfg.window[1]
+        since = _timestamp(overrides.get("since"), "--since", cfg.window[0])
+        until = _timestamp(overrides.get("until"), "--until", cfg.window[1])
         updates["window"] = (since, until)
     resources = dict(cfg.resources)
     touched = False

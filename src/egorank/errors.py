@@ -78,10 +78,6 @@ class MissingLexiconError(ConfigError):
         super().__init__("no sentiment lexicon loaded")
 
 
-class TranslatorUnavailableError(EgorankError):
-    """A translator was configured but failed to respond."""
-
-
 # --- embeddings ---------------------------------------------------------------
 
 class BadHeaderError(DataError):

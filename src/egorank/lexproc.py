@@ -49,20 +49,16 @@ class TokenizedDoc:
 
 @dataclass
 class DocumentSet:
-    """The tokenized corpus plus owner and bucket indexes."""
+    """The tokenized corpus plus id and bucket indexes."""
 
     documents: list[TokenizedDoc]
     ego_id: str
     by_id: dict[str, TokenizedDoc] = field(default_factory=dict)
-    by_owner: dict[str, list[str]] = field(default_factory=dict)
     buckets: dict | None = None
 
     def __post_init__(self) -> None:
         if not self.by_id:
             self.by_id = {d.doc_id: d for d in self.documents}
-        if not self.by_owner:
-            for d in self.documents:
-                self.by_owner.setdefault(d.owner_id, []).append(d.doc_id)
 
     def doc(self, doc_id: str) -> TokenizedDoc:
         return self.by_id[doc_id]

@@ -3,7 +3,7 @@
 The stages compose: ingest loads the nine datasets and runs primary
 preprocessing into a normalized bundle; rank builds the Document-Set,
 classifies, buckets and scores; targets applies the selection algorithm
-to a ranking. Outputs are deterministic: same config, inputs and seed
+to a ranking. Outputs are deterministic: the same config and inputs
 give byte-identical files.
 """
 
@@ -34,7 +34,6 @@ from .config import PipelineConfig
 from .corpus import (
     CONTENT_DATASETS,
     EGO_DATASETS,
-    Corpus,
     InteractedMember,
     build_interaction_list,
     load_activity_csv,
@@ -45,14 +44,7 @@ from .corpus import (
 from .errors import ConfigError, EmptyBucketError, RankingTooSmallError
 from .lexproc import Lemmatizer, DocumentSet, build_document_set, remove_stop_words, tokenize
 from .recommend import MemberRanking, Normalization, RankEntry, rank_members, score_bucket
-from .resources import (
-    load_english_words,
-    load_labeled_seed,
-    load_sentiment_lexicon,
-    load_boosters,
-    load_negators,
-    load_stop_words,
-)
+from .resources import load_english_words, load_labeled_seed, load_stop_words
 from .simdex import SimilarityModels, load_word_vectors
 from .targets import TargetSelection, filter_eligible, top_most
 from .textprep import CleanDocument, load_spelling_dictionary, primary_preprocess
@@ -65,7 +57,6 @@ INGEST_REPORT_NAME = "ingest_report.json"
 
 @dataclass
 class IngestResult:
-    corpus: Corpus
     clean_docs: list[CleanDocument]
     members: list[InteractedMember]
     report: dict
@@ -114,7 +105,6 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def run_ingest(cfg: PipelineConfig) -> IngestResult:
     """Load all datasets, preprocess, merge mentions, write the bundle."""
-    translator = None  # no translator ships with the artifact; flagged docs are excluded
     spelling = (
         load_spelling_dictionary(cfg.resources["spelling_dictionary"])
         if cfg.resources.get("spelling_dictionary")
@@ -127,23 +117,15 @@ def run_ingest(cfg: PipelineConfig) -> IngestResult:
         owner = cfg.ego_id if no in EGO_DATASETS else None
         datasets[no] = load_activity_csv(cfg.datasets[no], no, owner, window=cfg.window)
     members_raw = load_members_csv(cfg.datasets[5])
-    corpus = Corpus(
-        platform=cfg.platform,
-        ego_id=cfg.ego_id,
-        datasets=datasets,
-        members=members_raw,
-        window=cfg.window,
-    )
 
     clean_docs: list[CleanDocument] = []
     mentions: list[str] = []
-    for doc in corpus.all_documents():
-        clean = primary_preprocess(
-            doc, translator=translator, spelling=spelling, english_vocab=english_vocab
-        )
-        clean_docs.append(clean)
-        mentions.extend(clean.mentions)
-    members = build_interaction_list(corpus, mentions)
+    for docs in datasets.values():
+        for doc in docs:
+            clean = primary_preprocess(doc, spelling=spelling, english_vocab=english_vocab)
+            clean_docs.append(clean)
+            mentions.extend(clean.mentions)
+    members = build_interaction_list(members_raw, mentions)
 
     flagged = sum(1 for d in clean_docs if d.flagged_non_english)
     report = {
@@ -164,7 +146,7 @@ def run_ingest(cfg: PipelineConfig) -> IngestResult:
         "config_hash": cfg.config_hash(),
         "platform": cfg.platform.value,
         "ego_id": cfg.ego_id,
-        "window": [corpus.window[0].isoformat(), corpus.window[1].isoformat()],
+        "window": [cfg.window[0].isoformat(), cfg.window[1].isoformat()],
         "members": [_member_to_dict(m) for m in members],
         "documents": [d.to_dict() for d in clean_docs],
         "report": report,
@@ -175,7 +157,7 @@ def run_ingest(cfg: PipelineConfig) -> IngestResult:
         "ingested %d documents (%d flagged non-English), %d members",
         len(clean_docs), flagged, len(members),
     )
-    return IngestResult(corpus=corpus, clean_docs=clean_docs, members=members, report=report)
+    return IngestResult(clean_docs=clean_docs, members=members, report=report)
 
 
 def load_bundle(cfg: PipelineConfig) -> tuple[list[CleanDocument], list[InteractedMember]]:
@@ -218,10 +200,10 @@ def prepare_rank_state(
         labeled.append((tokens, category))
     model = train_category_classifier(labeled)
 
-    analyzer = SentimentAnalyzer(
-        load_sentiment_lexicon(cfg.resources.get("sentiment_lexicon")),
-        load_negators(cfg.resources.get("negators")),
-        load_boosters(cfg.resources.get("boosters")),
+    analyzer = SentimentAnalyzer.from_files(
+        cfg.resources.get("sentiment_lexicon"),
+        cfg.resources.get("negators"),
+        cfg.resources.get("boosters"),
     )
     labels, sentiments, _ = label_documents(document_set, model, analyzer)
     assign_buckets(document_set, labels, sentiments)
@@ -274,16 +256,15 @@ def write_ranking_reports(cfg: PipelineConfig, ranking: MemberRanking) -> None:
 
 def run_rank(
     cfg: PipelineConfig,
+    buckets: list[Bucket],
     ingest_result: IngestResult | None = None,
-    bucket_filter: str | None = None,
 ) -> dict[Bucket, MemberRanking]:
-    """Rank members for every requested bucket and write the reports."""
+    """Rank members for each of ``buckets`` and write the reports."""
     if ingest_result is not None:
         clean_docs, members = ingest_result.clean_docs, ingest_result.members
     else:
         clean_docs, members = load_bundle(cfg)
     state = prepare_rank_state(cfg, clean_docs, members)
-    buckets = parse_bucket_filter(bucket_filter if bucket_filter is not None else cfg.bucket)
 
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         rankings = dict(zip(buckets, pool.map(lambda b: rank_one_bucket(cfg, state, b), buckets)))
@@ -359,10 +340,13 @@ def run_targets(
     cfg: PipelineConfig,
     rankings: dict[Bucket, MemberRanking] | None = None,
     ingest_result: IngestResult | None = None,
-    bucket_filter: str | None = None,
 ) -> dict[Bucket, TargetSelection]:
-    """Select top-most influenceable targets for every requested bucket."""
-    buckets = parse_bucket_filter(bucket_filter if bucket_filter is not None else cfg.bucket)
+    """Select top-most influenceable targets for every requested bucket.
+
+    Without ``rankings``, saved rankings are read back and only the buckets
+    that have none on disk are ranked; saved rankings are not rewritten.
+    """
+    buckets = parse_bucket_filter(cfg.bucket)
     if rankings is None:
         rankings = {}
         missing = []
@@ -373,8 +357,7 @@ def run_targets(
             else:
                 rankings[bucket] = loaded
         if missing:
-            computed = run_rank(cfg, ingest_result, cfg.bucket)
-            rankings.update({b: computed[b] for b in missing if b in computed})
+            rankings.update(run_rank(cfg, missing, ingest_result))
 
     if ingest_result is not None:
         members = ingest_result.members
@@ -414,5 +397,5 @@ def run_targets(
 def run_all(cfg: PipelineConfig) -> dict[Bucket, TargetSelection]:
     """ingest + rank + targets in one process."""
     ingest_result = run_ingest(cfg)
-    rankings = run_rank(cfg, ingest_result)
+    rankings = run_rank(cfg, parse_bucket_filter(cfg.bucket), ingest_result)
     return run_targets(cfg, rankings, ingest_result)

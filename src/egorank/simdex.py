@@ -12,11 +12,9 @@ loader rejects zero vectors, whose cosine is undefined.
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -82,28 +80,6 @@ def load_word_vectors(path: str | Path) -> WordVectorStore:
                 raise ZeroVectorError(word, f"{path}: row {row_no}")
             vectors[word] = vec
     return WordVectorStore(dim=dim, vectors=vectors)
-
-
-def write_embeddings(path: str | Path, vectors: Mapping[str, Sequence[float]]) -> None:
-    """Write the text embedding format, bit-stable for fixed inputs."""
-    words = sorted(vectors)
-    if not words:
-        raise ValueError("no vectors to write")
-    dim = len(vectors[words[0]])
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f"{len(words)} {dim}\n")
-        for word in words:
-            comps = " ".join(f"{x:.6f}" for x in vectors[word])
-            fh.write(f"{word} {comps}\n")
-
-
-def random_vectors(words: Iterable[str], dim: int, seed: int) -> dict[str, list[float]]:
-    """Deterministic pseudo-random unit-scale vectors, for fixtures and synth runs."""
-    rng = random.Random(seed)
-    out: dict[str, list[float]] = {}
-    for word in sorted(set(words)):
-        out[word] = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
-    return out
 
 
 @dataclass

@@ -1,10 +1,11 @@
-"""Primary text preprocessing: language handling, mentions, noise, case.
+"""Primary text preprocessing: language detection, mentions, noise, case.
 
 Applied to every content dataset (never to dataset 5), in a fixed order:
-language detection (optionally translation), mention extraction, noise
-removal, then lowercasing with optional spelling correction. The output
-alphabet is exactly lowercase letters, digits, spaces, commas and full
-stops.
+language detection, mention extraction, noise removal, then lowercasing
+with optional spelling correction. Text that does not look English is
+kept but flagged, which excludes it from classification and scoring. The
+output alphabet is exactly lowercase letters, digits, spaces, commas and
+full stops.
 
 All operations are pure functions; documents can be preprocessed in any
 order or in parallel.
@@ -15,12 +16,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .corpus import Document
-from .errors import DataError, TranslatorUnavailableError
-
-Translator = Callable[[str], str]
+from .errors import DataError
 
 _MENTION = re.compile(r"(?:(?<=^)|(?<=\s))@\S+")
 _NOISE = re.compile(r"[^A-Za-z0-9\s,.]+")
@@ -76,10 +75,9 @@ class CleanDocument:
 def looks_english(text: str, english_vocab: Iterable[str] | None = None) -> bool:
     """Deterministic language heuristic: script check plus common-word ratio.
 
-    Shipping a real translator is out of scope, so detection only needs to
-    separate obviously foreign text from the English mainstream; flagged
-    documents are excluded from classification downstream rather than
-    mistranslated.
+    No translator ships with egorank, so detection only needs to separate
+    obviously foreign text from the English mainstream; flagged documents
+    are excluded from classification downstream rather than mistranslated.
     """
     letters = [c for c in text if c.isalpha()]
     if not letters:
@@ -96,28 +94,6 @@ def looks_english(text: str, english_vocab: Iterable[str] | None = None) -> bool
     vocab = english_vocab if isinstance(english_vocab, (set, frozenset)) else set(english_vocab)
     known = sum(1 for t in tokens if t in vocab)
     return known / len(tokens) >= ENGLISH_TOKEN_RATIO
-
-
-def detect_and_translate(
-    text: str,
-    translator: Translator | None = None,
-    english_vocab: Iterable[str] | None = None,
-) -> tuple[str, bool]:
-    """Return (text, flagged_non_english).
-
-    English text passes through. Non-English text is translated when a
-    translator is configured; otherwise it passes through flagged, which
-    excludes it from classification and scoring later in the pipeline.
-    """
-    if looks_english(text, english_vocab):
-        return text, False
-    if translator is None:
-        return text, True
-    try:
-        translated = translator(text)
-    except Exception as exc:
-        raise TranslatorUnavailableError(f"translator failed: {exc}") from exc
-    return translated, False
 
 
 def extract_mentions(text: str) -> tuple[str, list[str]]:
@@ -204,15 +180,14 @@ def normalize_case_and_spell(text: str, dictionary: Mapping[str, int] | None = N
 def primary_preprocess(
     doc: Document,
     *,
-    translator: Translator | None = None,
     spelling: Mapping[str, int] | None = None,
     english_vocab: Iterable[str] | None = None,
 ) -> CleanDocument:
     """Run the four primary preprocessing stages over one document."""
     if doc.dataset_no == 5:
         raise ValueError("dataset 5 holds the member list, not text to preprocess")
-    text, flagged = detect_and_translate(doc.text, translator, english_vocab)
-    text, mentions = extract_mentions(text)
+    flagged = not looks_english(doc.text, english_vocab)
+    text, mentions = extract_mentions(doc.text)
     text = strip_noise(text)
     text = normalize_case_and_spell(text, spelling)
     return CleanDocument(

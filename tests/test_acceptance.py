@@ -31,13 +31,7 @@ from egorank.classify import (
     label_documents,
     train_category_classifier,
 )
-from egorank.corpus import (
-    ActivityType,
-    Document,
-    build_interaction_list,
-    generate_synthetic_corpus,
-    synthetic_seed_corpus,
-)
+from egorank.corpus import ActivityType, Document, build_interaction_list
 from egorank.lexproc import (
     DocumentSet,
     Lemmatizer,
@@ -47,11 +41,8 @@ from egorank.lexproc import (
     tokenize,
 )
 from egorank.recommend import Normalization, rank_members, score_bucket
-from egorank.simdex import (
-    SimilarityModels,
-    WordVectorStore,
-    random_vectors,
-)
+from egorank.simdex import SimilarityModels, WordVectorStore
+from egorank.synth import generate_synthetic_corpus, random_vectors, synthetic_seed_corpus
 from egorank.targets import filter_eligible, top_most
 from egorank.textprep import extract_mentions, primary_preprocess, strip_noise
 
@@ -309,9 +300,10 @@ def build_planted_pipeline():
     stops = resources.load_stop_words()
     lemmatizer = Lemmatizer.from_file()
     english = resources.load_english_words()
-    clean = [primary_preprocess(d, english_vocab=english) for d in corpus.all_documents()]
+    clean = [primary_preprocess(d, english_vocab=english)
+             for docs in corpus.datasets.values() for d in docs]
     mentions = [m for c in clean for m in c.mentions]
-    members = build_interaction_list(corpus, mentions)
+    members = build_interaction_list(corpus.members, mentions)
     ds = build_document_set(clean, stop_words=stops, lemmatizer=lemmatizer,
                             ego_id=corpus.ego_id)
     labeled = []

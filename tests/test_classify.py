@@ -15,7 +15,6 @@ from egorank.classify import (
     classify_category,
     inherit_category,
     label_documents,
-    sentiment,
     train_category_classifier,
 )
 from egorank.errors import (
@@ -100,7 +99,7 @@ class TestTraining:
             for word in vocab:
                 count = 4 * words.count(word)
                 expected = math.log((count + 1) / (total_tokens + v))
-                assert model.token_log_prob(cat, word) == pytest.approx(expected, abs=1e-12)
+                assert model._token_log_probs[cat][word] == pytest.approx(expected, abs=1e-12)
 
     def test_permutation_invariance(self):
         labeled, _ = singleton_training()
@@ -254,9 +253,6 @@ class TestSentiment:
     def test_missing_lexicon(self):
         with pytest.raises(MissingLexiconError):
             SentimentAnalyzer({})
-
-    def test_module_level_wrapper(self, analyzer):
-        assert sentiment("good", analyzer) == analyzer.score("good")
 
     @given(st.text(alphabet="abcdefghij ,.", max_size=50))
     @settings(max_examples=150)

@@ -56,6 +56,26 @@ class TestIngest:
         assert member_side == 24 * 8
         assert report["dataset_counts"]["5"] == 24
 
+    @pytest.mark.parametrize("edit, argv, field", [
+        (lambda c: c.update(n_it="abc"), (), "n_it"),
+        (lambda c: c.update(threshold=True), (), "threshold"),
+        (lambda c: c.update(workers="two"), (), "workers"),
+        (lambda c: c["datasets"].update(x="dataset_1.csv"), (), "datasets key"),
+        (lambda c: c["window"].update(since="yesterday"), (), "window.since"),
+        (lambda c: c.update(allow_small="false"), (), "allow_small"),
+        (lambda c: None, ("--until", "tomorrow"), "--until"),
+    ], ids=["n_it", "bool_threshold", "workers", "dataset_key", "window", "allow_small",
+            "until_flag"])
+    def test_mistyped_field_exits_config_error(self, synth_dir, edit, argv, field, caplog):
+        config = json.loads((synth_dir / "config.json").read_text())
+        edit(config)
+        mistyped = synth_dir / "mistyped.json"
+        mistyped.write_text(json.dumps(config))
+        with caplog.at_level("ERROR"):
+            code = run_cli("ingest", "--config", str(mistyped), *argv)
+        assert code == 1
+        assert any(field in r.message for r in caplog.records)
+
     def test_missing_dataset5_exits_config_error(self, synth_dir, tmp_path):
         broken = tmp_path / "broken"
         shutil.copytree(synth_dir, broken)
@@ -209,6 +229,24 @@ class TestTargets:
         assert not list(out.glob("ranking_*"))
         assert run_cli("targets", "--config", config, "--out-dir", str(out)) == 0
         assert (out / "targets_Technology_Positive.json").is_file()
+
+    def test_targets_ranks_only_missing_buckets(self, synth_dir, tmp_path):
+        out = tmp_path / "partial"
+        config = str(synth_dir / "config.json")
+        assert run_cli("ingest", "--config", config, "--out-dir", str(out)) == 0
+        assert run_cli("rank", "--config", config, "--out-dir", str(out),
+                       "--bucket", "Technology/Positive") == 0
+        saved = sorted(out.glob("ranking_*"))
+        assert [p.name for p in saved] == ["ranking_Technology_Positive.csv",
+                                           "ranking_Technology_Positive.json"]
+        for path in saved:
+            os.utime(path, ns=(10**9, 10**9))
+        before = {p.name: p.read_bytes() for p in saved}
+        assert run_cli("targets", "--config", config, "--out-dir", str(out), "--bucket", "all") == 0
+        for path in saved:
+            assert path.read_bytes() == before[path.name], path.name
+            assert path.stat().st_mtime_ns == 10**9, path.name
+        assert len(list(out.glob("ranking_*.json"))) == 10
 
     def test_targets_without_ingest_is_config_error(self, synth_dir, tmp_path):
         code = run_cli("targets", "--config", str(synth_dir / "config.json"),

@@ -1,18 +1,15 @@
+import json
 from datetime import datetime, timezone
 
 import pytest
 
 from egorank.corpus import (
+    EGO_DATASETS,
     ActivityType,
-    Corpus,
     MemberKind,
-    Platform,
     build_interaction_list,
-    generate_synthetic_corpus,
     load_activity_csv,
     load_members_csv,
-    read_corpus_csvs,
-    write_corpus_csvs,
 )
 from egorank.errors import (
     BadParamsError,
@@ -21,6 +18,7 @@ from egorank.errors import (
     EmptyFileError,
     MissingColumnError,
 )
+from egorank.synth import generate_synthetic_corpus, write_corpus_csvs
 
 HEADER = "post_id,content,user_name,user_id,react_count,share_count,language,time,parent_post_id"
 
@@ -185,39 +183,27 @@ def member(member_id, kinds=("React",), kind=MemberKind.FRIEND, connections=None
     )
 
 
-def corpus_with_members(members):
-    return Corpus(
-        platform=Platform.FACEBOOK,
-        ego_id="ego",
-        datasets={},
-        members=members,
-        window=WINDOW,
-    )
-
-
 class TestBuildInteractionList:
     def test_dedup_and_union(self):
-        corpus = corpus_with_members([
+        members = [
             member("A", ["React"]),
             member("A", ["Share"]),
             member("B", ["Tag"]),
-        ])
-        out = build_interaction_list(corpus)
+        ]
+        out = build_interaction_list(members)
         assert [m.member_id for m in out] == ["A", "B"]
         assert out[0].activity_types == frozenset({ActivityType.REACT, ActivityType.SHARE})
         assert out[1].activity_types == frozenset({ActivityType.TAG})
 
     def test_empty_dataset5_warns(self, caplog):
-        corpus = corpus_with_members([])
         with caplog.at_level("WARNING"):
-            out = build_interaction_list(corpus)
+            out = build_interaction_list([])
         assert out == []
         assert any("empty" in rec.message for rec in caplog.records)
 
     def test_mentions_add_new_members(self):
         base = [member(f"M{i}") for i in range(10)]
-        corpus = corpus_with_members(base)
-        out = build_interaction_list(corpus, mentions=["zoe", "yuri"])
+        out = build_interaction_list(base, mentions=["zoe", "yuri"])
         assert len(out) == 12
         new = {m.member_id: m for m in out if m.member_id in ("zoe", "yuri")}
         assert set(new) == {"zoe", "yuri"}
@@ -225,21 +211,19 @@ class TestBuildInteractionList:
         assert all(m.activity_types == frozenset({ActivityType.TAG}) for m in new.values())
 
     def test_mention_matching_existing_name_merges(self):
-        corpus = corpus_with_members([member("u1", name="Alice")])
-        out = build_interaction_list(corpus, mentions=["Alice"])
+        out = build_interaction_list([member("u1", name="Alice")], mentions=["Alice"])
         assert len(out) == 1
         assert ActivityType.TAG in out[0].activity_types
 
     def test_order_insensitive(self):
         members = [member("A", ["React"]), member("B", ["Tag"]), member("A", ["Share"])]
-        forward = build_interaction_list(corpus_with_members(members))
-        backward = build_interaction_list(corpus_with_members(members[::-1]))
+        forward = build_interaction_list(members)
+        backward = build_interaction_list(members[::-1])
         assert forward == backward
 
     def test_idempotent(self):
-        corpus = corpus_with_members([member("A", ["React"]), member("B", ["Tag"])])
-        once = build_interaction_list(corpus)
-        again = build_interaction_list(corpus_with_members(once))
+        once = build_interaction_list([member("A", ["React"]), member("B", ["Tag"])])
+        again = build_interaction_list(once)
         assert once == again
 
 
@@ -270,7 +254,7 @@ class TestSyntheticCorpus:
         )
         truth = corpus.synthetic_truth
         sports_docs = [
-            doc for doc in corpus.all_documents()
+            doc for docs in corpus.datasets.values() for doc in docs
             if truth.doc_labels[doc.doc_id][0] == "Sports"
         ]
         assert sports_docs
@@ -304,11 +288,11 @@ class TestRoundTrip:
     def test_write_read_write_is_fixed_point(self, tmp_path):
         corpus = generate_synthetic_corpus(5, members=6, docs_per_member=4,
                                            planted_members=2, mega_members=1)
-        dir_a = tmp_path / "a"
-        dir_b = tmp_path / "b"
-        write_corpus_csvs(corpus, dir_a)
-        reloaded = read_corpus_csvs(dir_a)
-        write_corpus_csvs(reloaded, dir_b)
-        for name in sorted(p.name for p in dir_a.iterdir()):
-            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
-        assert reloaded == corpus
+        write_corpus_csvs(corpus, tmp_path)
+        for no, docs in corpus.datasets.items():
+            owner = corpus.ego_id if no in EGO_DATASETS else None
+            path = tmp_path / f"dataset_{no}.csv"
+            assert load_activity_csv(path, no, owner, window=corpus.window) == docs, path.name
+        assert load_members_csv(tmp_path / "members.csv") == corpus.members
+        meta = json.loads((tmp_path / "corpus.json").read_text(encoding="utf-8"))
+        assert meta["synthetic_truth"] == corpus.synthetic_truth.to_dict()

@@ -155,7 +155,7 @@ class TestBuildDocumentSet:
             clean_doc("d6-b", "goal match", owner="m1", dataset_no=6),
         ]
         ds = build_document_set(docs, stop_words=stop_words, lemmatizer=lemmatizer, ego_id="ego")
-        assert ds.by_owner == {"ego": ["d1-a"], "m1": ["d6-b"]}
+        assert [(d.doc_id, d.owner_id) for d in ds.documents] == [("d1-a", "ego"), ("d6-b", "m1")]
 
     def test_flag_carried_through(self, stop_words, lemmatizer):
         docs = [clean_doc("d1-a", "bonjour text", flagged=True)]

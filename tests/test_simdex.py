@@ -22,9 +22,8 @@ from egorank.simdex import (
     SimilarityModels,
     WordVectorStore,
     load_word_vectors,
-    random_vectors,
-    write_embeddings,
 )
+from egorank.synth import random_vectors, write_embeddings
 
 BUCKET = Bucket(Category.TECHNOLOGY, SentimentClass.POSITIVE)
 NO_VECTORS = WordVectorStore(dim=2, vectors={})

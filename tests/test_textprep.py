@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egorank.corpus import ActivityType, Document
-from egorank.errors import TranslatorUnavailableError
 from egorank.textprep import (
-    detect_and_translate,
     extract_mentions,
     load_spelling_dictionary,
+    looks_english,
     normalize_case_and_spell,
     primary_preprocess,
     strip_noise,
@@ -37,15 +36,20 @@ def make_doc(text, dataset_no=1, parent=None):
 
 
 class TestDetectAndTranslate:
+    """Language detection: non-English text passes through, flagged."""
+
     def test_english_passthrough(self):
-        assert detect_and_translate("hello there") == ("hello there", False)
+        assert looks_english("hello there")
+        clean = primary_preprocess(make_doc("hello there"))
+        assert (clean.text, clean.flagged_non_english) == ("hello there", False)
 
     def test_non_english_flagged_without_translator(self):
-        assert detect_and_translate("bonjour") == ("bonjour", True)
+        assert not looks_english("bonjour")
+        clean = primary_preprocess(make_doc("bonjour"))
+        assert (clean.text, clean.flagged_non_english) == ("bonjour", True)
 
     def test_cyrillic_flagged(self):
-        text, flagged = detect_and_translate("привет как дела")
-        assert flagged
+        assert not looks_english("привет как дела")
 
     def test_fixture_corpus_flag_count(self):
         texts = [
@@ -57,33 +61,12 @@ class TestDetectAndTranslate:
             "das ist ein gutes beispiel",
             "what a great game today",
         ]
-        flags = [detect_and_translate(t)[1] for t in texts]
+        flags = [not looks_english(t) for t in texts]
         assert sum(flags) == 5
         assert flags[0] is False and flags[-1] is False
 
-    def test_translator_used_for_non_english(self):
-        text, flagged = detect_and_translate("bonjour", translator=lambda t: "hello")
-        assert (text, flagged) == ("hello", False)
-
-    def test_translator_not_called_for_english(self):
-        calls = []
-
-        def translator(t):
-            calls.append(t)
-            return t
-
-        detect_and_translate("hello there", translator=translator)
-        assert calls == []
-
-    def test_translator_failure(self):
-        def broken(t):
-            raise OSError("connection refused")
-
-        with pytest.raises(TranslatorUnavailableError):
-            detect_and_translate("bonjour", translator=broken)
-
     def test_empty_text_is_english(self):
-        assert detect_and_translate("") == ("", False)
+        assert looks_english("")
 
 
 class TestExtractMentions:
