@@ -28,7 +28,6 @@ from .errors import (
     MissingCategoryError,
     MissingLexiconError,
     OrphanDocumentError,
-    UntrainedModelError,
 )
 from .lexproc import DocumentSet, TokenizedDoc
 
@@ -66,14 +65,6 @@ NORMALIZATION_ALPHA = 15.0
 NEGATION_WINDOW = 3
 
 _WORD = re.compile(r"[a-z0-9]+")
-
-
-@dataclass(frozen=True)
-class CategoryLabel:
-    """Argmax category plus the full normalized posterior."""
-
-    value: Category
-    scores: Mapping[Category, float]
 
 
 @dataclass(frozen=True)
@@ -158,28 +149,22 @@ def _argmax_category(scores: Mapping[Category, float]) -> Category:
     return best
 
 
-def classify_category(doc: TokenizedDoc, model: CategoryClassifier | None) -> CategoryLabel:
-    """Classify an independent-dataset document.
+def classify_category(doc: TokenizedDoc, model: CategoryClassifier) -> Category:
+    """Classify an independent-dataset document by its posterior argmax.
 
     Dependent datasets (2, 3, 7, 8) are rejected: their rows are not owned
     by the post owner and must inherit instead.
     """
-    if model is None:
-        raise UntrainedModelError()
     if doc.dataset_no in DEPENDENT_DATASETS:
         raise DependentDatasetError(doc.dataset_no)
-    scores = model.posteriors(doc.tokens)
-    return CategoryLabel(value=_argmax_category(scores), scores=scores)
+    return _argmax_category(model.posteriors(doc.tokens))
 
 
-def inherit_category(
-    doc: TokenizedDoc, parent_labels: Mapping[str, CategoryLabel]
-) -> CategoryLabel:
-    """Copy the parent post's category onto a dependent document."""
+def inherit_category(doc: TokenizedDoc, parent_labels: Mapping[str, Category]) -> Category:
+    """The parent post's category, for a dependent document."""
     if doc.parent_doc_id is None or doc.parent_doc_id not in parent_labels:
         raise OrphanDocumentError(doc.doc_id)
-    parent = parent_labels[doc.parent_doc_id]
-    return CategoryLabel(value=parent.value, scores=dict(parent.scores))
+    return parent_labels[doc.parent_doc_id]
 
 
 class SentimentAnalyzer:
@@ -243,7 +228,7 @@ def label_documents(
     document_set: DocumentSet,
     model: CategoryClassifier,
     analyzer: SentimentAnalyzer,
-) -> tuple[dict[str, CategoryLabel], dict[str, SentimentResult], list[str]]:
+) -> tuple[dict[str, Category], dict[str, SentimentResult], list[str]]:
     """Label every eligible document with a category and a sentiment.
 
     Independent documents are classified directly; dependent ones inherit
@@ -252,7 +237,7 @@ def label_documents(
     reported in the returned ``skipped`` list and warned about, rather
     than failing the whole run).
     """
-    labels: dict[str, CategoryLabel] = {}
+    labels: dict[str, Category] = {}
     sentiments: dict[str, SentimentResult] = {}
     skipped: list[str] = []
 
@@ -281,22 +266,17 @@ def label_documents(
 
 def assign_buckets(
     document_set: DocumentSet,
-    labels: Mapping[str, CategoryLabel],
+    labels: Mapping[str, Category],
     sentiments: Mapping[str, SentimentResult],
-) -> dict[Bucket, list[str]]:
-    """Partition labeled documents into the ten (category, sentiment) buckets.
+) -> dict[Bucket, list[TokenizedDoc]]:
+    """Each of the ten (category, sentiment) buckets' documents, in doc id order.
 
-    Every labeled document lands in exactly one bucket; the index is also
-    stored on the document set for the scoring stage.
+    Every labeled document lands in exactly one bucket; unlabeled ones
+    (inert, non-English, orphaned) land in none, so every document handed
+    to scoring is eligible.
     """
-    buckets: dict[Bucket, list[str]] = {b: [] for b in ALL_BUCKETS}
-    for doc in document_set.documents:
-        label = labels.get(doc.doc_id)
-        senti = sentiments.get(doc.doc_id)
-        if label is None or senti is None:
-            continue
-        buckets[Bucket(label.value, senti.clazz)].append(doc.doc_id)
-    for bucket in buckets:
-        buckets[bucket].sort()
-    document_set.buckets = buckets
+    buckets: dict[Bucket, list[TokenizedDoc]] = {b: [] for b in ALL_BUCKETS}
+    for doc in sorted(document_set.documents, key=lambda d: d.doc_id):
+        if doc.doc_id in labels:
+            buckets[Bucket(labels[doc.doc_id], sentiments[doc.doc_id].clazz)].append(doc)
     return buckets

@@ -92,9 +92,11 @@ class PipelineConfig:
                 raise ConfigError(f"resource {key!r} not found: {path}")
 
 
-def _as_path(value: Any, base: Path) -> Path | None:
+def _as_path(value: Any, base: Path, name: str) -> Path | None:
     if value is None or value == "":
         return None
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a path string, got {value!r}")
     p = Path(value)
     return p if p.is_absolute() else base / p
 
@@ -103,6 +105,23 @@ def _integer(raw: Mapping[str, Any], key: str, default: int) -> int:
     value = raw.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _string(raw: Mapping[str, Any], key: str, default: str) -> str:
+    value = raw.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _object(raw: Mapping[str, Any], key: str) -> Mapping[str, Any]:
+    """A JSON object field; absent or null reads as empty."""
+    value = raw.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
     return value
 
 
@@ -136,37 +155,37 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
         platform = Platform(raw.get("platform", "Facebook"))
     except ValueError:
         raise ConfigError(f"unknown platform {raw.get('platform')!r}") from None
-    datasets_raw = raw.get("datasets", {})
     datasets: dict[int, Path] = {}
-    for key, value in datasets_raw.items():
+    for key, value in _object(raw, "datasets").items():
         try:
             no = int(key)
         except ValueError:
             raise ConfigError(f"datasets key must be a dataset number, got {key!r}") from None
-        resolved = _as_path(value, base)
+        resolved = _as_path(value, base, f"datasets.{key}")
         if resolved is not None:
             datasets[no] = resolved
-    window_raw = raw.get("window") or {}
+    window_raw = _object(raw, "window")
     since = _timestamp(window_raw.get("since"), "window.since", DEFAULT_SINCE)
     until = _timestamp(window_raw.get("until"), "window.until", DEFAULT_UNTIL)
     allow_small = raw.get("allow_small", False)
     if not isinstance(allow_small, bool):
         raise ConfigError(f"allow_small must be true or false, got {allow_small!r}")
-    resources_raw = raw.get("resources", {})
-    resources = {key: _as_path(resources_raw.get(key), base) for key in RESOURCE_KEYS}
+    resources_raw = _object(raw, "resources")
+    resources = {key: _as_path(resources_raw.get(key), base, f"resources.{key}")
+                 for key in RESOURCE_KEYS}
 
     cfg = PipelineConfig(
         platform=platform,
-        ego_id=raw.get("ego_id", "ego"),
+        ego_id=_string(raw, "ego_id", "ego"),
         datasets=datasets,
         window=(since, until),
         resources=resources,
-        bucket=raw.get("bucket", "all"),
+        bucket=_string(raw, "bucket", "all"),
         n_it=_integer(raw, "n_it", 50),
         threshold=_integer(raw, "threshold", 5000),
         normalization=raw.get("normalization", "raw"),
         allow_small=allow_small,
-        out_dir=_as_path(raw.get("out_dir", "out"), base) or base / "out",
+        out_dir=_as_path(raw.get("out_dir", "out"), base, "out_dir") or base / "out",
         workers=_integer(raw, "workers", 1),
     )
     if overrides:

@@ -277,19 +277,15 @@ def _merge_members(a: InteractedMember, b: InteractedMember) -> InteractedMember
 def build_interaction_list(
     members: Iterable[InteractedMember], mentions: Iterable[str] = ()
 ) -> list[InteractedMember]:
-    """Return the deduplicated dataset-5 member list with harvested mentions merged in.
+    """Return the dataset-5 member list with harvested mentions merged in.
 
-    A mention matching an existing member id or display name adds a Tag
-    activity to that member; an unmatched mention becomes a new member of
-    kind Connection. The result is sorted by member id and identical for
-    any permutation of the inputs.
+    ``members`` holds one entry per member id, as ``load_members_csv``
+    returns it. A mention matching an existing member id or display name
+    adds a Tag activity to that member; an unmatched mention becomes a new
+    member of kind Connection. The result is sorted by member id and
+    identical for any permutation of the inputs.
     """
-    merged: dict[str, InteractedMember] = {}
-    for member in members:
-        if member.member_id in merged:
-            merged[member.member_id] = _merge_members(merged[member.member_id], member)
-        else:
-            merged[member.member_id] = member
+    merged = {m.member_id: m for m in members}
     if not merged:
         log.warning("dataset 5 is empty: no interacted members")
 

@@ -110,11 +110,6 @@ class MissingCategoryError(DataError):
         super().__init__(f"training data has no examples for category {name!r}")
 
 
-class UntrainedModelError(EgorankError):
-    def __init__(self) -> None:
-        super().__init__("classifier has not been trained")
-
-
 class DependentDatasetError(EgorankError):
     def __init__(self, dataset_no: int):
         self.dataset_no = dataset_no
@@ -133,11 +128,9 @@ class OrphanDocumentError(DataError):
 # --- scoring ------------------------------------------------------------------
 
 class EmptyBucketError(EgorankError):
-    def __init__(self, side: str, bucket: object = None):
+    def __init__(self, side: str):
         self.side = side
-        self.bucket = bucket
-        at = f" in bucket {bucket}" if bucket is not None else ""
-        super().__init__(f"no {side} documents{at}")
+        super().__init__(f"no {side} documents")
 
 
 class EmptyCorpusError(DataError):

@@ -11,7 +11,7 @@ an actual word.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -49,19 +49,9 @@ class TokenizedDoc:
 
 @dataclass
 class DocumentSet:
-    """The tokenized corpus plus id and bucket indexes."""
+    """The tokenized corpus, one entry per ingested document."""
 
     documents: list[TokenizedDoc]
-    ego_id: str
-    by_id: dict[str, TokenizedDoc] = field(default_factory=dict)
-    buckets: dict | None = None
-
-    def __post_init__(self) -> None:
-        if not self.by_id:
-            self.by_id = {d.doc_id: d for d in self.documents}
-
-    def doc(self, doc_id: str) -> TokenizedDoc:
-        return self.by_id[doc_id]
 
 
 def tokenize(text: str) -> list[str]:
@@ -123,13 +113,11 @@ def build_document_set(
     *,
     stop_words: Iterable[str],
     lemmatizer: Lemmatizer,
-    ego_id: str,
 ) -> DocumentSet:
     """Tokenize, stop-filter and lemmatize every document.
 
     Documents that reduce to zero tokens are kept but inert. Flagged
-    non-English documents keep their flag so classification and scoring
-    can skip them.
+    non-English documents keep their flag so classification can skip them.
     """
     stops = frozenset(stop_words)
     docs: list[TokenizedDoc] = []
@@ -144,4 +132,4 @@ def build_document_set(
             tokens=tuple(tokens),
             flagged_non_english=cd.flagged_non_english,
         ))
-    return DocumentSet(documents=docs, ego_id=ego_id)
+    return DocumentSet(documents=docs)

@@ -42,7 +42,7 @@ from .corpus import (
     _member_to_dict,
 )
 from .errors import ConfigError, EmptyBucketError, RankingTooSmallError
-from .lexproc import Lemmatizer, DocumentSet, build_document_set, remove_stop_words, tokenize
+from .lexproc import Lemmatizer, TokenizedDoc, build_document_set, remove_stop_words, tokenize
 from .recommend import MemberRanking, Normalization, RankEntry, rank_members, score_bucket
 from .resources import load_english_words, load_labeled_seed, load_stop_words
 from .simdex import SimilarityModels, load_word_vectors
@@ -176,7 +176,7 @@ def load_bundle(cfg: PipelineConfig) -> tuple[list[CleanDocument], list[Interact
 class RankState:
     """Everything the scoring stage needs, built once per run."""
 
-    document_set: DocumentSet
+    buckets: dict[Bucket, list[TokenizedDoc]]
     models: SimilarityModels
     members: list[InteractedMember]
     eligible: list[InteractedMember]
@@ -189,9 +189,7 @@ def prepare_rank_state(
 ) -> RankState:
     stop_words = load_stop_words(cfg.resources.get("stop_list"))
     lemmatizer = Lemmatizer.from_file(cfg.resources.get("lemma_dictionary"))
-    document_set = build_document_set(
-        clean_docs, stop_words=stop_words, lemmatizer=lemmatizer, ego_id=cfg.ego_id
-    )
+    document_set = build_document_set(clean_docs, stop_words=stop_words, lemmatizer=lemmatizer)
 
     seed_rows = load_labeled_seed(cfg.resources.get("labeled_seed"))
     labeled = []
@@ -206,7 +204,7 @@ def prepare_rank_state(
         cfg.resources.get("boosters"),
     )
     labels, sentiments, _ = label_documents(document_set, model, analyzer)
-    assign_buckets(document_set, labels, sentiments)
+    buckets = assign_buckets(document_set, labels, sentiments)
 
     embeddings_path = cfg.resources.get("embeddings")
     if embeddings_path is None:
@@ -214,7 +212,7 @@ def prepare_rank_state(
     vectors = load_word_vectors(embeddings_path)
     models = SimilarityModels.build(document_set, vectors)
     return RankState(
-        document_set=document_set,
+        buckets=buckets,
         models=models,
         members=members,
         eligible=filter_eligible(members),
@@ -225,9 +223,7 @@ def rank_one_bucket(cfg: PipelineConfig, state: RankState, bucket: Bucket) -> Me
     """Score one bucket; an empty side yields an empty ranking plus a warning."""
     normalization = Normalization(cfg.normalization)
     try:
-        scores = score_bucket(
-            state.document_set, bucket, state.models, normalization=normalization
-        )
+        scores = score_bucket(state.buckets[bucket], state.models, normalization=normalization)
     except EmptyBucketError as exc:
         log.warning("bucket %s: %s; writing empty ranking", bucket, exc)
         return MemberRanking(bucket=bucket, entries=[])

@@ -27,7 +27,7 @@ import numpy as np
 from .classify import Bucket
 from .corpus import EGO_DATASETS, InteractedMember
 from .errors import EmptyBucketError, ZeroVectorError
-from .lexproc import DocumentSet, TokenizedDoc
+from .lexproc import TokenizedDoc
 from .simdex import DISTANCE_FLOOR, SimilarityModels, WordVectorStore
 
 BLOCK_ROWS = 256
@@ -99,35 +99,25 @@ def _unit_vectors(store: WordVectorStore, words: Sequence[str]) -> np.ndarray:
 
 
 def score_bucket(
-    document_set: DocumentSet,
-    bucket: Bucket,
+    docs: Sequence[TokenizedDoc],
     models: SimilarityModels,
     *,
     normalization: Normalization = Normalization.RAW,
 ) -> list[DocumentScore]:
-    """Score every member document in the bucket against the ego's key docs.
+    """Score every member document of one bucket against the ego's key docs.
 
-    Each target keeps the maximum index over all key documents (ties going
-    to the lowest key doc id). Inert and non-English documents are skipped.
-    Raises EmptyBucket naming the side that has no usable documents.
+    ``docs`` is one bucket as ``classify.assign_buckets`` returns it: in doc
+    id order, and none inert, so every doc has a tf-idf length. Ego datasets
+    give the key docs, the others the targets. Each target keeps the maximum
+    index over all key documents (ties going to the lowest key doc id).
+    Raises EmptyBucketError naming the side that has no documents.
     """
-    if document_set.buckets is None:
-        raise RuntimeError("bucket index not built; run classify.assign_buckets first")
-    doc_ids = document_set.buckets.get(bucket, [])
-    keys: list[TokenizedDoc] = []
-    targets: list[TokenizedDoc] = []
-    for doc_id in sorted(doc_ids):
-        doc = document_set.doc(doc_id)
-        if doc.inert or doc.flagged_non_english:
-            continue
-        if doc.dataset_no in EGO_DATASETS:
-            keys.append(doc)
-        else:
-            targets.append(doc)
+    keys = [doc for doc in docs if doc.dataset_no in EGO_DATASETS]
+    targets = [doc for doc in docs if doc.dataset_no not in EGO_DATASETS]
     if not keys:
-        raise EmptyBucketError("ego", bucket)
+        raise EmptyBucketError("ego")
     if not targets:
-        raise EmptyBucketError("member", bucket)
+        raise EmptyBucketError("member")
 
     store = models.vectors
     counts = models.counts

@@ -86,7 +86,6 @@ def random_case(rng):
 
 
 def test_criterion_1_algorithm1_oracle_equivalence():
-    bucket = Bucket(Category.TECHNOLOGY, SentimentClass.POSITIVE)
     rng = random.Random(0xA11CE)
     started = time.perf_counter()
     corpora = 0
@@ -96,8 +95,7 @@ def test_criterion_1_algorithm1_oracle_equivalence():
         if not any(d.doc_id.startswith("d6-") for d in docs):
             continue
         corpora += 1
-        ds = DocumentSet(documents=docs, ego_id="ego")
-        ds.buckets = {bucket: sorted(d.doc_id for d in docs)}
+        ds = DocumentSet(documents=docs)
         store = WordVectorStore(
             dim=len(next(iter(emb.values()))) if emb else 2,
             vectors={w: np.array(v) for w, v in emb.items()},
@@ -107,7 +105,8 @@ def test_criterion_1_algorithm1_oracle_equivalence():
         key_ids = [d.doc_id for d in docs if d.doc_id.startswith("d1-")]
         target_ids = [d.doc_id for d in docs if d.doc_id.startswith("d6-")]
         for mode in ("raw", "mean"):
-            got = score_bucket(ds, bucket, models, normalization=Normalization(mode))
+            got = score_bucket(sorted(docs, key=lambda d: d.doc_id), models,
+                               normalization=Normalization(mode))
             want = oracle.best_scores(key_ids, target_ids, docs_tokens, emb, mode)
             assert len(got) == len(target_ids)
             for score in got:
@@ -161,16 +160,13 @@ def test_criterion_2_algorithm2_count_identity():
 # --- criterion 3: tf-idf / BoW worked example -------------------------------------
 
 def test_criterion_3_tfidf_worked_example():
-    bucket = Bucket(Category.TECHNOLOGY, SentimentClass.POSITIVE)
-    ds = DocumentSet(documents=[tdoc("d1-00", ["a", "b"]),
-                                tdoc("d6-00", ["a", "c"], owner="m", dataset_no=6)],
-                     ego_id="ego")
-    ds.buckets = {bucket: ["d1-00", "d6-00"]}
+    docs = [tdoc("d1-00", ["a", "b"]), tdoc("d6-00", ["a", "c"], owner="m", dataset_no=6)]
+    ds = DocumentSet(documents=docs)
     store = WordVectorStore(dim=4, vectors={
         w: np.array(v) for w, v in random_vectors(["a", "b", "c"], 4, seed=1).items()})
     models = SimilarityModels.build(ds, store)
     assert dict(models.counts["d1-00"]) == {"a": 1, "b": 1}
-    (score,) = score_bucket(ds, bucket, models)
+    (score,) = score_bucket(docs, models)
 
     idf_b = math.log(3 / 2) + 1.0          # hand: ln((1+2)/(1+1)) + 1
     length = math.sqrt(1.0 + idf_b ** 2)   # hand: sqrt(1*idf(a)^2 + 1*idf(b)^2)
@@ -304,8 +300,7 @@ def build_planted_pipeline():
              for docs in corpus.datasets.values() for d in docs]
     mentions = [m for c in clean for m in c.mentions]
     members = build_interaction_list(corpus.members, mentions)
-    ds = build_document_set(clean, stop_words=stops, lemmatizer=lemmatizer,
-                            ego_id=corpus.ego_id)
+    ds = build_document_set(clean, stop_words=stops, lemmatizer=lemmatizer)
     labeled = []
     for text, cat in synthetic_seed_corpus(PLANT_SEED):
         tokens = [lemmatizer.lemmatize(t) for t in remove_stop_words(tokenize(text.lower()), stops)]
@@ -313,19 +308,19 @@ def build_planted_pipeline():
     model = train_category_classifier(labeled)
     analyzer = SentimentAnalyzer.from_files()
     labels, sentiments, _ = label_documents(ds, model, analyzer)
-    assign_buckets(ds, labels, sentiments)
+    buckets = assign_buckets(ds, labels, sentiments)
     vocab = sorted({t for d in ds.documents for t in d.tokens})
     vectors = random_vectors(vocab, 16, PLANT_SEED)
     store = WordVectorStore(dim=16, vectors={w: np.array(v) for w, v in vectors.items()})
     models = SimilarityModels.build(ds, store)
-    return corpus, truth, ds, models, members, vectors
+    return truth, ds, buckets, models, members, vectors
 
 
 def test_criterion_6_planted_target_recovery():
-    corpus, truth, ds, models, members, vectors = build_planted_pipeline()
+    truth, ds, buckets, models, members, vectors = build_planted_pipeline()
     ego_bucket = Bucket(Category(truth.ego_bucket[0]), SentimentClass(truth.ego_bucket[1]))
     eligible = filter_eligible(members)
-    scores = score_bucket(ds, ego_bucket, models)
+    scores = score_bucket(buckets[ego_bucket], models)
     ranking = rank_members(scores, eligible, ego_bucket)
 
     top15 = [e.member_id for e in ranking.entries[:15]]
@@ -333,17 +328,17 @@ def test_criterion_6_planted_target_recovery():
     assert recovered >= 8, f"only {recovered} of 10 planted members in the top 15"
 
     # independent oracle ranking over the same bucket
+    bucket_docs = buckets[ego_bucket]
     docs_tokens = {d.doc_id: list(d.tokens) for d in ds.documents}
-    bucket_ids = ds.buckets[ego_bucket]
-    key_ids = [i for i in bucket_ids if ds.doc(i).dataset_no in (1, 2, 3, 4)]
-    target_ids = [i for i in bucket_ids if ds.doc(i).dataset_no in (6, 7, 8, 9)]
-    oracle_best = oracle.best_scores(key_ids, target_ids, docs_tokens, vectors, "raw")
+    key_ids = [d.doc_id for d in bucket_docs if d.dataset_no in (1, 2, 3, 4)]
+    targets = [d for d in bucket_docs if d.dataset_no in (6, 7, 8, 9)]
+    oracle_best = oracle.best_scores(key_ids, [d.doc_id for d in targets], docs_tokens,
+                                     vectors, "raw")
     eligible_ids = {m.member_id for m in eligible}
     member_docs = {}
-    for target in target_ids:
-        owner = ds.doc(target).owner_id
-        if owner in eligible_ids:
-            member_docs.setdefault(owner, []).append(target)
+    for target in targets:
+        if target.owner_id in eligible_ids:
+            member_docs.setdefault(target.owner_id, []).append(target.doc_id)
     expected_order = [m for m, _ in oracle.rank(member_docs, oracle_best)]
     assert [e.member_id for e in ranking.entries] == expected_order
 

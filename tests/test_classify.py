@@ -22,7 +22,6 @@ from egorank.errors import (
     MissingCategoryError,
     MissingLexiconError,
     OrphanDocumentError,
-    UntrainedModelError,
 )
 from egorank.lexproc import DocumentSet, TokenizedDoc
 
@@ -57,8 +56,7 @@ class TestTraining:
         labeled, vocab = singleton_training()
         model = train_category_classifier(labeled)
         for cat, words in vocab.items():
-            label = classify_category(tdoc("d1-x", words), model)
-            assert label.value is cat
+            assert classify_category(tdoc("d1-x", words), model) is cat
 
     def test_duplicate_docs_duplicate_counts(self):
         labeled, _ = singleton_training()
@@ -66,8 +64,8 @@ class TestTraining:
         model_b = train_category_classifier(labeled + labeled)
         # doubled counts shift smoothed likelihoods, but both stay argmax-consistent
         probe = ["code", "software"]
-        assert classify_category(tdoc("d", probe), model_a).value is Category.TECHNOLOGY
-        assert classify_category(tdoc("d", probe), model_b).value is Category.TECHNOLOGY
+        assert classify_category(tdoc("d", probe), model_a) is Category.TECHNOLOGY
+        assert classify_category(tdoc("d", probe), model_b) is Category.TECHNOLOGY
         model_c = train_category_classifier(labeled)
         assert model_a.posteriors(probe) == model_c.posteriors(probe)
 
@@ -128,17 +126,13 @@ class TestTraining:
         raw = {c: math.exp(s - peak) for c, s in joint.items()}
         z = sum(raw.values())
         expected = {c: raw[c] / z for c in raw}
-        label = classify_category(tdoc("d", probe), model)
-        assert label.value is Category.SPORTS
+        assert classify_category(tdoc("d", probe), model) is Category.SPORTS
+        scores = model.posteriors(probe)
         for cat in Category:
-            assert label.scores[cat] == pytest.approx(expected[cat], rel=1e-12)
+            assert scores[cat] == pytest.approx(expected[cat], rel=1e-12)
 
 
 class TestClassifyCategory:
-    def test_untrained_model(self):
-        with pytest.raises(UntrainedModelError):
-            classify_category(tdoc("d", ["x"]), None)
-
     def test_dependent_dataset_rejected(self):
         labeled, _ = singleton_training()
         model = train_category_classifier(labeled)
@@ -149,15 +143,14 @@ class TestClassifyCategory:
     def test_empty_doc_prior_argmax_tie_breaks_by_enum_order(self):
         labeled, _ = singleton_training()  # one doc per class: uniform priors
         model = train_category_classifier(labeled)
-        label = classify_category(tdoc("d", []), model)
-        assert label.value is Category.TECHNOLOGY
-        assert label.scores[Category.TECHNOLOGY] == pytest.approx(0.2)
+        assert classify_category(tdoc("d", []), model) is Category.TECHNOLOGY
+        assert model.posteriors([])[Category.TECHNOLOGY] == pytest.approx(0.2)
 
     def test_skewed_prior_wins_for_empty_doc(self):
         labeled, _ = singleton_training()
         labeled = labeled + [(["goal", "match"], Category.SPORTS)] * 5
         model = train_category_classifier(labeled)
-        assert classify_category(tdoc("d", []), model).value is Category.SPORTS
+        assert classify_category(tdoc("d", []), model) is Category.SPORTS
 
     def test_scores_sum_to_one_and_argmax_consistent(self):
         labeled, _ = singleton_training()
@@ -167,11 +160,11 @@ class TestClassifyCategory:
                  "profit", "market", "movie", "music", "zzz"]
         for _ in range(200):
             tokens = rng.choices(vocab, k=rng.randrange(0, 12))
-            label = classify_category(tdoc("d", tokens), model)
-            assert sum(label.scores.values()) == pytest.approx(1.0, abs=1e-9)
-            best = max(label.scores.values())
-            firsts = [c for c in Category if label.scores[c] == best]
-            assert label.value is firsts[0]
+            scores = model.posteriors(tokens)
+            assert sum(scores.values()) == pytest.approx(1.0, abs=1e-9)
+            best = max(scores.values())
+            firsts = [c for c in Category if scores[c] == best]
+            assert classify_category(tdoc("d", tokens), model) is firsts[0]
 
 
 class TestInheritCategory:
@@ -181,9 +174,7 @@ class TestInheritCategory:
         model = train_category_classifier(labeled)
         parent_label["d1-p"] = classify_category(tdoc("d1-p", ["vote", "law"]), model)
         child = tdoc("d3-c", ["whatever"], dataset_no=3, parent="d1-p")
-        label = inherit_category(child, parent_label)
-        assert label.value is Category.POLITICS
-        assert label.scores == parent_label["d1-p"].scores
+        assert inherit_category(child, parent_label) is Category.POLITICS
 
     def test_orphan(self):
         child = tdoc("d3-c", ["x"], dataset_no=3, parent="d1-missing")
@@ -279,7 +270,7 @@ class TestAssignBuckets:
             tdoc("d6-c", ["vote", "law"], dataset_no=6, owner="m1"),
             tdoc("d6-d", ["movie", "music"], dataset_no=6, owner="m2"),
         ]
-        ds = DocumentSet(documents=docs, ego_id="ego")
+        ds = DocumentSet(documents=docs)
         labels, sentiments, skipped = label_documents(ds, model, analyzer)
         return ds, labels, sentiments, skipped
 
@@ -287,7 +278,7 @@ class TestAssignBuckets:
         ds, labels, sentiments, _ = self.build_labeled_set(analyzer)
         buckets = assign_buckets(ds, labels, sentiments)
         assert set(buckets) == set(ALL_BUCKETS)
-        all_ids = [doc_id for ids in buckets.values() for doc_id in ids]
+        all_ids = [doc.doc_id for docs in buckets.values() for doc in docs]
         assert sorted(all_ids) == sorted(labels)
         assert len(all_ids) == len(set(all_ids))
 
@@ -295,7 +286,7 @@ class TestAssignBuckets:
         labeled, _ = singleton_training()
         model = train_category_classifier(labeled)
         docs = [tdoc(f"d1-{i}", ["code", "good"]) for i in range(10)]
-        ds = DocumentSet(documents=docs, ego_id="ego")
+        ds = DocumentSet(documents=docs)
         labels, sentiments, _ = label_documents(ds, model, analyzer)
         buckets = assign_buckets(ds, labels, sentiments)
         tech_pos = Bucket(Category.TECHNOLOGY, SentimentClass.POSITIVE)
@@ -309,10 +300,10 @@ class TestAssignBuckets:
             tdoc("d1-p", ["vote", "law", "good"], owner="ego"),
             tdoc("d3-c", ["terrible", "awful"], dataset_no=3, owner="ego", parent="d1-p"),
         ]
-        ds = DocumentSet(documents=docs, ego_id="ego")
+        ds = DocumentSet(documents=docs)
         labels, sentiments, skipped = label_documents(ds, model, analyzer)
         assert skipped == []
-        assert labels["d3-c"].value is Category.POLITICS
+        assert labels["d3-c"] is Category.POLITICS
         assert sentiments["d3-c"].clazz is SentimentClass.NEGATIVE
         assert sentiments["d1-p"].clazz is SentimentClass.POSITIVE
 
@@ -320,7 +311,7 @@ class TestAssignBuckets:
         labeled, _ = singleton_training()
         model = train_category_classifier(labeled)
         docs = [tdoc("d3-c", ["code"], dataset_no=3, parent="d1-gone")]
-        ds = DocumentSet(documents=docs, ego_id="ego")
+        ds = DocumentSet(documents=docs)
         with caplog.at_level("WARNING"):
             labels, sentiments, skipped = label_documents(ds, model, analyzer)
         assert skipped == ["d3-c"]
@@ -333,9 +324,12 @@ class TestAssignBuckets:
             tdoc("d1-a", ["code"]),
             tdoc("d1-b", [], owner="ego"),
             tdoc("d1-c", ["vote"], flagged=True),
+            tdoc("d3-d", ["code"], dataset_no=3, parent="d1-b"),
+            tdoc("d6-e", [], dataset_no=6, owner="m1"),
         ]
-        ds = DocumentSet(documents=docs, ego_id="ego")
-        labels, sentiments, _ = label_documents(ds, model, analyzer)
+        ds = DocumentSet(documents=docs)
+        labels, sentiments, skipped = label_documents(ds, model, analyzer)
         assert set(labels) == {"d1-a"}
+        assert skipped == ["d3-d"]
         buckets = assign_buckets(ds, labels, sentiments)
-        assert sum(len(v) for v in buckets.values()) == 1
+        assert [doc.doc_id for docs in buckets.values() for doc in docs] == ["d1-a"]

@@ -64,8 +64,18 @@ class TestIngest:
         (lambda c: c["window"].update(since="yesterday"), (), "window.since"),
         (lambda c: c.update(allow_small="false"), (), "allow_small"),
         (lambda c: None, ("--until", "tomorrow"), "--until"),
+        (lambda c: c.update(window="2024"), (), "window"),
+        (lambda c: c.update(datasets=[]), (), "datasets"),
+        (lambda c: c.update(resources=[]), (), "resources"),
+        (lambda c: c.update(out_dir=3), (), "out_dir"),
+        (lambda c: c.update(bucket=5), (), "bucket"),
+        (lambda c: c.update(ego_id=7), (), "ego_id"),
+        (lambda c: c["datasets"].update({"1": 1}), (), "datasets.1"),
+        (lambda c: c["resources"].update(embeddings=["embeddings.txt"]), (),
+         "resources.embeddings"),
     ], ids=["n_it", "bool_threshold", "workers", "dataset_key", "window", "allow_small",
-            "until_flag"])
+            "until_flag", "window_string", "datasets_list", "resources_list", "out_dir_number",
+            "bucket_number", "ego_id_number", "dataset_path_number", "resource_path_list"])
     def test_mistyped_field_exits_config_error(self, synth_dir, edit, argv, field, caplog):
         config = json.loads((synth_dir / "config.json").read_text())
         edit(config)

@@ -21,6 +21,7 @@ from egorank.errors import (
 from egorank.synth import generate_synthetic_corpus, write_corpus_csvs
 
 HEADER = "post_id,content,user_name,user_id,react_count,share_count,language,time,parent_post_id"
+MEMBER_HEADER_ROW = "member_id,display_name,kind,activity_types,connections_count"
 
 T1 = "2024-03-01T10:00:00+00:00"
 T2 = "2024-03-02T10:00:00+00:00"
@@ -150,7 +151,7 @@ class TestMembersCsv:
 
     def test_load_and_merge_duplicates(self, tmp_path):
         path = write_csv(tmp_path, "d5.csv", [
-            ",".join(["member_id", "display_name", "kind", "activity_types", "connections_count"]),
+            MEMBER_HEADER_ROW,
             "A,Alice,Friend,React,120",
             "A,Alice,Friend,Share,",
             "B,Bob,Page,Tag,900",
@@ -163,9 +164,24 @@ class TestMembersCsv:
         assert a.connections_count == 120
         assert members[1].kind is MemberKind.PAGE
 
+    def test_dedup_and_union(self, tmp_path):
+        path = write_csv(tmp_path, "d5.csv", [MEMBER_HEADER_ROW, "A,a,Friend,React,",
+                                              "A,a,Friend,Share,", "B,b,Friend,Tag,"])
+        out = load_members_csv(path)
+        assert [m.member_id for m in out] == ["A", "B"]
+        assert out[0].activity_types == frozenset({ActivityType.REACT, ActivityType.SHARE})
+        assert out[1].activity_types == frozenset({ActivityType.TAG})
+
+    def test_order_insensitive(self, tmp_path):
+        rows = ["A,a,Friend,React,", "B,b,Friend,Tag,", "A,a,Friend,Share,"]
+        forward = load_members_csv(write_csv(tmp_path, "forward.csv", [MEMBER_HEADER_ROW, *rows]))
+        backward = load_members_csv(
+            write_csv(tmp_path, "backward.csv", [MEMBER_HEADER_ROW, *rows[::-1]]))
+        assert forward == backward
+
     def test_unknown_kind_is_bad_row(self, tmp_path):
         path = write_csv(tmp_path, "d5.csv", [
-            ",".join(["member_id", "display_name", "kind", "activity_types", "connections_count"]),
+            MEMBER_HEADER_ROW,
             "A,Alice,Stranger,React,",
         ])
         with pytest.raises(BadRowError, match="kind"):
@@ -184,17 +200,6 @@ def member(member_id, kinds=("React",), kind=MemberKind.FRIEND, connections=None
 
 
 class TestBuildInteractionList:
-    def test_dedup_and_union(self):
-        members = [
-            member("A", ["React"]),
-            member("A", ["Share"]),
-            member("B", ["Tag"]),
-        ]
-        out = build_interaction_list(members)
-        assert [m.member_id for m in out] == ["A", "B"]
-        assert out[0].activity_types == frozenset({ActivityType.REACT, ActivityType.SHARE})
-        assert out[1].activity_types == frozenset({ActivityType.TAG})
-
     def test_empty_dataset5_warns(self, caplog):
         with caplog.at_level("WARNING"):
             out = build_interaction_list([])
@@ -214,12 +219,6 @@ class TestBuildInteractionList:
         out = build_interaction_list([member("u1", name="Alice")], mentions=["Alice"])
         assert len(out) == 1
         assert ActivityType.TAG in out[0].activity_types
-
-    def test_order_insensitive(self):
-        members = [member("A", ["React"]), member("B", ["Tag"]), member("A", ["Share"])]
-        forward = build_interaction_list(members)
-        backward = build_interaction_list(members[::-1])
-        assert forward == backward
 
     def test_idempotent(self):
         once = build_interaction_list([member("A", ["React"]), member("B", ["Tag"])])

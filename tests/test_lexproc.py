@@ -121,12 +121,12 @@ class TestLemmatizer:
 class TestBuildDocumentSet:
     def test_cardinality(self, stop_words, lemmatizer):
         docs = [clean_doc("d1-a", "the cats ran fast."), clean_doc("d1-b", "a match today.")]
-        ds = build_document_set(docs, stop_words=stop_words, lemmatizer=lemmatizer, ego_id="ego")
+        ds = build_document_set(docs, stop_words=stop_words, lemmatizer=lemmatizer)
         assert len(ds.documents) == 2
 
     def test_zero_token_doc_is_inert_but_retained(self, stop_words, lemmatizer):
         docs = [clean_doc("d1-a", "the a an.")]
-        ds = build_document_set(docs, stop_words=stop_words, lemmatizer=lemmatizer, ego_id="ego")
+        ds = build_document_set(docs, stop_words=stop_words, lemmatizer=lemmatizer)
         assert len(ds.documents) == 1
         assert ds.documents[0].inert
 
@@ -143,7 +143,7 @@ class TestBuildDocumentSet:
             ] * 4)
         }
         docs = [clean_doc(doc_id, text) for doc_id, text in texts.items()]
-        ds = build_document_set(docs, stop_words=stop_words, lemmatizer=lemmatizer, ego_id="ego")
+        ds = build_document_set(docs, stop_words=stop_words, lemmatizer=lemmatizer)
         for doc in ds.documents:
             raw = re.findall(r"[a-z0-9]+", texts[doc.doc_id])
             expected = [lemmatizer.lemmatize(t) for t in raw if t not in stop_words]
@@ -154,10 +154,10 @@ class TestBuildDocumentSet:
             clean_doc("d1-a", "goal match", owner="ego"),
             clean_doc("d6-b", "goal match", owner="m1", dataset_no=6),
         ]
-        ds = build_document_set(docs, stop_words=stop_words, lemmatizer=lemmatizer, ego_id="ego")
+        ds = build_document_set(docs, stop_words=stop_words, lemmatizer=lemmatizer)
         assert [(d.doc_id, d.owner_id) for d in ds.documents] == [("d1-a", "ego"), ("d6-b", "m1")]
 
     def test_flag_carried_through(self, stop_words, lemmatizer):
         docs = [clean_doc("d1-a", "bonjour text", flagged=True)]
-        ds = build_document_set(docs, stop_words=stop_words, lemmatizer=lemmatizer, ego_id="ego")
+        ds = build_document_set(docs, stop_words=stop_words, lemmatizer=lemmatizer)
         assert ds.documents[0].flagged_non_english

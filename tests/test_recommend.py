@@ -47,16 +47,17 @@ def store_from(embeddings):
 
 
 def build_case(ego_token_lists, member_token_lists, embeddings):
-    """member_token_lists: list of (owner, tokens)."""
+    """The bucket's docs in doc id order, and their models.
+
+    member_token_lists: list of (owner, tokens).
+    """
     docs = [tdoc(f"d1-k{i:02d}", toks) for i, toks in enumerate(ego_token_lists)]
     docs += [
         tdoc(f"d6-t{i:02d}", toks, owner=owner, dataset_no=6)
         for i, (owner, toks) in enumerate(member_token_lists)
     ]
-    ds = DocumentSet(documents=docs, ego_id="ego")
-    ds.buckets = {BUCKET: sorted(d.doc_id for d in docs)}
-    models = SimilarityModels.build(ds, store_from(embeddings))
-    return ds, models
+    docs.sort(key=lambda d: d.doc_id)
+    return docs, SimilarityModels.build(DocumentSet(documents=docs), store_from(embeddings))
 
 
 ORTHO = {
@@ -68,8 +69,8 @@ ORTHO = {
 
 def score_one(key_tokens, target_tokens, embeddings, normalization=Normalization.RAW):
     """The DocumentScore of one target doc against one key doc."""
-    ds, models = build_case([key_tokens], [("m1", target_tokens)], embeddings)
-    (score,) = score_bucket(ds, BUCKET, models, normalization=normalization)
+    docs, models = build_case([key_tokens], [("m1", target_tokens)], embeddings)
+    (score,) = score_bucket(docs, models, normalization=normalization)
     return score
 
 
@@ -131,14 +132,6 @@ class TestDocumentIndex:
         assert score.sum_n == 0.0
         assert score.r_plus == 0.0
 
-    def test_inert_document_rejected(self):
-        ds, models = build_case([["a"], []], [("m1", ["a"]), ("m2", [])], ORTHO)
-        scores = score_bucket(ds, BUCKET, models)
-        assert [(s.target_doc_id, s.key_doc_id) for s in scores] == [("d6-t00", "d1-k00")]
-        ds.buckets = {BUCKET: ["d1-k01", "d6-t00"]}
-        with pytest.raises(EmptyBucketError, match="ego"):
-            score_bucket(ds, BUCKET, models)
-
     def test_invariant_r_equals_sum_times_cosine(self):
         for mode in Normalization:
             s = score_one(["a", "b"], ["a", "c"], ORTHO, mode)
@@ -175,43 +168,41 @@ def random_bucket_case(rng):
 
 class TestScoreBucket:
     def test_cardinality(self):
-        ds, models = build_case(
+        docs, models = build_case(
             [["a"]], [("m1", ["a"]), ("m1", ["b"]), ("m2", ["c"]),
                       ("m2", ["a", "b"]), ("m3", ["b", "c"])], ORTHO,
         )
-        scores = score_bucket(ds, BUCKET, models)
+        scores = score_bucket(docs, models)
         assert len(scores) == 5
 
     def test_dominating_key_doc_wins_everywhere(self):
         # key2 shares vocabulary with every target; key1 with none
         emb = dict(ORTHO, x=[1.0, 1.0, 0.0], y=[0.0, 1.0, 1.0])
-        ds, models = build_case(
+        docs, models = build_case(
             [["x"], ["a", "b", "c"]],
             [("m1", ["a", "a"]), ("m2", ["b"]), ("m3", ["c", "b"])],
             emb,
         )
-        scores = score_bucket(ds, BUCKET, models)
+        scores = score_bucket(docs, models)
         assert all(s.key_doc_id == "d1-k01" for s in scores)
 
     def test_empty_bucket_sides(self):
-        ds, models = build_case([["a"]], [("m1", ["a"])], ORTHO)
-        ds.buckets = {BUCKET: ["d1-k00"]}
+        (key, target), models = build_case([["a"]], [("m1", ["a"])], ORTHO)
         with pytest.raises(EmptyBucketError, match="member"):
-            score_bucket(ds, BUCKET, models)
-        ds.buckets = {BUCKET: ["d6-t00"]}
+            score_bucket([key], models)
         with pytest.raises(EmptyBucketError, match="ego"):
-            score_bucket(ds, BUCKET, models)
+            score_bucket([target], models)
 
     def test_matches_oracle_on_random_corpora(self):
         rng = random.Random(1234)
         for case in range(8):
             ego_docs, member_docs, emb = random_bucket_case(rng)
-            ds, models = build_case(ego_docs, member_docs, emb)
-            docs_tokens = {d.doc_id: list(d.tokens) for d in ds.documents}
+            docs, models = build_case(ego_docs, member_docs, emb)
+            docs_tokens = {d.doc_id: list(d.tokens) for d in docs}
             key_ids = [d for d in docs_tokens if d.startswith("d1-")]
             target_ids = [d for d in docs_tokens if d.startswith("d6-")]
             for mode in ("raw", "mean"):
-                scores = score_bucket(ds, BUCKET, models, normalization=Normalization(mode))
+                scores = score_bucket(docs, models, normalization=Normalization(mode))
                 expected = oracle.best_scores(key_ids, target_ids, docs_tokens, emb, mode)
                 assert len(scores) == len(target_ids)
                 for s in scores:
@@ -221,15 +212,13 @@ class TestScoreBucket:
     def test_permutation_of_document_order_is_invariant(self):
         rng = random.Random(77)
         ego_docs, member_docs, emb = random_bucket_case(rng)
-        ds1, models1 = build_case(ego_docs, member_docs, emb)
-        scores1 = {s.target_doc_id: s for s in score_bucket(ds1, BUCKET, models1)}
+        docs, models1 = build_case(ego_docs, member_docs, emb)
+        scores1 = {s.target_doc_id: s for s in score_bucket(docs, models1)}
 
-        docs = list(ds1.documents)
-        rng.shuffle(docs)
-        ds2 = DocumentSet(documents=docs, ego_id="ego")
-        ds2.buckets = {BUCKET: sorted(d.doc_id for d in docs)}
-        models2 = SimilarityModels.build(ds2, store_from(emb))
-        scores2 = {s.target_doc_id: s for s in score_bucket(ds2, BUCKET, models2)}
+        shuffled = list(docs)
+        rng.shuffle(shuffled)
+        models2 = SimilarityModels.build(DocumentSet(documents=shuffled), store_from(emb))
+        scores2 = {s.target_doc_id: s for s in score_bucket(docs, models2)}
 
         assert set(scores1) == set(scores2)
         for doc_id in scores1:
@@ -260,9 +249,9 @@ class TestScoreBucket:
         emb = random_embeddings(rng, ["a", "b", "c", "d", "e"], 6, coverage=1.0)
         keys = [["e"], ["a", "b", "a", "c"], ["a", "b", "a", "c"]]
         members = [("m1", ["a", "b"]), ("m2", ["b", "c", "d"]), ("m3", ["a", "a", "e"])]
-        ds, models = build_case(keys, members, emb)
-        docs_tokens = {d.doc_id: list(d.tokens) for d in ds.documents}
-        for s in score_bucket(ds, BUCKET, models):
+        docs, models = build_case(keys, members, emb)
+        docs_tokens = {d.doc_id: list(d.tokens) for d in docs}
+        for s in score_bucket(docs, models):
             by_key = {k: oracle.r_plus(docs_tokens[k], docs_tokens[s.target_doc_id],
                                        docs_tokens, emb) for k in ("d1-k00", "d1-k01", "d1-k02")}
             assert by_key["d1-k01"] == by_key["d1-k02"] > by_key["d1-k00"]
@@ -284,8 +273,8 @@ class TestScoreBucket:
         first, last = in_id_order[0], in_id_order[-1]
         members[first] = ("m2", rng.sample(twin, len(twin)))
         members[last] = ("m1", rng.sample(twin, len(twin)))
-        ds, models = build_case([rng.choices(vocab, k=10) for _ in range(3)], members, emb)
-        scores = {s.target_doc_id: s for s in score_bucket(ds, BUCKET, models)}
+        docs, models = build_case([rng.choices(vocab, k=10) for _ in range(3)], members, emb)
+        scores = {s.target_doc_id: s for s in score_bucket(docs, models)}
         a, b = scores[f"d6-t{first:02d}"], scores[f"d6-t{last:02d}"]
         assert (a.key_doc_id, a.sum_n, a.ti_cs, a.r_plus) == (b.key_doc_id, b.sum_n, b.ti_cs, b.r_plus)
         ranking = rank_members(list(scores.values()), [member("m1"), member("m2")], BUCKET)
@@ -294,7 +283,7 @@ class TestScoreBucket:
 
 WIDE_BUCKET_SCRIPT = """
 import random
-from test_recommend import BUCKET, build_case, random_embeddings
+from test_recommend import build_case, random_embeddings
 from egorank.recommend import score_bucket
 
 rng = random.Random(11)
@@ -302,8 +291,8 @@ vocab = [f"w{i}" for i in range(400)]
 emb = random_embeddings(rng, vocab, 96, coverage=1.0)
 keys = [[rng.choice(vocab) for _ in range(20)] for _ in range(12)]
 members = [(f"m{i % 40}", [rng.choice(vocab) for _ in range(20)]) for i in range(300)]
-ds, models = build_case(keys, members, emb)
-for score in score_bucket(ds, BUCKET, models):
+docs, models = build_case(keys, members, emb)
+for score in score_bucket(docs, models):
     print(repr(score))
 """
 
@@ -364,12 +353,12 @@ class TestRankMembers:
     def test_matches_oracle_rank(self):
         rng = random.Random(99)
         ego_docs, member_docs, emb = random_bucket_case(rng)
-        ds, models = build_case(ego_docs, member_docs, emb)
-        scores = score_bucket(ds, BUCKET, models)
+        docs, models = build_case(ego_docs, member_docs, emb)
+        scores = score_bucket(docs, models)
         owners = sorted({owner for owner, _ in member_docs})
         ranking = rank_members(scores, [member(o) for o in owners], BUCKET)
 
-        docs_tokens = {d.doc_id: list(d.tokens) for d in ds.documents}
+        docs_tokens = {d.doc_id: list(d.tokens) for d in docs}
         key_ids = [d for d in docs_tokens if d.startswith("d1-")]
         target_ids = [d for d in docs_tokens if d.startswith("d6-")]
         oracle_scores = oracle.best_scores(key_ids, target_ids, docs_tokens, emb, "raw")

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egorank.classify import Bucket, Category, SentimentClass
 from egorank.errors import (
     BadHeaderError,
     DataError,
@@ -25,7 +24,6 @@ from egorank.simdex import (
 )
 from egorank.synth import random_vectors, write_embeddings
 
-BUCKET = Bucket(Category.TECHNOLOGY, SentimentClass.POSITIVE)
 NO_VECTORS = WordVectorStore(dim=2, vectors={})
 
 
@@ -38,7 +36,7 @@ def tdoc(doc_id, tokens, owner="ego", dataset_no=1):
 
 def docset(token_lists):
     docs = [tdoc(f"d1-{i:02d}", toks) for i, toks in enumerate(token_lists)]
-    return DocumentSet(documents=docs, ego_id="ego")
+    return DocumentSet(documents=docs)
 
 
 def models_for(token_lists):
@@ -50,13 +48,13 @@ def key_member_set(key_lists, member_lists):
     docs = [tdoc(f"d1-{i:02d}", toks) for i, toks in enumerate(key_lists)]
     docs += [tdoc(f"d6-{i:02d}", toks, owner=f"m{i}", dataset_no=6)
              for i, toks in enumerate(member_lists)]
-    return DocumentSet(documents=docs, ego_id="ego")
+    return DocumentSet(documents=docs)
 
 
 def ti_cs(ds, models, key_id, target_id):
     """The tf-idf cosine that scoring reports for one key and one target doc."""
-    ds.buckets = {BUCKET: [key_id, target_id]}
-    (score,) = score_bucket(ds, BUCKET, models)
+    by_id = {doc.doc_id: doc for doc in ds.documents}
+    (score,) = score_bucket([by_id[key_id], by_id[target_id]], models)
     return score.ti_cs
 
 
@@ -132,11 +130,9 @@ def pair_distance(u, v):
     One-word key and target docs make sum_n = (1 + 1) / distance.
     """
     docs = [tdoc("d1-k", ["u"]), tdoc("d6-t", ["v"], owner="m", dataset_no=6)]
-    ds = DocumentSet(documents=docs, ego_id="ego")
-    ds.buckets = {BUCKET: ["d1-k", "d6-t"]}
     store = WordVectorStore(dim=len(u), vectors={"u": np.array(u, dtype=float),
                                                  "v": np.array(v, dtype=float)})
-    (score,) = score_bucket(ds, BUCKET, SimilarityModels.build(ds, store))
+    (score,) = score_bucket(docs, SimilarityModels.build(DocumentSet(documents=docs), store))
     return 2.0 / score.sum_n
 
 
