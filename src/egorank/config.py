@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .corpus import CONTENT_DATASETS, Platform, parse_timestamp
-from .errors import BadTimestampError, ConfigError, MissingDatasetError
+from .errors import ConfigError, MissingDatasetError
 
 # Wide-open default window: ingest everything unless the config narrows it.
 DEFAULT_SINCE = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -133,7 +133,7 @@ def _timestamp(value: Any, name: str, default: datetime) -> datetime:
         raise ConfigError(f"{name} must be an ISO-8601 timestamp string, got {value!r}")
     try:
         return parse_timestamp(value)
-    except BadTimestampError:
+    except ValueError:
         raise ConfigError(f"{name} is not an ISO-8601 timestamp: {value!r}") from None
 
 

@@ -116,15 +116,13 @@ class InteractedMember:
 
 # --- timestamps ---------------------------------------------------------------
 
-def parse_timestamp(value: str, *, row: int | None = None) -> datetime:
-    """Parse an ISO-8601 timestamp; naive values are taken as UTC."""
+def parse_timestamp(value: str) -> datetime:
+    """Parse an ISO-8601 timestamp; naive values are taken as UTC.
+    Raises ValueError for anything else."""
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
-    try:
-        parsed = datetime.fromisoformat(text)
-    except ValueError:
-        raise BadTimestampError(row if row is not None else -1, value) from None
+    parsed = datetime.fromisoformat(text)
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
     return parsed.astimezone(timezone.utc)
@@ -145,13 +143,13 @@ def _check_header(header: Sequence[str] | None, expected: Sequence[str], path: s
         )
 
 
-def _parse_count(value: str, row_no: int, name: str) -> int:
+def _parse_count(value: str, path: Path, row_no: int, name: str) -> int:
     try:
         n = int(value)
     except ValueError:
-        raise BadRowError(row_no, f"{name} is not an integer: {value!r}") from None
+        raise BadRowError(path, row_no, f"{name} is not an integer: {value!r}") from None
     if n < 0:
-        raise BadRowError(row_no, f"{name} is negative: {n}")
+        raise BadRowError(path, row_no, f"{name} is negative: {n}")
     return n
 
 
@@ -186,25 +184,30 @@ def load_activity_csv(
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(ACTIVITY_HEADER):
-                raise BadRowError(row_no, f"expected {len(ACTIVITY_HEADER)} columns, got {len(row)}")
+                raise BadRowError(
+                    path, row_no, f"expected {len(ACTIVITY_HEADER)} columns, got {len(row)}")
             rec = dict(zip(ACTIVITY_HEADER, row))
             post_id = rec["post_id"].strip()
             if not post_id:
-                raise BadRowError(row_no, "empty post_id")
+                raise BadRowError(path, row_no, "empty post_id")
             if post_id in seen_post_ids:
-                raise BadRowError(row_no, f"duplicate post_id {post_id!r}")
+                raise BadRowError(path, row_no, f"duplicate post_id {post_id!r}")
             seen_post_ids.add(post_id)
             user_id = rec["user_id"].strip()
             if not user_id:
-                raise BadRowError(row_no, "empty user_id")
-            _parse_count(rec["react_count"], row_no, "react_count")
-            _parse_count(rec["share_count"], row_no, "share_count")
-            time = parse_timestamp(rec["time"], row=row_no)
+                raise BadRowError(path, row_no, "empty user_id")
+            _parse_count(rec["react_count"], path, row_no, "react_count")
+            _parse_count(rec["share_count"], path, row_no, "share_count")
+            try:
+                time = parse_timestamp(rec["time"])
+            except ValueError:
+                raise BadTimestampError(path, row_no, rec["time"]) from None
             parent_raw = rec["parent_post_id"].strip()
             if dependent and not parent_raw:
-                raise BadRowError(row_no, f"dataset {dataset_no} requires parent_post_id")
+                raise BadRowError(path, row_no, f"dataset {dataset_no} requires parent_post_id")
             if not dependent and parent_raw:
-                raise BadRowError(row_no, f"dataset {dataset_no} must leave parent_post_id empty")
+                raise BadRowError(
+                    path, row_no, f"dataset {dataset_no} must leave parent_post_id empty")
             if window is not None and not (window[0] <= time <= window[1]):
                 continue
             docs.append(Document(
@@ -232,25 +235,28 @@ def load_members_csv(path: str | Path) -> list[InteractedMember]:
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(MEMBER_HEADER):
-                raise BadRowError(row_no, f"expected {len(MEMBER_HEADER)} columns, got {len(row)}")
+                raise BadRowError(
+                    path, row_no, f"expected {len(MEMBER_HEADER)} columns, got {len(row)}")
             rec = dict(zip(MEMBER_HEADER, row))
             member_id = rec["member_id"].strip()
             if not member_id:
-                raise BadRowError(row_no, "empty member_id")
+                raise BadRowError(path, row_no, "empty member_id")
             try:
                 kind = MemberKind(rec["kind"].strip())
             except ValueError:
-                raise BadRowError(row_no, f"unknown member kind {rec['kind']!r}") from None
+                raise BadRowError(path, row_no, f"unknown member kind {rec['kind']!r}") from None
             try:
                 acts = frozenset(
                     ActivityType(a.strip()) for a in rec["activity_types"].split(";") if a.strip()
                 )
             except ValueError:
-                raise BadRowError(row_no, f"unknown activity in {rec['activity_types']!r}") from None
+                raise BadRowError(
+                    path, row_no, f"unknown activity in {rec['activity_types']!r}") from None
             if not acts:
-                raise BadRowError(row_no, "activity_types must name at least one activity")
+                raise BadRowError(path, row_no, "activity_types must name at least one activity")
             conn_raw = rec["connections_count"].strip()
-            connections = _parse_count(conn_raw, row_no, "connections_count") if conn_raw else None
+            connections = (_parse_count(conn_raw, path, row_no, "connections_count")
+                           if conn_raw else None)
             member = InteractedMember(member_id, rec["display_name"].strip(), kind, acts, connections)
             if member_id in merged:
                 merged[member_id] = _merge_members(merged[member_id], member)

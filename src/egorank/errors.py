@@ -32,17 +32,17 @@ class MissingColumnError(DataError):
 
 
 class BadTimestampError(DataError):
-    def __init__(self, row: int, value: str):
+    def __init__(self, path: object, row: int, value: str):
         self.row = row
         self.value = value
-        super().__init__(f"row {row}: unparseable timestamp {value!r}")
+        super().__init__(f"{path}: row {row}: unparseable timestamp {value!r}")
 
 
 class BadRowError(DataError):
-    def __init__(self, row: int, detail: str):
+    def __init__(self, path: object, row: int, detail: str):
         self.row = row
         self.detail = detail
-        super().__init__(f"row {row}: {detail}")
+        super().__init__(f"{path}: row {row}: {detail}")
 
 
 class EmptyFileError(DataError):
@@ -91,15 +91,18 @@ class DimMismatchError(DataError):
 
 
 class DuplicateWordError(DataError):
-    def __init__(self, word: str):
+    def __init__(self, path: object, row: int, word: str):
+        self.row = row
         self.word = word
-        super().__init__(f"duplicate word in embedding file: {word!r}")
+        super().__init__(f"{path}: row {row}: duplicate word {word!r}")
 
 
 class ZeroVectorError(DataError):
-    def __init__(self, word: str, where: str = "in-memory word store"):
+    def __init__(self, path: object, row: int, word: str):
+        self.row = row
         self.word = word
-        super().__init__(f"{where}: zero vector for {word!r}; its cosine distance is undefined")
+        super().__init__(
+            f"{path}: row {row}: zero vector for {word!r}; its cosine distance is undefined")
 
 
 # --- classification -----------------------------------------------------------

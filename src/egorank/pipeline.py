@@ -209,7 +209,8 @@ def prepare_rank_state(
     embeddings_path = cfg.resources.get("embeddings")
     if embeddings_path is None:
         raise ConfigError("resources.embeddings must point at a word-vector file")
-    vectors = load_word_vectors(embeddings_path)
+    words = {w for docs in buckets.values() for doc in docs for w in doc.tokens}
+    vectors = load_word_vectors(embeddings_path, words)
     models = SimilarityModels.build(document_set, vectors)
     return RankState(
         buckets=buckets,

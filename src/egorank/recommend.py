@@ -8,7 +8,8 @@ documents' tf-idf cosine is the target's recommendation index; a target keeps
 its best key document, and a member is ranked by their best target.
 
 The pair sum is the soft cosine of Sidorov et al. (2014) in bilinear form:
-with Ê the unit word vectors, C the word counts and I their 0/1 indicators on
+with Ê the unit word vectors (rows of the store's matrix, normalised once
+at load and gathered by word), C the word counts and I their 0/1 indicators on
 the key (K) and target (T) sides, W = 1 / max(1 - Ê_K Ê_Tᵀ, 1e-6) and
 sum_n = C_K W I_Tᵀ + I_K W C_Tᵀ; the tf-idf cosines are X_K X_Tᵀ, with the
 tf-idf rows X = C idf / length built from the count rows over the key words.
@@ -26,9 +27,9 @@ import numpy as np
 
 from .classify import Bucket
 from .corpus import EGO_DATASETS, InteractedMember
-from .errors import EmptyBucketError, ZeroVectorError
+from .errors import EmptyBucketError
 from .lexproc import TokenizedDoc
-from .simdex import DISTANCE_FLOOR, SimilarityModels, WordVectorStore
+from .simdex import DISTANCE_FLOOR, SimilarityModels
 
 BLOCK_ROWS = 256
 
@@ -88,16 +89,6 @@ def _tfidf_rows(models: SimilarityModels, docs: Sequence[TokenizedDoc],
     return _matrix([models.counts[doc.doc_id] for doc in docs], terms) * idf / lengths[:, None]
 
 
-def _unit_vectors(store: WordVectorStore, words: Sequence[str]) -> np.ndarray:
-    """Unit-length word vectors, one row per word."""
-    vectors = np.array([store.get(w) for w in words], dtype=np.float64).reshape(-1, store.dim)
-    norms = np.linalg.norm(vectors, axis=1)
-    if not norms.all():
-        # The loader rejects zero rows; this guards stores built in memory.
-        raise ZeroVectorError(words[int(np.argmin(norms))])
-    return vectors / norms[:, None]
-
-
 def score_bucket(
     docs: Sequence[TokenizedDoc],
     models: SimilarityModels,
@@ -119,11 +110,11 @@ def score_bucket(
     if not targets:
         raise EmptyBucketError("member")
 
-    store = models.vectors
+    unit, index = models.vectors.unit, models.vectors.index
     counts = models.counts
     key_terms = sorted({w for doc in keys for w in doc.tokens})
-    key_words = [w for w in key_terms if w in store]
-    unit_k = _unit_vectors(store, key_words)
+    key_words = [w for w in key_terms if w in index]
+    unit_k = unit[[index[w] for w in key_words]]
     counts_k = _matrix([counts[doc.doc_id] for doc in keys], key_words)
     ones_k = (counts_k > 0).astype(np.float64)
     tfidf_k = _tfidf_rows(models, keys, key_terms)
@@ -136,11 +127,11 @@ def score_bucket(
     best: dict[str, DocumentScore] = {}
     for start in range(0, len(distinct), BLOCK_ROWS):
         block = distinct[start:start + BLOCK_ROWS]
-        words = sorted({w for doc in block for w in doc.tokens if w in store})
+        words = sorted({w for doc in block for w in doc.tokens if w in index})
         counts_t = _matrix([counts[doc.doc_id] for doc in block], words)
         ones_t = (counts_t > 0).astype(np.float64)
         similarity = 1.0 / np.maximum(
-            1.0 - _product(unit_k, _unit_vectors(store, words).T), DISTANCE_FLOOR)
+            1.0 - _product(unit_k, unit[[index[w] for w in words]].T), DISTANCE_FLOOR)
         sum_n = (_product(_product(counts_k, similarity), ones_t.T)
                  + _product(_product(ones_k, similarity), counts_t.T))
         if normalization is Normalization.MEAN:

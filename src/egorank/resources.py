@@ -62,15 +62,16 @@ def load_lemma_table(path: str | Path | None = None) -> dict[str, str]:
     """
     table: dict[str, str] = {}
     text = _read(path, "lemmas.tsv")
+    where = path or "lemmas.tsv"
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise DataError(f"lemma table line {line_no}: expected form<TAB>lemma")
+            raise DataError(f"{where}: line {line_no}: expected form<TAB>lemma")
         form, lemma = parts[0].strip().lower(), parts[1].strip().lower()
         if not form or not lemma:
-            raise DataError(f"lemma table line {line_no}: empty form or lemma")
+            raise DataError(f"{where}: line {line_no}: empty form or lemma")
         table[form] = lemma
     resolved: dict[str, str] = {}
     for form, lemma in table.items():
@@ -88,38 +89,35 @@ def load_sentiment_lexicon(path: str | Path | None = None) -> dict[str, float]:
     """Read ``word<TAB>valence`` lines with valences in [-4, 4]."""
     lexicon: dict[str, float] = {}
     text = _read(path, "sentiment_lexicon.tsv")
+    where = path or "sentiment_lexicon.tsv"
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise DataError(f"sentiment lexicon line {line_no}: expected word<TAB>valence")
+            raise DataError(f"{where}: line {line_no}: expected word<TAB>valence")
         try:
             valence = float(parts[1])
         except ValueError:
-            raise DataError(f"sentiment lexicon line {line_no}: bad valence {parts[1]!r}") from None
+            raise DataError(f"{where}: line {line_no}: bad valence {parts[1]!r}") from None
         if not -4.0 <= valence <= 4.0:
-            raise DataError(f"sentiment lexicon line {line_no}: valence {valence} outside [-4, 4]")
+            raise DataError(f"{where}: line {line_no}: valence {valence} outside [-4, 4]")
         lexicon[parts[0].strip().lower()] = valence
     return lexicon
 
 
 def load_labeled_seed(path: str | Path | None = None) -> list[tuple[str, str]]:
     """Read a labeled training corpus CSV with header ``text,category``."""
-    if path is None:
-        text = _read_builtin("seed_categories.csv")
-        lines = text.splitlines()
-    else:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    reader = csv.reader(lines)
+    where = path or "seed_categories.csv"
+    reader = csv.reader(_read(path, "seed_categories.csv").splitlines())
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["text", "category"]:
-        raise DataError("labeled seed corpus must have header 'text,category'")
+        raise DataError(f"{where}: labeled seed corpus must have header 'text,category'")
     rows: list[tuple[str, str]] = []
     for row in reader:
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != 2:
-            raise DataError(f"labeled seed corpus row has {len(row)} columns, expected 2")
+            raise DataError(f"{where}: line {reader.line_num}: {len(row)} columns, expected 2")
         rows.append((row[0], row[1].strip()))
     return rows

@@ -1,12 +1,17 @@
 """Similarity models: word-vector store, token counts and tf-idf weights.
 
 One model is built once per run and shared read-only by the scoring
-stage: a text-format embedding store for word distances, exact
-per-document token counts, and smoothed idf weights with each document's
-tf-idf L2 length, from which scoring builds tf-idf rows out of the count
-rows. Word distance is cosine distance, floored at DISTANCE_FLOOR so
-identical shared words score very high instead of dividing by zero; the
-loader rejects zero vectors, whose cosine is undefined.
+stage: unit word vectors for word distances, exact per-document token
+counts, and smoothed idf weights with each document's tf-idf L2 length,
+from which scoring builds tf-idf rows out of the count rows. Word distance
+is cosine distance, floored at DISTANCE_FLOOR so identical shared words
+score very high instead of dividing by zero.
+
+The word vectors come from a text-format embedding file. Every row of it is
+checked for structure (component count, repeated word), but only the rows
+of the words the bucketed documents hold are parsed as numbers, checked
+finite and non-zero (a zero vector's cosine is undefined), and normalised
+once, into one matrix.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Collection
 
 import numpy as np
 
@@ -33,23 +39,24 @@ DISTANCE_FLOOR = 1e-6
 
 @dataclass
 class WordVectorStore:
-    """Fixed-dimension word embeddings loaded from the text format."""
+    """Unit-length word vectors: row ``index[word]`` of ``unit``."""
 
-    dim: int
-    vectors: dict[str, np.ndarray]
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.vectors
-
-    def get(self, word: str) -> np.ndarray | None:
-        return self.vectors.get(word)
+    unit: np.ndarray
+    index: dict[str, int]
 
 
-def load_word_vectors(path: str | Path) -> WordVectorStore:
-    """Parse an embedding file: header ``vocab_size dim``, then one
-    ``word v1 ... v_dim`` line per word."""
+def load_word_vectors(path: str | Path, words: Collection[str]) -> WordVectorStore:
+    """Load the vectors of ``words`` from an embedding file: header
+    ``vocab_size dim``, then one ``word v1 ... v_dim`` line per word.
+
+    Every row must have ``dim`` components and a word not seen before.
+    Only the rows of ``words`` are parsed as numbers, and those must be
+    finite and not all zero; a bad number elsewhere is never read.
+    """
     path = Path(path)
-    vectors: dict[str, np.ndarray] = {}
+    seen: set[str] = set()
+    rows: list[list[float]] = []
+    index: dict[str, int] = {}
     with path.open(encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -65,21 +72,26 @@ def load_word_vectors(path: str | Path) -> WordVectorStore:
             if not parts:
                 continue
             word = parts[0]
-            if word in vectors:
-                raise DuplicateWordError(word)
+            if word in seen:
+                raise DuplicateWordError(path, row_no, word)
+            seen.add(word)
             if len(parts) - 1 != dim:
                 raise DimMismatchError(
                     path, row_no, f"expected {dim} components, got {len(parts) - 1}")
+            if word not in words:
+                continue
             try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                vec = [float(x) for x in parts[1:]]
             except ValueError:
                 raise DimMismatchError(path, row_no, "non-numeric vector component") from None
-            if not np.all(np.isfinite(vec)):
+            if not all(map(math.isfinite, vec)):
                 raise DimMismatchError(path, row_no, "non-finite vector component")
-            if not np.dot(vec, vec):
-                raise ZeroVectorError(word, f"{path}: row {row_no}")
-            vectors[word] = vec
-    return WordVectorStore(dim=dim, vectors=vectors)
+            if not any(x * x for x in vec):
+                raise ZeroVectorError(path, row_no, word)
+            index[word] = len(rows)
+            rows.append(vec)
+    vectors = np.array(rows, dtype=np.float64).reshape(-1, dim)
+    return WordVectorStore(unit=vectors / np.linalg.norm(vectors, axis=1)[:, None], index=index)
 
 
 @dataclass

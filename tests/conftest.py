@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -10,6 +11,16 @@ if str(SRC) not in sys.path:
 from egorank import resources
 from egorank.classify import SentimentAnalyzer
 from egorank.lexproc import Lemmatizer
+from egorank.simdex import WordVectorStore
+
+
+def word_store(embeddings):
+    """A WordVectorStore of a word -> vector dict, rows normalised as the loader does."""
+    if not embeddings:
+        return WordVectorStore(unit=np.zeros((0, 0)), index={})
+    vectors = np.array(list(embeddings.values()), dtype=np.float64)
+    return WordVectorStore(unit=vectors / np.linalg.norm(vectors, axis=1)[:, None],
+                           index={word: row for row, word in enumerate(embeddings)})
 
 
 @pytest.fixture(scope="session")

@@ -17,10 +17,10 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import oracle
+from conftest import word_store
 from egorank import resources
 from egorank.classify import (
     Bucket,
@@ -41,7 +41,7 @@ from egorank.lexproc import (
     tokenize,
 )
 from egorank.recommend import Normalization, rank_members, score_bucket
-from egorank.simdex import SimilarityModels, WordVectorStore
+from egorank.simdex import SimilarityModels
 from egorank.synth import generate_synthetic_corpus, random_vectors, synthetic_seed_corpus
 from egorank.targets import filter_eligible, top_most
 from egorank.textprep import extract_mentions, primary_preprocess, strip_noise
@@ -96,11 +96,7 @@ def test_criterion_1_algorithm1_oracle_equivalence():
             continue
         corpora += 1
         ds = DocumentSet(documents=docs)
-        store = WordVectorStore(
-            dim=len(next(iter(emb.values()))) if emb else 2,
-            vectors={w: np.array(v) for w, v in emb.items()},
-        )
-        models = SimilarityModels.build(ds, store)
+        models = SimilarityModels.build(ds, word_store(emb))
         docs_tokens = {d.doc_id: list(d.tokens) for d in docs}
         key_ids = [d.doc_id for d in docs if d.doc_id.startswith("d1-")]
         target_ids = [d.doc_id for d in docs if d.doc_id.startswith("d6-")]
@@ -162,9 +158,7 @@ def test_criterion_2_algorithm2_count_identity():
 def test_criterion_3_tfidf_worked_example():
     docs = [tdoc("d1-00", ["a", "b"]), tdoc("d6-00", ["a", "c"], owner="m", dataset_no=6)]
     ds = DocumentSet(documents=docs)
-    store = WordVectorStore(dim=4, vectors={
-        w: np.array(v) for w, v in random_vectors(["a", "b", "c"], 4, seed=1).items()})
-    models = SimilarityModels.build(ds, store)
+    models = SimilarityModels.build(ds, word_store(random_vectors(["a", "b", "c"], 4, seed=1)))
     assert dict(models.counts["d1-00"]) == {"a": 1, "b": 1}
     (score,) = score_bucket(docs, models)
 
@@ -311,8 +305,7 @@ def build_planted_pipeline():
     buckets = assign_buckets(ds, labels, sentiments)
     vocab = sorted({t for d in ds.documents for t in d.tokens})
     vectors = random_vectors(vocab, 16, PLANT_SEED)
-    store = WordVectorStore(dim=16, vectors={w: np.array(v) for w, v in vectors.items()})
-    models = SimilarityModels.build(ds, store)
+    models = SimilarityModels.build(ds, word_store(vectors))
     return truth, ds, buckets, models, members, vectors
 
 

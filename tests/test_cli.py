@@ -100,29 +100,61 @@ class TestIngest:
         run_cli("ingest", "--config", str(synth_dir / "config.json"))
         assert bundle.read_bytes() == first
 
-    def test_bad_row_exits_data_error(self, synth_dir, tmp_path):
-        broken = tmp_path / "badrow"
-        shutil.copytree(synth_dir, broken)
-        path = broken / "dataset_1.csv"
-        lines = path.read_text().splitlines()
-        lines.append("px,some text,Ego,ego,-3,0,en,2024-06-01T00:00:00+00:00,")
-        path.write_text("\n".join(lines) + "\n")
-        assert run_cli("ingest", "--config", str(broken / "config.json")) == 2
+    def test_bad_row_exits_data_error(self, synth_dir, tmp_path, caplog):
+        for case, (name, row) in enumerate([
+            ("dataset_1.csv", "px,some text,Ego,ego,-3,0,en,2024-06-01T00:00:00+00:00,"),
+            ("dataset_6.csv", "px,some text,Al,m001,x,0,en,2024-06-01T00:00:00+00:00,"),
+            ("dataset_1.csv", "px,some text,Ego,ego,0,0,en,not-a-time,"),
+            ("members.csv", "m099,Someone,Stranger,Post,"),
+        ]):
+            broken = tmp_path / f"badrow{case}"
+            shutil.copytree(synth_dir, broken)
+            path = broken / name
+            lines = path.read_text().splitlines()
+            lines.append(row)
+            path.write_text("\n".join(lines) + "\n")
+            caplog.clear()
+            with caplog.at_level("ERROR"):
+                code = run_cli("ingest", "--config", str(broken / "config.json"))
+            assert code == 2, name
+            assert any(f"{path}: row {len(lines)}:" in r.message for r in caplog.records), name
 
     def test_zero_embedding_row_exits_data_error(self, synth_dir, tmp_path, caplog):
+        # Only the rows of words that bucketed documents hold are parsed as
+        # numbers, so zero the row of a word every synth corpus scores.
         broken = tmp_path / "zero"
         shutil.copytree(synth_dir, broken)
         path = broken / "embeddings.txt"
         lines = path.read_text().splitlines()
-        word, *components = lines[3].split()
-        lines[3] = " ".join([word] + ["0.000000"] * len(components))
+        index = next(i for i, line in enumerate(lines) if line.split()[0] == "software")
+        word, *components = lines[index].split()
+        lines[index] = " ".join([word] + ["0.000000"] * len(components))
         path.write_text("\n".join(lines) + "\n")
         with caplog.at_level("ERROR"):
             code = run_cli("run", "--config", str(broken / "config.json"),
                            "--out-dir", str(tmp_path / "out"))
         assert code == 2
-        assert any(f"{path}: row 4" in r.message and repr(word) in r.message
+        assert any(f"{path}: row {index + 1}" in r.message and repr(word) in r.message
                    for r in caplog.records)
+
+    @pytest.mark.parametrize("resource, text", [
+        ("lemma_dictionary", "runs\trun\nbroken line\n"),
+        ("sentiment_lexicon", "good\t1.9\nbad\tvery\n"),
+        ("labeled_seed", "text,category\nfine text,Technology\none,two,three\n"),
+    ])
+    def test_bad_resource_line_names_file(self, synth_dir, tmp_path, caplog, resource, text):
+        broken = tmp_path / "badresource"
+        shutil.copytree(synth_dir, broken)
+        path = broken / f"{resource}.txt"
+        path.write_text(text)
+        config = json.loads((broken / "config.json").read_text())
+        config["resources"][resource] = str(path)
+        (broken / "config.json").write_text(json.dumps(config))
+        with caplog.at_level("ERROR"):
+            code = run_cli("run", "--config", str(broken / "config.json"),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert any(f"{path}: line " in r.message for r in caplog.records)
 
 
 class TestRank:

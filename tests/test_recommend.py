@@ -5,10 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import oracle
+from conftest import word_store
 from egorank.classify import Bucket, Category, SentimentClass
 from egorank.corpus import InteractedMember, MemberKind, ActivityType
 from egorank.errors import EmptyBucketError
@@ -20,7 +20,7 @@ from egorank.recommend import (
     rank_members,
     score_bucket,
 )
-from egorank.simdex import SimilarityModels, WordVectorStore
+from egorank.simdex import SimilarityModels
 
 BUCKET = Bucket(Category.TECHNOLOGY, SentimentClass.POSITIVE)
 
@@ -39,13 +39,6 @@ def member(member_id, kind=MemberKind.FRIEND, connections=None):
     )
 
 
-def store_from(embeddings):
-    dim = len(next(iter(embeddings.values())))
-    return WordVectorStore(
-        dim=dim, vectors={w: np.array(v, dtype=np.float64) for w, v in embeddings.items()}
-    )
-
-
 def build_case(ego_token_lists, member_token_lists, embeddings):
     """The bucket's docs in doc id order, and their models.
 
@@ -57,7 +50,7 @@ def build_case(ego_token_lists, member_token_lists, embeddings):
         for i, (owner, toks) in enumerate(member_token_lists)
     ]
     docs.sort(key=lambda d: d.doc_id)
-    return docs, SimilarityModels.build(DocumentSet(documents=docs), store_from(embeddings))
+    return docs, SimilarityModels.build(DocumentSet(documents=docs), word_store(embeddings))
 
 
 ORTHO = {
@@ -217,7 +210,7 @@ class TestScoreBucket:
 
         shuffled = list(docs)
         rng.shuffle(shuffled)
-        models2 = SimilarityModels.build(DocumentSet(documents=shuffled), store_from(emb))
+        models2 = SimilarityModels.build(DocumentSet(documents=shuffled), word_store(emb))
         scores2 = {s.target_doc_id: s for s in score_bucket(docs, models2)}
 
         assert set(scores1) == set(scores2)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import word_store
+
 from egorank.errors import (
     BadHeaderError,
     DataError,
@@ -16,15 +18,10 @@ from egorank.errors import (
 )
 from egorank.lexproc import DocumentSet, TokenizedDoc
 from egorank.recommend import score_bucket
-from egorank.simdex import (
-    DISTANCE_FLOOR,
-    SimilarityModels,
-    WordVectorStore,
-    load_word_vectors,
-)
+from egorank.simdex import DISTANCE_FLOOR, SimilarityModels, load_word_vectors
 from egorank.synth import random_vectors, write_embeddings
 
-NO_VECTORS = WordVectorStore(dim=2, vectors={})
+NO_VECTORS = word_store({})
 
 
 def tdoc(doc_id, tokens, owner="ego", dataset_no=1):
@@ -68,60 +65,94 @@ def two_doc_model():
     return ds, SimilarityModels.build(ds, NO_VECTORS)
 
 
+def write_lines(tmp_path, *lines):
+    path = tmp_path / "emb.txt"
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    return path
+
+
 class TestLoadWordVectors:
     def test_parse_two_words(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("2 3\nalpha 0.1 0.2 0.3\nbeta 1.0 -1.0 0.5\n", encoding="utf-8")
-        store = load_word_vectors(path)
-        assert store.dim == 3
-        assert set(store.vectors) == {"alpha", "beta"}
-        assert np.allclose(store.get("beta"), [1.0, -1.0, 0.5])
+        path = write_lines(tmp_path, "2 3", "alpha 0.1 0.2 0.3", "beta 1.0 -1.0 0.5")
+        store = load_word_vectors(path, {"alpha", "beta"})
+        assert store.unit.shape == (2, 3)
+        assert set(store.index) == {"alpha", "beta"}
+        # |(1, -1, 0.5)| = 1.5
+        assert np.allclose(store.unit[store.index["beta"]], [1.0 / 1.5, -1.0 / 1.5, 0.5 / 1.5])
 
     def test_dim_mismatch(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("1 3\nalpha 0.1 0.2\n", encoding="utf-8")
+        path = write_lines(tmp_path, "1 3", "alpha 0.1 0.2")
         with pytest.raises(DimMismatchError, match="row 2") as exc:
-            load_word_vectors(path)
+            load_word_vectors(path, {"alpha"})
         assert str(path) in str(exc.value)
 
     def test_zero_vector_rejected_at_load(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("3 2\nalpha 0.1 0.2\nbeta 0.0 -0.0\ngamma 1 1\n", encoding="utf-8")
+        path = write_lines(tmp_path, "3 2", "alpha 0.1 0.2", "beta 0.0 -0.0", "gamma 1 1")
         with pytest.raises(ZeroVectorError, match="row 3") as exc:
-            load_word_vectors(path)
+            load_word_vectors(path, {"alpha", "beta", "gamma"})
         assert isinstance(exc.value, DataError)
         assert str(path) in str(exc.value) and "'beta'" in str(exc.value)
 
     def test_bad_header(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("banana\nalpha 0.1\n", encoding="utf-8")
+        path = write_lines(tmp_path, "banana", "alpha 0.1")
         with pytest.raises(BadHeaderError):
-            load_word_vectors(path)
+            load_word_vectors(path, {"alpha"})
 
     def test_duplicate_word(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("2 1\nalpha 0.1\nalpha 0.2\n", encoding="utf-8")
-        with pytest.raises(DuplicateWordError):
-            load_word_vectors(path)
+        path = write_lines(tmp_path, "3 1", "alpha 0.1", "beta 0.3", "alpha 0.2")
+        with pytest.raises(DuplicateWordError) as exc:
+            load_word_vectors(path, {"alpha", "beta"})
+        assert f"{path}: row 4" in str(exc.value) and "'alpha'" in str(exc.value)
 
     def test_non_numeric_component(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("1 2\nalpha 0.1 oops\n", encoding="utf-8")
+        path = write_lines(tmp_path, "1 2", "alpha 0.1 oops")
         with pytest.raises(DimMismatchError, match="non-numeric"):
-            load_word_vectors(path)
+            load_word_vectors(path, {"alpha"})
+
+    @pytest.mark.parametrize("row", ["beta 0 0", "beta nan 1", "beta 1 inf", "beta 1 oops"],
+                             ids=["zero", "nan", "inf", "non_numeric"])
+    def test_bad_number_in_unrequested_row_loads(self, tmp_path, row):
+        path = write_lines(tmp_path, "3 2", "alpha 3 4", row, "gamma 0 2")
+        store = load_word_vectors(path, {"alpha", "gamma"})
+        assert set(store.index) == {"alpha", "gamma"}
+        assert np.allclose(store.unit[store.index["alpha"]], [0.6, 0.8])
+        assert np.allclose(store.unit[store.index["gamma"]], [0.0, 1.0])
+
+    @pytest.mark.parametrize("lines, error", [
+        (("3 2", "alpha 1 0", "beta 1", "gamma 0 1"), DimMismatchError),
+        (("3 2", "alpha 1 0", "beta 1 2 3", "gamma 0 1"), DimMismatchError),
+        (("3 2", "beta 1 1", "alpha 1 0", "beta 1 1"), DuplicateWordError),
+        (("2 two", "alpha 1 0", "beta 1 1"), BadHeaderError),
+    ], ids=["too_few", "too_many", "duplicate", "header"])
+    def test_structural_error_in_unrequested_row_raises(self, tmp_path, lines, error):
+        with pytest.raises(error):
+            load_word_vectors(write_lines(tmp_path, *lines), {"alpha"})
+
+    def test_unit_rows_have_unit_length(self, tmp_path):
+        words = [f"w{i:03d}" for i in range(200)]
+        path = tmp_path / "emb.txt"
+        write_embeddings(path, random_vectors(words, dim=7, seed=3))
+        store = load_word_vectors(path, set(words))
+        assert store.unit.shape == (200, 7) and store.unit.flags["C_CONTIGUOUS"]
+        assert np.allclose(np.linalg.norm(store.unit, axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_roundtrip_sampled_lookups_match_file(self, tmp_path):
         words = [f"w{i:04d}" for i in range(5000)]
         vectors = random_vectors(words, dim=8, seed=123)
         path = tmp_path / "emb.txt"
         write_embeddings(path, vectors)
-        store = load_word_vectors(path)
-        assert len(store.vectors) == 5000
-        # oracle: scan the file bytes directly for sampled words
-        lines = {ln.split()[0]: ln.split()[1:] for ln in path.read_text().splitlines()[1:]}
         rng = random.Random(7)
-        for word in rng.sample(words, 100):
-            assert [f"{x:.6f}" for x in store.get(word)] == lines[word]
+        wanted = set(rng.sample(words, 100)) | {"absent", "w9999"}
+        store = load_word_vectors(path, wanted)
+        # the index holds exactly the requested words the file has
+        assert set(store.index) == wanted - {"absent", "w9999"}
+        assert sorted(store.index.values()) == list(range(100))
+        # oracle: scan the file bytes directly for the sampled words
+        lines = {ln.split()[0]: ln.split()[1:] for ln in path.read_text().splitlines()[1:]}
+        for word, row in store.index.items():
+            expected = np.array([float(x) for x in lines[word]])
+            assert np.allclose(store.unit[row], expected / np.linalg.norm(expected),
+                               rtol=0, atol=1e-15)
 
 
 def pair_distance(u, v):
@@ -130,8 +161,7 @@ def pair_distance(u, v):
     One-word key and target docs make sum_n = (1 + 1) / distance.
     """
     docs = [tdoc("d1-k", ["u"]), tdoc("d6-t", ["v"], owner="m", dataset_no=6)]
-    store = WordVectorStore(dim=len(u), vectors={"u": np.array(u, dtype=float),
-                                                 "v": np.array(v, dtype=float)})
+    store = word_store({"u": u, "v": v})
     (score,) = score_bucket(docs, SimilarityModels.build(DocumentSet(documents=docs), store))
     return 2.0 / score.sum_n
 
@@ -147,11 +177,6 @@ class TestPairDistance:
         d = pair_distance([1.0, 1.0], [1.0, 0.0])
         assert d == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-9)
         assert d == pytest.approx(0.29289, abs=1e-5)
-
-    def test_zero_vector(self):
-        # the loader rejects zero rows; a store built in memory is caught in scoring
-        with pytest.raises(ZeroVectorError, match="'u'"):
-            pair_distance([0.0, 0.0], [1.0, 0.0])
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=100, deadline=None)
@@ -285,7 +310,7 @@ class TestSimilarityModels:
         ds = docset([["a", "b"], ["a", "c"]])
         path = tmp_path / "emb.txt"
         write_embeddings(path, random_vectors(["a", "b", "c"], 4, seed=1))
-        store = load_word_vectors(path)
+        store = load_word_vectors(path, {"a", "b", "c"})
         models = SimilarityModels.build(ds, store)
         assert models.vectors is store
         assert models.counts["d1-00"] == {"a": 1, "b": 1}
