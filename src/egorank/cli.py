@@ -57,8 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, help_text in (
-        ("ingest", "load and preprocess all datasets into a normalized bundle"),
-        ("rank", "classify, bucket and rank members by recommendation index"),
+        ("ingest", "load, preprocess, classify and bucket all datasets into a labelled bundle"),
+        ("rank", "score the bundle's buckets and write ranking reports"),
         ("targets", "select top-most influenceable targets from a ranking"),
         ("run", "ingest + rank + targets in one go"),
     ):

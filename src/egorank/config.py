@@ -69,8 +69,26 @@ class PipelineConfig:
         }
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+        return digest(self.canonical_dict())[:16]
+
+    def ingest_inputs(self) -> dict[str, Any]:
+        """What ingest reads, files by content: the bundle's provenance.
+
+        A null resource stands for the shipped default. ``bucket``,
+        ``normalization``, the embeddings and the target-selection fields
+        are read only after ingest, so they stay out.
+        """
+        return {
+            "platform": self.platform.value,
+            "ego_id": self.ego_id,
+            "window": [self.window[0].isoformat(), self.window[1].isoformat()],
+            "datasets": {str(no): _file_sha256(self.datasets[no])
+                         for no in sorted(CONTENT_DATASETS + (5,))},
+            "resources": {
+                key: (_file_sha256(self.resources[key]) if self.resources.get(key) else None)
+                for key in RESOURCE_KEYS if key != "embeddings"
+            },
+        }
 
     def validate(self) -> None:
         if self.n_it < 1:
@@ -90,6 +108,16 @@ class PipelineConfig:
         for key, path in self.resources.items():
             if path is not None and not Path(path).is_file():
                 raise ConfigError(f"resource {key!r} not found: {path}")
+
+
+def digest(record: Mapping[str, Any]) -> str:
+    """sha256 of a JSON record in canonical form (sorted keys, no spaces)."""
+    canon = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+def _file_sha256(path: Path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _as_path(value: Any, base: Path, name: str) -> Path | None:

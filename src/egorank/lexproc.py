@@ -29,17 +29,20 @@ _SUFFIX_RULES = ("ies", "es", "s", "ing", "ed")
 class TokenizedDoc:
     """A document reduced to its scored token list.
 
-    ``text`` keeps the primary-preprocessed form (with commas and full
-    stops) because sentiment scoring needs it. A doc whose token list is
-    empty is inert: it is retained for bookkeeping but never scores.
+    ``parent_doc_id``, ``text`` and ``flagged_non_english`` serve labelling
+    only: ``text`` keeps the primary-preprocessed form (with commas and
+    full stops) because sentiment scoring needs it. Documents read back
+    from the ingested bundle are labelled already and carry none of them.
+    A doc whose token list is empty is inert: it is retained for
+    bookkeeping but never scores.
     """
 
     doc_id: str
     owner_id: str
     dataset_no: int
-    parent_doc_id: str | None
-    text: str
     tokens: tuple[str, ...]
+    parent_doc_id: str | None = None
+    text: str = ""
     flagged_non_english: bool = False
 
     @property
@@ -120,9 +123,14 @@ def build_document_set(
     non-English documents keep their flag so classification can skip them.
     """
     stops = frozenset(stop_words)
+    lemmas: dict[str, str] = {}  # lemmatize is pure: each distinct raw token runs once
     docs: list[TokenizedDoc] = []
     for cd in clean_docs:
-        tokens = [lemmatizer.lemmatize(t) for t in remove_stop_words(tokenize(cd.text), stops)]
+        tokens = []
+        for token in remove_stop_words(tokenize(cd.text), stops):
+            if token not in lemmas:
+                lemmas[token] = lemmatizer.lemmatize(token)
+            tokens.append(lemmas[token])
         docs.append(TokenizedDoc(
             doc_id=cd.doc_id,
             owner_id=cd.owner_id,

@@ -1,10 +1,12 @@
 """End-to-end orchestration shared by the CLI commands.
 
-The stages compose: ingest loads the nine datasets and runs primary
-preprocessing into a normalized bundle; rank builds the Document-Set,
-classifies, buckets and scores; targets applies the selection algorithm
-to a ranking. Outputs are deterministic: the same config and inputs
-give byte-identical files.
+The stages compose: ingest loads the nine datasets, preprocesses them,
+builds the Document-Set, classifies and buckets every document, and writes
+the labelled corpus to a bundle under a fingerprint of what it read; rank
+reads the bundle back (refusing one ingested from other inputs), builds
+the similarity models and scores; targets applies the selection algorithm
+to a ranking. Outputs are deterministic: the same config and inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ import csv
 import json
 import logging
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Any, Iterator, TextIO
 
 from . import __version__
 from .classify import (
@@ -30,7 +33,7 @@ from .classify import (
     label_documents,
     train_category_classifier,
 )
-from .config import PipelineConfig
+from .config import PipelineConfig, digest
 from .corpus import (
     CONTENT_DATASETS,
     EGO_DATASETS,
@@ -42,7 +45,14 @@ from .corpus import (
     _member_to_dict,
 )
 from .errors import ConfigError, EmptyBucketError, RankingTooSmallError
-from .lexproc import Lemmatizer, TokenizedDoc, build_document_set, remove_stop_words, tokenize
+from .lexproc import (
+    DocumentSet,
+    Lemmatizer,
+    TokenizedDoc,
+    build_document_set,
+    remove_stop_words,
+    tokenize,
+)
 from .recommend import MemberRanking, Normalization, RankEntry, rank_members, score_bucket
 from .resources import load_english_words, load_labeled_seed, load_stop_words
 from .simdex import SimilarityModels, load_word_vectors
@@ -57,8 +67,13 @@ INGEST_REPORT_NAME = "ingest_report.json"
 
 @dataclass
 class IngestResult:
-    clean_docs: list[CleanDocument]
+    """The labelled corpus that rank and targets read: from ``run_ingest``
+    in memory, or from the bundle through ``load_bundle``."""
+
     members: list[InteractedMember]
+    document_set: DocumentSet  # every document: idf spans all the non-inert ones
+    buckets: dict[Bucket, list[TokenizedDoc]]  # each in doc id order
+    inputs_digest: str  # config.digest of the ingest inputs: each ranking's provenance
     report: dict
 
 
@@ -103,90 +118,11 @@ def _write_json(path: Path, payload: dict) -> None:
 
 # --- ingest ---------------------------------------------------------------------
 
-def run_ingest(cfg: PipelineConfig) -> IngestResult:
-    """Load all datasets, preprocess, merge mentions, write the bundle."""
-    spelling = (
-        load_spelling_dictionary(cfg.resources["spelling_dictionary"])
-        if cfg.resources.get("spelling_dictionary")
-        else None
-    )
-    english_vocab = load_english_words()
-
-    datasets = {}
-    for no in CONTENT_DATASETS:
-        owner = cfg.ego_id if no in EGO_DATASETS else None
-        datasets[no] = load_activity_csv(cfg.datasets[no], no, owner, window=cfg.window)
-    members_raw = load_members_csv(cfg.datasets[5])
-
-    clean_docs: list[CleanDocument] = []
-    mentions: list[str] = []
-    for docs in datasets.values():
-        for doc in docs:
-            clean = primary_preprocess(doc, spelling=spelling, english_vocab=english_vocab)
-            clean_docs.append(clean)
-            mentions.extend(clean.mentions)
-    members = build_interaction_list(members_raw, mentions)
-
-    flagged = sum(1 for d in clean_docs if d.flagged_non_english)
-    report = {
-        "version": __version__,
-        "config_hash": cfg.config_hash(),
-        "platform": cfg.platform.value,
-        "ego_id": cfg.ego_id,
-        "dataset_counts": {str(no): len(datasets[no]) for no in CONTENT_DATASETS}
-        | {"5": len(members_raw)},
-        "flagged_non_english": flagged,
-        "mentions_harvested": len(sorted(set(mentions))),
-        "members_before_merge": len(members_raw),
-        "members_after_merge": len(members),
-    }
-
-    bundle = {
-        "version": __version__,
-        "config_hash": cfg.config_hash(),
-        "platform": cfg.platform.value,
-        "ego_id": cfg.ego_id,
-        "window": [cfg.window[0].isoformat(), cfg.window[1].isoformat()],
-        "members": [_member_to_dict(m) for m in members],
-        "documents": [d.to_dict() for d in clean_docs],
-        "report": report,
-    }
-    _write_json(cfg.out_dir / BUNDLE_NAME, bundle)
-    _write_json(cfg.out_dir / INGEST_REPORT_NAME, report)
-    log.info(
-        "ingested %d documents (%d flagged non-English), %d members",
-        len(clean_docs), flagged, len(members),
-    )
-    return IngestResult(clean_docs=clean_docs, members=members, report=report)
-
-
-def load_bundle(cfg: PipelineConfig) -> tuple[list[CleanDocument], list[InteractedMember]]:
-    path = cfg.out_dir / BUNDLE_NAME
-    if not path.is_file():
-        raise ConfigError(f"no ingested bundle at {path}; run the ingest command first")
-    bundle = json.loads(path.read_text(encoding="utf-8"))
-    docs = [CleanDocument.from_dict(d) for d in bundle["documents"]]
-    members = [_member_from_dict(m) for m in bundle["members"]]
-    return docs, members
-
-
-# --- rank -----------------------------------------------------------------------
-
-@dataclass
-class RankState:
-    """Everything the scoring stage needs, built once per run."""
-
-    buckets: dict[Bucket, list[TokenizedDoc]]
-    models: SimilarityModels
-    members: list[InteractedMember]
-    eligible: list[InteractedMember]
-
-
-def prepare_rank_state(
-    cfg: PipelineConfig,
-    clean_docs: list[CleanDocument],
-    members: list[InteractedMember],
-) -> RankState:
+def _label(
+    cfg: PipelineConfig, clean_docs: list[CleanDocument],
+) -> tuple[DocumentSet, dict[Bucket, list[TokenizedDoc]], list[str]]:
+    """Build the Document-Set, then classify and bucket it; returns the
+    buckets and the orphaned dependent documents too."""
     stop_words = load_stop_words(cfg.resources.get("stop_list"))
     lemmatizer = Lemmatizer.from_file(cfg.resources.get("lemma_dictionary"))
     document_set = build_document_set(clean_docs, stop_words=stop_words, lemmatizer=lemmatizer)
@@ -203,20 +139,148 @@ def prepare_rank_state(
         cfg.resources.get("negators"),
         cfg.resources.get("boosters"),
     )
-    labels, sentiments, _ = label_documents(document_set, model, analyzer)
-    buckets = assign_buckets(document_set, labels, sentiments)
+    labels, sentiments, orphans = label_documents(document_set, model, analyzer)
+    return document_set, assign_buckets(document_set, labels, sentiments), orphans
 
+
+def run_ingest(cfg: PipelineConfig) -> IngestResult:
+    """Load all datasets, preprocess, merge mentions, label and bucket every
+    document, and write the bundle."""
+    inputs = cfg.ingest_inputs()
+    spelling = (
+        load_spelling_dictionary(cfg.resources["spelling_dictionary"])
+        if cfg.resources.get("spelling_dictionary")
+        else None
+    )
+    english_vocab = load_english_words()
+
+    # One dataset's raw rows at a time, to keep ingest's memory peak down.
+    dataset_counts: dict[str, int] = {}
+    clean_docs: list[CleanDocument] = []
+    mentions: list[str] = []
+    for no in CONTENT_DATASETS:
+        owner = cfg.ego_id if no in EGO_DATASETS else None
+        docs = load_activity_csv(cfg.datasets[no], no, owner, window=cfg.window)
+        dataset_counts[str(no)] = len(docs)
+        for doc in docs:
+            clean = primary_preprocess(doc, spelling=spelling, english_vocab=english_vocab)
+            clean_docs.append(clean)
+            mentions.extend(clean.mentions)
+    members_raw = load_members_csv(cfg.datasets[5])
+    members = build_interaction_list(members_raw, mentions)
+    document_set, buckets, orphans = _label(cfg, clean_docs)
+
+    documents = document_set.documents
+    flagged = sum(1 for d in documents if d.flagged_non_english)
+    report = {
+        "version": __version__,
+        "config_hash": cfg.config_hash(),
+        "platform": cfg.platform.value,
+        "ego_id": cfg.ego_id,
+        "dataset_counts": dataset_counts | {"5": len(members_raw)},
+        "flagged_non_english": flagged,
+        "mentions_harvested": len(sorted(set(mentions))),
+        "members_before_merge": len(members_raw),
+        "members_after_merge": len(members),
+        "bucketed_docs": {str(bucket): len(docs) for bucket, docs in buckets.items()},
+        # Each unbucketed document under its first reason, in this order.
+        "unbucketed_docs": {
+            "non_english": flagged,
+            "inert": sum(1 for d in documents if d.inert and not d.flagged_non_english),
+            "orphan": len(orphans),
+        },
+    }
+
+    bucket_of = {doc.doc_id: str(bucket) for bucket, docs in buckets.items() for doc in docs}
+    bundle = {
+        "version": __version__,
+        "inputs": inputs,
+        "members": [_member_to_dict(m) for m in members],
+        # Tokens are [a-z0-9]+ runs, so joining them with spaces is lossless.
+        "documents": [
+            {"doc_id": d.doc_id, "owner_id": d.owner_id, "dataset_no": d.dataset_no,
+             "tokens": " ".join(d.tokens), "bucket": bucket_of.get(d.doc_id)}
+            for d in documents
+        ],
+        "report": report,
+    }
+    _write_json(cfg.out_dir / BUNDLE_NAME, bundle)
+    _write_json(cfg.out_dir / INGEST_REPORT_NAME, report)
+    log.info(
+        "ingested %d documents (%d flagged non-English, %d bucketed), %d members",
+        len(documents), flagged, len(bucket_of), len(members),
+    )
+    return IngestResult(members=members, document_set=document_set, buckets=buckets,
+                        inputs_digest=digest(inputs), report=report)
+
+
+def _fields(record: dict[str, Any], prefix: str = "") -> Iterator[tuple[str, Any]]:
+    """(dotted name, value) of each leaf of a nested record, in record order."""
+    for key, value in record.items():
+        if isinstance(value, dict):
+            yield from _fields(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+def load_bundle(cfg: PipelineConfig) -> IngestResult:
+    """Read the ingested corpus back, refusing a bundle that was ingested
+    from other inputs than the config names now."""
+    path = cfg.out_dir / BUNDLE_NAME
+    if not path.is_file():
+        raise ConfigError(f"no ingested bundle at {path}; run the ingest command first")
+    bundle = json.loads(path.read_text(encoding="utf-8"))
+    if "inputs" not in bundle:
+        raise ConfigError(f"{path} records no ingest inputs; run ingest again")
+    inputs = cfg.ingest_inputs()
+    saved = dict(_fields(bundle["inputs"]))
+    for name, value in _fields(inputs):
+        if saved.get(name) != value:
+            raise ConfigError(f"{path} was ingested with a different {name}; run ingest again")
+
+    by_name = {str(bucket): bucket for bucket in ALL_BUCKETS}
+    documents: list[TokenizedDoc] = []
+    buckets: dict[Bucket, list[TokenizedDoc]] = {bucket: [] for bucket in ALL_BUCKETS}
+    for record in bundle["documents"]:
+        # One string per distinct word, as build_document_set leaves them.
+        tokens = tuple(map(sys.intern, record["tokens"].split()))
+        doc = TokenizedDoc(doc_id=record["doc_id"], owner_id=record["owner_id"],
+                           dataset_no=record["dataset_no"], tokens=tokens)
+        documents.append(doc)
+        if record["bucket"] is not None:
+            buckets[by_name[record["bucket"]]].append(doc)
+    for docs in buckets.values():
+        docs.sort(key=lambda d: d.doc_id)  # the order assign_buckets gives
+    return IngestResult(
+        members=[_member_from_dict(m) for m in bundle["members"]],
+        document_set=DocumentSet(documents=documents),
+        buckets=buckets,
+        inputs_digest=digest(inputs),
+        report=bundle["report"],
+    )
+
+
+# --- rank -----------------------------------------------------------------------
+
+@dataclass
+class RankState:
+    """Everything the scoring stage needs, built once per run."""
+
+    buckets: dict[Bucket, list[TokenizedDoc]]
+    models: SimilarityModels
+    eligible: list[InteractedMember]
+
+
+def prepare_rank_state(cfg: PipelineConfig, ingest: IngestResult) -> RankState:
     embeddings_path = cfg.resources.get("embeddings")
     if embeddings_path is None:
         raise ConfigError("resources.embeddings must point at a word-vector file")
-    words = {w for docs in buckets.values() for doc in docs for w in doc.tokens}
+    words = {w for docs in ingest.buckets.values() for doc in docs for w in doc.tokens}
     vectors = load_word_vectors(embeddings_path, words)
-    models = SimilarityModels.build(document_set, vectors)
     return RankState(
-        buckets=buckets,
-        models=models,
-        members=members,
-        eligible=filter_eligible(members),
+        buckets=ingest.buckets,
+        models=SimilarityModels.build(ingest.document_set, vectors),
+        eligible=filter_eligible(ingest.members),
     )
 
 
@@ -231,7 +295,7 @@ def rank_one_bucket(cfg: PipelineConfig, state: RankState, bucket: Bucket) -> Me
     return rank_members(scores, state.eligible, bucket)
 
 
-def write_ranking_reports(cfg: PipelineConfig, ranking: MemberRanking) -> None:
+def write_ranking_reports(cfg: PipelineConfig, ranking: MemberRanking, inputs_digest: str) -> None:
     slug = _bucket_slug(ranking.bucket)
     out = cfg.out_dir
     with _replacing(out / f"ranking_{slug}.csv") as fh:
@@ -244,6 +308,7 @@ def write_ranking_reports(cfg: PipelineConfig, ranking: MemberRanking) -> None:
         "config_hash": cfg.config_hash(),
         "bucket": str(ranking.bucket),
         "normalization": cfg.normalization,
+        "inputs_digest": inputs_digest,
         "entries": [
             {"rank": i + 1, "member_id": e.member_id, "score": e.score, "best_doc_id": e.best_doc_id}
             for i, e in enumerate(ranking.entries)
@@ -254,29 +319,34 @@ def write_ranking_reports(cfg: PipelineConfig, ranking: MemberRanking) -> None:
 def run_rank(
     cfg: PipelineConfig,
     buckets: list[Bucket],
-    ingest_result: IngestResult | None = None,
+    ingest: IngestResult | None = None,
 ) -> dict[Bucket, MemberRanking]:
-    """Rank members for each of ``buckets`` and write the reports."""
-    if ingest_result is not None:
-        clean_docs, members = ingest_result.clean_docs, ingest_result.members
-    else:
-        clean_docs, members = load_bundle(cfg)
-    state = prepare_rank_state(cfg, clean_docs, members)
+    """Rank members for each of ``buckets`` and write the reports; without
+    ``ingest``, the labelled corpus is read from the bundle."""
+    if ingest is None:
+        ingest = load_bundle(cfg)
+    state = prepare_rank_state(cfg, ingest)
 
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         rankings = dict(zip(buckets, pool.map(lambda b: rank_one_bucket(cfg, state, b), buckets)))
     for bucket in buckets:
-        write_ranking_reports(cfg, rankings[bucket])
+        write_ranking_reports(cfg, rankings[bucket], ingest.inputs_digest)
     return rankings
 
 
 # --- targets --------------------------------------------------------------------
 
-def load_ranking_report(cfg: PipelineConfig, bucket: Bucket) -> MemberRanking | None:
+def load_ranking_report(cfg: PipelineConfig, bucket: Bucket,
+                        inputs_digest: str) -> MemberRanking | None:
+    """The saved ranking of ``bucket``; None when there is none, or when it
+    was made under another normalization or from other ingest inputs."""
     path = cfg.out_dir / f"ranking_{_bucket_slug(bucket)}.json"
     if not path.is_file():
         return None
     data = json.loads(path.read_text(encoding="utf-8"))
+    if (data.get("normalization"), data.get("inputs_digest")) != (cfg.normalization, inputs_digest):
+        log.info("%s was ranked from other inputs or normalization; ranking again", path)
+        return None
     entries = [
         RankEntry(e["member_id"], float(e["score"]), e["best_doc_id"])
         for e in data["entries"]
@@ -336,31 +406,31 @@ def validate_target_report(path: Path) -> None:
 def run_targets(
     cfg: PipelineConfig,
     rankings: dict[Bucket, MemberRanking] | None = None,
-    ingest_result: IngestResult | None = None,
+    ingest: IngestResult | None = None,
 ) -> dict[Bucket, TargetSelection]:
     """Select top-most influenceable targets for every requested bucket.
 
-    Without ``rankings``, saved rankings are read back and only the buckets
-    that have none on disk are ranked; saved rankings are not rewritten.
+    Without ``ingest``, the labelled corpus is read from the bundle. Without
+    ``rankings``, saved rankings are read back and only the buckets that
+    have none made from this corpus and normalization are ranked; saved
+    rankings that are current are not rewritten.
     """
     buckets = parse_bucket_filter(cfg.bucket)
+    if ingest is None:
+        ingest = load_bundle(cfg)
     if rankings is None:
         rankings = {}
         missing = []
         for bucket in buckets:
-            loaded = load_ranking_report(cfg, bucket)
+            loaded = load_ranking_report(cfg, bucket, ingest.inputs_digest)
             if loaded is None:
                 missing.append(bucket)
             else:
                 rankings[bucket] = loaded
         if missing:
-            rankings.update(run_rank(cfg, missing, ingest_result))
+            rankings.update(run_rank(cfg, missing, ingest))
 
-    if ingest_result is not None:
-        members = ingest_result.members
-    else:
-        _, members = load_bundle(cfg)
-    eligible = filter_eligible(members)
+    eligible = filter_eligible(ingest.members)
 
     selections: dict[Bucket, TargetSelection] = {}
     for bucket in buckets:
@@ -386,13 +456,13 @@ def run_targets(
             raise
         if not selection.effective:
             log.warning("bucket %s: every selected target was a default influencer", bucket)
-        write_target_reports(cfg, selection, members)
+        write_target_reports(cfg, selection, ingest.members)
         selections[bucket] = selection
     return selections
 
 
 def run_all(cfg: PipelineConfig) -> dict[Bucket, TargetSelection]:
     """ingest + rank + targets in one process."""
-    ingest_result = run_ingest(cfg)
-    rankings = run_rank(cfg, parse_bucket_filter(cfg.bucket), ingest_result)
-    return run_targets(cfg, rankings, ingest_result)
+    ingest = run_ingest(cfg)
+    rankings = run_rank(cfg, parse_bucket_filter(cfg.bucket), ingest)
+    return run_targets(cfg, rankings, ingest)

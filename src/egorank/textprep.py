@@ -48,29 +48,6 @@ class CleanDocument:
     mentions: tuple[str, ...]
     flagged_non_english: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "owner_id": self.owner_id,
-            "dataset_no": self.dataset_no,
-            "parent_doc_id": self.parent_doc_id,
-            "text": self.text,
-            "mentions": list(self.mentions),
-            "flagged_non_english": self.flagged_non_english,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CleanDocument":
-        return cls(
-            doc_id=data["doc_id"],
-            owner_id=data["owner_id"],
-            dataset_no=int(data["dataset_no"]),
-            parent_doc_id=data["parent_doc_id"],
-            text=data["text"],
-            mentions=tuple(data["mentions"]),
-            flagged_non_english=bool(data["flagged_non_english"]),
-        )
-
 
 def looks_english(text: str, english_vocab: Iterable[str] | None = None) -> bool:
     """Deterministic language heuristic: script check plus common-word ratio.

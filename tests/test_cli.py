@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from egorank import pipeline
+from egorank.classify import ALL_BUCKETS
 from egorank.cli import main
 from egorank.config import load_config
 from egorank.recommend import MemberRanking, RankEntry
@@ -99,6 +100,39 @@ class TestIngest:
         first = bundle.read_bytes()
         run_cli("ingest", "--config", str(synth_dir / "config.json"))
         assert bundle.read_bytes() == first
+
+    def test_report_counts_bucketed_and_unbucketed_docs(self, synth_dir, tmp_path, capsys):
+        corpus = tmp_path / "reasons"
+        shutil.copytree(synth_dir, corpus)
+        stamp = "0,0,en,2024-06-01T00:00:00+00:00"
+        with (corpus / "dataset_6.csv").open("a") as fh:
+            fh.write(f"px-ru,это совсем не английский текст,m001,m001,{stamp},\n")
+            fh.write(f"px-stop,the and of to,m001,m001,{stamp},\n")
+        with (corpus / "dataset_7.csv").open("a") as fh:
+            fh.write(f"px-re,great software love,m002,m002,{stamp},px-ru\n")
+        assert run_cli("ingest", "--config", str(corpus / "config.json")) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["unbucketed_docs"] == {"non_english": 1, "inert": 1, "orphan": 1}
+        assert report["flagged_non_english"] == 1
+        assert set(report["bucketed_docs"]) == {str(b) for b in ALL_BUCKETS}
+        content = sum(n for no, n in report["dataset_counts"].items() if no != "5")
+        assert sum(report["bucketed_docs"].values()) + 3 == content
+
+    def test_bundle_holds_tokens_and_buckets_as_ingest_returns_them(self, synth_dir, tmp_path):
+        cfg = load_config(synth_dir / "config.json", {"out_dir": str(tmp_path)})
+        ingested = pipeline.run_ingest(cfg)
+        bundle = json.loads((tmp_path / "bundle.json").read_text())
+        assert {key for d in bundle["documents"] for key in d} == {
+            "doc_id", "owner_id", "dataset_no", "tokens", "bucket"}
+        loaded = pipeline.load_bundle(cfg)
+
+        def shape(result):
+            docs = [(d.doc_id, d.owner_id, d.dataset_no, d.tokens)
+                    for d in result.document_set.documents]
+            buckets = {b: [d.doc_id for d in docs] for b, docs in result.buckets.items()}
+            return docs, buckets, result.members, result.inputs_digest, result.report
+
+        assert shape(loaded) == shape(ingested)
 
     def test_bad_row_exits_data_error(self, synth_dir, tmp_path, caplog):
         for case, (name, row) in enumerate([
@@ -215,6 +249,41 @@ class TestRank:
         assert code == 1
         assert any("workers must be >= 1" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("command", ["rank", "targets"])
+    @pytest.mark.parametrize("edit, argv, field", [
+        (lambda d: d.joinpath("dataset_6.csv").write_text(
+            d.joinpath("dataset_6.csv").read_text().replace("internet", "intranet", 1)),
+         (), "datasets.6"),
+        (lambda d: None, ("--since", "2024-03-01T00:00:00+00:00"), "window"),
+        (lambda d: d.joinpath("lemmas.tsv").write_text("runs\trun\n"),
+         ("--lemma-dictionary", "LEMMAS"), "resources.lemma_dictionary"),
+    ], ids=["dataset_content", "since", "lemma_dictionary"])
+    def test_stale_bundle_exits_config_error(self, synth_dir, tmp_path, caplog,
+                                             command, edit, argv, field):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(synth_dir, corpus)
+        config = str(corpus / "config.json")
+        assert run_cli("ingest", "--config", config) == 0
+        edit(corpus)
+        argv = [str(corpus / "lemmas.tsv") if a == "LEMMAS" else a for a in argv]
+        with caplog.at_level("ERROR"):
+            code = run_cli(command, "--config", config, *argv)
+        assert code == 1
+        assert any(f"bundle.json was ingested with a different {field};" in r.message
+                   for r in caplog.records)
+
+    def test_rank_reads_labels_from_the_bundle(self, synth_dir, tmp_path, monkeypatch):
+        config = str(synth_dir / "config.json")
+        assert run_cli("ingest", "--config", config, "--out-dir", str(tmp_path)) == 0
+
+        def relabel(*args, **kwargs):
+            raise AssertionError("rank relabelled the corpus")
+
+        for name in ("build_document_set", "label_documents", "train_category_classifier"):
+            monkeypatch.setattr(pipeline, name, relabel)
+        assert run_cli("rank", "--config", config, "--out-dir", str(tmp_path)) == 0
+        assert len(list(tmp_path.glob("ranking_*.json"))) == 10
+
     def test_failed_write_keeps_previous_report(self, synth_dir, tmp_path):
         class Unprintable(float):
             def __repr__(self):
@@ -223,12 +292,12 @@ class TestRank:
         cfg = load_config(synth_dir / "config.json", {"out_dir": str(tmp_path)})
         ranking = MemberRanking(bucket=pipeline.parse_bucket_filter("Sports/Negative")[0],
                                 entries=[RankEntry("m1", 2.0, "d6-a"), RankEntry("m2", 1.0, "d6-b")])
-        pipeline.write_ranking_reports(cfg, ranking)
+        pipeline.write_ranking_reports(cfg, ranking, "0" * 64)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         # the second row fails after the header and the first row were written
         ranking.entries[1] = RankEntry("m2", Unprintable(1.0), "d6-b")
         with pytest.raises(RuntimeError, match="disk went away"):
-            pipeline.write_ranking_reports(cfg, ranking)
+            pipeline.write_ranking_reports(cfg, ranking, "0" * 64)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
@@ -290,6 +359,35 @@ class TestTargets:
             assert path.stat().st_mtime_ns == 10**9, path.name
         assert len(list(out.glob("ranking_*.json"))) == 10
 
+    def test_targets_reranks_under_a_new_normalization(self, synth_dir, tmp_path):
+        config = str(synth_dir / "config.json")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert run_cli("run", "--config", config, "--out-dir", str(out),
+                       "--normalization", "raw") == 0
+        assert run_cli("targets", "--config", config, "--out-dir", str(out),
+                       "--normalization", "mean") == 0
+        assert run_cli("run", "--config", config, "--out-dir", str(fresh),
+                       "--normalization", "mean") == 0
+        for path in sorted(out.glob("ranking_*.json")):
+            assert json.loads(path.read_text())["normalization"] == "mean", path.name
+        for path in sorted(fresh.glob("ranking_*")) + sorted(fresh.glob("targets_*")):
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_targets_reranks_after_a_new_ingest(self, synth_dir, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(synth_dir, corpus)
+        config = str(corpus / "config.json")
+        assert run_cli("run", "--config", config) == 0
+        ranking = corpus / "out" / "ranking_Technology_Positive.json"
+        before = json.loads(ranking.read_text())["inputs_digest"]
+        dataset = corpus / "dataset_6.csv"
+        dataset.write_text(dataset.read_text().replace("internet", "intranet"))
+        assert run_cli("ingest", "--config", config) == 0
+        assert run_cli("targets", "--config", config) == 0
+        after = json.loads(ranking.read_text())["inputs_digest"]
+        assert after != before
+        assert after == pipeline.load_bundle(load_config(config)).inputs_digest
+
     def test_targets_without_ingest_is_config_error(self, synth_dir, tmp_path):
         code = run_cli("targets", "--config", str(synth_dir / "config.json"),
                        "--out-dir", str(tmp_path / "nothing"))
@@ -313,6 +411,31 @@ class TestRun:
         assert set(serial_files) == set(parallel_files)
         for name in serial_files:
             assert serial_files[name] == parallel_files[name], name
+
+    def test_staged_schedule_matches_run(self, synth_dir, tmp_path):
+        config = str(synth_dir / "config.json")
+        whole, staged = tmp_path / "whole", tmp_path / "staged"
+        assert run_cli("run", "--config", config, "--out-dir", str(whole)) == 0
+        assert run_cli("ingest", "--config", config, "--out-dir", str(staged)) == 0
+        for bucket in ALL_BUCKETS:
+            assert run_cli("rank", "--config", config, "--out-dir", str(staged),
+                           "--bucket", str(bucket)) == 0
+        assert run_cli("targets", "--config", config, "--out-dir", str(staged),
+                       "--bucket", "all") == 0
+        reports = sorted(p.name for p in whole.iterdir()
+                         if p.name.startswith(("ranking_", "targets_")))
+        assert reports == sorted(p.name for p in staged.iterdir()
+                                 if p.name.startswith(("ranking_", "targets_")))
+        assert any(name.startswith("targets_") for name in reports)
+        for name in reports:
+            if name.endswith(".csv"):
+                assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
+                continue
+            # config_hash covers the bucket filter, which the two schedules set apart
+            expected, got = (json.loads((d / name).read_text()) for d in (whole, staged))
+            expected.pop("config_hash")
+            got.pop("config_hash")
+            assert got == expected, name
 
     def test_blas_thread_count_does_not_change_reports(self, tmp_path):
         # dim 300 puts the word-vector products above the size at which a BLAS

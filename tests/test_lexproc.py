@@ -149,6 +149,21 @@ class TestBuildDocumentSet:
             expected = [lemmatizer.lemmatize(t) for t in raw if t not in stop_words]
             assert list(doc.tokens) == expected
 
+    def test_each_distinct_token_is_lemmatized_once(self, stop_words, lemmatizer):
+        calls = []
+
+        class Counting(Lemmatizer):
+            def lemmatize(self, token):
+                calls.append(token)
+                return super().lemmatize(token)
+
+        docs = [clean_doc("d1-a", "cats ran, cats ran."), clean_doc("d1-b", "the cats won.")]
+        ds = build_document_set(docs, stop_words=stop_words,
+                                lemmatizer=Counting(resources.load_lemma_table()))
+        assert sorted(calls) == ["cats", "ran", "won"]
+        cats, ran, won = (lemmatizer.lemmatize(t) for t in ("cats", "ran", "won"))
+        assert [d.tokens for d in ds.documents] == [(cats, ran, cats, ran), (cats, won)]
+
     def test_owner_attribution_preserved(self, stop_words, lemmatizer):
         docs = [
             clean_doc("d1-a", "goal match", owner="ego"),
