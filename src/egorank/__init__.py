@@ -18,4 +18,3 @@ from .corpus import (  # noqa: F401
     Platform,
 )
 from .errors import EgorankError  # noqa: F401
-from .synth import Corpus, generate_synthetic_corpus  # noqa: F401

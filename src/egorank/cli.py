@@ -16,7 +16,6 @@ from . import __version__
 from .config import load_config
 from .errors import ConfigError, DataError, EgorankError
 from .pipeline import parse_bucket_filter, run_all, run_ingest, run_rank, run_targets
-from .synth import synth
 
 log = logging.getLogger(__name__)
 
@@ -89,6 +88,8 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import synth  # here, not at the top: no other command needs it
+
     out = Path(args.out)
     truth = synth(
         out,

@@ -117,7 +117,13 @@ def digest(record: Mapping[str, Any]) -> str:
 
 
 def _file_sha256(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    # In 1 MiB blocks: a whole embeddings file read at once would add its
+    # size to the process's peak memory.
+    sha = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            sha.update(block)
+    return sha.hexdigest()
 
 
 def _as_path(value: Any, base: Path, name: str) -> Path | None:

@@ -4,9 +4,10 @@ The stages compose: ingest loads the nine datasets, preprocesses them,
 builds the Document-Set, classifies and buckets every document, and writes
 the labelled corpus to a bundle under a fingerprint of what it read; rank
 reads the bundle back (refusing one ingested from other inputs), builds
-the similarity models and scores; targets applies the selection algorithm
-to a ranking. Outputs are deterministic: the same config and inputs give
-byte-identical files.
+the similarity models for the requested buckets and scores; targets applies
+the selection algorithm to a ranking, reusing a saved one only if it was
+made from the same bundle, embeddings and normalization. Outputs are
+deterministic: the same config and inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .classify import (
     label_documents,
     train_category_classifier,
 )
-from .config import PipelineConfig, digest
+from .config import PipelineConfig, _file_sha256, digest
 from .corpus import (
     CONTENT_DATASETS,
     EGO_DATASETS,
@@ -204,7 +205,9 @@ def run_ingest(cfg: PipelineConfig) -> IngestResult:
         ],
         "report": report,
     }
-    _write_json(cfg.out_dir / BUNDLE_NAME, bundle)
+    with _replacing(cfg.out_dir / BUNDLE_NAME) as fh:
+        # Compact, so that json encodes it in C; indent=2 would not.
+        fh.write(json.dumps(bundle, sort_keys=True, separators=(",", ":")) + "\n")
     _write_json(cfg.out_dir / INGEST_REPORT_NAME, report)
     log.info(
         "ingested %d documents (%d flagged non-English, %d bucketed), %d members",
@@ -271,15 +274,32 @@ class RankState:
     eligible: list[InteractedMember]
 
 
-def prepare_rank_state(cfg: PipelineConfig, ingest: IngestResult) -> RankState:
-    embeddings_path = cfg.resources.get("embeddings")
-    if embeddings_path is None:
+def _embeddings_path(cfg: PipelineConfig) -> Path:
+    path = cfg.resources.get("embeddings")
+    if path is None:
         raise ConfigError("resources.embeddings must point at a word-vector file")
-    words = {w for docs in ingest.buckets.values() for doc in docs for w in doc.tokens}
-    vectors = load_word_vectors(embeddings_path, words)
+    return path
+
+
+def _ranking_provenance(cfg: PipelineConfig, ingest: IngestResult) -> dict[str, str]:
+    """What a saved ranking records it was made from, and must match to be
+    reused: the normalization, the ingest inputs and the embeddings file."""
+    return {
+        "normalization": cfg.normalization,
+        "inputs_digest": ingest.inputs_digest,
+        "embeddings_sha256": _file_sha256(_embeddings_path(cfg)),
+    }
+
+
+def prepare_rank_state(cfg: PipelineConfig, ingest: IngestResult,
+                       buckets: list[Bucket]) -> RankState:
+    """Word vectors, counts and tf-idf lengths for the documents of ``buckets``
+    only; idf still spans every non-inert document."""
+    docs = [doc for bucket in buckets for doc in ingest.buckets[bucket]]
+    vectors = load_word_vectors(_embeddings_path(cfg), {w for doc in docs for w in doc.tokens})
     return RankState(
         buckets=ingest.buckets,
-        models=SimilarityModels.build(ingest.document_set, vectors),
+        models=SimilarityModels.build(ingest.document_set, vectors, docs),
         eligible=filter_eligible(ingest.members),
     )
 
@@ -295,7 +315,8 @@ def rank_one_bucket(cfg: PipelineConfig, state: RankState, bucket: Bucket) -> Me
     return rank_members(scores, state.eligible, bucket)
 
 
-def write_ranking_reports(cfg: PipelineConfig, ranking: MemberRanking, inputs_digest: str) -> None:
+def write_ranking_reports(cfg: PipelineConfig, ranking: MemberRanking,
+                          provenance: dict[str, str]) -> None:
     slug = _bucket_slug(ranking.bucket)
     out = cfg.out_dir
     with _replacing(out / f"ranking_{slug}.csv") as fh:
@@ -307,8 +328,7 @@ def write_ranking_reports(cfg: PipelineConfig, ranking: MemberRanking, inputs_di
         "version": __version__,
         "config_hash": cfg.config_hash(),
         "bucket": str(ranking.bucket),
-        "normalization": cfg.normalization,
-        "inputs_digest": inputs_digest,
+        **provenance,
         "entries": [
             {"rank": i + 1, "member_id": e.member_id, "score": e.score, "best_doc_id": e.best_doc_id}
             for i, e in enumerate(ranking.entries)
@@ -320,32 +340,38 @@ def run_rank(
     cfg: PipelineConfig,
     buckets: list[Bucket],
     ingest: IngestResult | None = None,
+    provenance: dict[str, str] | None = None,
 ) -> dict[Bucket, MemberRanking]:
     """Rank members for each of ``buckets`` and write the reports; without
-    ``ingest``, the labelled corpus is read from the bundle."""
+    ``ingest``, the labelled corpus is read from the bundle, and without
+    ``provenance``, it is worked out here."""
     if ingest is None:
         ingest = load_bundle(cfg)
-    state = prepare_rank_state(cfg, ingest)
+    if provenance is None:
+        provenance = _ranking_provenance(cfg, ingest)
+    state = prepare_rank_state(cfg, ingest, buckets)
 
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         rankings = dict(zip(buckets, pool.map(lambda b: rank_one_bucket(cfg, state, b), buckets)))
     for bucket in buckets:
-        write_ranking_reports(cfg, rankings[bucket], ingest.inputs_digest)
+        write_ranking_reports(cfg, rankings[bucket], provenance)
     return rankings
 
 
 # --- targets --------------------------------------------------------------------
 
 def load_ranking_report(cfg: PipelineConfig, bucket: Bucket,
-                        inputs_digest: str) -> MemberRanking | None:
-    """The saved ranking of ``bucket``; None when there is none, or when it
-    was made under another normalization or from other ingest inputs."""
+                        provenance: dict[str, str]) -> MemberRanking | None:
+    """The saved ranking of ``bucket``; None when there is none, or when its
+    provenance differs: another normalization, other ingest inputs or
+    other embeddings."""
     path = cfg.out_dir / f"ranking_{_bucket_slug(bucket)}.json"
     if not path.is_file():
         return None
     data = json.loads(path.read_text(encoding="utf-8"))
-    if (data.get("normalization"), data.get("inputs_digest")) != (cfg.normalization, inputs_digest):
-        log.info("%s was ranked from other inputs or normalization; ranking again", path)
+    if any(data.get(key) != value for key, value in provenance.items()):
+        log.info("%s was ranked from other inputs, embeddings or normalization; "
+                 "ranking again", path)
         return None
     entries = [
         RankEntry(e["member_id"], float(e["score"]), e["best_doc_id"])
@@ -412,8 +438,8 @@ def run_targets(
 
     Without ``ingest``, the labelled corpus is read from the bundle. Without
     ``rankings``, saved rankings are read back and only the buckets that
-    have none made from this corpus and normalization are ranked; saved
-    rankings that are current are not rewritten.
+    have none made from this corpus, embeddings and normalization are
+    ranked; saved rankings that are current are not rewritten.
     """
     buckets = parse_bucket_filter(cfg.bucket)
     if ingest is None:
@@ -421,14 +447,15 @@ def run_targets(
     if rankings is None:
         rankings = {}
         missing = []
+        provenance = _ranking_provenance(cfg, ingest)  # hashes the embeddings once
         for bucket in buckets:
-            loaded = load_ranking_report(cfg, bucket, ingest.inputs_digest)
+            loaded = load_ranking_report(cfg, bucket, provenance)
             if loaded is None:
                 missing.append(bucket)
             else:
                 rankings[bucket] = loaded
         if missing:
-            rankings.update(run_rank(cfg, missing, ingest))
+            rankings.update(run_rank(cfg, missing, ingest, provenance))
 
     eligible = filter_eligible(ingest.members)
 

@@ -23,8 +23,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .classify import Bucket
 from .corpus import EGO_DATASETS, InteractedMember
 from .errors import EmptyBucketError
@@ -63,32 +61,6 @@ class MemberRanking:
     entries: list[RankEntry]
 
 
-def _matrix(rows: Sequence[Mapping[str, float]], columns: Sequence[str]) -> np.ndarray:
-    """Dense rows x columns matrix of the given per-row word weights."""
-    index = {word: col for col, word in enumerate(columns)}
-    out = np.zeros((len(rows), len(columns)))
-    for r, row in enumerate(rows):
-        for word, value in row.items():
-            col = index.get(word)
-            if col is not None:
-                out[r, col] = value
-    return out
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b summed by numpy's own loops: BLAS rounds differently with its
-    thread count and with where a row falls in the matrix."""
-    return np.einsum("ij,jk->ik", a, b)
-
-
-def _tfidf_rows(models: SimilarityModels, docs: Sequence[TokenizedDoc],
-                terms: Sequence[str]) -> np.ndarray:
-    """Unit tf-idf rows over the given terms: count * idf / the doc's tf-idf length."""
-    idf = np.array([models.idf[w] for w in terms])
-    lengths = np.array([models.lengths[doc.doc_id] for doc in docs])
-    return _matrix([models.counts[doc.doc_id] for doc in docs], terms) * idf / lengths[:, None]
-
-
 def score_bucket(
     docs: Sequence[TokenizedDoc],
     models: SimilarityModels,
@@ -103,6 +75,8 @@ def score_bucket(
     index over all key documents (ties going to the lowest key doc id).
     Raises EmptyBucketError naming the side that has no documents.
     """
+    import numpy as np  # here, not at the top: only scoring needs numpy
+
     keys = [doc for doc in docs if doc.dataset_no in EGO_DATASETS]
     targets = [doc for doc in docs if doc.dataset_no not in EGO_DATASETS]
     if not keys:
@@ -112,12 +86,35 @@ def score_bucket(
 
     unit, index = models.vectors.unit, models.vectors.index
     counts = models.counts
+
+    def matrix(rows: Sequence[Mapping[str, float]], columns: Sequence[str]) -> np.ndarray:
+        """Dense rows x columns matrix of the given per-row word weights."""
+        col_of = {word: col for col, word in enumerate(columns)}
+        out = np.zeros((len(rows), len(columns)))
+        for r, row in enumerate(rows):
+            for word, value in row.items():
+                col = col_of.get(word)
+                if col is not None:
+                    out[r, col] = value
+        return out
+
+    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b summed by numpy's own loops: BLAS rounds differently with its
+        thread count and with where a row falls in the matrix."""
+        return np.einsum("ij,jk->ik", a, b)
+
+    def tfidf_rows(docs: Sequence[TokenizedDoc], terms: Sequence[str]) -> np.ndarray:
+        """Unit tf-idf rows over the given terms: count * idf / the doc's tf-idf length."""
+        idf = np.array([models.idf[w] for w in terms])
+        lengths = np.array([models.lengths[doc.doc_id] for doc in docs])
+        return matrix([counts[doc.doc_id] for doc in docs], terms) * idf / lengths[:, None]
+
     key_terms = sorted({w for doc in keys for w in doc.tokens})
     key_words = [w for w in key_terms if w in index]
     unit_k = unit[[index[w] for w in key_words]]
-    counts_k = _matrix([counts[doc.doc_id] for doc in keys], key_words)
+    counts_k = matrix([counts[doc.doc_id] for doc in keys], key_words)
     ones_k = (counts_k > 0).astype(np.float64)
-    tfidf_k = _tfidf_rows(models, keys, key_terms)
+    tfidf_k = tfidf_rows(keys, key_terms)
 
     # Twin targets (equal bags of words) share one stand-in column, so they
     # score bit for bit alike and exact ties break as in the oracle.
@@ -128,16 +125,16 @@ def score_bucket(
     for start in range(0, len(distinct), BLOCK_ROWS):
         block = distinct[start:start + BLOCK_ROWS]
         words = sorted({w for doc in block for w in doc.tokens if w in index})
-        counts_t = _matrix([counts[doc.doc_id] for doc in block], words)
+        counts_t = matrix([counts[doc.doc_id] for doc in block], words)
         ones_t = (counts_t > 0).astype(np.float64)
         similarity = 1.0 / np.maximum(
-            1.0 - _product(unit_k, unit[[index[w] for w in words]].T), DISTANCE_FLOOR)
-        sum_n = (_product(_product(counts_k, similarity), ones_t.T)
-                 + _product(_product(ones_k, similarity), counts_t.T))
+            1.0 - product(unit_k, unit[[index[w] for w in words]].T), DISTANCE_FLOOR)
+        sum_n = (product(product(counts_k, similarity), ones_t.T)
+                 + product(product(ones_k, similarity), counts_t.T))
         if normalization is Normalization.MEAN:
             pairs = np.outer(ones_k.sum(axis=1), ones_t.sum(axis=1))
             sum_n = np.divide(sum_n, pairs, out=np.zeros_like(sum_n), where=pairs > 0)
-        ti_cs = _product(tfidf_k, _tfidf_rows(models, block, key_terms).T)
+        ti_cs = product(tfidf_k, tfidf_rows(block, key_terms).T)
         r_plus = sum_n * ti_cs
         # argmax keeps the first maximum: ties go to the lowest key doc id.
         for col, (doc, row) in enumerate(zip(block, r_plus.argmax(axis=0))):

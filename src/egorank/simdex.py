@@ -20,9 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection
-
-import numpy as np
+from typing import TYPE_CHECKING, Collection, Iterable
 
 from .errors import (
     BadHeaderError,
@@ -31,7 +29,10 @@ from .errors import (
     EmptyCorpusError,
     ZeroVectorError,
 )
-from .lexproc import DocumentSet
+from .lexproc import DocumentSet, TokenizedDoc
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Lower clamp for cosine distance between word vectors.
 DISTANCE_FLOOR = 1e-6
@@ -53,6 +54,8 @@ def load_word_vectors(path: str | Path, words: Collection[str]) -> WordVectorSto
     Only the rows of ``words`` are parsed as numbers, and those must be
     finite and not all zero; a bad number elsewhere is never read.
     """
+    import numpy as np  # here, not at the top: only scoring needs numpy
+
     path = Path(path)
     seen: set[str] = set()
     rows: list[list[float]] = []
@@ -99,9 +102,10 @@ class SimilarityModels:
     """Word vectors, per-document token counts and smoothed idf, shared by scoring.
 
     idf(w) = ln((1 + N) / (1 + df(w))) + 1 over the N non-inert documents,
-    so no idf is zero and single-document corpora still work. ``lengths``
-    holds the raw tf-idf L2 length of each non-inert document; its tf-idf
-    row is count(w) * idf(w) / length. Inert documents get empty counts.
+    so no idf is zero and single-document corpora still work. ``counts`` and
+    ``lengths`` cover the scored documents (by default all of them):
+    ``lengths`` holds the raw tf-idf L2 length of each non-inert one, whose
+    tf-idf row is count(w) * idf(w) / length. Inert documents get empty counts.
     """
 
     vectors: WordVectorStore
@@ -110,18 +114,22 @@ class SimilarityModels:
     lengths: dict[str, float]
 
     @classmethod
-    def build(cls, document_set: DocumentSet, vectors: WordVectorStore) -> "SimilarityModels":
-        counts = {d.doc_id: Counter(d.tokens) for d in document_set.documents}
-        non_inert = [doc_id for doc_id, row in counts.items() if row]
-        if not non_inert:
-            raise EmptyCorpusError()
+    def build(cls, document_set: DocumentSet, vectors: WordVectorStore,
+              scored: Iterable[TokenizedDoc] | None = None) -> "SimilarityModels":
         df: Counter = Counter()
-        for doc_id in non_inert:
-            df.update(counts[doc_id].keys())
-        n = len(non_inert)
+        n = 0
+        for doc in document_set.documents:
+            if doc.tokens:
+                df.update(set(doc.tokens))
+                n += 1
+        if not n:
+            raise EmptyCorpusError()
         idf = {w: math.log((1 + n) / (1 + df[w])) + 1.0 for w in df}
-        lengths: dict[str, float] = {}
-        for doc_id in non_inert:
-            row = counts[doc_id]
-            lengths[doc_id] = math.sqrt(sum(x * x for x in (row[w] * idf[w] for w in sorted(row))))
+        if scored is None:
+            scored = document_set.documents
+        counts = {d.doc_id: Counter(d.tokens) for d in scored}
+        lengths = {
+            doc_id: math.sqrt(sum(x * x for x in (row[w] * idf[w] for w in sorted(row))))
+            for doc_id, row in counts.items() if row
+        }
         return cls(vectors=vectors, counts=counts, idf=idf, lengths=lengths)

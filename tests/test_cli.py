@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -292,12 +293,12 @@ class TestRank:
         cfg = load_config(synth_dir / "config.json", {"out_dir": str(tmp_path)})
         ranking = MemberRanking(bucket=pipeline.parse_bucket_filter("Sports/Negative")[0],
                                 entries=[RankEntry("m1", 2.0, "d6-a"), RankEntry("m2", 1.0, "d6-b")])
-        pipeline.write_ranking_reports(cfg, ranking, "0" * 64)
+        pipeline.write_ranking_reports(cfg, ranking, {"inputs_digest": "0" * 64})
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         # the second row fails after the header and the first row were written
         ranking.entries[1] = RankEntry("m2", Unprintable(1.0), "d6-b")
         with pytest.raises(RuntimeError, match="disk went away"):
-            pipeline.write_ranking_reports(cfg, ranking, "0" * 64)
+            pipeline.write_ranking_reports(cfg, ranking, {"inputs_digest": "0" * 64})
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
@@ -388,6 +389,27 @@ class TestTargets:
         assert after != before
         assert after == pipeline.load_bundle(load_config(config)).inputs_digest
 
+    def test_targets_reranks_under_new_embeddings(self, synth_dir, tmp_path):
+        corpus, fresh = tmp_path / "corpus", tmp_path / "fresh"
+        shutil.copytree(synth_dir, corpus)
+        config = str(corpus / "config.json")
+        assert run_cli("run", "--config", config) == 0
+        # the same words, each given the next word's vector
+        embeddings = corpus / "embeddings.txt"
+        header, *rows = embeddings.read_text().splitlines()
+        words = [row.split(" ", 1)[0] for row in rows]
+        vectors = [row.split(" ", 1)[1] for row in rows]
+        embeddings.write_text("\n".join([header] + [
+            f"{word} {vector}" for word, vector in zip(words, vectors[1:] + vectors[:1])]) + "\n")
+        new_sha256 = hashlib.sha256(embeddings.read_bytes()).hexdigest()
+        assert run_cli("targets", "--config", config) == 0
+        assert run_cli("run", "--config", config, "--out-dir", str(fresh)) == 0
+        out = corpus / "out"
+        for path in sorted(fresh.glob("ranking_*.json")):
+            assert json.loads((out / path.name).read_text())["embeddings_sha256"] == new_sha256
+        for path in sorted(fresh.glob("ranking_*")) + sorted(fresh.glob("targets_*")):
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
     def test_targets_without_ingest_is_config_error(self, synth_dir, tmp_path):
         code = run_cli("targets", "--config", str(synth_dir / "config.json"),
                        "--out-dir", str(tmp_path / "nothing"))
@@ -466,3 +488,37 @@ class TestRun:
 
     def test_missing_config_exits_one(self):
         assert main(["rank", "--config", "/nonexistent/config.json"]) == 1
+
+
+# Runs egorank's CLI and reports, when the interpreter exits, which of the
+# modules that only scoring and the synth command need were loaded.
+IMPORT_PROBE = """
+import atexit, sys
+atexit.register(lambda: print("loaded:", *sorted(
+    m for m in ("numpy", "egorank.synth") if m in sys.modules), file=sys.stderr))
+from egorank.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestStartup:
+    @staticmethod
+    def loaded(*argv):
+        env = dict(os.environ,
+                   PYTHONPATH=str(SRC_DIR) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        (line,) = [ln for ln in proc.stderr.splitlines() if ln.startswith("loaded:")]
+        return line.split()[1:]
+
+    def test_only_scoring_imports_numpy(self, synth_dir, tmp_path):
+        config = str(synth_dir / "config.json")
+        out = tmp_path / "out"
+        assert self.loaded("--version") == []
+        assert self.loaded("ingest", "--config", config, "--out-dir", str(out)) == []
+        assert "numpy" in self.loaded("rank", "--config", config, "--out-dir", str(out),
+                                      "--bucket", "all")
+        assert self.loaded("targets", "--config", config, "--out-dir", str(out),
+                           "--bucket", "all") == []
+        assert len(list(out.glob("targets_*.json"))) > 0
