@@ -19,16 +19,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import DEPENDENT_DATASETS, INDEPENDENT_DATASETS
-from .errors import (
-    DependentDatasetError,
-    MissingCategoryError,
-    MissingLexiconError,
-    OrphanDocumentError,
-)
+from .errors import DependentDatasetError, MissingCategoryError, MissingLexiconError
 from .lexproc import DocumentSet, TokenizedDoc
 
 log = logging.getLogger(__name__)
@@ -160,13 +154,6 @@ def classify_category(doc: TokenizedDoc, model: CategoryClassifier) -> Category:
     return _argmax_category(model.posteriors(doc.tokens))
 
 
-def inherit_category(doc: TokenizedDoc, parent_labels: Mapping[str, Category]) -> Category:
-    """The parent post's category, for a dependent document."""
-    if doc.parent_doc_id is None or doc.parent_doc_id not in parent_labels:
-        raise OrphanDocumentError(doc.doc_id)
-    return parent_labels[doc.parent_doc_id]
-
-
 class SentimentAnalyzer:
     """Lexicon-and-rule sentiment over punctuated, pre-stop-removal text.
 
@@ -188,20 +175,6 @@ class SentimentAnalyzer:
         self._lexicon = dict(lexicon)
         self._negators = frozenset(negators)
         self._boosters = frozenset(boosters)
-
-    @classmethod
-    def from_files(
-        cls,
-        lexicon_path: str | Path | None = None,
-        negators_path: str | Path | None = None,
-        boosters_path: str | Path | None = None,
-    ) -> "SentimentAnalyzer":
-        from .resources import load_boosters, load_negators, load_sentiment_lexicon
-        return cls(
-            load_sentiment_lexicon(lexicon_path),
-            load_negators(negators_path),
-            load_boosters(boosters_path),
-        )
 
     def score(self, text: str) -> SentimentResult:
         tokens = _WORD.findall(text.lower())
@@ -250,11 +223,11 @@ def label_documents(
             sentiments[doc.doc_id] = analyzer.score(doc.text)
     for doc in document_set.documents:
         if doc.dataset_no in DEPENDENT_DATASETS and eligible(doc):
-            try:
-                labels[doc.doc_id] = inherit_category(doc, labels)
-            except OrphanDocumentError:
+            parent = labels.get(doc.parent_doc_id)
+            if parent is None:
                 skipped.append(doc.doc_id)
                 continue
+            labels[doc.doc_id] = parent
             sentiments[doc.doc_id] = analyzer.score(doc.text)
     if skipped:
         log.warning(

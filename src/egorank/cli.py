@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage/config error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -15,7 +14,14 @@ from pathlib import Path
 from . import __version__
 from .config import load_config
 from .errors import ConfigError, DataError, EgorankError
-from .pipeline import parse_bucket_filter, run_all, run_ingest, run_rank, run_targets
+from .pipeline import (
+    INGEST_REPORT_NAME,
+    parse_bucket_filter,
+    run_all,
+    run_ingest,
+    run_rank,
+    run_targets,
+)
 
 log = logging.getLogger(__name__)
 
@@ -79,14 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides_from_args(args: argparse.Namespace) -> dict:
-    keys = ("platform", "ego_id", "bucket", "n_it", "threshold", "normalization",
-            "allow_small", "out_dir", "workers", "since", "until",
-            "stop_list", "lemma_dictionary", "sentiment_lexicon", "negators",
-            "boosters", "spelling_dictionary", "embeddings", "labeled_seed")
-    return {k: getattr(args, k, None) for k in keys}
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     from .synth import synth  # here, not at the top: no other command needs it
 
@@ -121,10 +119,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "synth":
             return cmd_synth(args)
-        cfg = load_config(args.config, _overrides_from_args(args))
+        # apply_overrides reads only the flag names it knows
+        cfg = load_config(args.config, vars(args))
         if args.command == "ingest":
-            result = run_ingest(cfg)
-            print(json.dumps(result.report, indent=2, sort_keys=True))
+            run_ingest(cfg)
+            sys.stdout.write((cfg.out_dir / INGEST_REPORT_NAME).read_text(encoding="utf-8"))
         elif args.command == "rank":
             rankings = run_rank(cfg, parse_bucket_filter(cfg.bucket))
             for bucket, ranking in rankings.items():

@@ -48,29 +48,6 @@ class PipelineConfig:
     out_dir: Path = Path("out")
     workers: int = 1
 
-    def canonical_dict(self) -> dict[str, Any]:
-        # Only result-affecting fields: out_dir and workers change where and
-        # how fast outputs are produced, never what they contain, so they
-        # stay out of the provenance hash.
-        return {
-            "platform": self.platform.value,
-            "ego_id": self.ego_id,
-            "datasets": {str(no): str(p) for no, p in sorted(self.datasets.items())},
-            "window": [self.window[0].isoformat(), self.window[1].isoformat()],
-            "resources": {
-                key: (str(self.resources.get(key)) if self.resources.get(key) else None)
-                for key in RESOURCE_KEYS
-            },
-            "bucket": self.bucket,
-            "n_it": self.n_it,
-            "threshold": self.threshold,
-            "normalization": self.normalization,
-            "allow_small": self.allow_small,
-        }
-
-    def config_hash(self) -> str:
-        return digest(self.canonical_dict())[:16]
-
     def ingest_inputs(self) -> dict[str, Any]:
         """What ingest reads, files by content: the bundle's provenance.
 

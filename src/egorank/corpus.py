@@ -89,7 +89,6 @@ class Document:
     owner_id: str
     text: str
     dataset_no: int
-    activity_type: ActivityType
     parent_doc_id: str | None
     time: datetime
 
@@ -215,7 +214,6 @@ def load_activity_csv(
                 owner_id=owner_id if owner_id is not None else user_id,
                 text=rec["content"],
                 dataset_no=dataset_no,
-                activity_type=DATASET_ACTIVITY[dataset_no],
                 parent_doc_id=f"d{parent_dataset}-{parent_raw}" if dependent else None,
                 time=time,
             ))

@@ -122,12 +122,6 @@ class DependentDatasetError(EgorankError):
         )
 
 
-class OrphanDocumentError(DataError):
-    def __init__(self, doc_id: str):
-        self.doc_id = doc_id
-        super().__init__(f"document {doc_id!r} has no labeled parent to inherit from")
-
-
 # --- scoring ------------------------------------------------------------------
 
 class EmptyBucketError(EgorankError):

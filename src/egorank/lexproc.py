@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MissingLemmaDictionaryError, MissingStopListError
@@ -84,11 +83,6 @@ class Lemmatizer:
             raise MissingLemmaDictionaryError()
         self._table = dict(table)
         self._lemmas = frozenset(self._table.values())
-
-    @classmethod
-    def from_file(cls, path: str | Path | None = None) -> "Lemmatizer":
-        from .resources import load_lemma_table
-        return cls(load_lemma_table(path))
 
     def lemmatize(self, token: str) -> str:
         hit = self._table.get(token)

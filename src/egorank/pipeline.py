@@ -55,7 +55,15 @@ from .lexproc import (
     tokenize,
 )
 from .recommend import MemberRanking, Normalization, RankEntry, rank_members, score_bucket
-from .resources import load_english_words, load_labeled_seed, load_stop_words
+from .resources import (
+    load_boosters,
+    load_english_words,
+    load_labeled_seed,
+    load_lemma_table,
+    load_negators,
+    load_sentiment_lexicon,
+    load_stop_words,
+)
 from .simdex import SimilarityModels, load_word_vectors
 from .targets import TargetSelection, filter_eligible, top_most
 from .textprep import CleanDocument, load_spelling_dictionary, primary_preprocess
@@ -75,7 +83,6 @@ class IngestResult:
     document_set: DocumentSet  # every document: idf spans all the non-inert ones
     buckets: dict[Bucket, list[TokenizedDoc]]  # each in doc id order
     inputs_digest: str  # config.digest of the ingest inputs: each ranking's provenance
-    report: dict
 
 
 def parse_bucket_filter(value: str) -> list[Bucket]:
@@ -125,7 +132,7 @@ def _label(
     """Build the Document-Set, then classify and bucket it; returns the
     buckets and the orphaned dependent documents too."""
     stop_words = load_stop_words(cfg.resources.get("stop_list"))
-    lemmatizer = Lemmatizer.from_file(cfg.resources.get("lemma_dictionary"))
+    lemmatizer = Lemmatizer(load_lemma_table(cfg.resources.get("lemma_dictionary")))
     document_set = build_document_set(clean_docs, stop_words=stop_words, lemmatizer=lemmatizer)
 
     seed_rows = load_labeled_seed(cfg.resources.get("labeled_seed"))
@@ -135,10 +142,10 @@ def _label(
         labeled.append((tokens, category))
     model = train_category_classifier(labeled)
 
-    analyzer = SentimentAnalyzer.from_files(
-        cfg.resources.get("sentiment_lexicon"),
-        cfg.resources.get("negators"),
-        cfg.resources.get("boosters"),
+    analyzer = SentimentAnalyzer(
+        load_sentiment_lexicon(cfg.resources.get("sentiment_lexicon")),
+        load_negators(cfg.resources.get("negators")),
+        load_boosters(cfg.resources.get("boosters")),
     )
     labels, sentiments, orphans = label_documents(document_set, model, analyzer)
     return document_set, assign_buckets(document_set, labels, sentiments), orphans
@@ -175,7 +182,6 @@ def run_ingest(cfg: PipelineConfig) -> IngestResult:
     flagged = sum(1 for d in documents if d.flagged_non_english)
     report = {
         "version": __version__,
-        "config_hash": cfg.config_hash(),
         "platform": cfg.platform.value,
         "ego_id": cfg.ego_id,
         "dataset_counts": dataset_counts | {"5": len(members_raw)},
@@ -203,7 +209,6 @@ def run_ingest(cfg: PipelineConfig) -> IngestResult:
              "tokens": " ".join(d.tokens), "bucket": bucket_of.get(d.doc_id)}
             for d in documents
         ],
-        "report": report,
     }
     with _replacing(cfg.out_dir / BUNDLE_NAME) as fh:
         # Compact, so that json encodes it in C; indent=2 would not.
@@ -214,7 +219,7 @@ def run_ingest(cfg: PipelineConfig) -> IngestResult:
         len(documents), flagged, len(bucket_of), len(members),
     )
     return IngestResult(members=members, document_set=document_set, buckets=buckets,
-                        inputs_digest=digest(inputs), report=report)
+                        inputs_digest=digest(inputs))
 
 
 def _fields(record: dict[str, Any], prefix: str = "") -> Iterator[tuple[str, Any]]:
@@ -259,20 +264,10 @@ def load_bundle(cfg: PipelineConfig) -> IngestResult:
         document_set=DocumentSet(documents=documents),
         buckets=buckets,
         inputs_digest=digest(inputs),
-        report=bundle["report"],
     )
 
 
 # --- rank -----------------------------------------------------------------------
-
-@dataclass
-class RankState:
-    """Everything the scoring stage needs, built once per run."""
-
-    buckets: dict[Bucket, list[TokenizedDoc]]
-    models: SimilarityModels
-    eligible: list[InteractedMember]
-
 
 def _embeddings_path(cfg: PipelineConfig) -> Path:
     path = cfg.resources.get("embeddings")
@@ -291,28 +286,15 @@ def _ranking_provenance(cfg: PipelineConfig, ingest: IngestResult) -> dict[str, 
     }
 
 
-def prepare_rank_state(cfg: PipelineConfig, ingest: IngestResult,
-                       buckets: list[Bucket]) -> RankState:
-    """Word vectors, counts and tf-idf lengths for the documents of ``buckets``
-    only; idf still spans every non-inert document."""
-    docs = [doc for bucket in buckets for doc in ingest.buckets[bucket]]
-    vectors = load_word_vectors(_embeddings_path(cfg), {w for doc in docs for w in doc.tokens})
-    return RankState(
-        buckets=ingest.buckets,
-        models=SimilarityModels.build(ingest.document_set, vectors, docs),
-        eligible=filter_eligible(ingest.members),
-    )
-
-
-def rank_one_bucket(cfg: PipelineConfig, state: RankState, bucket: Bucket) -> MemberRanking:
+def rank_one_bucket(cfg: PipelineConfig, bucket: Bucket, docs: list[TokenizedDoc],
+                    models: SimilarityModels, eligible: list[InteractedMember]) -> MemberRanking:
     """Score one bucket; an empty side yields an empty ranking plus a warning."""
-    normalization = Normalization(cfg.normalization)
     try:
-        scores = score_bucket(state.buckets[bucket], state.models, normalization=normalization)
+        scores = score_bucket(docs, models, normalization=Normalization(cfg.normalization))
     except EmptyBucketError as exc:
         log.warning("bucket %s: %s; writing empty ranking", bucket, exc)
         return MemberRanking(bucket=bucket, entries=[])
-    return rank_members(scores, state.eligible, bucket)
+    return rank_members(scores, eligible, bucket)
 
 
 def write_ranking_reports(cfg: PipelineConfig, ranking: MemberRanking,
@@ -326,7 +308,6 @@ def write_ranking_reports(cfg: PipelineConfig, ranking: MemberRanking,
             writer.writerow([position, entry.member_id, repr(entry.score), entry.best_doc_id])
     _write_json(out / f"ranking_{slug}.json", {
         "version": __version__,
-        "config_hash": cfg.config_hash(),
         "bucket": str(ranking.bucket),
         **provenance,
         "entries": [
@@ -344,15 +325,25 @@ def run_rank(
 ) -> dict[Bucket, MemberRanking]:
     """Rank members for each of ``buckets`` and write the reports; without
     ``ingest``, the labelled corpus is read from the bundle, and without
-    ``provenance``, it is worked out here."""
+    ``provenance``, it is worked out here.
+
+    Word vectors, counts and tf-idf lengths are built for the documents of
+    ``buckets`` only; idf still spans every non-inert document.
+    """
     if ingest is None:
         ingest = load_bundle(cfg)
     if provenance is None:
         provenance = _ranking_provenance(cfg, ingest)
-    state = prepare_rank_state(cfg, ingest, buckets)
+    docs = [doc for bucket in buckets for doc in ingest.buckets[bucket]]
+    vectors = load_word_vectors(_embeddings_path(cfg), {w for doc in docs for w in doc.tokens})
+    models = SimilarityModels.build(ingest.document_set, vectors, docs)
+    eligible = filter_eligible(ingest.members)
+
+    def rank(bucket: Bucket) -> MemberRanking:
+        return rank_one_bucket(cfg, bucket, ingest.buckets[bucket], models, eligible)
 
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        rankings = dict(zip(buckets, pool.map(lambda b: rank_one_bucket(cfg, state, b), buckets)))
+        rankings = dict(zip(buckets, pool.map(rank, buckets)))
     for bucket in buckets:
         write_ranking_reports(cfg, rankings[bucket], provenance)
     return rankings
@@ -402,9 +393,9 @@ def write_target_reports(cfg: PipelineConfig, selection: TargetSelection,
     json_path = out / f"targets_{slug}.json"
     _write_json(json_path, {
         "version": __version__,
-        "config_hash": cfg.config_hash(),
         "bucket": str(selection.bucket),
         "n_it": selection.n_it,
+        "threshold": cfg.threshold,  # decides defaults_removed
         "d_it": selection.d_it,
         "effective_count": selection.n_it - selection.d_it,
         "selected": list(selection.selected),

@@ -272,8 +272,7 @@ def generate_synthetic_corpus(
                                senti_words, tokens_per_doc)
         doc = Document(
             doc_id=doc_id, owner_id=owner, text=text, dataset_no=dataset_no,
-            activity_type=DATASET_ACTIVITY[dataset_no], parent_doc_id=parent,
-            time=next_time(),
+            parent_doc_id=parent, time=next_time(),
         )
         datasets[dataset_no].append(doc)
         doc_labels[doc_id] = bucket

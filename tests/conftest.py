@@ -30,12 +30,13 @@ def stop_words():
 
 @pytest.fixture(scope="session")
 def lemmatizer():
-    return Lemmatizer.from_file()
+    return Lemmatizer(resources.load_lemma_table())
 
 
 @pytest.fixture(scope="session")
 def analyzer():
-    return SentimentAnalyzer.from_files()
+    return SentimentAnalyzer(resources.load_sentiment_lexicon(), resources.load_negators(),
+                             resources.load_boosters())
 
 
 @pytest.fixture(scope="session")

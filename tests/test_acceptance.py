@@ -262,7 +262,7 @@ def test_criterion_5_preprocessing_idempotence(stop_words, lemmatizer):
 
         doc = Document(
             doc_id=f"d1-p{i}", owner_id="ego", text=text, dataset_no=1,
-            activity_type=ActivityType.POST, parent_doc_id=None, time=when,
+            parent_doc_id=None, time=when,
         )
         clean = primary_preprocess(doc, english_vocab=english)
         if not ALPHABET_OK.match(clean.text):
@@ -288,7 +288,7 @@ def build_planted_pipeline():
     )
     truth = corpus.synthetic_truth
     stops = resources.load_stop_words()
-    lemmatizer = Lemmatizer.from_file()
+    lemmatizer = Lemmatizer(resources.load_lemma_table())
     english = resources.load_english_words()
     clean = [primary_preprocess(d, english_vocab=english)
              for docs in corpus.datasets.values() for d in docs]
@@ -300,7 +300,8 @@ def build_planted_pipeline():
         tokens = [lemmatizer.lemmatize(t) for t in remove_stop_words(tokenize(text.lower()), stops)]
         labeled.append((tokens, cat))
     model = train_category_classifier(labeled)
-    analyzer = SentimentAnalyzer.from_files()
+    analyzer = SentimentAnalyzer(resources.load_sentiment_lexicon(), resources.load_negators(),
+                                 resources.load_boosters())
     labels, sentiments, _ = label_documents(ds, model, analyzer)
     buckets = assign_buckets(ds, labels, sentiments)
     vocab = sorted({t for d in ds.documents for t in d.tokens})

@@ -13,16 +13,10 @@ from egorank.classify import (
     SentimentClass,
     assign_buckets,
     classify_category,
-    inherit_category,
     label_documents,
     train_category_classifier,
 )
-from egorank.errors import (
-    DependentDatasetError,
-    MissingCategoryError,
-    MissingLexiconError,
-    OrphanDocumentError,
-)
+from egorank.errors import DependentDatasetError, MissingCategoryError, MissingLexiconError
 from egorank.lexproc import DocumentSet, TokenizedDoc
 
 CATS = list(Category)
@@ -168,18 +162,24 @@ class TestClassifyCategory:
 
 
 class TestInheritCategory:
-    def test_copy_from_parent(self):
-        parent_label = {"d1-p": None}
+    def test_copy_from_parent(self, analyzer):
         labeled, _ = singleton_training()
         model = train_category_classifier(labeled)
-        parent_label["d1-p"] = classify_category(tdoc("d1-p", ["vote", "law"]), model)
-        child = tdoc("d3-c", ["whatever"], dataset_no=3, parent="d1-p")
-        assert inherit_category(child, parent_label) is Category.POLITICS
+        docs = [tdoc("d1-p", ["vote", "law"]),
+                tdoc("d3-c", ["whatever"], dataset_no=3, parent="d1-p")]
+        labels, _, skipped = label_documents(DocumentSet(documents=docs), model, analyzer)
+        assert labels["d1-p"] is Category.POLITICS
+        assert labels["d3-c"] is Category.POLITICS
+        assert skipped == []
 
-    def test_orphan(self):
-        child = tdoc("d3-c", ["x"], dataset_no=3, parent="d1-missing")
-        with pytest.raises(OrphanDocumentError):
-            inherit_category(child, {})
+    def test_orphan(self, analyzer):
+        labeled, _ = singleton_training()
+        model = train_category_classifier(labeled)
+        docs = [tdoc("d3-c", ["x"], dataset_no=3, parent="d1-missing"),
+                tdoc("d8-c", ["x"], dataset_no=8, parent=None)]
+        labels, sentiments, skipped = label_documents(DocumentSet(documents=docs), model, analyzer)
+        assert skipped == ["d3-c", "d8-c"]
+        assert labels == {} and sentiments == {}
 
 
 class TestSentiment:

@@ -52,7 +52,9 @@ class TestSynth:
 class TestIngest:
     def test_report_lists_all_dataset_counts(self, synth_dir, capsys):
         assert run_cli("ingest", "--config", str(synth_dir / "config.json")) == 0
-        report = json.loads(capsys.readouterr().out)
+        printed = capsys.readouterr().out
+        assert printed == (synth_dir / "out" / "ingest_report.json").read_text()
+        report = json.loads(printed)
         assert set(report["dataset_counts"]) == {str(n) for n in range(1, 10)}
         member_side = sum(int(report["dataset_counts"][str(n)]) for n in (6, 7, 8, 9))
         assert member_side == 24 * 8
@@ -123,6 +125,7 @@ class TestIngest:
         cfg = load_config(synth_dir / "config.json", {"out_dir": str(tmp_path)})
         ingested = pipeline.run_ingest(cfg)
         bundle = json.loads((tmp_path / "bundle.json").read_text())
+        assert set(bundle) == {"version", "inputs", "members", "documents"}
         assert {key for d in bundle["documents"] for key in d} == {
             "doc_id", "owner_id", "dataset_no", "tokens", "bucket"}
         loaded = pipeline.load_bundle(cfg)
@@ -131,7 +134,7 @@ class TestIngest:
             docs = [(d.doc_id, d.owner_id, d.dataset_no, d.tokens)
                     for d in result.document_set.documents]
             buckets = {b: [d.doc_id for d in docs] for b, docs in result.buckets.items()}
-            return docs, buckets, result.members, result.inputs_digest, result.report
+            return docs, buckets, result.members, result.inputs_digest
 
         assert shape(loaded) == shape(ingested)
 
@@ -203,7 +206,8 @@ class TestRank:
         assert first[0] == "1"
         json_path = synth_dir / "out" / "ranking_Technology_Positive.json"
         report = json.loads(json_path.read_text())
-        assert "config_hash" in report and "version" in report
+        assert set(report) == {"version", "bucket", "normalization", "inputs_digest",
+                               "embeddings_sha256", "entries"}
         assert report["entries"][0]["rank"] == 1
 
     def test_scores_non_increasing(self, synth_dir):
@@ -450,14 +454,33 @@ class TestRun:
                                  if p.name.startswith(("ranking_", "targets_")))
         assert any(name.startswith("targets_") for name in reports)
         for name in reports:
-            if name.endswith(".csv"):
-                assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
-                continue
-            # config_hash covers the bucket filter, which the two schedules set apart
-            expected, got = (json.loads((d / name).read_text()) for d in (whole, staged))
-            expected.pop("config_hash")
-            got.pop("config_hash")
-            assert got == expected, name
+            assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
+
+    def test_files_depend_only_on_what_produced_them(self, synth_dir, tmp_path):
+        # ingest reads none of n_it, threshold and bucket, and rank does not
+        # read threshold, so setting them must not change a byte they write
+        config = str(synth_dir / "config.json")
+        plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+        assert run_cli("ingest", "--config", config, "--out-dir", str(plain)) == 0
+        assert run_cli("ingest", "--config", config, "--out-dir", str(flagged), "--n-it", "60",
+                       "--threshold", "9", "--bucket", "Sports/Negative") == 0
+        for name in ("bundle.json", "ingest_report.json"):
+            assert (flagged / name).read_bytes() == (plain / name).read_bytes(), name
+        assert "config_hash" not in (plain / "ingest_report.json").read_text()
+        assert run_cli("rank", "--config", config, "--out-dir", str(plain)) == 0
+        assert run_cli("rank", "--config", config, "--out-dir", str(flagged),
+                       "--threshold", "9") == 0
+        rankings = sorted(p.name for p in plain.glob("ranking_*"))
+        assert len(rankings) == 20
+        assert rankings == sorted(p.name for p in flagged.glob("ranking_*"))
+        for name in rankings:
+            assert (flagged / name).read_bytes() == (plain / name).read_bytes(), name
+        # the threshold decides defaults_removed, so the targets JSON records it
+        assert run_cli("targets", "--config", config, "--out-dir", str(flagged),
+                       "--threshold", "9") == 0
+        report = json.loads((flagged / "targets_Technology_Positive.json").read_text())
+        assert report["threshold"] == 9
+        assert "config_hash" not in report
 
     def test_blas_thread_count_does_not_change_reports(self, tmp_path):
         # dim 300 puts the word-vector products above the size at which a BLAS

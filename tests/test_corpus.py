@@ -51,7 +51,6 @@ class TestLoadActivityCsv:
         assert doc.doc_id == "d1-p1"
         assert doc.owner_id == "ego"
         assert doc.dataset_no == 1
-        assert doc.activity_type is ActivityType.POST
         assert doc.parent_doc_id is None
 
     def test_missing_user_id_is_bad_row(self, tmp_path):

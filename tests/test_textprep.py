@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egorank.corpus import ActivityType, Document
+from egorank.corpus import Document
 from egorank.textprep import (
     extract_mentions,
     load_spelling_dictionary,
@@ -29,7 +29,6 @@ def make_doc(text, dataset_no=1, parent=None):
         owner_id="ego",
         text=text,
         dataset_no=dataset_no,
-        activity_type=ActivityType.POST,
         parent_doc_id=parent,
         time=datetime(2024, 6, 1, tzinfo=timezone.utc),
     )
