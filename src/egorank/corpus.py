@@ -156,16 +156,14 @@ def load_activity_csv(
     path: str | Path,
     dataset_no: int,
     owner_id: str | None = None,
-    *,
-    window: tuple[datetime, datetime] | None = None,
 ) -> list[Document]:
     """Load one activity CSV into a list of Documents, in file order.
 
     ``owner_id``, when given, attributes every document in the file to that
     user (a single-user activity log, as for the ego-side datasets 1-4).
     Without it each row's ``user_id`` is the owner, so member-side datasets
-    6-9 may live in one multi-owner file. Rows timestamped outside
-    ``window`` are dropped.
+    6-9 may live in one multi-owner file. Every valid row is kept; ingest
+    applies the time window.
     """
     if dataset_no not in CONTENT_DATASETS:
         raise BadParamsError(f"dataset_no must be one of {CONTENT_DATASETS}, got {dataset_no}")
@@ -207,8 +205,6 @@ def load_activity_csv(
             if not dependent and parent_raw:
                 raise BadRowError(
                     path, row_no, f"dataset {dataset_no} must leave parent_post_id empty")
-            if window is not None and not (window[0] <= time <= window[1]):
-                continue
             docs.append(Document(
                 doc_id=f"d{dataset_no}-{post_id}",
                 owner_id=owner_id if owner_id is not None else user_id,

@@ -124,12 +124,6 @@ class DependentDatasetError(EgorankError):
 
 # --- scoring ------------------------------------------------------------------
 
-class EmptyBucketError(EgorankError):
-    def __init__(self, side: str):
-        self.side = side
-        super().__init__(f"no {side} documents")
-
-
 class EmptyCorpusError(DataError):
     def __init__(self) -> None:
         super().__init__("no non-inert documents to index")

@@ -1,13 +1,16 @@
 """End-to-end orchestration shared by the CLI commands.
 
-The stages compose: ingest loads the nine datasets, preprocesses them,
-builds the Document-Set, classifies and buckets every document, and writes
-the labelled corpus to a bundle under a fingerprint of what it read; rank
-reads the bundle back (refusing one ingested from other inputs), builds
-the similarity models for the requested buckets and scores; targets applies
-the selection algorithm to a ranking, reusing a saved one only if it was
-made from the same bundle, embeddings and normalization. Outputs are
-deterministic: the same config and inputs give byte-identical files.
+The stages compose: ingest loads the nine datasets, keeps the rows inside
+the time window (counting the others), preprocesses them, builds the
+Document-Set, classifies and buckets every document, and writes the
+labelled corpus to a bundle under a fingerprint of what it read; rank
+reads the bundle back (refusing one ingested from other inputs), gives a
+requested bucket with no ego or no member documents its empty ranking,
+and loads word vectors and builds the similarity models for the other
+requested buckets only, and scores them; targets applies the selection
+algorithm to a ranking, reusing a saved one only if it was made from the
+same bundle, embeddings and normalization. Outputs are deterministic: the
+same config and inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .corpus import (
     _member_from_dict,
     _member_to_dict,
 )
-from .errors import ConfigError, EmptyBucketError, RankingTooSmallError
+from .errors import ConfigError, RankingTooSmallError
 from .lexproc import (
     DocumentSet,
     Lemmatizer,
@@ -163,13 +166,17 @@ def run_ingest(cfg: PipelineConfig) -> IngestResult:
     english_vocab = load_english_words()
 
     # One dataset's raw rows at a time, to keep ingest's memory peak down.
+    since, until = cfg.window
     dataset_counts: dict[str, int] = {}
+    window_dropped: dict[str, int] = {}
     clean_docs: list[CleanDocument] = []
     mentions: list[str] = []
     for no in CONTENT_DATASETS:
         owner = cfg.ego_id if no in EGO_DATASETS else None
-        docs = load_activity_csv(cfg.datasets[no], no, owner, window=cfg.window)
+        loaded = load_activity_csv(cfg.datasets[no], no, owner)
+        docs = [doc for doc in loaded if since <= doc.time <= until]
         dataset_counts[str(no)] = len(docs)
+        window_dropped[str(no)] = len(loaded) - len(docs)
         for doc in docs:
             clean = primary_preprocess(doc, spelling=spelling, english_vocab=english_vocab)
             clean_docs.append(clean)
@@ -185,6 +192,7 @@ def run_ingest(cfg: PipelineConfig) -> IngestResult:
         "platform": cfg.platform.value,
         "ego_id": cfg.ego_id,
         "dataset_counts": dataset_counts | {"5": len(members_raw)},
+        "window_dropped": window_dropped,
         "flagged_non_english": flagged,
         "mentions_harvested": len(sorted(set(mentions))),
         "members_before_merge": len(members_raw),
@@ -286,15 +294,14 @@ def _ranking_provenance(cfg: PipelineConfig, ingest: IngestResult) -> dict[str, 
     }
 
 
-def rank_one_bucket(cfg: PipelineConfig, bucket: Bucket, docs: list[TokenizedDoc],
-                    models: SimilarityModels, eligible: list[InteractedMember]) -> MemberRanking:
-    """Score one bucket; an empty side yields an empty ranking plus a warning."""
-    try:
-        scores = score_bucket(docs, models, normalization=Normalization(cfg.normalization))
-    except EmptyBucketError as exc:
-        log.warning("bucket %s: %s; writing empty ranking", bucket, exc)
-        return MemberRanking(bucket=bucket, entries=[])
-    return rank_members(scores, eligible, bucket)
+def _empty_side(docs: list[TokenizedDoc]) -> str | None:
+    """The side of a bucket that has no documents, the ego's first; None
+    when both have some and the bucket can be scored."""
+    if not any(doc.dataset_no in EGO_DATASETS for doc in docs):
+        return "ego"
+    if all(doc.dataset_no in EGO_DATASETS for doc in docs):
+        return "member"
+    return None
 
 
 def write_ranking_reports(cfg: PipelineConfig, ranking: MemberRanking,
@@ -327,26 +334,43 @@ def run_rank(
     ``ingest``, the labelled corpus is read from the bundle, and without
     ``provenance``, it is worked out here.
 
-    Word vectors, counts and tf-idf lengths are built for the documents of
-    ``buckets`` only; idf still spans every non-inert document.
+    A bucket with no ego or no member documents gets an empty ranking and a
+    warning, and nothing is loaded for it. Word vectors, counts and tf-idf
+    lengths are built for the documents of the other buckets only; idf
+    still spans every non-inert document. When no bucket is left to score,
+    the embeddings file is still checked for structure, but no row is
+    parsed and no model is built.
     """
     if ingest is None:
         ingest = load_bundle(cfg)
     if provenance is None:
         provenance = _ranking_provenance(cfg, ingest)
-    docs = [doc for bucket in buckets for doc in ingest.buckets[bucket]]
+    rankings: dict[Bucket, MemberRanking] = {}
+    scored: list[Bucket] = []
+    for bucket in buckets:
+        side = _empty_side(ingest.buckets[bucket])
+        if side is None:
+            scored.append(bucket)
+        else:
+            log.warning("bucket %s: no %s documents; writing empty ranking", bucket, side)
+            rankings[bucket] = MemberRanking(bucket=bucket, entries=[])
+
+    docs = [doc for bucket in scored for doc in ingest.buckets[bucket]]
     vectors = load_word_vectors(_embeddings_path(cfg), {w for doc in docs for w in doc.tokens})
-    models = SimilarityModels.build(ingest.document_set, vectors, docs)
-    eligible = filter_eligible(ingest.members)
+    if scored:
+        models = SimilarityModels.build(ingest.document_set, vectors, docs)
+        eligible = filter_eligible(ingest.members)
+        normalization = Normalization(cfg.normalization)
 
-    def rank(bucket: Bucket) -> MemberRanking:
-        return rank_one_bucket(cfg, bucket, ingest.buckets[bucket], models, eligible)
+        def rank(bucket: Bucket) -> MemberRanking:
+            scores = score_bucket(ingest.buckets[bucket], models, normalization=normalization)
+            return rank_members(scores, eligible, bucket)
 
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        rankings = dict(zip(buckets, pool.map(rank, buckets)))
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            rankings.update(zip(scored, pool.map(rank, scored)))
     for bucket in buckets:
         write_ranking_reports(cfg, rankings[bucket], provenance)
-    return rankings
+    return {bucket: rankings[bucket] for bucket in buckets}
 
 
 # --- targets --------------------------------------------------------------------

@@ -5,7 +5,9 @@ and a member's target document in one (category, sentiment) bucket
 contributes (count_key + count_target) / distance, with distance the cosine
 distance of the two word vectors floored at 1e-6. The pair sum times the
 documents' tf-idf cosine is the target's recommendation index; a target keeps
-its best key document, and a member is ranked by their best target.
+its best key document, and a member is ranked by their best target. Only a
+bucket with both ego and member documents is scored: any other ranks no
+one, and ``pipeline.run_rank`` writes its empty ranking without scoring it.
 
 The pair sum is the soft cosine of Sidorov et al. (2014) in bilinear form:
 with Ê the unit word vectors (rows of the store's matrix, normalised once
@@ -25,7 +27,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .classify import Bucket
 from .corpus import EGO_DATASETS, InteractedMember
-from .errors import EmptyBucketError
 from .lexproc import TokenizedDoc
 from .simdex import DISTANCE_FLOOR, SimilarityModels
 
@@ -70,19 +71,16 @@ def score_bucket(
     """Score every member document of one bucket against the ego's key docs.
 
     ``docs`` is one bucket as ``classify.assign_buckets`` returns it: in doc
-    id order, and none inert, so every doc has a tf-idf length. Ego datasets
-    give the key docs, the others the targets. Each target keeps the maximum
-    index over all key documents (ties going to the lowest key doc id).
-    Raises EmptyBucketError naming the side that has no documents.
+    id order, none inert, so every doc has a tf-idf length, and holding both
+    key and target docs (``pipeline.run_rank`` gives a bucket with an empty
+    side its empty ranking without scoring it). Ego datasets give the key
+    docs, the others the targets. Each target keeps the maximum index over
+    all key documents (ties going to the lowest key doc id).
     """
     import numpy as np  # here, not at the top: only scoring needs numpy
 
     keys = [doc for doc in docs if doc.dataset_no in EGO_DATASETS]
     targets = [doc for doc in docs if doc.dataset_no not in EGO_DATASETS]
-    if not keys:
-        raise EmptyBucketError("ego")
-    if not targets:
-        raise EmptyBucketError("member")
 
     unit, index = models.vectors.unit, models.vectors.index
     counts = models.counts

@@ -9,9 +9,10 @@ score very high instead of dividing by zero.
 
 The word vectors come from a text-format embedding file. Every row of it is
 checked for structure (component count, repeated word), but only the rows
-of the words the bucketed documents hold are parsed as numbers, checked
-finite and non-zero (a zero vector's cosine is undefined), and normalised
-once, into one matrix.
+of the words the scored buckets' documents hold are parsed as numbers,
+checked finite and non-zero (a zero vector's cosine is undefined), and
+normalised once, into one matrix. When no bucket is scored, no row is
+parsed and numpy is not imported.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ DISTANCE_FLOOR = 1e-6
 
 @dataclass
 class WordVectorStore:
-    """Unit-length word vectors: row ``index[word]`` of ``unit``."""
+    """Unit-length word vectors: row ``index[word]`` of ``unit``. ``unit``
+    is None when no word was asked for, as nothing is scored then."""
 
-    unit: np.ndarray
+    unit: np.ndarray | None
     index: dict[str, int]
 
 
@@ -52,10 +54,9 @@ def load_word_vectors(path: str | Path, words: Collection[str]) -> WordVectorSto
 
     Every row must have ``dim`` components and a word not seen before.
     Only the rows of ``words`` are parsed as numbers, and those must be
-    finite and not all zero; a bad number elsewhere is never read.
+    finite and not all zero; a bad number elsewhere is never read. With no
+    ``words``, only the structure is checked.
     """
-    import numpy as np  # here, not at the top: only scoring needs numpy
-
     path = Path(path)
     seen: set[str] = set()
     rows: list[list[float]] = []
@@ -93,6 +94,10 @@ def load_word_vectors(path: str | Path, words: Collection[str]) -> WordVectorSto
                 raise ZeroVectorError(path, row_no, word)
             index[word] = len(rows)
             rows.append(vec)
+    if not words:
+        return WordVectorStore(unit=None, index=index)
+    import numpy as np  # here, not at the top: only scoring needs numpy
+
     vectors = np.array(rows, dtype=np.float64).reshape(-1, dim)
     return WordVectorStore(unit=vectors / np.linalg.norm(vectors, axis=1)[:, None], index=index)
 

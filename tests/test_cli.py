@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ from egorank import pipeline
 from egorank.classify import ALL_BUCKETS
 from egorank.cli import main
 from egorank.config import load_config
+from egorank.corpus import CONTENT_DATASETS, EGO_DATASETS, parse_timestamp
 from egorank.recommend import MemberRanking, RankEntry
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -30,6 +32,13 @@ def synth_dir(tmp_path_factory):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def bucket_without_ego(out):
+    """A bucket in which the ingested bundle at ``out`` holds no ego document."""
+    bundle = json.loads((out / "bundle.json").read_text())
+    ego = {d["bucket"] for d in bundle["documents"] if d["dataset_no"] in EGO_DATASETS}
+    return next(str(b) for b in ALL_BUCKETS if str(b) not in ego)
 
 
 class TestSynth:
@@ -120,6 +129,29 @@ class TestIngest:
         assert set(report["bucketed_docs"]) == {str(b) for b in ALL_BUCKETS}
         content = sum(n for no, n in report["dataset_counts"].items() if no != "5")
         assert sum(report["bucketed_docs"].values()) + 3 == content
+
+    def test_window_drops_rows_on_both_sides_and_counts_them(self, synth_dir, tmp_path, capsys):
+        since, until = "2024-01-10T00:00:00+00:00", "2024-05-01T00:00:00+00:00"
+        out = tmp_path / "windowed"
+        assert run_cli("ingest", "--config", str(synth_dir / "config.json"), "--out-dir", str(out),
+                       "--since", since, "--until", until) == 0
+        report = json.loads(capsys.readouterr().out)
+        low, high = parse_timestamp(since), parse_timestamp(until)
+        kept, early, late = set(), 0, 0
+        for no in CONTENT_DATASETS:
+            with (synth_dir / f"dataset_{no}.csv").open(newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            times = [parse_timestamp(row["time"]) for row in rows]
+            early += sum(t < low for t in times)
+            late += sum(t > high for t in times)
+            inside = [row for row, t in zip(rows, times) if low <= t <= high]
+            kept |= {f"d{no}-{row['post_id']}" for row in inside}
+            assert report["dataset_counts"][str(no)] == len(inside), no
+            assert report["window_dropped"][str(no)] == len(rows) - len(inside), no
+        assert early and late, "expected synth rows on both sides of the window"
+        assert set(report["window_dropped"]) == {str(no) for no in CONTENT_DATASETS}
+        bundle = json.loads((out / "bundle.json").read_text())
+        assert {d["doc_id"] for d in bundle["documents"]} == kept
 
     def test_bundle_holds_tokens_and_buckets_as_ingest_returns_them(self, synth_dir, tmp_path):
         cfg = load_config(synth_dir / "config.json", {"out_dir": str(tmp_path)})
@@ -228,6 +260,76 @@ class TestRank:
         slug = first.replace("/", "_")
         lines = (synth_dir / "out" / f"ranking_{slug}.csv").read_text().splitlines()
         assert lines == ["rank,member_id,score,best_doc_id"]
+
+    def test_empty_bucket_sides(self, synth_dir, tmp_path, caplog):
+        config = str(synth_dir / "config.json")
+        out = tmp_path / "sides"
+        assert run_cli("ingest", "--config", config, "--out-dir", str(out)) == 0
+        # Rewrite the bundle so that one bucket holds a single ego document
+        # and another a single member document.
+        bundle_path = out / "bundle.json"
+        bundle = json.loads(bundle_path.read_text())
+        ego_only, member_only = "Sports/Negative", "Politics/Negative"
+        for doc in bundle["documents"]:
+            if doc["bucket"] in (ego_only, member_only):
+                doc["bucket"] = None
+        documents = [d for d in bundle["documents"] if d["tokens"]]
+        next(d for d in documents if d["dataset_no"] == 1)["bucket"] = ego_only
+        next(d for d in documents if d["dataset_no"] == 6)["bucket"] = member_only
+        bundle_path.write_text(json.dumps(bundle))
+
+        cfg = load_config(config, {"out_dir": str(out)})
+        provenance = {
+            "normalization": cfg.normalization,
+            "inputs_digest": pipeline.load_bundle(cfg).inputs_digest,
+            "embeddings_sha256": hashlib.sha256(
+                (synth_dir / "embeddings.txt").read_bytes()).hexdigest(),
+        }
+        saved = []
+        for bucket, side in ((ego_only, "member"), (member_only, "ego")):
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                assert run_cli("rank", "--config", config, "--out-dir", str(out),
+                               "--bucket", bucket) == 0
+            assert [r.message for r in caplog.records] == [
+                f"bucket {bucket}: no {side} documents; writing empty ranking"]
+            slug = bucket.replace("/", "_")
+            csv_path, json_path = out / f"ranking_{slug}.csv", out / f"ranking_{slug}.json"
+            assert csv_path.read_text().splitlines() == ["rank,member_id,score,best_doc_id"]
+            report = json.loads(json_path.read_text())
+            assert report["entries"] == []
+            assert {key: report[key] for key in provenance} == provenance
+            saved += [csv_path, json_path]
+
+        for path in saved:
+            os.utime(path, ns=(10**9, 10**9))
+        before = {path: path.read_bytes() for path in saved}
+        assert run_cli("targets", "--config", config, "--out-dir", str(out), "--bucket", "all") == 0
+        for path in saved:
+            assert path.read_bytes() == before[path], path.name
+            assert path.stat().st_mtime_ns == 10**9, path.name
+
+    @pytest.mark.parametrize("defect", ["repeated_word", "short_row"])
+    def test_unscored_bucket_still_checks_embeddings(self, synth_dir, tmp_path, caplog, defect):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(synth_dir, corpus, ignore=shutil.ignore_patterns("out"))
+        config = str(corpus / "config.json")
+        out = corpus / "out"
+        assert run_cli("ingest", "--config", config) == 0
+        path = corpus / "embeddings.txt"
+        lines = path.read_text().splitlines()
+        if defect == "repeated_word":
+            lines.append(lines[1])
+            row = len(lines)
+        else:
+            lines[2] = lines[2].rsplit(" ", 1)[0]
+            row = 3
+        path.write_text("\n".join(lines) + "\n")
+        with caplog.at_level("ERROR"):
+            code = run_cli("rank", "--config", config, "--bucket", bucket_without_ego(out))
+        assert code == 2
+        assert any(f"{path}: row {row}:" in r.message for r in caplog.records)
+        assert not list(out.glob("ranking_*"))
 
     def test_rerun_identical_reports(self, synth_dir):
         out = synth_dir / "out"
@@ -540,6 +642,9 @@ class TestStartup:
         out = tmp_path / "out"
         assert self.loaded("--version") == []
         assert self.loaded("ingest", "--config", config, "--out-dir", str(out)) == []
+        # nothing to score: the ego has no documents in this bucket
+        assert self.loaded("rank", "--config", config, "--out-dir", str(out),
+                           "--bucket", bucket_without_ego(out)) == []
         assert "numpy" in self.loaded("rank", "--config", config, "--out-dir", str(out),
                                       "--bucket", "all")
         assert self.loaded("targets", "--config", config, "--out-dir", str(out),

@@ -1,5 +1,4 @@
 import json
-from datetime import datetime, timezone
 
 import pytest
 
@@ -25,11 +24,6 @@ MEMBER_HEADER_ROW = "member_id,display_name,kind,activity_types,connections_coun
 
 T1 = "2024-03-01T10:00:00+00:00"
 T2 = "2024-03-02T10:00:00+00:00"
-T3 = "2024-03-03T10:00:00+00:00"
-WINDOW = (
-    datetime(2024, 3, 2, tzinfo=timezone.utc),
-    datetime(2024, 12, 31, tzinfo=timezone.utc),
-)
 
 
 def write_csv(tmp_path, name, lines):
@@ -60,16 +54,6 @@ class TestLoadActivityCsv:
         ])
         with pytest.raises(BadRowError, match="row 2"):
             load_activity_csv(path, 1, "ego")
-
-    def test_window_filter_drops_early_rows(self, tmp_path):
-        path = write_csv(tmp_path, "d1.csv", [
-            HEADER,
-            f"p1,one,Ego,ego,0,0,en,{T1},",
-            f"p2,two,Ego,ego,0,0,en,{T2},",
-            f"p3,three,Ego,ego,0,0,en,{T3},",
-        ])
-        docs = load_activity_csv(path, 1, "ego", window=WINDOW)
-        assert [d.doc_id for d in docs] == ["d1-p2", "d1-p3"]
 
     def test_missing_column(self, tmp_path):
         path = write_csv(tmp_path, "d1.csv", [
@@ -290,7 +274,7 @@ class TestRoundTrip:
         for no, docs in corpus.datasets.items():
             owner = corpus.ego_id if no in EGO_DATASETS else None
             path = tmp_path / f"dataset_{no}.csv"
-            assert load_activity_csv(path, no, owner, window=corpus.window) == docs, path.name
+            assert load_activity_csv(path, no, owner) == docs, path.name
         assert load_members_csv(tmp_path / "members.csv") == corpus.members
         meta = json.loads((tmp_path / "corpus.json").read_text(encoding="utf-8"))
         assert meta["synthetic_truth"] == corpus.synthetic_truth.to_dict()

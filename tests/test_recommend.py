@@ -11,7 +11,6 @@ import oracle
 from conftest import word_store
 from egorank.classify import Bucket, Category, SentimentClass
 from egorank.corpus import InteractedMember, MemberKind, ActivityType
-from egorank.errors import EmptyBucketError
 from egorank.lexproc import DocumentSet, TokenizedDoc
 from egorank.recommend import (
     BLOCK_ROWS,
@@ -178,13 +177,6 @@ class TestScoreBucket:
         )
         scores = score_bucket(docs, models)
         assert all(s.key_doc_id == "d1-k01" for s in scores)
-
-    def test_empty_bucket_sides(self):
-        (key, target), models = build_case([["a"]], [("m1", ["a"])], ORTHO)
-        with pytest.raises(EmptyBucketError, match="member"):
-            score_bucket([key], models)
-        with pytest.raises(EmptyBucketError, match="ego"):
-            score_bucket([target], models)
 
     def test_matches_oracle_on_random_corpora(self):
         rng = random.Random(1234)
