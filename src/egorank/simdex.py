@@ -8,11 +8,12 @@ is cosine distance, floored at DISTANCE_FLOOR so identical shared words
 score very high instead of dividing by zero.
 
 The word vectors come from a text-format embedding file. Every row of it is
-checked for structure (component count, repeated word), but only the rows
-of the words the scored buckets' documents hold are parsed as numbers,
-checked finite and non-zero (a zero vector's cosine is undefined), and
-normalised once, into one matrix. When no bucket is scored, no row is
-parsed and numpy is not imported.
+checked for structure (component count, repeated word) and counted against
+the header's vocabulary size, but only the rows of the words the scored
+buckets' documents hold are parsed as numbers, checked finite and non-zero
+(a zero vector's cosine is undefined), and normalised once, into one
+matrix. When no bucket is scored, no row is parsed and numpy is not
+imported.
 """
 
 from __future__ import annotations
@@ -52,10 +53,12 @@ def load_word_vectors(path: str | Path, words: Collection[str]) -> WordVectorSto
     """Load the vectors of ``words`` from an embedding file: header
     ``vocab_size dim``, then one ``word v1 ... v_dim`` line per word.
 
-    Every row must have ``dim`` components and a word not seen before.
-    Only the rows of ``words`` are parsed as numbers, and those must be
-    finite and not all zero; a bad number elsewhere is never read. With no
-    ``words``, only the structure is checked.
+    Every row must have ``dim`` components and a word not seen before, and
+    the file must hold ``vocab_size`` non-blank rows, so a file cut at a line
+    boundary fails instead of loading fewer words. Only the rows of
+    ``words`` are parsed as numbers, and those must be finite and not all
+    zero; a bad number elsewhere is never read. With no ``words``, only the
+    structure is checked.
     """
     path = Path(path)
     seen: set[str] = set()
@@ -66,7 +69,7 @@ def load_word_vectors(path: str | Path, words: Collection[str]) -> WordVectorSto
         if len(header) != 2:
             raise BadHeaderError(f"{path}: header must be 'vocab_size dim'")
         try:
-            _, dim = int(header[0]), int(header[1])
+            vocab_size, dim = int(header[0]), int(header[1])
         except ValueError:
             raise BadHeaderError(f"{path}: non-integer header {header!r}") from None
         if dim < 1:
@@ -94,6 +97,10 @@ def load_word_vectors(path: str | Path, words: Collection[str]) -> WordVectorSto
                 raise ZeroVectorError(path, row_no, word)
             index[word] = len(rows)
             rows.append(vec)
+    # every non-blank row added its word to ``seen`` once, or raised above
+    if len(seen) != vocab_size:
+        raise BadHeaderError(
+            f"{path}: header declares {vocab_size} rows, but {len(seen)} were read")
     if not words:
         return WordVectorStore(unit=None, index=index)
     import numpy as np  # here, not at the top: only scoring needs numpy

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -32,6 +33,23 @@ def synth_dir(tmp_path_factory):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+@pytest.fixture
+def ingested(synth_dir):
+    """``synth_dir`` with a bundle in its ``out``, ingested here if no test has yet."""
+    if not (synth_dir / "out" / "bundle.json").is_file():
+        assert run_cli("ingest", "--config", str(synth_dir / "config.json")) == 0
+    return synth_dir
+
+
+@pytest.fixture
+def targeted(ingested):
+    """``synth_dir`` with rankings and targets in its ``out``, written here if
+    no test has yet."""
+    if not (ingested / "out" / "targets_Technology_Positive.json").is_file():
+        assert run_cli("targets", "--config", str(ingested / "config.json")) == 0
+    return ingested
 
 
 def bucket_without_ego(out):
@@ -227,6 +245,7 @@ class TestIngest:
         assert any(f"{path}: line " in r.message for r in caplog.records)
 
 
+@pytest.mark.usefixtures("ingested")
 class TestRank:
     def test_report_format_contract(self, synth_dir):
         assert run_cli("rank", "--config", str(synth_dir / "config.json")) == 0
@@ -242,9 +261,9 @@ class TestRank:
                                "embeddings_sha256", "entries"}
         assert report["entries"][0]["rank"] == 1
 
-    def test_scores_non_increasing(self, synth_dir):
+    def test_scores_non_increasing(self, targeted):
         report = json.loads(
-            (synth_dir / "out" / "ranking_Technology_Positive.json").read_text()
+            (targeted / "out" / "ranking_Technology_Positive.json").read_text()
         )
         scores = [e["score"] for e in report["entries"]]
         assert scores == sorted(scores, reverse=True)
@@ -331,6 +350,26 @@ class TestRank:
         assert any(f"{path}: row {row}:" in r.message for r in caplog.records)
         assert not list(out.glob("ranking_*"))
 
+    def test_truncated_embeddings_exit_data_error(self, synth_dir, tmp_path, caplog):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(synth_dir, corpus, ignore=shutil.ignore_patterns("out"))
+        config = str(corpus / "config.json")
+        out = corpus / "out"
+        assert run_cli("ingest", "--config", config) == 0
+        # cut at a line boundary, so that every row left is well formed
+        path = corpus / "embeddings.txt"
+        header, *rows = path.read_text().splitlines()
+        kept = len(rows) // 2
+        path.write_text("\n".join([header] + rows[:kept]) + "\n")
+        message = f"{path}: header declares {header.split()[0]} rows, but {kept} were read"
+        for argv in (("run",), ("rank", "--bucket", bucket_without_ego(out))):
+            caplog.clear()
+            with caplog.at_level("ERROR"):
+                code = run_cli(*argv, "--config", config)
+            assert code == 2, argv
+            assert [r.message for r in caplog.records] == [message], argv
+        assert not list(out.glob("ranking_*"))
+
     def test_rerun_identical_reports(self, synth_dir):
         out = synth_dir / "out"
         run_cli("rank", "--config", str(synth_dir / "config.json"))
@@ -408,6 +447,7 @@ class TestRank:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.usefixtures("ingested")
 class TestTargets:
     def test_sections_and_counts(self, synth_dir):
         assert run_cli("targets", "--config", str(synth_dir / "config.json")) == 0
@@ -421,11 +461,11 @@ class TestTargets:
         assert sections <= {"selected", "default", "effective"}
         assert "selected" in sections and "effective" in sections
 
-    def test_planted_megas_are_removed(self, synth_dir):
+    def test_planted_megas_are_removed(self, targeted):
         report = json.loads(
-            (synth_dir / "out" / "targets_Technology_Positive.json").read_text()
+            (targeted / "out" / "targets_Technology_Positive.json").read_text()
         )
-        truth = json.loads((synth_dir / "corpus.json").read_text())["synthetic_truth"]
+        truth = json.loads((targeted / "corpus.json").read_text())["synthetic_truth"]
         assert set(report["defaults_removed"]) == set(truth["mega"])
 
     def test_n_it_out_of_range_cites_bound(self, synth_dir, caplog):
@@ -584,6 +624,42 @@ class TestRun:
         assert report["threshold"] == 9
         assert "config_hash" not in report
 
+    def test_shuffled_input_rows_give_the_same_reports(self, synth_dir, tmp_path):
+        # every input is a set of rows, so their order may change only the
+        # content digests that the ranking JSONs record
+        shuffled = tmp_path / "shuffled"
+        shutil.copytree(synth_dir, shuffled, ignore=shutil.ignore_patterns("out"))
+        config = json.loads((shuffled / "config.json").read_text())
+        rng = random.Random(11)
+        for name in [*config["datasets"].values(), config["resources"]["labeled_seed"],
+                     config["resources"]["embeddings"]]:
+            # synth writes one row per line
+            path = shuffled / name
+            header, *rows = path.read_text().splitlines()
+            original = list(rows)
+            while len(rows) > 1 and rows == original:
+                rng.shuffle(rows)
+            path.write_text("\n".join([header] + rows) + "\n")
+        outputs = {}
+        for corpus in (synth_dir, shuffled):
+            out = tmp_path / f"out_{corpus.name}"
+            assert run_cli("run", "--config", str(corpus / "config.json"),
+                           "--out-dir", str(out)) == 0
+            outputs[corpus] = {p.name: p.read_bytes() for p in out.iterdir()
+                               if p.name != "bundle.json"}
+        plain, moved = outputs[synth_dir], outputs[shuffled]
+        assert sorted(plain) == sorted(moved)
+        assert any(name.startswith("targets_") for name in plain)
+        digests = ("inputs_digest", "embeddings_sha256")
+        for name in plain:
+            if name.startswith("ranking_") and name.endswith(".json"):
+                before, after = json.loads(plain[name]), json.loads(moved[name])
+                for key in digests:
+                    assert before.pop(key) != after.pop(key), (name, key)
+                assert before == after, name
+            else:
+                assert plain[name] == moved[name], name
+
     def test_blas_thread_count_does_not_change_reports(self, tmp_path):
         # dim 300 puts the word-vector products above the size at which a BLAS
         # starts threads; the synthetic vocabulary is small, so the bucket-wide
@@ -616,26 +692,41 @@ class TestRun:
 
 
 # Runs egorank's CLI and reports, when the interpreter exits, which of the
-# modules that only scoring and the synth command need were loaded.
-IMPORT_PROBE = """
-import atexit, sys
-atexit.register(lambda: print("loaded:", *sorted(
-    m for m in ("numpy", "egorank.synth") if m in sys.modules), file=sys.stderr))
+# modules that only scoring and the synth command need were loaded, the
+# OPENBLAS_NUM_THREADS it ran under and its thread count (None off Linux).
+STARTUP_PROBE = """
+import atexit, json, os, sys
+def report():
+    tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+    print("probe:", json.dumps({
+        "loaded": sorted(m for m in ("numpy", "egorank.synth") if m in sys.modules),
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"), "tasks": tasks}),
+        file=sys.stderr)
+atexit.register(report)
 from egorank.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
+# What OpenBLAS reads for its thread count, in its order. In-process main()
+# calls set the first in this process, so children get none of them unless
+# a test gives one.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 
 class TestStartup:
     @staticmethod
-    def loaded(*argv):
-        env = dict(os.environ,
+    def probe(*argv, **env_vars):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env.update(env_vars,
                    PYTHONPATH=str(SRC_DIR) + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=env,
+        proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        (line,) = [ln for ln in proc.stderr.splitlines() if ln.startswith("loaded:")]
-        return line.split()[1:]
+        (line,) = [ln for ln in proc.stderr.splitlines() if ln.startswith("probe:")]
+        return json.loads(line.split(" ", 1)[1])
+
+    def loaded(self, *argv):
+        return self.probe(*argv)["loaded"]
 
     def test_only_scoring_imports_numpy(self, synth_dir, tmp_path):
         config = str(synth_dir / "config.json")
@@ -650,3 +741,16 @@ class TestStartup:
         assert self.loaded("targets", "--config", config, "--out-dir", str(out),
                            "--bucket", "all") == []
         assert len(list(out.glob("targets_*.json"))) > 0
+
+    def test_scoring_starts_no_blas_threads(self, synth_dir, tmp_path):
+        config = str(synth_dir / "config.json")
+        out = tmp_path / "out"
+        assert run_cli("ingest", "--config", config, "--out-dir", str(out)) == 0
+        rank = ("rank", "--config", config, "--out-dir", str(out), "--bucket", "all")
+        state = self.probe(*rank)
+        assert "numpy" in state["loaded"]
+        assert state["blas_threads"] == "1"
+        if sys.platform.startswith("linux"):
+            assert state["tasks"] == 1
+        # a thread count the user set is kept
+        assert self.probe(*rank, OPENBLAS_NUM_THREADS="2")["blas_threads"] == "2"

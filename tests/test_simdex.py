@@ -123,10 +123,33 @@ class TestLoadWordVectors:
         (("3 2", "alpha 1 0", "beta 1 2 3", "gamma 0 1"), DimMismatchError),
         (("3 2", "beta 1 1", "alpha 1 0", "beta 1 1"), DuplicateWordError),
         (("2 two", "alpha 1 0", "beta 1 1"), BadHeaderError),
-    ], ids=["too_few", "too_many", "duplicate", "header"])
+        # a row's error comes before the row count's
+        (("5 2", "alpha 1 0", "beta 1"), DimMismatchError),
+        (("5 2", "alpha 1 0", "alpha 1 1"), DuplicateWordError),
+    ], ids=["too_few", "too_many", "duplicate", "header", "too_few_before_count",
+            "duplicate_before_count"])
     def test_structural_error_in_unrequested_row_raises(self, tmp_path, lines, error):
         with pytest.raises(error):
             load_word_vectors(write_lines(tmp_path, *lines), {"alpha"})
+
+    @pytest.mark.parametrize("lines", [
+        ("3 2", "alpha 1 0", "beta 0 1"),
+        ("1 2", "alpha 1 0", "beta 0 1"),
+        ("3 2", "alpha 1 0", "", "beta 0 1", "  "),
+    ], ids=["cut", "extra_row", "blank_lines"])
+    def test_row_count_must_match_header(self, tmp_path, lines):
+        path = write_lines(tmp_path, *lines)
+        # checked whether or not a row is asked for
+        for words in ({"alpha"}, set()):
+            with pytest.raises(BadHeaderError) as exc:
+                load_word_vectors(path, words)
+            assert isinstance(exc.value, DataError)
+            assert str(exc.value) == (
+                f"{path}: header declares {lines[0].split()[0]} rows, but 2 were read")
+
+    def test_blank_lines_are_not_rows(self, tmp_path):
+        path = write_lines(tmp_path, "2 2", "alpha 1 0", "", "beta 0 1", "")
+        assert set(load_word_vectors(path, {"alpha", "beta"}).index) == {"alpha", "beta"}
 
     def test_unit_rows_have_unit_length(self, tmp_path):
         words = [f"w{i:03d}" for i in range(200)]
