@@ -14,23 +14,25 @@ with Ê the unit word vectors (rows of the store's matrix, normalised once
 at load and gathered by word), C the word counts and I their 0/1 indicators on
 the key (K) and target (T) sides, W = 1 / max(1 - Ê_K Ê_Tᵀ, 1e-6) and
 sum_n = C_K W I_Tᵀ + I_K W C_Tᵀ; the tf-idf cosines are X_K X_Tᵀ, with the
-tf-idf rows X = C idf / length built from the count rows over the key words.
-Targets go in blocks of BLOCK_ROWS, in sorted doc id and word order, so
-results are bit-identical for any input order, schedule or BLAS thread count.
+tf-idf rows X = C idf / length. As in Novotný (2018), C_K W and I_K W are
+computed once per bucket, W in slices of SLICE_COLUMNS target words, and
+each target sums their columns, and X_K's, at its own words in sorted
+order. So its score depends only on its own words and the key docs, bit for
+bit, whatever the other targets, slice width, input order or BLAS threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .classify import Bucket
 from .corpus import EGO_DATASETS, InteractedMember
 from .lexproc import TokenizedDoc
 from .simdex import DISTANCE_FLOOR, SimilarityModels
 
-BLOCK_ROWS = 256
+SLICE_COLUMNS = 2048  # target words per slice of W
 
 
 class Normalization(str, Enum):
@@ -81,71 +83,68 @@ def score_bucket(
 
     keys = [doc for doc in docs if doc.dataset_no in EGO_DATASETS]
     targets = [doc for doc in docs if doc.dataset_no not in EGO_DATASETS]
-
     unit, index = models.vectors.unit, models.vectors.index
-    counts = models.counts
+    counts, idf, lengths = models.counts, models.idf, models.lengths
 
-    def matrix(rows: Sequence[Mapping[str, float]], columns: Sequence[str]) -> np.ndarray:
-        """Dense rows x columns matrix of the given per-row word weights."""
-        col_of = {word: col for col, word in enumerate(columns)}
-        out = np.zeros((len(rows), len(columns)))
-        for r, row in enumerate(rows):
-            for word, value in row.items():
-                col = col_of.get(word)
-                if col is not None:
-                    out[r, col] = value
-        return out
-
-    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b summed by numpy's own loops: BLAS rounds differently with its
-        thread count and with where a row falls in the matrix."""
-        return np.einsum("ij,jk->ik", a, b)
-
-    def tfidf_rows(docs: Sequence[TokenizedDoc], terms: Sequence[str]) -> np.ndarray:
-        """Unit tf-idf rows over the given terms: count * idf / the doc's tf-idf length."""
-        idf = np.array([models.idf[w] for w in terms])
-        lengths = np.array([models.lengths[doc.doc_id] for doc in docs])
-        return matrix([counts[doc.doc_id] for doc in docs], terms) * idf / lengths[:, None]
-
+    # Key side: count rows over the in-vocabulary key words, and the key
+    # docs' tf-idf weights with one row per key term plus a zero row.
     key_terms = sorted({w for doc in keys for w in doc.tokens})
+    term_row = {w: j for j, w in enumerate(key_terms)}
     key_words = [w for w in key_terms if w in index]
-    unit_k = unit[[index[w] for w in key_words]]
-    counts_k = matrix([counts[doc.doc_id] for doc in keys], key_words)
+    word_col = {w: j for j, w in enumerate(key_words)}
+    counts_k = np.zeros((len(keys), len(key_words)))
+    tfidf_k = np.zeros((len(key_terms) + 1, len(keys)))
+    for i, doc in enumerate(keys):
+        for w, c in counts[doc.doc_id].items():
+            tfidf_k[term_row[w], i] = c * idf[w] / lengths[doc.doc_id]
+            if w in word_col:
+                counts_k[i, word_col[w]] = c
     ones_k = (counts_k > 0).astype(np.float64)
-    tfidf_k = tfidf_rows(keys, key_terms)
 
-    # Twin targets (equal bags of words) share one stand-in column, so they
-    # score bit for bit alike and exact ties break as in the oracle.
-    bags = [tuple(sorted(counts[doc.doc_id].items())) for doc in targets]
-    stand_in = dict(zip(bags, targets))
-    distinct = list(stand_in.values())
-    best: dict[str, DocumentScore] = {}
-    for start in range(0, len(distinct), BLOCK_ROWS):
-        block = distinct[start:start + BLOCK_ROWS]
-        words = sorted({w for doc in block for w in doc.tokens if w in index})
-        counts_t = matrix([counts[doc.doc_id] for doc in block], words)
-        ones_t = (counts_t > 0).astype(np.float64)
-        similarity = 1.0 / np.maximum(
-            1.0 - product(unit_k, unit[[index[w] for w in words]].T), DISTANCE_FLOOR)
-        sum_n = (product(product(counts_k, similarity), ones_t.T)
-                 + product(product(ones_k, similarity), counts_t.T))
-        if normalization is Normalization.MEAN:
-            pairs = np.outer(ones_k.sum(axis=1), ones_t.sum(axis=1))
-            sum_n = np.divide(sum_n, pairs, out=np.zeros_like(sum_n), where=pairs > 0)
-        ti_cs = product(tfidf_k, tfidf_rows(block, key_terms).T)
-        r_plus = sum_n * ti_cs
-        # argmax keeps the first maximum: ties go to the lowest key doc id.
-        for col, (doc, row) in enumerate(zip(block, r_plus.argmax(axis=0))):
-            best[doc.doc_id] = DocumentScore(
-                target_doc_id=doc.doc_id,
-                key_doc_id=keys[row].doc_id,
-                owner_id=doc.owner_id,
-                sum_n=float(sum_n[row, col]),
-                ti_cs=float(ti_cs[row, col]),
-                r_plus=float(r_plus[row, col]),
-            )
-    return [replace(best[stand_in[bag].doc_id], target_doc_id=doc.doc_id, owner_id=doc.owner_id)
-            for doc, bag in zip(targets, bags)]
+    # (C_K W)ᵀ and (I_K W)ᵀ: one row per in-vocabulary target word plus a
+    # zero row, W built SLICE_COLUMNS target words at a time. Products are
+    # np.einsum dot products in numpy's own loop: BLAS rounds differently
+    # with its thread count and with where a row falls in the matrix.
+    words = sorted({w for doc in targets for w in doc.tokens if w in index})
+    unit_k = unit[[index[w] for w in key_words]]
+    ck_w, ik_w = np.zeros((2, len(words) + 1, len(keys)))
+    for start in range(0, len(words), SLICE_COLUMNS):
+        stop = min(start + SLICE_COLUMNS, len(words))
+        w_t = 1.0 / np.maximum(1.0 - np.einsum(
+            "ij,kj->ik", unit[[index[w] for w in words[start:stop]]], unit_k), DISTANCE_FLOOR)
+        ck_w[start:stop] = np.einsum("ij,kj->ik", w_t, counts_k)
+        ik_w[start:stop] = np.einsum("ij,kj->ik", w_t, ones_k)
+
+    # One segment per target of its own words in sorted order (never empty,
+    # as no target is inert); a word with no vector, or no key term, takes
+    # the zero row. Segment sums are targets x key docs.
+    word_row = {w: j for j, w in enumerate(words)}
+    word_rows, term_rows, bag_counts, weights, starts = [], [], [], [], []
+    for doc in targets:
+        bag = counts[doc.doc_id]
+        starts.append(len(word_rows))
+        for w in sorted(bag):
+            word_rows.append(word_row.get(w, len(words)))
+            term_rows.append(term_row.get(w, len(key_terms)))
+            bag_counts.append(bag[w])
+            weights.append(bag[w] * idf[w] / lengths[doc.doc_id])
+    def segment_sums(table: np.ndarray, rows: list[int], scale: Sequence[float]) -> np.ndarray:
+        """Each target's sum of ``table``'s rows at its words, times ``scale`` per word."""
+        part = table[rows]
+        part *= np.array(scale, dtype=np.float64)[:, None]
+        return np.add.reduceat(part, starts)
+
+    sum_n = np.add.reduceat(ck_w[word_rows], starts) + segment_sums(ik_w, word_rows, bag_counts)
+    if normalization is Normalization.MEAN:
+        n_words = np.add.reduceat(np.array(word_rows) < len(words), starts)
+        pairs = np.outer(n_words, ones_k.sum(axis=1))
+        sum_n = np.divide(sum_n, pairs, out=np.zeros_like(sum_n), where=pairs > 0)
+    ti_cs = segment_sums(tfidf_k, term_rows, weights)
+    r_plus = sum_n * ti_cs
+    picked = np.arange(len(targets)), r_plus.argmax(axis=1)  # ties: the lowest key doc id
+    return [DocumentScore(doc.doc_id, keys[k].doc_id, doc.owner_id, s, t, r)
+            for doc, k, s, t, r in zip(targets, picked[1].tolist(), sum_n[picked].tolist(),
+                                       ti_cs[picked].tolist(), r_plus[picked].tolist())]
 
 
 def rank_members(

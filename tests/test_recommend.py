@@ -3,17 +3,20 @@ import os
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracle
 from conftest import word_store
 from egorank.classify import Bucket, Category, SentimentClass
 from egorank.corpus import InteractedMember, MemberKind, ActivityType
+from egorank import recommend
 from egorank.lexproc import DocumentSet, TokenizedDoc
 from egorank.recommend import (
-    BLOCK_ROWS,
     DocumentScore,
     Normalization,
     rank_members,
@@ -84,6 +87,22 @@ class TestPairScore:
         score = score_one(["u"], ["x"], {"u": [1.0]})
         assert score.sum_n == 0.0
         assert score.r_plus == 0.0
+        # in a bucket: all-OOV targets in the middle and last, and one whose
+        # words are all in vocabulary but none a key term, beside scored ones
+        emb = {"u": [1.0, 0.0], "v": [0.6, 0.8], "w": [0.0, 1.0]}
+        targets = [["u", "w"], ["x"], ["w", "w"], ["v", "u", "u"], ["y", "x", "y"]]
+        docs, models = build_case([["u", "v"], ["v", "z"]], [("m1", t) for t in targets], emb)
+        keys = [doc for doc in docs if doc.dataset_no == 1]
+        for mode in Normalization:
+            scores = score_bucket(docs, models, normalization=mode)
+            for doc, score in zip(docs[len(keys):], scores):
+                assert score == score_bucket(keys + [doc], models, normalization=mode)[0]
+            oov_middle, no_shared, oov_last = scores[1], scores[2], scores[4]
+            for score in (oov_middle, oov_last):
+                assert (score.sum_n, score.ti_cs, score.r_plus) == (0.0, 0.0, 0.0)
+            assert no_shared.sum_n > 0
+            assert (no_shared.ti_cs, no_shared.r_plus) == (0.0, 0.0)
+            assert all(s.r_plus > 0 for s in (scores[0], scores[3]))
 
     def test_nonnegative(self):
         rng = random.Random(1)
@@ -252,7 +271,7 @@ class TestScoreBucket:
         vocab = [f"w{i}" for i in range(60)]
         emb = random_embeddings(rng, vocab, 8, coverage=1.0)
         twin = rng.choices(vocab, k=12)
-        n = BLOCK_ROWS + 1
+        n = 257
         members = [("m9", rng.choices(vocab, k=rng.randrange(1, 30))) for _ in range(n)]
         in_id_order = sorted(range(n), key=lambda i: f"d6-t{i:02d}")
         first, last = in_id_order[0], in_id_order[-1]
@@ -264,6 +283,66 @@ class TestScoreBucket:
         assert (a.key_doc_id, a.sum_n, a.ti_cs, a.r_plus) == (b.key_doc_id, b.sum_n, b.ti_cs, b.r_plus)
         ranking = rank_members(list(scores.values()), [member("m1"), member("m2")], BUCKET)
         assert [e.member_id for e in ranking.entries] == ["m1", "m2"]
+
+
+def zipf_bucket_case(rng, n_keys, n_targets, vocab_size, dim, doc_len):
+    """Key and target token lists over a Zipfian vocabulary, and the
+    vectors of the words they hold (numpy rows, unnormalised)."""
+    weights = [1.0 / rank for rank in range(1, vocab_size + 1)]
+    vocab = [f"w{i}" for i in range(vocab_size)]
+    keys = [rng.choices(vocab, weights, k=doc_len) for _ in range(n_keys)]
+    members = [(f"m{i % 300}", rng.choices(vocab, weights, k=doc_len)) for i in range(n_targets)]
+    used = sorted({w for toks in keys + [t for _, t in members] for w in toks})
+    vectors = np.random.default_rng(rng.randrange(2**32)).standard_normal((len(used), dim))
+    return keys, members, dict(zip(used, vectors))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_target_score_depends_only_on_its_own_words(seed, monkeypatch):
+    # every third target removed, or W built 3 target words at a time:
+    # each kept target scores bit for bit alike
+    keys, members, emb = zipf_bucket_case(random.Random(seed), 6, 600, 3000, 8, 12)
+    docs, models = build_case(keys, members, emb)
+    dropped = set(sorted(doc.doc_id for doc in docs if doc.dataset_no == 6)[::3])
+    kept = [doc for doc in docs if doc.doc_id not in dropped]
+    for mode in Normalization:
+        full = {s.target_doc_id: s for s in score_bucket(docs, models, normalization=mode)}
+        fewer = score_bucket(kept, models, normalization=mode)
+        assert len(fewer) == len(full) - len(dropped)
+        assert all(s == full[s.target_doc_id] for s in fewer)
+    with monkeypatch.context() as patch:
+        patch.setattr(recommend, "SLICE_COLUMNS", 3)
+        sliced = score_bucket(docs, models)
+    assert sliced == score_bucket(docs, models)
+
+
+@pytest.mark.slow
+def test_wide_bucket_scores_in_time_and_memory():
+    # 100 key x 2000 target docs of 40 tokens from a 20k-word Zipfian
+    # vocabulary, dim 300: about 1.7k key words and 12k target words. With
+    # tracemalloc on, it scores in about 6 s on 2 cores and peaks at about
+    # 110 MiB; an unsliced W alone is about 160 MB, and its temporaries
+    # take the peak to about 330 MiB.
+    rng = random.Random(2018)
+    keys, members, emb = zipf_bucket_case(rng, 100, 2000, 20_000, 300, 40)
+    docs, models = build_case(keys, members, emb)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        scores = score_bucket(docs, models)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 12.0
+    assert peak < 200 * 2**20
+    assert len(scores) == 2000
+    docs_tokens = {doc.doc_id: list(doc.tokens) for doc in docs}
+    for score in rng.sample(scores, 10):
+        key, target = docs_tokens[score.key_doc_id], docs_tokens[score.target_doc_id]
+        vectors = {w: emb[w].tolist() for w in key + target}
+        want = oracle.r_plus(key, target, docs_tokens, vectors)
+        assert score.r_plus == pytest.approx(want, rel=1e-9)
 
 
 WIDE_BUCKET_SCRIPT = """
