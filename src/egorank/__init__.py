@@ -7,7 +7,7 @@ a frequency-and-similarity recommendation index, and selects the
 top-most influenceable targets after removing default influencers.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .classify import Bucket, Category, SentimentClass  # noqa: F401
 from .corpus import (  # noqa: F401

@@ -19,10 +19,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import DEPENDENT_DATASETS, INDEPENDENT_DATASETS
-from .errors import DependentDatasetError, MissingCategoryError, MissingLexiconError
+from .corpus import DEPENDENT_DATASETS, EGO_DATASETS, INDEPENDENT_DATASETS
+from .errors import MissingCategoryError, MissingLexiconError
 from .lexproc import DocumentSet, TokenizedDoc
 
 log = logging.getLogger(__name__)
@@ -144,13 +144,7 @@ def _argmax_category(scores: Mapping[Category, float]) -> Category:
 
 
 def classify_category(doc: TokenizedDoc, model: CategoryClassifier) -> Category:
-    """Classify an independent-dataset document by its posterior argmax.
-
-    Dependent datasets (2, 3, 7, 8) are rejected: their rows are not owned
-    by the post owner and must inherit instead.
-    """
-    if doc.dataset_no in DEPENDENT_DATASETS:
-        raise DependentDatasetError(doc.dataset_no)
+    """Classify an independent-dataset document by its posterior argmax."""
     return _argmax_category(model.posteriors(doc.tokens))
 
 
@@ -241,15 +235,19 @@ def assign_buckets(
     document_set: DocumentSet,
     labels: Mapping[str, Category],
     sentiments: Mapping[str, SentimentResult],
+    eligible_ids: Container[str],
 ) -> dict[Bucket, list[TokenizedDoc]]:
     """Each of the ten (category, sentiment) buckets' documents, in doc id order.
 
-    Every labeled document lands in exactly one bucket; unlabeled ones
-    (inert, non-English, orphaned) land in none, so every document handed
-    to scoring is eligible.
+    Every labeled ego document, and every labeled member-side document of
+    an owner in ``eligible_ids``, lands in exactly one bucket. The others
+    land in none: unlabeled ones (inert, non-English, orphaned), and those
+    of owners who can never be targets (groups, and owners in neither the
+    member list nor the mentions), so scoring sees only rankable targets.
     """
     buckets: dict[Bucket, list[TokenizedDoc]] = {b: [] for b in ALL_BUCKETS}
     for doc in sorted(document_set.documents, key=lambda d: d.doc_id):
-        if doc.doc_id in labels:
+        if doc.doc_id in labels and (doc.dataset_no in EGO_DATASETS
+                                     or doc.owner_id in eligible_ids):
             buckets[Bucket(labels[doc.doc_id], sentiments[doc.doc_id].clazz)].append(doc)
     return buckets

@@ -63,11 +63,6 @@ class BadParamsError(ConfigError):
 
 # --- resources ----------------------------------------------------------------
 
-class MissingStopListError(ConfigError):
-    def __init__(self) -> None:
-        super().__init__("no stop-word list loaded")
-
-
 class MissingLemmaDictionaryError(ConfigError):
     def __init__(self) -> None:
         super().__init__("no lemma dictionary loaded")
@@ -111,15 +106,6 @@ class MissingCategoryError(DataError):
     def __init__(self, name: str):
         self.name = name
         super().__init__(f"training data has no examples for category {name!r}")
-
-
-class DependentDatasetError(EgorankError):
-    def __init__(self, dataset_no: int):
-        self.dataset_no = dataset_no
-        super().__init__(
-            f"dataset {dataset_no} holds dependent documents; "
-            "they inherit the parent's category instead of being classified"
-        )
 
 
 # --- scoring ------------------------------------------------------------------

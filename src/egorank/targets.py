@@ -1,11 +1,12 @@
 """Eligibility filtering and top-most influenceable target selection.
 
 Groups can never be influenceable targets (joining them is gated by an
-admin, not by influence), so they are dropped before ranking. From a
-bucket's ranking the first N_it members are the selected targets; those
-with more than 5000 connections already carry huge default influence and
-are removed, leaving N_it - D_it effective targets. Nothing is re-filled
-after removal.
+admin, not by influence), so ``filter_eligible`` drops them: ingest
+buckets only eligible members' documents, and selection bounds N_it by
+the eligible network's size. From a bucket's ranking the first N_it
+members are the selected targets; those with more than 5000 connections
+already carry huge default influence and are removed, leaving N_it - D_it
+effective targets. Nothing is re-filled after removal.
 """
 
 from __future__ import annotations

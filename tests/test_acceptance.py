@@ -303,7 +303,8 @@ def build_planted_pipeline():
     analyzer = SentimentAnalyzer(resources.load_sentiment_lexicon(), resources.load_negators(),
                                  resources.load_boosters())
     labels, sentiments, _ = label_documents(ds, model, analyzer)
-    buckets = assign_buckets(ds, labels, sentiments)
+    eligible_ids = {m.member_id for m in filter_eligible(members)}
+    buckets = assign_buckets(ds, labels, sentiments, eligible_ids)
     vocab = sorted({t for d in ds.documents for t in d.tokens})
     vectors = random_vectors(vocab, 16, PLANT_SEED)
     models = SimilarityModels.build(ds, word_store(vectors))
@@ -315,7 +316,7 @@ def test_criterion_6_planted_target_recovery():
     ego_bucket = Bucket(Category(truth.ego_bucket[0]), SentimentClass(truth.ego_bucket[1]))
     eligible = filter_eligible(members)
     scores = score_bucket(buckets[ego_bucket], models)
-    ranking = rank_members(scores, eligible, ego_bucket)
+    ranking = rank_members(scores, ego_bucket)
 
     top15 = [e.member_id for e in ranking.entries[:15]]
     recovered = len(set(top15) & set(truth.planted))

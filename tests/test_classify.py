@@ -16,7 +16,7 @@ from egorank.classify import (
     label_documents,
     train_category_classifier,
 )
-from egorank.errors import DependentDatasetError, MissingCategoryError, MissingLexiconError
+from egorank.errors import MissingCategoryError, MissingLexiconError
 from egorank.lexproc import DocumentSet, TokenizedDoc
 
 CATS = list(Category)
@@ -127,13 +127,6 @@ class TestTraining:
 
 
 class TestClassifyCategory:
-    def test_dependent_dataset_rejected(self):
-        labeled, _ = singleton_training()
-        model = train_category_classifier(labeled)
-        doc = tdoc("d3-x", ["code"], dataset_no=3, parent="d1-p")
-        with pytest.raises(DependentDatasetError):
-            classify_category(doc, model)
-
     def test_empty_doc_prior_argmax_tie_breaks_by_enum_order(self):
         labeled, _ = singleton_training()  # one doc per class: uniform priors
         model = train_category_classifier(labeled)
@@ -276,7 +269,7 @@ class TestAssignBuckets:
 
     def test_partition(self, analyzer):
         ds, labels, sentiments, _ = self.build_labeled_set(analyzer)
-        buckets = assign_buckets(ds, labels, sentiments)
+        buckets = assign_buckets(ds, labels, sentiments, {"m1", "m2"})
         assert set(buckets) == set(ALL_BUCKETS)
         all_ids = [doc.doc_id for docs in buckets.values() for doc in docs]
         assert sorted(all_ids) == sorted(labels)
@@ -288,7 +281,7 @@ class TestAssignBuckets:
         docs = [tdoc(f"d1-{i}", ["code", "good"]) for i in range(10)]
         ds = DocumentSet(documents=docs)
         labels, sentiments, _ = label_documents(ds, model, analyzer)
-        buckets = assign_buckets(ds, labels, sentiments)
+        buckets = assign_buckets(ds, labels, sentiments, set())
         tech_pos = Bucket(Category.TECHNOLOGY, SentimentClass.POSITIVE)
         assert len(buckets[tech_pos]) == 10
         assert sum(len(v) for v in buckets.values()) == 10
@@ -331,5 +324,23 @@ class TestAssignBuckets:
         labels, sentiments, skipped = label_documents(ds, model, analyzer)
         assert set(labels) == {"d1-a"}
         assert skipped == ["d3-d"]
-        buckets = assign_buckets(ds, labels, sentiments)
+        buckets = assign_buckets(ds, labels, sentiments, {"m1"})
         assert [doc.doc_id for docs in buckets.values() for doc in docs] == ["d1-a"]
+
+    def test_unlisted_owner_ignored(self, analyzer):
+        # only eligible members' documents are bucketed on the member side,
+        # dependent ones included; the ego's are bucketed whoever owns them
+        labeled, _ = singleton_training()
+        model = train_category_classifier(labeled)
+        docs = [
+            tdoc("d1-a", ["code"], owner="ego"),
+            tdoc("d6-b", ["code"], dataset_no=6, owner="A"),
+            tdoc("d6-c", ["code"], dataset_no=6, owner="ghost"),
+            tdoc("d7-d", ["code"], dataset_no=7, owner="ghost", parent="d6-b"),
+            tdoc("d9-e", ["vote"], dataset_no=9, owner="group"),
+        ]
+        ds = DocumentSet(documents=docs)
+        labels, sentiments, _ = label_documents(ds, model, analyzer)
+        assert set(labels) == {doc.doc_id for doc in docs}
+        buckets = assign_buckets(ds, labels, sentiments, {"A"})
+        assert sorted(doc.doc_id for docs in buckets.values() for doc in docs) == ["d1-a", "d6-b"]

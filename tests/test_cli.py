@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from egorank import pipeline
+from egorank import __version__, pipeline
 from egorank.classify import ALL_BUCKETS
 from egorank.cli import main
 from egorank.config import load_config
@@ -142,11 +142,72 @@ class TestIngest:
             fh.write(f"px-re,great software love,m002,m002,{stamp},px-ru\n")
         assert run_cli("ingest", "--config", str(corpus / "config.json")) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["unbucketed_docs"] == {"non_english": 1, "inert": 1, "orphan": 1}
+        unbucketed = report["unbucketed_docs"]
+        assert set(unbucketed) == {"non_english", "inert", "orphan", "group_owner",
+                                   "unknown_owner"}
+        assert (unbucketed["non_english"], unbucketed["inert"], unbucketed["orphan"]) == (1, 1, 1)
         assert report["flagged_non_english"] == 1
         assert set(report["bucketed_docs"]) == {str(b) for b in ALL_BUCKETS}
         content = sum(n for no, n in report["dataset_counts"].items() if no != "5")
-        assert sum(report["bucketed_docs"].values()) + 3 == content
+        assert sum(report["bucketed_docs"].values()) + sum(unbucketed.values()) == content
+
+    def test_ineligible_owners_are_left_out_of_buckets(self, synth_dir, tmp_path, caplog,
+                                                       capsys):
+        # a member-side document of an owner in neither members.csv nor the
+        # mentions, and every member-side owner of one scored bucket made a
+        # Group: their documents stay in the bundle but land in no bucket
+        corpus = tmp_path / "groups"
+        shutil.copytree(synth_dir, corpus, ignore=shutil.ignore_patterns("out"))
+        config = str(corpus / "config.json")
+        with (corpus / "dataset_6.csv").open("a") as fh:
+            fh.write("px-ghost,great software love,Ghost,m777,0,0,en,2024-06-01T00:00:00+00:00,\n")
+        assert run_cli("ingest", "--config", config) == 0
+        before = json.loads(capsys.readouterr().out)["unbucketed_docs"]
+        assert before["unknown_owner"] == 1
+        bundle = json.loads((corpus / "out" / "bundle.json").read_text())
+        sides = {}
+        for doc in bundle["documents"]:
+            if doc["bucket"] is not None:
+                side = "ego" if doc["dataset_no"] in EGO_DATASETS else "member"
+                sides.setdefault(doc["bucket"], {"ego": set(), "member": set()})[side].add(
+                    doc["owner_id"])
+        bucket = min((b for b, s in sides.items() if s["ego"] and s["member"]),
+                     key=lambda b: (len(sides[b]["member"]), b))
+        grouped = sides[bucket]["member"]
+        moved = sum(1 for d in bundle["documents"]
+                    if d["bucket"] is not None and d["owner_id"] in grouped)
+
+        with (corpus / "members.csv").open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        kind = header.index("kind")
+        assert grouped <= {row[0] for row in rows}
+        groups = {row[0] for row in rows if row[kind] == "Group"} | grouped
+        for row in rows:
+            if row[0] in grouped:
+                row[kind] = "Group"
+        with (corpus / "members.csv").open("w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        assert run_cli("ingest", "--config", config) == 0
+        after = json.loads(capsys.readouterr().out)["unbucketed_docs"]
+        assert after == before | {"group_owner": before["group_owner"] + moved}
+        bundle = json.loads((corpus / "out" / "bundle.json").read_text())
+        left_out = [d for d in bundle["documents"]
+                    if d["dataset_no"] not in EGO_DATASETS and d["owner_id"] in groups | {"m777"}]
+        assert any(d["doc_id"] == "d6-px-ghost" for d in left_out)
+        assert all(d["bucket"] is None for d in left_out)
+
+        with caplog.at_level("WARNING"):
+            assert run_cli("rank", "--config", config, "--bucket", "all") == 0
+        assert f"bucket {bucket}: no member documents; writing empty ranking" in [
+            r.message for r in caplog.records]
+        ranked = set()
+        for path in (corpus / "out").glob("ranking_*.json"):
+            ranked |= {e["member_id"] for e in json.loads(path.read_text())["entries"]}
+        assert ranked and not ranked & (groups | {"m777"})
+        slug = bucket.replace("/", "_")
+        assert (corpus / "out" / f"ranking_{slug}.csv").read_text().splitlines() == [
+            "rank,member_id,score,best_doc_id"]
+        assert TestStartup.probe("rank", "--config", config, "--bucket", bucket)["loaded"] == []
 
     def test_window_drops_rows_on_both_sides_and_counts_them(self, synth_dir, tmp_path, capsys):
         since, until = "2024-01-10T00:00:00+00:00", "2024-05-01T00:00:00+00:00"
@@ -403,7 +464,11 @@ class TestRank:
         (lambda d: None, ("--since", "2024-03-01T00:00:00+00:00"), "window"),
         (lambda d: d.joinpath("lemmas.tsv").write_text("runs\trun\n"),
          ("--lemma-dictionary", "LEMMAS"), "resources.lemma_dictionary"),
-    ], ids=["dataset_content", "since", "lemma_dictionary"])
+        (lambda d: d.joinpath("out", "bundle.json").write_text(
+            d.joinpath("out", "bundle.json").read_text().replace(
+                f'"version":"{__version__}"', '"version":"0.1.0"')),
+         (), f"version; egorank 0.1.0 wrote it, this is {__version__}"),
+    ], ids=["dataset_content", "since", "lemma_dictionary", "version"])
     def test_stale_bundle_exits_config_error(self, synth_dir, tmp_path, caplog,
                                              command, edit, argv, field):
         corpus = tmp_path / "corpus"

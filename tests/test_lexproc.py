@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egorank import resources
-from egorank.errors import MissingLemmaDictionaryError, MissingStopListError
+from egorank.errors import MissingLemmaDictionaryError
 from egorank.lexproc import (
     Lemmatizer,
     build_document_set,
@@ -53,10 +53,6 @@ class TestRemoveStopWords:
 
     def test_all_stop_words(self):
         assert remove_stop_words(["the", "a"], {"the", "a"}) == []
-
-    def test_missing_stop_list(self):
-        with pytest.raises(MissingStopListError):
-            remove_stop_words(["x"], None)
 
     def test_empty_stop_list_is_identity(self):
         assert remove_stop_words(["the", "cat"], frozenset()) == ["the", "cat"]

@@ -13,7 +13,6 @@ import pytest
 import oracle
 from conftest import word_store
 from egorank.classify import Bucket, Category, SentimentClass
-from egorank.corpus import InteractedMember, MemberKind, ActivityType
 from egorank import recommend
 from egorank.lexproc import DocumentSet, TokenizedDoc
 from egorank.recommend import (
@@ -31,13 +30,6 @@ def tdoc(doc_id, tokens, owner="ego", dataset_no=1):
     return TokenizedDoc(
         doc_id=doc_id, owner_id=owner, dataset_no=dataset_no, parent_doc_id=None,
         text=" ".join(tokens), tokens=tuple(tokens),
-    )
-
-
-def member(member_id, kind=MemberKind.FRIEND, connections=None):
-    return InteractedMember(
-        member_id=member_id, display_name=member_id, kind=kind,
-        activity_types=frozenset({ActivityType.POST}), connections_count=connections,
     )
 
 
@@ -281,8 +273,10 @@ class TestScoreBucket:
         scores = {s.target_doc_id: s for s in score_bucket(docs, models)}
         a, b = scores[f"d6-t{first:02d}"], scores[f"d6-t{last:02d}"]
         assert (a.key_doc_id, a.sum_n, a.ti_cs, a.r_plus) == (b.key_doc_id, b.sum_n, b.ti_cs, b.r_plus)
-        ranking = rank_members(list(scores.values()), [member("m1"), member("m2")], BUCKET)
-        assert [e.member_id for e in ranking.entries] == ["m1", "m2"]
+        ranking = rank_members(list(scores.values()), BUCKET)
+        twins = [e for e in ranking.entries if e.member_id in ("m1", "m2")]
+        assert [e.member_id for e in twins] == ["m1", "m2"]
+        assert twins[0].score == twins[1].score
 
 
 def zipf_bucket_case(rng, n_keys, n_targets, vocab_size, dim, doc_len):
@@ -390,28 +384,22 @@ class TestRankMembers:
         scores = self.make_scores([
             ("A", "d6-a1", 3.0), ("A", "d6-a2", 1.0), ("B", "d6-b1", 2.5),
         ])
-        members = [member("A"), member("B")]
-        ranking = rank_members(scores, members, BUCKET)
+        ranking = rank_members(scores, BUCKET)
         assert [(e.member_id, e.score) for e in ranking.entries] == [("A", 3.0), ("B", 2.5)]
         assert ranking.entries[0].best_doc_id == "d6-a1"
 
     def test_tie_broken_by_member_id(self):
         scores = self.make_scores([("B", "d6-b", 1.0), ("A", "d6-a", 1.0)])
-        ranking = rank_members(scores, [member("A"), member("B")], BUCKET)
+        ranking = rank_members(scores, BUCKET)
         assert [e.member_id for e in ranking.entries] == ["A", "B"]
 
     def test_empty(self):
-        ranking = rank_members([], [member("A")], BUCKET)
+        ranking = rank_members([], BUCKET)
         assert ranking.entries == []
 
     def test_members_without_scores_excluded(self):
         scores = self.make_scores([("A", "d6-a", 1.0)])
-        ranking = rank_members(scores, [member("A"), member("Z")], BUCKET)
-        assert [e.member_id for e in ranking.entries] == ["A"]
-
-    def test_unlisted_owner_ignored(self):
-        scores = self.make_scores([("A", "d6-a", 1.0), ("ghost", "d6-g", 9.0)])
-        ranking = rank_members(scores, [member("A")], BUCKET)
+        ranking = rank_members(scores, BUCKET)
         assert [e.member_id for e in ranking.entries] == ["A"]
 
     def test_matches_oracle_rank(self):
@@ -419,8 +407,7 @@ class TestRankMembers:
         ego_docs, member_docs, emb = random_bucket_case(rng)
         docs, models = build_case(ego_docs, member_docs, emb)
         scores = score_bucket(docs, models)
-        owners = sorted({owner for owner, _ in member_docs})
-        ranking = rank_members(scores, [member(o) for o in owners], BUCKET)
+        ranking = rank_members(scores, BUCKET)
 
         docs_tokens = {d.doc_id: list(d.tokens) for d in docs}
         key_ids = [d for d in docs_tokens if d.startswith("d1-")]
