@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import logging
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import DEPENDENT_DATASETS, EGO_DATASETS, INDEPENDENT_DATASETS
 from .errors import MissingCategoryError, MissingLexiconError
-from .lexproc import DocumentSet, TokenizedDoc
+from .lexproc import DocumentSet, TokenizedDoc, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -50,15 +50,15 @@ class Bucket(NamedTuple):
         return f"{self.category.value}/{self.sentiment.value}"
 
 
-ALL_BUCKETS = tuple(Bucket(c, s) for c in Category for s in SentimentClass)
+# Iterating an Enum class runs a Python-level generator; this tuple does not.
+CATEGORIES = tuple(Category)
+ALL_BUCKETS = tuple(Bucket(c, s) for c in CATEGORIES for s in SentimentClass)
 
 # Rule constants of the reference lexicon-and-rule sentiment method.
 NEGATION_SCALAR = -0.74
 BOOSTER_INCREMENT = 0.293
 NORMALIZATION_ALPHA = 15.0
 NEGATION_WINDOW = 3
-
-_WORD = re.compile(r"[a-z0-9]+")
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,10 @@ class CategoryClassifier:
         token_log_probs: Mapping[Category, Mapping[str, float]],
         vocabulary: frozenset[str],
     ):
-        self._log_priors = dict(log_priors)
         self._token_log_probs = {c: dict(p) for c, p in token_log_probs.items()}
         self._vocabulary = vocabulary
+        # (prior, token log-probs) of each category, in CATEGORIES order.
+        self._rows = tuple((log_priors[c], self._token_log_probs[c]) for c in CATEGORIES)
 
     def posteriors(self, tokens: Sequence[str]) -> dict[Category, float]:
         """Normalized posterior over the five categories.
@@ -87,18 +88,19 @@ class CategoryClassifier:
         skipped; an empty (or fully out-of-vocabulary) token list falls
         back to the class priors.
         """
-        log_scores: dict[Category, float] = {}
-        for cat in Category:
-            total = self._log_priors[cat]
-            probs = self._token_log_probs[cat]
-            for tok in tokens:
-                if tok in self._vocabulary:
-                    total += probs[tok]
-            log_scores[cat] = total
-        peak = max(log_scores.values())
-        raw = {cat: math.exp(log_scores[cat] - peak) for cat in Category}
-        z = sum(raw.values())
-        return {cat: raw[cat] / z for cat in Category}
+        known = [tok for tok in tokens if tok in self._vocabulary]
+        log_scores = []
+        for total, probs in self._rows:
+            # Float sums keep their order and operator: this loop stays a
+            # loop and z stays a sum(). From Python 3.12 on, sum() of floats
+            # is compensated, so trading one for the other changes the bits.
+            for tok in known:
+                total += probs[tok]
+            log_scores.append(total)
+        peak = max(log_scores)
+        raw = [math.exp(score - peak) for score in log_scores]
+        z = sum(raw)
+        return {cat: r / z for cat, r in zip(CATEGORIES, raw)}
 
 
 def train_category_classifier(
@@ -109,8 +111,8 @@ def train_category_classifier(
     Training is pure counting, so the model is identical for any
     permutation or duplication structure of the input.
     """
-    class_docs: dict[Category, int] = {c: 0 for c in Category}
-    class_tokens: dict[Category, Counter] = {c: Counter() for c in Category}
+    class_docs: dict[Category, int] = {c: 0 for c in CATEGORIES}
+    class_tokens: dict[Category, Counter] = {c: Counter() for c in CATEGORIES}
     total_docs = 0
     for doc, label in labeled_docs:
         tokens = doc.tokens if isinstance(doc, TokenizedDoc) else doc
@@ -118,14 +120,14 @@ def train_category_classifier(
         class_docs[cat] += 1
         class_tokens[cat].update(tokens)
         total_docs += 1
-    for cat in Category:
+    for cat in CATEGORIES:
         if class_docs[cat] == 0:
             raise MissingCategoryError(cat.value)
     vocabulary = frozenset(tok for counter in class_tokens.values() for tok in counter)
     v = len(vocabulary)
-    log_priors = {cat: math.log(class_docs[cat] / total_docs) for cat in Category}
+    log_priors = {cat: math.log(class_docs[cat] / total_docs) for cat in CATEGORIES}
     token_log_probs: dict[Category, dict[str, float]] = {}
-    for cat in Category:
+    for cat in CATEGORIES:
         denom = sum(class_tokens[cat].values()) + v
         token_log_probs[cat] = {
             tok: math.log((class_tokens[cat][tok] + 1) / denom) for tok in vocabulary
@@ -136,7 +138,7 @@ def train_category_classifier(
 def _argmax_category(scores: Mapping[Category, float]) -> Category:
     best = None
     best_score = -math.inf
-    for cat in Category:  # enum order breaks ties
+    for cat in CATEGORIES:  # enum order breaks ties
         if scores[cat] > best_score:
             best = cat
             best_score = scores[cat]
@@ -171,18 +173,15 @@ class SentimentAnalyzer:
         self._boosters = frozenset(boosters)
 
     def score(self, text: str) -> SentimentResult:
-        tokens = _WORD.findall(text.lower())
+        tokens = tokenize(text.lower())
         total = 0.0
-        for i, tok in enumerate(tokens):
-            valence = self._lexicon.get(tok)
-            if valence is None:
-                continue
+        for i in compress(range(len(tokens)), map(self._lexicon.__contains__, tokens)):
+            valence = self._lexicon[tokens[i]]
             if valence > 0 and i > 0 and tokens[i - 1] in self._boosters:
                 valence += BOOSTER_INCREMENT
             elif valence < 0 and i > 0 and tokens[i - 1] in self._boosters:
                 valence -= BOOSTER_INCREMENT
-            window = tokens[max(0, i - NEGATION_WINDOW):i]
-            if any(t in self._negators for t in window):
+            if not self._negators.isdisjoint(tokens[max(0, i - NEGATION_WINDOW):i]):
                 valence *= NEGATION_SCALAR
             total += valence
         compound = total / math.sqrt(total * total + NORMALIZATION_ALPHA)

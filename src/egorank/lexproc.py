@@ -118,11 +118,8 @@ def build_document_set(
     lemmas: dict[str, str] = {}  # lemmatize is pure: each distinct raw token runs once
     docs: list[TokenizedDoc] = []
     for cd in clean_docs:
-        tokens = []
-        for token in remove_stop_words(tokenize(cd.text), stops):
-            if token not in lemmas:
-                lemmas[token] = lemmatizer.lemmatize(token)
-            tokens.append(lemmas[token])
+        tokens = [lemmas[t] if t in lemmas else lemmas.setdefault(t, lemmatizer.lemmatize(t))
+                  for t in tokenize(cd.text) if t not in stops]
         docs.append(TokenizedDoc(
             doc_id=cd.doc_id,
             owner_id=cd.owner_id,

@@ -299,8 +299,10 @@ def _embeddings_path(cfg: PipelineConfig) -> Path:
 
 def _ranking_provenance(cfg: PipelineConfig, ingest: IngestResult) -> dict[str, str]:
     """What a saved ranking records it was made from, and must match to be
-    reused: the normalization, the ingest inputs and the embeddings file."""
+    reused: the egorank version, the normalization, the ingest inputs and
+    the embeddings file."""
     return {
+        "version": __version__,
         "normalization": cfg.normalization,
         "inputs_digest": ingest.inputs_digest,
         "embeddings_sha256": _file_sha256(_embeddings_path(cfg)),
@@ -327,7 +329,6 @@ def write_ranking_reports(cfg: PipelineConfig, ranking: MemberRanking,
         for position, entry in enumerate(ranking.entries, start=1):
             writer.writerow([position, entry.member_id, repr(entry.score), entry.best_doc_id])
     _write_json(out / f"ranking_{slug}.json", {
-        "version": __version__,
         "bucket": str(ranking.bucket),
         **provenance,
         "entries": [
@@ -392,15 +393,15 @@ def run_rank(
 def load_ranking_report(cfg: PipelineConfig, bucket: Bucket,
                         provenance: dict[str, str]) -> MemberRanking | None:
     """The saved ranking of ``bucket``; None when there is none, or when its
-    provenance differs: another normalization, other ingest inputs or
-    other embeddings."""
+    provenance differs: another egorank version, another normalization,
+    other ingest inputs or other embeddings."""
     path = cfg.out_dir / f"ranking_{_bucket_slug(bucket)}.json"
     if not path.is_file():
         return None
     data = json.loads(path.read_text(encoding="utf-8"))
     if any(data.get(key) != value for key, value in provenance.items()):
-        log.info("%s was ranked from other inputs, embeddings or normalization; "
-                 "ranking again", path)
+        log.info("%s was ranked by another version, or from other inputs, embeddings "
+                 "or normalization; ranking again", path)
         return None
     entries = [
         RankEntry(e["member_id"], float(e["score"]), e["best_doc_id"])

@@ -21,12 +21,15 @@ from typing import Iterable, Mapping
 from .corpus import Document
 from .errors import DataError
 
-_MENTION = re.compile(r"(?:(?<=^)|(?<=\s))@\S+")
-_NOISE = re.compile(r"[^A-Za-z0-9\s,.]+")
-_WS = re.compile(r"\s+")
+# A token opening with '@' at the start or after whitespace. The pattern opens
+# with the literal '@' so the regex engine can skip from one '@' to the next.
+_MENTION = re.compile(r"@(?<!\S@)\S+")
+_NAME_EDGE = re.compile(r"^[^A-Za-z0-9_]+|[^A-Za-z0-9_]+$")
+_NOISE = re.compile(r"[^A-Za-z0-9,.]+")
 _GAP = re.compile(r"[ \t]{2,}")
 _WORD_TOKEN = re.compile(r"[a-z0-9]+")
 _ASCII_WORD = re.compile(r"[A-Za-z]+")
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
 # Share of tokens that must look English before a text passes as English.
 ENGLISH_TOKEN_RATIO = 0.34
@@ -56,21 +59,22 @@ def looks_english(text: str, english_vocab: Iterable[str] | None = None) -> bool
     obviously foreign text from the English mainstream; flagged documents
     are excluded from classification downstream rather than mistranslated.
     """
-    letters = [c for c in text if c.isalpha()]
+    words = _ASCII_WORD.findall(text)
+    foreign = sum(map(str.isalpha, _NON_ASCII.findall(text)))
+    # The only ASCII letters are A-Z and a-z, so the words hold all of them.
+    letters = sum(map(len, words)) + foreign
     if not letters:
         return True
-    foreign = sum(1 for c in letters if ord(c) > 127)
-    if foreign / len(letters) > FOREIGN_LETTER_RATIO:
+    if foreign / letters > FOREIGN_LETTER_RATIO:
         return False
-    tokens = [t.lower() for t in _ASCII_WORD.findall(text)]
-    if not tokens:
+    if not words:
         return True
     if english_vocab is None:
         from .resources import load_english_words
         english_vocab = load_english_words()
     vocab = english_vocab if isinstance(english_vocab, (set, frozenset)) else set(english_vocab)
-    known = sum(1 for t in tokens if t in vocab)
-    return known / len(tokens) >= ENGLISH_TOKEN_RATIO
+    known = sum(map(vocab.__contains__, map(str.lower, words)))
+    return known / len(words) >= ENGLISH_TOKEN_RATIO
 
 
 def extract_mentions(text: str) -> tuple[str, list[str]]:
@@ -82,8 +86,7 @@ def extract_mentions(text: str) -> tuple[str, list[str]]:
     """
     mentions: list[str] = []
     for tok in _MENTION.findall(text):
-        name = tok.replace("@", "")
-        name = re.sub(r"^[^A-Za-z0-9_]+|[^A-Za-z0-9_]+$", "", name)
+        name = _NAME_EDGE.sub("", tok.replace("@", ""))
         if name and name not in mentions:
             mentions.append(name)
     stripped = _MENTION.sub("", text)
@@ -97,8 +100,7 @@ def strip_noise(text: str) -> str:
     Emoji, symbol runs and replacement characters all disappear; runs of
     whitespace collapse to single spaces.
     """
-    cleaned = _NOISE.sub(" ", text)
-    return _WS.sub(" ", cleaned).strip()
+    return _NOISE.sub(" ", text).strip()
 
 
 def load_spelling_dictionary(path: str | Path) -> dict[str, int]:

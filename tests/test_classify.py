@@ -344,3 +344,99 @@ class TestAssignBuckets:
         assert set(labels) == {doc.doc_id for doc in docs}
         buckets = assign_buckets(ds, labels, sentiments, {"A"})
         assert sorted(doc.doc_id for docs in buckets.values() for doc in docs) == ["d1-a", "d6-b"]
+
+
+# Test-side references for the labelling arithmetic. They redo each float
+# operation in the order the classifier and the scorer specify, so results
+# must be equal, not merely close.
+REF_WORDS = ["code", "software", "vote", "law", "goal", "match", "profit", "market",
+             "movie", "music", "data", "team", "stock", "song", "court", "game"]
+
+
+def ref_training():
+    rng = random.Random(11)
+    labeled = [([w], cat) for w, cat in zip(REF_WORDS, CATS * 4)]
+    for _ in range(40):
+        labeled.append((rng.choices(REF_WORDS, k=rng.randrange(1, 9)), rng.choice(CATS)))
+    return labeled
+
+
+def reference_posteriors(labeled, tokens):
+    docs = {c: 0 for c in CATS}
+    counts = {c: {} for c in CATS}
+    for words, cat in labeled:
+        docs[cat] += 1
+        for w in words:
+            counts[cat][w] = counts[cat].get(w, 0) + 1
+    vocab = {w for c in CATS for w in counts[c]}
+    log_scores = {}
+    for cat in CATS:
+        denom = sum(counts[cat].values()) + len(vocab)
+        score = math.log(docs[cat] / len(labeled))
+        for tok in tokens:
+            if tok in vocab:
+                score += math.log((counts[cat].get(tok, 0) + 1) / denom)
+        log_scores[cat] = score
+    peak = max(log_scores.values())
+    raw = {cat: math.exp(log_scores[cat] - peak) for cat in CATS}
+    z = sum(raw.values())
+    return {cat: raw[cat] / z for cat in CATS}
+
+
+def reference_sentiment(text, lexicon, negators, boosters):
+    tokens = "".join(c if c.isascii() and c.isalnum() else " " for c in text.lower()).split()
+    total = 0.0
+    for i, tok in enumerate(tokens):
+        if tok not in lexicon:
+            continue
+        valence = lexicon[tok]
+        if i > 0 and tokens[i - 1] in boosters:
+            if valence > 0:
+                valence += 0.293
+            elif valence < 0:
+                valence -= 0.293
+        if any(t in negators for t in tokens[max(0, i - 3):i]):
+            valence *= -0.74
+        total += valence
+    compound = max(-1.0, min(1.0, total / math.sqrt(total * total + 15.0)))
+    return SentimentClass.POSITIVE if compound >= 0 else SentimentClass.NEGATIVE, compound
+
+
+REF_MODEL = train_category_classifier(ref_training())
+REF_LEXICON = {"good": 1.9, "bad": -2.5, "great": 3.1, "awful": -0.7, "fine": 0.9, "zero": 0.0}
+REF_NEGATORS = {"not", "never", "no"}
+REF_BOOSTERS = {"very", "really"}
+SENTIMENT_WORDS = sorted(REF_LEXICON) + sorted(REF_NEGATORS) + sorted(REF_BOOSTERS) + [
+    "Good", "NOT", "cat", "the", "x1"]
+
+
+class TestMatchesReference:
+    @given(st.lists(st.sampled_from(REF_WORDS + ["zzz", "qqq"]), max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_posteriors_and_category(self, tokens):
+        expected = reference_posteriors(ref_training(), tokens)
+        scores = REF_MODEL.posteriors(tokens)
+        assert scores == expected
+        assert list(scores) == CATS
+        best = max(expected.values())
+        assert classify_category(tdoc("d", tokens), REF_MODEL) is next(
+            c for c in CATS if expected[c] == best)
+
+    @given(st.lists(st.tuples(st.sampled_from(SENTIMENT_WORDS),
+                              st.sampled_from([" ", ", ", ". ", "  ", "!"])), max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_sentiment_score(self, pieces):
+        text = "".join(word + sep for word, sep in pieces)
+        analyzer = SentimentAnalyzer(REF_LEXICON, REF_NEGATORS, REF_BOOSTERS)
+        result = analyzer.score(text)
+        assert (result.clazz, result.compound) == reference_sentiment(
+            text, REF_LEXICON, REF_NEGATORS, REF_BOOSTERS)
+
+    def test_sentiment_score_with_shipped_lists(self, analyzer, lexicon, negators, boosters):
+        rng = random.Random(4)
+        words = sorted(lexicon) + sorted(negators) + sorted(boosters) + ["cat", "the"]
+        for _ in range(300):
+            text = " ".join(rng.choices(words, k=rng.randrange(0, 25)))
+            result = analyzer.score(text)
+            assert (result.clazz, result.compound) == reference_sentiment(
+                text, lexicon, negators, boosters)

@@ -131,6 +131,25 @@ class TestIngest:
         run_cli("ingest", "--config", str(synth_dir / "config.json"))
         assert bundle.read_bytes() == first
 
+    def test_ingest_output_is_pinned(self, tmp_path):
+        # sha256 of the canonical JSON of what ingest wrote for `synth --seed 7`
+        # when these were taken: the bundle's documents, and the ingest report
+        # without its version. A speed-up must leave both as they are; they
+        # are not updated to let a change pass.
+        assert run_cli("synth", "--out", str(tmp_path), "--seed", "7") == 0
+        assert run_cli("ingest", "--config", str(tmp_path / "config.json")) == 0
+        documents = json.loads((tmp_path / "out" / "bundle.json").read_text())["documents"]
+        report = json.loads((tmp_path / "out" / "ingest_report.json").read_text())
+        del report["version"]
+
+        def digest(value):
+            canonical = json.dumps(value, sort_keys=True, separators=(",", ":"))
+            return hashlib.sha256(canonical.encode()).hexdigest()
+
+        assert len(documents) == 744
+        assert digest(documents) == "2ce8598f5cd97d22701324269d0172ee1a6af429e86a31358ec861a31306e025"
+        assert digest(report) == "34a0fe13f62563e7e6d78d48bc0859c7cbb66a3b1a1e5a2cc65df3df6c3c0e55"
+
     def test_report_counts_bucketed_and_unbucketed_docs(self, synth_dir, tmp_path, capsys):
         corpus = tmp_path / "reasons"
         shutil.copytree(synth_dir, corpus)
@@ -584,6 +603,19 @@ class TestTargets:
             assert json.loads(path.read_text())["normalization"] == "mean", path.name
         for path in sorted(fresh.glob("ranking_*")) + sorted(fresh.glob("targets_*")):
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_targets_reranks_a_ranking_of_another_version(self, synth_dir, tmp_path):
+        config, out = str(synth_dir / "config.json"), tmp_path / "out"
+        assert run_cli("run", "--config", config, "--out-dir", str(out)) == 0
+        stale, kept = out / "ranking_Technology_Positive.json", out / "ranking_Sports_Positive.json"
+        fresh = stale.read_bytes()
+        data = json.loads(fresh)
+        data["version"] = "0.1.0"
+        stale.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        os.utime(kept, ns=(10**9, 10**9))
+        assert run_cli("targets", "--config", config, "--out-dir", str(out)) == 0
+        assert stale.read_bytes() == fresh
+        assert kept.stat().st_mtime_ns == 10**9
 
     def test_targets_reranks_after_a_new_ingest(self, synth_dir, tmp_path):
         corpus = tmp_path / "corpus"

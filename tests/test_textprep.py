@@ -199,3 +199,83 @@ class TestPrimaryPreprocess:
         clean = primary_preprocess(make_doc(text))
         assert ALPHABET_OK.match(clean.text), clean.text
         assert all("@" not in m for m in clean.mentions)
+
+
+# The implementations these functions had before they were rewritten as
+# C-level passes, kept as references: the rewrite must give the same result
+# on every text.
+_REF_MENTION = re.compile(r"(?:(?<=^)|(?<=\s))@\S+")
+_REF_NOISE = re.compile(r"[^A-Za-z0-9\s,.]+")
+_REF_WS = re.compile(r"\s+")
+_REF_GAP = re.compile(r"[ \t]{2,}")
+_REF_ASCII_WORD = re.compile(r"[A-Za-z]+")
+
+
+def reference_looks_english(text, vocab):
+    letters = [c for c in text if c.isalpha()]
+    if not letters:
+        return True
+    foreign = sum(1 for c in letters if ord(c) > 127)
+    if foreign / len(letters) > 0.30:
+        return False
+    tokens = [t.lower() for t in _REF_ASCII_WORD.findall(text)]
+    if not tokens:
+        return True
+    known = sum(1 for t in tokens if t in vocab)
+    return known / len(tokens) >= 0.34
+
+
+def reference_extract_mentions(text):
+    mentions = []
+    for tok in _REF_MENTION.findall(text):
+        name = tok.replace("@", "")
+        name = re.sub(r"^[^A-Za-z0-9_]+|[^A-Za-z0-9_]+$", "", name)
+        if name and name not in mentions:
+            mentions.append(name)
+    stripped = _REF_MENTION.sub("", text)
+    stripped = _REF_GAP.sub(" ", stripped).strip()
+    return stripped, mentions
+
+
+def reference_strip_noise(text):
+    return _REF_WS.sub(" ", _REF_NOISE.sub(" ", text)).strip()
+
+
+ENGLISH = frozenset({"the", "is", "a", "of", "cat", "good"})
+# Pieces that stress the rewritten passes: non-ASCII letters (Cyrillic, the
+# Kelvin sign, dotted capital I), Unicode whitespace, '@' runs and English
+# words.
+PIECES = ("привет", "\N{KELVIN SIGN}", "\N{LATIN CAPITAL LETTER I WITH DOT ABOVE}",
+          "\N{NO-BREAK SPACE}", "\N{EM SPACE}", " ", "\x1c", " ", "  ", "\t", "\n",
+          "@", "@@", "@@bob", "@_x_", "x@y", "@Ann!", ",", ".", "_", "The", "cat", "IS",
+          "good", "Zebra", "42", "\N{ROCKET}")
+mixed_text = st.lists(
+    st.one_of(st.sampled_from(PIECES), st.text(max_size=4)), max_size=24,
+).map("".join)
+
+
+class TestMatchesReference:
+    @given(st.one_of(mixed_text, fuzz_text))
+    @settings(max_examples=150, deadline=None)
+    def test_looks_english(self, text):
+        for vocab in (ENGLISH, sorted(ENGLISH)):
+            assert looks_english(text, vocab) == reference_looks_english(text, ENGLISH)
+
+    @given(st.one_of(mixed_text, fuzz_text))
+    @settings(max_examples=150, deadline=None)
+    def test_extract_mentions(self, text):
+        assert extract_mentions(text) == reference_extract_mentions(text)
+
+    @given(st.one_of(mixed_text, fuzz_text))
+    @settings(max_examples=150, deadline=None)
+    def test_strip_noise(self, text):
+        assert strip_noise(text) == reference_strip_noise(text)
+
+    @pytest.mark.parametrize("text", [
+        "\N{KELVIN SIGN}elvin is the cat", "İstanbul is the city", "the\N{NO-BREAK SPACE}cat",
+        "a\N{EM SPACE}@bob\N{EM SPACE}b", "@@ @@bob,, x@y @Ann!", "привет the cat is good",
+    ])
+    def test_edge_cases(self, text):
+        assert looks_english(text, ENGLISH) == reference_looks_english(text, ENGLISH)
+        assert extract_mentions(text) == reference_extract_mentions(text)
+        assert strip_noise(text) == reference_strip_noise(text)
