@@ -22,7 +22,7 @@ from itertools import compress
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import DEPENDENT_DATASETS, EGO_DATASETS, INDEPENDENT_DATASETS
-from .errors import MissingCategoryError, MissingLexiconError
+from .errors import ConfigError, DataError
 from .lexproc import DocumentSet, TokenizedDoc, tokenize
 
 log = logging.getLogger(__name__)
@@ -122,7 +122,7 @@ def train_category_classifier(
         total_docs += 1
     for cat in CATEGORIES:
         if class_docs[cat] == 0:
-            raise MissingCategoryError(cat.value)
+            raise DataError(f"training data has no examples for category {cat.value!r}")
     vocabulary = frozenset(tok for counter in class_tokens.values() for tok in counter)
     v = len(vocabulary)
     log_priors = {cat: math.log(class_docs[cat] / total_docs) for cat in CATEGORIES}
@@ -167,7 +167,7 @@ class SentimentAnalyzer:
         boosters: Iterable[str] = (),
     ):
         if not lexicon:
-            raise MissingLexiconError()
+            raise ConfigError("no sentiment lexicon loaded")
         self._lexicon = dict(lexicon)
         self._negators = frozenset(negators)
         self._boosters = frozenset(boosters)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import load_config
-from .errors import ConfigError, DataError, EgorankError
+from .errors import ConfigError, EgorankError
 from .pipeline import (
     INGEST_REPORT_NAME,
     parse_bucket_filter,
@@ -145,9 +145,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
-    except DataError as exc:
-        log.error("%s", exc)
-        return EXIT_DATA
     except EgorankError as exc:
         log.error("%s", exc)
         return EXIT_DATA

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .corpus import CONTENT_DATASETS, Platform, parse_timestamp
-from .errors import ConfigError, MissingDatasetError
+from .errors import ConfigError
 
 # Wide-open default window: ingest everything unless the config narrows it.
 DEFAULT_SINCE = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -81,7 +81,7 @@ class PipelineConfig:
         for no in CONTENT_DATASETS + (5,):
             path = self.datasets.get(no)
             if path is None or not Path(path).is_file():
-                raise MissingDatasetError(no)
+                raise ConfigError(f"MissingDataset({no}): no file configured or file absent")
         for key, path in self.resources.items():
             if path is not None and not Path(path).is_file():
                 raise ConfigError(f"resource {key!r} not found: {path}")

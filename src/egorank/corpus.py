@@ -20,13 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    BadParamsError,
-    BadRowError,
-    BadTimestampError,
-    EmptyFileError,
-    MissingColumnError,
-)
+from .errors import BadRowError, ConfigError, DataError
 
 log = logging.getLogger(__name__)
 
@@ -131,15 +125,13 @@ def parse_timestamp(value: str) -> datetime:
 
 def _check_header(header: Sequence[str] | None, expected: Sequence[str], path: str) -> None:
     if header is None:
-        raise EmptyFileError(path)
+        raise DataError(f"empty file (no header row): {path}")
     got = [h.strip() for h in header]
     for name in expected:
         if name not in got:
-            raise MissingColumnError(name, path)
+            raise DataError(f"missing required column '{name}' in {path}")
     if got != list(expected):
-        raise MissingColumnError(
-            f"header order mismatch: expected {','.join(expected)}", path
-        )
+        raise BadRowError(path, 1, f"header order mismatch: expected {','.join(expected)}")
 
 
 def _parse_count(value: str, path: Path, row_no: int, name: str) -> int:
@@ -166,7 +158,7 @@ def load_activity_csv(
     applies the time window.
     """
     if dataset_no not in CONTENT_DATASETS:
-        raise BadParamsError(f"dataset_no must be one of {CONTENT_DATASETS}, got {dataset_no}")
+        raise ConfigError(f"dataset_no must be one of {CONTENT_DATASETS}, got {dataset_no}")
     path = Path(path)
     dependent = dataset_no in DEPENDENT_DATASETS
     parent_dataset = PARENT_DATASET.get(dataset_no)
@@ -178,28 +170,29 @@ def load_activity_csv(
         header = next(reader, None)
         _check_header(header, ACTIVITY_HEADER, str(path))
         for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not any(map(str.strip, row)):
                 continue
             if len(row) != len(ACTIVITY_HEADER):
                 raise BadRowError(
                     path, row_no, f"expected {len(ACTIVITY_HEADER)} columns, got {len(row)}")
-            rec = dict(zip(ACTIVITY_HEADER, row))
-            post_id = rec["post_id"].strip()
+            # _check_header pinned the column order to ACTIVITY_HEADER's.
+            post_id, content, _, user_id, reacts, shares, _, time_raw, parent_raw = row
+            post_id = post_id.strip()
             if not post_id:
                 raise BadRowError(path, row_no, "empty post_id")
             if post_id in seen_post_ids:
                 raise BadRowError(path, row_no, f"duplicate post_id {post_id!r}")
             seen_post_ids.add(post_id)
-            user_id = rec["user_id"].strip()
+            user_id = user_id.strip()
             if not user_id:
                 raise BadRowError(path, row_no, "empty user_id")
-            _parse_count(rec["react_count"], path, row_no, "react_count")
-            _parse_count(rec["share_count"], path, row_no, "share_count")
+            _parse_count(reacts, path, row_no, "react_count")
+            _parse_count(shares, path, row_no, "share_count")
             try:
-                time = parse_timestamp(rec["time"])
+                time = parse_timestamp(time_raw)
             except ValueError:
-                raise BadTimestampError(path, row_no, rec["time"]) from None
-            parent_raw = rec["parent_post_id"].strip()
+                raise BadRowError(path, row_no, f"unparseable timestamp {time_raw!r}") from None
+            parent_raw = parent_raw.strip()
             if dependent and not parent_raw:
                 raise BadRowError(path, row_no, f"dataset {dataset_no} requires parent_post_id")
             if not dependent and parent_raw:
@@ -208,7 +201,7 @@ def load_activity_csv(
             docs.append(Document(
                 doc_id=f"d{dataset_no}-{post_id}",
                 owner_id=owner_id if owner_id is not None else user_id,
-                text=rec["content"],
+                text=content,
                 dataset_no=dataset_no,
                 parent_doc_id=f"d{parent_dataset}-{parent_raw}" if dependent else None,
                 time=time,
@@ -226,32 +219,32 @@ def load_members_csv(path: str | Path) -> list[InteractedMember]:
         header = next(reader, None)
         _check_header(header, MEMBER_HEADER, str(path))
         for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not any(map(str.strip, row)):
                 continue
             if len(row) != len(MEMBER_HEADER):
                 raise BadRowError(
                     path, row_no, f"expected {len(MEMBER_HEADER)} columns, got {len(row)}")
-            rec = dict(zip(MEMBER_HEADER, row))
-            member_id = rec["member_id"].strip()
+            # _check_header pinned the column order to MEMBER_HEADER's.
+            member_id, display_name, kind_raw, activities, conn_raw = row
+            member_id = member_id.strip()
             if not member_id:
                 raise BadRowError(path, row_no, "empty member_id")
             try:
-                kind = MemberKind(rec["kind"].strip())
+                kind = MemberKind(kind_raw.strip())
             except ValueError:
-                raise BadRowError(path, row_no, f"unknown member kind {rec['kind']!r}") from None
+                raise BadRowError(path, row_no, f"unknown member kind {kind_raw!r}") from None
             try:
                 acts = frozenset(
-                    ActivityType(a.strip()) for a in rec["activity_types"].split(";") if a.strip()
+                    ActivityType(a.strip()) for a in activities.split(";") if a.strip()
                 )
             except ValueError:
-                raise BadRowError(
-                    path, row_no, f"unknown activity in {rec['activity_types']!r}") from None
+                raise BadRowError(path, row_no, f"unknown activity in {activities!r}") from None
             if not acts:
                 raise BadRowError(path, row_no, "activity_types must name at least one activity")
-            conn_raw = rec["connections_count"].strip()
+            conn_raw = conn_raw.strip()
             connections = (_parse_count(conn_raw, path, row_no, "connections_count")
                            if conn_raw else None)
-            member = InteractedMember(member_id, rec["display_name"].strip(), kind, acts, connections)
+            member = InteractedMember(member_id, display_name.strip(), kind, acts, connections)
             if member_id in merged:
                 merged[member_id] = _merge_members(merged[member_id], member)
             else:

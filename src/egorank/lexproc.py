@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import MissingLemmaDictionaryError
+from .errors import ConfigError
 from .textprep import CleanDocument
 
 _TOKEN = re.compile(r"[a-z0-9]+")
@@ -78,7 +78,7 @@ class Lemmatizer:
 
     def __init__(self, table: Mapping[str, str]):
         if not table:
-            raise MissingLemmaDictionaryError()
+            raise ConfigError("no lemma dictionary loaded")
         self._table = dict(table)
         self._lemmas = frozenset(self._table.values())
 

@@ -190,7 +190,8 @@ def run_ingest(cfg: PipelineConfig) -> IngestResult:
 
     documents = document_set.documents
     flagged = sum(1 for d in documents if d.flagged_non_english)
-    bucket_of = {doc.doc_id: str(bucket) for bucket, docs in buckets.items() for doc in docs}
+    bucket_of = {doc.doc_id: name for bucket, docs in buckets.items()
+                 for name in (str(bucket),) for doc in docs}
     member_ids = {m.member_id for m in members}
     # Labelled but left out: a group's documents, or an unknown owner's.
     left_out = [d.owner_id in member_ids for d in documents

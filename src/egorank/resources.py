@@ -115,7 +115,7 @@ def load_labeled_seed(path: str | Path | None = None) -> list[tuple[str, str]]:
         raise DataError(f"{where}: labeled seed corpus must have header 'text,category'")
     rows: list[tuple[str, str]] = []
     for row in reader:
-        if not row or all(not c.strip() for c in row):
+        if not any(map(str.strip, row)):
             continue
         if len(row) != 2:
             raise DataError(f"{where}: line {reader.line_num}: {len(row)} columns, expected 2")

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Iterable
 
-from .errors import (
-    BadHeaderError,
-    DimMismatchError,
-    DuplicateWordError,
-    EmptyCorpusError,
-    ZeroVectorError,
-)
+from .errors import BadRowError, DataError
 from .lexproc import DocumentSet, TokenizedDoc
 
 if TYPE_CHECKING:
@@ -67,39 +61,40 @@ def load_word_vectors(path: str | Path, words: Collection[str]) -> WordVectorSto
     with path.open(encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
-            raise BadHeaderError(f"{path}: header must be 'vocab_size dim'")
+            raise DataError(f"{path}: header must be 'vocab_size dim'")
         try:
             vocab_size, dim = int(header[0]), int(header[1])
         except ValueError:
-            raise BadHeaderError(f"{path}: non-integer header {header!r}") from None
+            raise DataError(f"{path}: non-integer header {header!r}") from None
         if dim < 1:
-            raise BadHeaderError(f"{path}: dimension must be positive")
+            raise DataError(f"{path}: dimension must be positive")
         for row_no, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
                 continue
             word = parts[0]
             if word in seen:
-                raise DuplicateWordError(path, row_no, word)
+                raise BadRowError(path, row_no, f"duplicate word {word!r}")
             seen.add(word)
             if len(parts) - 1 != dim:
-                raise DimMismatchError(
+                raise BadRowError(
                     path, row_no, f"expected {dim} components, got {len(parts) - 1}")
             if word not in words:
                 continue
             try:
                 vec = [float(x) for x in parts[1:]]
             except ValueError:
-                raise DimMismatchError(path, row_no, "non-numeric vector component") from None
+                raise BadRowError(path, row_no, "non-numeric vector component") from None
             if not all(map(math.isfinite, vec)):
-                raise DimMismatchError(path, row_no, "non-finite vector component")
+                raise BadRowError(path, row_no, "non-finite vector component")
             if not any(x * x for x in vec):
-                raise ZeroVectorError(path, row_no, word)
+                raise BadRowError(path, row_no, f"zero vector for {word!r}; "
+                                  "its cosine distance is undefined")
             index[word] = len(rows)
             rows.append(vec)
     # every non-blank row added its word to ``seen`` once, or raised above
     if len(seen) != vocab_size:
-        raise BadHeaderError(
+        raise DataError(
             f"{path}: header declares {vocab_size} rows, but {len(seen)} were read")
     if not words:
         return WordVectorStore(unit=None, index=index)
@@ -135,7 +130,7 @@ class SimilarityModels:
                 df.update(set(doc.tokens))
                 n += 1
         if not n:
-            raise EmptyCorpusError()
+            raise DataError("no non-inert documents to index")
         idf = {w: math.log((1 + n) / (1 + df[w])) + 1.0 for w in df}
         if scored is None:
             scored = document_set.documents

@@ -30,7 +30,7 @@ from .corpus import (
     MemberKind,
     Platform,
 )
-from .errors import BadParamsError
+from .errors import ConfigError
 
 
 @dataclass
@@ -214,15 +214,15 @@ def generate_synthetic_corpus(
     byte-identical corpus.
     """
     if members < 1 or docs_per_member < 1 or ego_docs < 1:
-        raise BadParamsError("members, docs_per_member and ego_docs must all be >= 1")
+        raise ConfigError("members, docs_per_member and ego_docs must all be >= 1")
     vocab = tuple(vocab) if vocab is not None else DEMO_FILLER_VOCAB
     if not vocab:
-        raise BadParamsError("vocab must be nonempty")
+        raise ConfigError("vocab must be nonempty")
     profiles = dict(topic_profiles) if topic_profiles is not None else DEMO_TOPIC_PROFILES
     if not profiles:
-        raise BadParamsError("topic_profiles must be nonempty")
+        raise ConfigError("topic_profiles must be nonempty")
     if planted_members + group_members > members:
-        raise BadParamsError("planted_members + group_members exceeds the member count")
+        raise ConfigError("planted_members + group_members exceeds the member count")
     senti_words = dict(sentiment_words) if sentiment_words is not None else {
         "Positive": POSITIVE_SEED_WORDS, "Negative": NEGATIVE_SEED_WORDS,
     }
@@ -232,7 +232,7 @@ def generate_synthetic_corpus(
 
     ego_profile = ego_bucket if ego_bucket is not None else (categories[0], sentiments[0])
     if ego_profile[0] not in profiles or ego_profile[1] not in senti_words:
-        raise BadParamsError(f"ego_bucket {ego_profile} not covered by profiles/sentiments")
+        raise ConfigError(f"ego_bucket {ego_profile} not covered by profiles/sentiments")
     all_buckets = [(c, s) for c in categories for s in sentiments]
     other_buckets = [b for b in all_buckets if b != ego_profile]
 

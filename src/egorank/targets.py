@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .classify import Bucket
 from .corpus import InteractedMember, MemberKind
-from .errors import NItOutOfRangeError, RankingTooSmallError
+from .errors import ConfigError, RankingTooSmallError
 from .recommend import MemberRanking
 
 log = logging.getLogger(__name__)
@@ -69,14 +69,14 @@ def select_targets(
     """
     size = network_size if network_size is not None else len(ranking.entries)
     if n_it < 1:
-        raise NItOutOfRangeError(f"n_it must be at least 1, got {n_it}")
+        raise ConfigError(f"n_it must be at least 1, got {n_it}")
     if n_it < MIN_N_IT and not allow_small:
-        raise NItOutOfRangeError(
+        raise ConfigError(
             f"n_it = {n_it} violates the {MIN_N_IT} <= N_it <= network-size bound "
             "(pass --allow-small to relax the lower bound)"
         )
     if n_it > size:
-        raise NItOutOfRangeError(f"n_it = {n_it} exceeds the network size {size}")
+        raise ConfigError(f"n_it = {n_it} exceeds the network size {size}")
     if len(ranking.entries) < n_it:
         raise RankingTooSmallError(len(ranking.entries), n_it)
     return [entry.member_id for entry in ranking.entries[:n_it]]
@@ -94,7 +94,7 @@ def remove_defaults(
     above the threshold; removal requires evidence.
     """
     if threshold <= 0:
-        raise NItOutOfRangeError(f"threshold must be positive, got {threshold}")
+        raise ConfigError(f"threshold must be positive, got {threshold}")
     by_id = {m.member_id: m for m in members}
     effective: list[str] = []
     removed: list[str] = []

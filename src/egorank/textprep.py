@@ -111,11 +111,11 @@ def load_spelling_dictionary(path: str | Path) -> dict[str, int]:
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise DataError(f"{path}:{line_no}: expected word<TAB>count")
+            raise DataError(f"{path}: line {line_no}: expected word<TAB>count")
         try:
             table[parts[0].strip().lower()] = int(parts[1])
         except ValueError:
-            raise DataError(f"{path}:{line_no}: bad count {parts[1]!r}") from None
+            raise DataError(f"{path}: line {line_no}: bad count {parts[1]!r}") from None
     return table
 
 

@@ -16,7 +16,7 @@ from egorank.classify import (
     label_documents,
     train_category_classifier,
 )
-from egorank.errors import MissingCategoryError, MissingLexiconError
+from egorank.errors import ConfigError, DataError
 from egorank.lexproc import DocumentSet, TokenizedDoc
 
 CATS = list(Category)
@@ -65,7 +65,7 @@ class TestTraining:
 
     def test_missing_category(self):
         labeled, _ = singleton_training()
-        with pytest.raises(MissingCategoryError, match="Entertainment"):
+        with pytest.raises(DataError, match="no examples for category 'Entertainment'"):
             train_category_classifier(labeled[:-1])
 
     def test_hand_computed_smoothed_likelihoods(self):
@@ -235,7 +235,7 @@ class TestSentiment:
             assert base * flipped < 0
 
     def test_missing_lexicon(self):
-        with pytest.raises(MissingLexiconError):
+        with pytest.raises(ConfigError, match="^no sentiment lexicon loaded$"):
             SentimentAnalyzer({})
 
     @given(st.text(alphabet="abcdefghij ,.", max_size=50))

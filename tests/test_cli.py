@@ -305,12 +305,9 @@ class TestIngest:
         assert any(f"{path}: row {index + 1}" in r.message and repr(word) in r.message
                    for r in caplog.records)
 
-    @pytest.mark.parametrize("resource, text", [
-        ("lemma_dictionary", "runs\trun\nbroken line\n"),
-        ("sentiment_lexicon", "good\t1.9\nbad\tvery\n"),
-        ("labeled_seed", "text,category\nfine text,Technology\none,two,three\n"),
-    ])
-    def test_bad_resource_line_names_file(self, synth_dir, tmp_path, caplog, resource, text):
+    @staticmethod
+    def run_with_resource(synth_dir, tmp_path, resource, text):
+        """Exit code of ``run`` on the synth inputs with ``resource`` holding ``text``."""
         broken = tmp_path / "badresource"
         shutil.copytree(synth_dir, broken)
         path = broken / f"{resource}.txt"
@@ -318,11 +315,35 @@ class TestIngest:
         config = json.loads((broken / "config.json").read_text())
         config["resources"][resource] = str(path)
         (broken / "config.json").write_text(json.dumps(config))
+        return run_cli("run", "--config", str(broken / "config.json"),
+                       "--out-dir", str(tmp_path / "out")), path
+
+    @pytest.mark.parametrize("resource, text", [
+        ("lemma_dictionary", "runs\trun\nbroken line\n"),
+        ("sentiment_lexicon", "good\t1.9\nbad\tvery\n"),
+        ("labeled_seed", "text,category\nfine text,Technology\none,two,three\n"),
+        ("spelling_dictionary", "good\t10\nbroken line\n"),
+    ])
+    def test_bad_resource_line_names_file(self, synth_dir, tmp_path, caplog, resource, text):
         with caplog.at_level("ERROR"):
-            code = run_cli("run", "--config", str(broken / "config.json"),
-                           "--out-dir", str(tmp_path / "out"))
+            code, path = self.run_with_resource(synth_dir, tmp_path, resource, text)
         assert code == 2
         assert any(f"{path}: line " in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("resource, text, exit_code, message", [
+        ("lemma_dictionary", "# no entries\n", 1, "no lemma dictionary loaded"),
+        ("sentiment_lexicon", "# no entries\n", 1, "no sentiment lexicon loaded"),
+        ("labeled_seed", None, 2, "training data has no examples for category 'Entertainment'"),
+    ], ids=["empty_lemmas", "empty_lexicon", "seed_without_category"])
+    def test_unusable_resource_exit_code(self, synth_dir, tmp_path, caplog, resource, text,
+                                         exit_code, message):
+        if text is None:  # the synth seed corpus without its Entertainment rows
+            rows = (synth_dir / "seed_categories.csv").read_text().splitlines()
+            text = "\n".join(r for r in rows if not r.endswith(",Entertainment")) + "\n"
+        with caplog.at_level("ERROR"):
+            code, _ = self.run_with_resource(synth_dir, tmp_path, resource, text)
+        assert code == exit_code
+        assert message in [r.message for r in caplog.records]
 
 
 @pytest.mark.usefixtures("ingested")

@@ -10,13 +10,7 @@ from egorank.corpus import (
     load_activity_csv,
     load_members_csv,
 )
-from egorank.errors import (
-    BadParamsError,
-    BadRowError,
-    BadTimestampError,
-    EmptyFileError,
-    MissingColumnError,
-)
+from egorank.errors import BadRowError, ConfigError, DataError
 from egorank.synth import generate_synthetic_corpus, write_corpus_csvs
 
 HEADER = "post_id,content,user_name,user_id,react_count,share_count,language,time,parent_post_id"
@@ -60,18 +54,39 @@ class TestLoadActivityCsv:
             "post_id,content,user_name,user_id,react_count,share_count,language,time",
             f"p1,x,Ego,ego,0,0,en,{T1}",
         ])
-        with pytest.raises(MissingColumnError, match="parent_post_id"):
+        with pytest.raises(DataError, match="missing required column 'parent_post_id' in "):
             load_activity_csv(path, 1, "ego")
+
+    def test_swapped_columns_name_the_expected_order(self, tmp_path):
+        path = write_csv(tmp_path, "d1.csv", [
+            "content,post_id,user_name,user_id,react_count,share_count,language,time,"
+            "parent_post_id",
+            f"x,p1,Ego,ego,0,0,en,{T1},",
+        ])
+        with pytest.raises(BadRowError) as exc:
+            load_activity_csv(path, 1, "ego")
+        assert str(exc.value) == f"{path}: row 1: header order mismatch: expected {HEADER}"
+
+    def test_blank_rows_are_skipped_but_counted(self, tmp_path):
+        path = write_csv(tmp_path, "d1.csv", [
+            HEADER, "", f"p1,x,Ego,ego,0,0,en,{T1},", " , ,,,,,,,", f"p2,y,Ego,,0,0,en,{T2},",
+        ])
+        with pytest.raises(BadRowError, match="row 5: empty user_id"):
+            load_activity_csv(path, 1, "ego")
+        path = write_csv(tmp_path, "d5.csv", [
+            MEMBER_HEADER_ROW, "A,Alice,Friend,React,", "", " ,,, ,", "B,Bob,Friend,React,2",
+        ])
+        assert [m.member_id for m in load_members_csv(path)] == ["A", "B"]
 
     def test_bad_timestamp(self, tmp_path):
         path = write_csv(tmp_path, "d1.csv", [HEADER, "p1,x,Ego,ego,0,0,en,not-a-time,"])
-        with pytest.raises(BadTimestampError, match="row 2"):
+        with pytest.raises(BadRowError, match="row 2: unparseable timestamp 'not-a-time'"):
             load_activity_csv(path, 1, "ego")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d1.csv"
         path.write_text("", encoding="utf-8")
-        with pytest.raises(EmptyFileError):
+        with pytest.raises(DataError, match=r"^empty file \(no header row\): "):
             load_activity_csv(path, 1, "ego")
 
     def test_header_only_file_is_no_documents(self, tmp_path):
@@ -244,11 +259,11 @@ class TestSyntheticCorpus:
         assert hit / len(sports_docs) >= 0.90
 
     def test_bad_params(self):
-        with pytest.raises(BadParamsError):
+        with pytest.raises(ConfigError, match="docs_per_member and ego_docs must all be >= 1"):
             generate_synthetic_corpus(1, members=0, docs_per_member=5)
-        with pytest.raises(BadParamsError):
+        with pytest.raises(ConfigError, match="docs_per_member and ego_docs must all be >= 1"):
             generate_synthetic_corpus(1, members=5, docs_per_member=0)
-        with pytest.raises(BadParamsError):
+        with pytest.raises(ConfigError, match="vocab must be nonempty"):
             generate_synthetic_corpus(1, members=5, docs_per_member=5, vocab=[])
 
     def test_planted_and_mega_flags(self):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egorank import resources
-from egorank.errors import MissingLemmaDictionaryError
+from egorank.errors import ConfigError
 from egorank.lexproc import (
     Lemmatizer,
     build_document_set,
@@ -98,7 +98,7 @@ class TestLemmatizer:
         assert lemmatizer.lemmatize("news") == "news"
 
     def test_missing_dictionary(self):
-        with pytest.raises(MissingLemmaDictionaryError):
+        with pytest.raises(ConfigError, match="^no lemma dictionary loaded$"):
             Lemmatizer({})
 
     def test_lemma_of_lemma_over_whole_dictionary(self, lemmatizer):

@@ -4,7 +4,7 @@ import pytest
 
 from egorank.classify import Bucket, Category, SentimentClass
 from egorank.corpus import ActivityType, InteractedMember, MemberKind
-from egorank.errors import NItOutOfRangeError, RankingTooSmallError
+from egorank.errors import ConfigError, RankingTooSmallError
 from egorank.recommend import MemberRanking, RankEntry
 from egorank.targets import (
     TargetSelection,
@@ -62,7 +62,7 @@ class TestSelectTargets:
         assert selected == [f"m{i:04d}" for i in range(50)]
 
     def test_lower_bound_enforced(self):
-        with pytest.raises(NItOutOfRangeError, match="50"):
+        with pytest.raises(ConfigError, match="violates the 50 <= N_it <= network-size bound"):
             select_targets(ranking_of(120), 10)
 
     def test_allow_small_override(self):
@@ -70,16 +70,16 @@ class TestSelectTargets:
         assert len(selected) == 10
 
     def test_n_it_above_network_size(self):
-        with pytest.raises(NItOutOfRangeError, match="network size"):
+        with pytest.raises(ConfigError, match="exceeds the network size 60"):
             select_targets(ranking_of(60), 80)
 
     def test_ranking_smaller_than_n_it(self):
         # network is large enough, but only 40 members actually ranked
-        with pytest.raises(RankingTooSmallError):
+        with pytest.raises(RankingTooSmallError, match="ranking holds 40 members but 50 were"):
             select_targets(ranking_of(40), 50, network_size=100)
 
     def test_nonpositive_n_it(self):
-        with pytest.raises(NItOutOfRangeError):
+        with pytest.raises(ConfigError, match="n_it must be at least 1, got 0"):
             select_targets(ranking_of(60), 0, allow_small=True)
 
 
