@@ -7,14 +7,4 @@ a frequency-and-similarity recommendation index, and selects the
 top-most influenceable targets after removing default influencers.
 """
 
-__version__ = "0.2.0"
-
-from .classify import Bucket, Category, SentimentClass  # noqa: F401
-from .corpus import (  # noqa: F401
-    ActivityType,
-    Document,
-    InteractedMember,
-    MemberKind,
-    Platform,
-)
-from .errors import EgorankError  # noqa: F401
+__version__ = "0.3.0"

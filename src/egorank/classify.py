@@ -23,7 +23,7 @@ from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import DEPENDENT_DATASETS, EGO_DATASETS, INDEPENDENT_DATASETS
 from .errors import ConfigError, DataError
-from .lexproc import DocumentSet, TokenizedDoc, tokenize
+from .lexproc import TokenizedDoc, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -191,7 +191,7 @@ class SentimentAnalyzer:
 
 
 def label_documents(
-    document_set: DocumentSet,
+    documents: Sequence[TokenizedDoc],
     model: CategoryClassifier,
     analyzer: SentimentAnalyzer,
 ) -> tuple[dict[str, Category], dict[str, SentimentResult], list[str]]:
@@ -210,11 +210,11 @@ def label_documents(
     def eligible(doc: TokenizedDoc) -> bool:
         return not doc.inert and not doc.flagged_non_english
 
-    for doc in document_set.documents:
+    for doc in documents:
         if doc.dataset_no in INDEPENDENT_DATASETS and eligible(doc):
             labels[doc.doc_id] = classify_category(doc, model)
             sentiments[doc.doc_id] = analyzer.score(doc.text)
-    for doc in document_set.documents:
+    for doc in documents:
         if doc.dataset_no in DEPENDENT_DATASETS and eligible(doc):
             parent = labels.get(doc.parent_doc_id)
             if parent is None:
@@ -231,7 +231,7 @@ def label_documents(
 
 
 def assign_buckets(
-    document_set: DocumentSet,
+    documents: Sequence[TokenizedDoc],
     labels: Mapping[str, Category],
     sentiments: Mapping[str, SentimentResult],
     eligible_ids: Container[str],
@@ -245,7 +245,7 @@ def assign_buckets(
     member list nor the mentions), so scoring sees only rankable targets.
     """
     buckets: dict[Bucket, list[TokenizedDoc]] = {b: [] for b in ALL_BUCKETS}
-    for doc in sorted(document_set.documents, key=lambda d: d.doc_id):
+    for doc in sorted(documents, key=lambda d: d.doc_id):
         if doc.doc_id in labels and (doc.dataset_no in EGO_DATASETS
                                      or doc.owner_id in eligible_ids):
             buckets[Bucket(labels[doc.doc_id], sentiments[doc.doc_id].clazz)].append(doc)

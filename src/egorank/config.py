@@ -80,8 +80,10 @@ class PipelineConfig:
             raise ConfigError("window since is after until")
         for no in CONTENT_DATASETS + (5,):
             path = self.datasets.get(no)
-            if path is None or not Path(path).is_file():
-                raise ConfigError(f"MissingDataset({no}): no file configured or file absent")
+            if path is None:
+                raise ConfigError(f"datasets.{no} is not configured")
+            if not Path(path).is_file():
+                raise ConfigError(f"datasets.{no} not found: {path}")
         for key, path in self.resources.items():
             if path is not None and not Path(path).is_file():
                 raise ConfigError(f"resource {key!r} not found: {path}")

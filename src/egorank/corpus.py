@@ -20,7 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BadRowError, ConfigError, DataError
+from .errors import BadRowError, DataError
 
 log = logging.getLogger(__name__)
 
@@ -157,8 +157,6 @@ def load_activity_csv(
     6-9 may live in one multi-owner file. Every valid row is kept; ingest
     applies the time window.
     """
-    if dataset_no not in CONTENT_DATASETS:
-        raise ConfigError(f"dataset_no must be one of {CONTENT_DATASETS}, got {dataset_no}")
     path = Path(path)
     dependent = dataset_no in DEPENDENT_DATASETS
     parent_dataset = PARENT_DATASET.get(dataset_no)

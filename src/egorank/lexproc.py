@@ -5,7 +5,7 @@ here (sentiment already ran on the punctuated text), frequent function
 words are filtered against a pinned external stop list, and surviving
 tokens are reduced to root words by a dictionary-validated rule
 lemmatizer. Lemmatization is used instead of stemming so every output is
-an actual word.
+an actual word. The Document-Set is a plain list of ``TokenizedDoc``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class TokenizedDoc:
     full stops) because sentiment scoring needs it. Documents read back
     from the ingested bundle are labelled already and carry none of them.
     A doc whose token list is empty is inert: it is retained for
-    bookkeeping but never scores.
+    bookkeeping but never scores, nor counts towards idf.
     """
 
     doc_id: str
@@ -47,13 +47,6 @@ class TokenizedDoc:
     @property
     def inert(self) -> bool:
         return not self.tokens
-
-
-@dataclass
-class DocumentSet:
-    """The tokenized corpus, one entry per ingested document."""
-
-    documents: list[TokenizedDoc]
 
 
 def tokenize(text: str) -> list[str]:
@@ -108,8 +101,8 @@ def build_document_set(
     *,
     stop_words: Iterable[str],
     lemmatizer: Lemmatizer,
-) -> DocumentSet:
-    """Tokenize, stop-filter and lemmatize every document.
+) -> list[TokenizedDoc]:
+    """Tokenize, stop-filter and lemmatize every document, in input order.
 
     Documents that reduce to zero tokens are kept but inert. Flagged
     non-English documents keep their flag so classification can skip them.
@@ -129,4 +122,4 @@ def build_document_set(
             tokens=tuple(tokens),
             flagged_non_english=cd.flagged_non_english,
         ))
-    return DocumentSet(documents=docs)
+    return docs

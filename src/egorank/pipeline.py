@@ -3,15 +3,17 @@
 The stages compose: ingest loads the nine datasets, keeps the rows inside
 the time window (counting the others), preprocesses them, builds the
 Document-Set, classifies every document and buckets those of the ego and
-of members who can be targets, and writes the labelled corpus to a bundle
-under a fingerprint of what it read; rank reads the bundle back (refusing
-one ingested from other inputs or by another egorank version), gives a
-requested bucket with no ego or no member documents its empty ranking,
-and loads word vectors and builds the similarity models for the other
-requested buckets only, and scores them; targets applies the selection
-algorithm to a ranking, reusing a saved one only if it was made from the
-same bundle, embeddings and normalization. Outputs are deterministic: the
-same config and inputs give byte-identical files.
+of members who can be targets, counts each word's document frequency (df)
+over every non-inert document, and writes the labelled corpus and df to a
+bundle under a fingerprint of what it read; rank reads back the requested
+buckets' documents only (refusing a bundle ingested from other inputs or
+by another egorank version), gives a requested bucket with no ego or no
+member documents its empty ranking, and loads word vectors and builds the
+similarity models for the other requested buckets only, and scores them;
+targets applies the selection algorithm to a ranking, reusing a saved one
+only if it was made from the same bundle, embeddings and normalization.
+Outputs are deterministic: the same config and inputs give byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -21,11 +23,13 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Any, Iterator, TextIO
+from typing import Any, Iterator, Mapping, TextIO
 
 from . import __version__
 from .classify import (
@@ -52,7 +56,6 @@ from .corpus import (
 )
 from .errors import ConfigError, RankingTooSmallError
 from .lexproc import (
-    DocumentSet,
     Lemmatizer,
     TokenizedDoc,
     build_document_set,
@@ -82,10 +85,12 @@ INGEST_REPORT_NAME = "ingest_report.json"
 @dataclass
 class IngestResult:
     """The labelled corpus that rank and targets read: from ``run_ingest``
-    in memory, or from the bundle through ``load_bundle``."""
+    in memory, with every bucket filled, or from the bundle through
+    ``load_bundle``, with only the requested buckets filled."""
 
     members: list[InteractedMember]
-    document_set: DocumentSet  # every document: idf spans all the non-inert ones
+    df: Mapping[str, int]  # documents holding each word, over all n non-inert ones
+    n: int
     buckets: dict[Bucket, list[TokenizedDoc]]  # each in doc id order
     inputs_digest: str  # config.digest of the ingest inputs: each ranking's provenance
 
@@ -133,12 +138,12 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _label(
     cfg: PipelineConfig, clean_docs: list[CleanDocument],
-) -> tuple[DocumentSet, dict[str, Category], dict[str, SentimentResult], list[str]]:
+) -> tuple[list[TokenizedDoc], dict[str, Category], dict[str, SentimentResult], list[str]]:
     """Build the Document-Set, then label it; returns the labels, the
     sentiments and the orphaned dependent documents too."""
     stop_words = load_stop_words(cfg.resources.get("stop_list"))
     lemmatizer = Lemmatizer(load_lemma_table(cfg.resources.get("lemma_dictionary")))
-    document_set = build_document_set(clean_docs, stop_words=stop_words, lemmatizer=lemmatizer)
+    documents = build_document_set(clean_docs, stop_words=stop_words, lemmatizer=lemmatizer)
 
     seed_rows = load_labeled_seed(cfg.resources.get("labeled_seed"))
     labeled = []
@@ -152,12 +157,13 @@ def _label(
         load_negators(cfg.resources.get("negators")),
         load_boosters(cfg.resources.get("boosters")),
     )
-    return (document_set, *label_documents(document_set, model, analyzer))
+    return (documents, *label_documents(documents, model, analyzer))
 
 
 def run_ingest(cfg: PipelineConfig) -> IngestResult:
     """Load all datasets, preprocess, merge mentions, label every document,
-    bucket those of the ego and of eligible members, and write the bundle."""
+    bucket those of the ego and of eligible members, count document
+    frequencies over every non-inert document, and write the bundle."""
     inputs = cfg.ingest_inputs()
     spelling = (
         load_spelling_dictionary(cfg.resources["spelling_dictionary"])
@@ -184,11 +190,13 @@ def run_ingest(cfg: PipelineConfig) -> IngestResult:
             mentions.extend(clean.mentions)
     members_raw = load_members_csv(cfg.datasets[5])
     members = build_interaction_list(members_raw, mentions)
-    document_set, labels, sentiments, orphans = _label(cfg, clean_docs)
+    documents, labels, sentiments, orphans = _label(cfg, clean_docs)
     eligible_ids = {m.member_id for m in filter_eligible(members)}
-    buckets = assign_buckets(document_set, labels, sentiments, eligible_ids)
+    buckets = assign_buckets(documents, labels, sentiments, eligible_ids)
+    # idf spans every non-inert document, bucketed or not; an inert one adds no word.
+    df = Counter(chain.from_iterable(set(d.tokens) for d in documents))
+    n = sum(1 for d in documents if d.tokens)
 
-    documents = document_set.documents
     flagged = sum(1 for d in documents if d.flagged_non_english)
     bucket_of = {doc.doc_id: name for bucket, docs in buckets.items()
                  for name in (str(bucket),) for doc in docs}
@@ -203,7 +211,7 @@ def run_ingest(cfg: PipelineConfig) -> IngestResult:
         "dataset_counts": dataset_counts | {"5": len(members_raw)},
         "window_dropped": window_dropped,
         "flagged_non_english": flagged,
-        "mentions_harvested": len(sorted(set(mentions))),
+        "mentions_harvested": len(set(mentions)),
         "members_before_merge": len(members_raw),
         "members_after_merge": len(members),
         "bucketed_docs": {str(bucket): len(docs) for bucket, docs in buckets.items()},
@@ -220,6 +228,9 @@ def run_ingest(cfg: PipelineConfig) -> IngestResult:
         "version": __version__,
         "inputs": inputs,
         "members": [_member_to_dict(m) for m in members],
+        "df": df,
+        "n": n,
+        # Every document, kept for inspection; rank reads only bucketed ones.
         # Tokens are [a-z0-9]+ runs, so joining them with spaces is lossless.
         "documents": [
             {"doc_id": d.doc_id, "owner_id": d.owner_id, "dataset_no": d.dataset_no,
@@ -235,7 +246,7 @@ def run_ingest(cfg: PipelineConfig) -> IngestResult:
         "ingested %d documents (%d flagged non-English, %d bucketed), %d members",
         len(documents), flagged, len(bucket_of), len(members),
     )
-    return IngestResult(members=members, document_set=document_set, buckets=buckets,
+    return IngestResult(members=members, df=df, n=n, buckets=buckets,
                         inputs_digest=digest(inputs))
 
 
@@ -248,10 +259,11 @@ def _fields(record: dict[str, Any], prefix: str = "") -> Iterator[tuple[str, Any
             yield prefix + key, value
 
 
-def load_bundle(cfg: PipelineConfig) -> IngestResult:
-    """Read the ingested corpus back, refusing a bundle that another egorank
-    version wrote, or that was ingested from other inputs than the config
-    names now."""
+def load_bundle(cfg: PipelineConfig, buckets: list[Bucket]) -> IngestResult:
+    """Read the ingested corpus back, with the documents of ``buckets`` only
+    (every other bucket is left empty), refusing a bundle that another
+    egorank version wrote, or that was ingested from other inputs than the
+    config names now."""
     path = cfg.out_dir / BUNDLE_NAME
     if not path.is_file():
         raise ConfigError(f"no ingested bundle at {path}; run the ingest command first")
@@ -268,23 +280,23 @@ def load_bundle(cfg: PipelineConfig) -> IngestResult:
         if saved.get(name) != value:
             raise ConfigError(f"{path} was ingested with a different {name}; run ingest again")
 
-    by_name = {str(bucket): bucket for bucket in ALL_BUCKETS}
-    documents: list[TokenizedDoc] = []
-    buckets: dict[Bucket, list[TokenizedDoc]] = {bucket: [] for bucket in ALL_BUCKETS}
+    wanted = {str(bucket): bucket for bucket in buckets}
+    filled: dict[Bucket, list[TokenizedDoc]] = {bucket: [] for bucket in ALL_BUCKETS}
     for record in bundle["documents"]:
+        bucket = wanted.get(record["bucket"])
+        if bucket is None:
+            continue
         # One string per distinct word, as build_document_set leaves them.
         tokens = tuple(map(sys.intern, record["tokens"].split()))
-        doc = TokenizedDoc(doc_id=record["doc_id"], owner_id=record["owner_id"],
-                           dataset_no=record["dataset_no"], tokens=tokens)
-        documents.append(doc)
-        if record["bucket"] is not None:
-            buckets[by_name[record["bucket"]]].append(doc)
-    for docs in buckets.values():
+        filled[bucket].append(TokenizedDoc(doc_id=record["doc_id"], owner_id=record["owner_id"],
+                                           dataset_no=record["dataset_no"], tokens=tokens))
+    for docs in filled.values():
         docs.sort(key=lambda d: d.doc_id)  # the order assign_buckets gives
     return IngestResult(
         members=[_member_from_dict(m) for m in bundle["members"]],
-        document_set=DocumentSet(documents=documents),
-        buckets=buckets,
+        df=bundle["df"],
+        n=bundle["n"],
+        buckets=filled,
         inputs_digest=digest(inputs),
     )
 
@@ -352,14 +364,14 @@ def run_rank(
     Every member-side document in a bucket belongs to a member who can be
     a target (ingest left the others out), so each scored owner is ranked.
     A bucket with no ego or no member documents gets an empty ranking and a
-    warning, and nothing is loaded for it. Word vectors, counts and tf-idf
-    lengths are built for the documents of the other buckets only; idf
-    still spans every non-inert document. When no bucket is left to score,
-    the embeddings file is still checked for structure, but no row is
-    parsed and no model is built.
+    warning, and nothing is loaded for it. Word vectors, counts, idf and
+    tf-idf lengths are built for the documents of the other buckets only,
+    idf from the df and n that ingest counted. When no bucket is left to
+    score, the embeddings file is still checked for structure, but no row
+    is parsed and no model is built.
     """
     if ingest is None:
-        ingest = load_bundle(cfg)
+        ingest = load_bundle(cfg, buckets)
     if provenance is None:
         provenance = _ranking_provenance(cfg, ingest)
     rankings: dict[Bucket, MemberRanking] = {}
@@ -375,7 +387,7 @@ def run_rank(
     docs = [doc for bucket in scored for doc in ingest.buckets[bucket]]
     vectors = load_word_vectors(_embeddings_path(cfg), {w for doc in docs for w in doc.tokens})
     if scored:
-        models = SimilarityModels.build(ingest.document_set, vectors, docs)
+        models = SimilarityModels.build(ingest.df, ingest.n, vectors, docs)
         normalization = Normalization(cfg.normalization)
 
         def rank(bucket: Bucket) -> MemberRanking:
@@ -457,7 +469,7 @@ def run_targets(
     """
     buckets = parse_bucket_filter(cfg.bucket)
     if ingest is None:
-        ingest = load_bundle(cfg)
+        ingest = load_bundle(cfg, buckets)
     if rankings is None:
         rankings = {}
         missing = []

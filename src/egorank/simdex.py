@@ -2,7 +2,8 @@
 
 One model is built once per run and shared read-only by the scoring
 stage: unit word vectors for word distances, exact per-document token
-counts, and smoothed idf weights with each document's tf-idf L2 length,
+counts, and smoothed idf weights (from the document frequencies that ingest
+counted over the whole corpus) with each document's tf-idf L2 length,
 from which scoring builds tf-idf rows out of the count rows. Word distance
 is cosine distance, floored at DISTANCE_FLOOR so identical shared words
 score very high instead of dividing by zero.
@@ -22,10 +23,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Collection, Iterable
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 from .errors import BadRowError, DataError
-from .lexproc import DocumentSet, TokenizedDoc
+from .lexproc import TokenizedDoc
 
 if TYPE_CHECKING:
     import numpy as np
@@ -108,9 +109,10 @@ def load_word_vectors(path: str | Path, words: Collection[str]) -> WordVectorSto
 class SimilarityModels:
     """Word vectors, per-document token counts and smoothed idf, shared by scoring.
 
-    idf(w) = ln((1 + N) / (1 + df(w))) + 1 over the N non-inert documents,
-    so no idf is zero and single-document corpora still work. ``counts`` and
-    ``lengths`` cover the scored documents (by default all of them):
+    idf(w) = ln((1 + n) / (1 + df(w))) + 1, where ingest counted ``df`` and
+    ``n`` over every non-inert document, bucketed or not, so no idf is zero
+    and single-document corpora still work. ``idf`` covers the scored
+    documents' words; ``counts`` and ``lengths`` cover the scored documents:
     ``lengths`` holds the raw tf-idf L2 length of each non-inert one, whose
     tf-idf row is count(w) * idf(w) / length. Inert documents get empty counts.
     """
@@ -121,20 +123,11 @@ class SimilarityModels:
     lengths: dict[str, float]
 
     @classmethod
-    def build(cls, document_set: DocumentSet, vectors: WordVectorStore,
-              scored: Iterable[TokenizedDoc] | None = None) -> "SimilarityModels":
-        df: Counter = Counter()
-        n = 0
-        for doc in document_set.documents:
-            if doc.tokens:
-                df.update(set(doc.tokens))
-                n += 1
-        if not n:
-            raise DataError("no non-inert documents to index")
-        idf = {w: math.log((1 + n) / (1 + df[w])) + 1.0 for w in df}
-        if scored is None:
-            scored = document_set.documents
+    def build(cls, df: Mapping[str, int], n: int, vectors: WordVectorStore,
+              scored: Iterable[TokenizedDoc]) -> "SimilarityModels":
         counts = {d.doc_id: Counter(d.tokens) for d in scored}
+        idf = {w: math.log((1 + n) / (1 + df[w])) + 1.0
+               for w in {w for row in counts.values() for w in row}}
         lengths = {
             doc_id: math.sqrt(sum(x * x for x in (row[w] * idf[w] for w in sorted(row))))
             for doc_id, row in counts.items() if row

@@ -68,8 +68,6 @@ def select_targets(
     ``allow_small`` relaxes the lower bound for desk-scale runs.
     """
     size = network_size if network_size is not None else len(ranking.entries)
-    if n_it < 1:
-        raise ConfigError(f"n_it must be at least 1, got {n_it}")
     if n_it < MIN_N_IT and not allow_small:
         raise ConfigError(
             f"n_it = {n_it} violates the {MIN_N_IT} <= N_it <= network-size bound "
@@ -93,8 +91,6 @@ def remove_defaults(
     influenceable targets. An unknown connection count is never treated as
     above the threshold; removal requires evidence.
     """
-    if threshold <= 0:
-        raise ConfigError(f"threshold must be positive, got {threshold}")
     by_id = {m.member_id: m for m in members}
     effective: list[str] = []
     removed: list[str] = []

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ if str(SRC) not in sys.path:
 from egorank import resources
 from egorank.classify import SentimentAnalyzer
 from egorank.lexproc import Lemmatizer
-from egorank.simdex import WordVectorStore
+from egorank.simdex import SimilarityModels, WordVectorStore
 
 
 def word_store(embeddings):
@@ -21,6 +22,14 @@ def word_store(embeddings):
     vectors = np.array(list(embeddings.values()), dtype=np.float64)
     return WordVectorStore(unit=vectors / np.linalg.norm(vectors, axis=1)[:, None],
                            index={word: row for row, word in enumerate(embeddings)})
+
+
+def build_models(docs, vectors):
+    """SimilarityModels of ``docs``, with df and n counted over its non-inert
+    docs as ingest counts them."""
+    df = Counter(w for d in docs for w in set(d.tokens))
+    n = sum(1 for d in docs if d.tokens)
+    return SimilarityModels.build(df, n, vectors, docs)
 
 
 @pytest.fixture(scope="session")

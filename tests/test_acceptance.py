@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import oracle
-from conftest import word_store
+from conftest import build_models, word_store
 from egorank import resources
 from egorank.classify import (
     Bucket,
@@ -33,7 +33,6 @@ from egorank.classify import (
 )
 from egorank.corpus import ActivityType, Document, build_interaction_list
 from egorank.lexproc import (
-    DocumentSet,
     Lemmatizer,
     TokenizedDoc,
     build_document_set,
@@ -41,7 +40,6 @@ from egorank.lexproc import (
     tokenize,
 )
 from egorank.recommend import Normalization, rank_members, score_bucket
-from egorank.simdex import SimilarityModels
 from egorank.synth import generate_synthetic_corpus, random_vectors, synthetic_seed_corpus
 from egorank.targets import filter_eligible, top_most
 from egorank.textprep import extract_mentions, primary_preprocess, strip_noise
@@ -95,8 +93,7 @@ def test_criterion_1_algorithm1_oracle_equivalence():
         if not any(d.doc_id.startswith("d6-") for d in docs):
             continue
         corpora += 1
-        ds = DocumentSet(documents=docs)
-        models = SimilarityModels.build(ds, word_store(emb))
+        models = build_models(docs, word_store(emb))
         docs_tokens = {d.doc_id: list(d.tokens) for d in docs}
         key_ids = [d.doc_id for d in docs if d.doc_id.startswith("d1-")]
         target_ids = [d.doc_id for d in docs if d.doc_id.startswith("d6-")]
@@ -157,8 +154,7 @@ def test_criterion_2_algorithm2_count_identity():
 
 def test_criterion_3_tfidf_worked_example():
     docs = [tdoc("d1-00", ["a", "b"]), tdoc("d6-00", ["a", "c"], owner="m", dataset_no=6)]
-    ds = DocumentSet(documents=docs)
-    models = SimilarityModels.build(ds, word_store(random_vectors(["a", "b", "c"], 4, seed=1)))
+    models = build_models(docs, word_store(random_vectors(["a", "b", "c"], 4, seed=1)))
     assert dict(models.counts["d1-00"]) == {"a": 1, "b": 1}
     (score,) = score_bucket(docs, models)
 
@@ -305,9 +301,9 @@ def build_planted_pipeline():
     labels, sentiments, _ = label_documents(ds, model, analyzer)
     eligible_ids = {m.member_id for m in filter_eligible(members)}
     buckets = assign_buckets(ds, labels, sentiments, eligible_ids)
-    vocab = sorted({t for d in ds.documents for t in d.tokens})
+    vocab = sorted({t for d in ds for t in d.tokens})
     vectors = random_vectors(vocab, 16, PLANT_SEED)
-    models = SimilarityModels.build(ds, word_store(vectors))
+    models = build_models(ds, word_store(vectors))
     return truth, ds, buckets, models, members, vectors
 
 
@@ -324,7 +320,7 @@ def test_criterion_6_planted_target_recovery():
 
     # independent oracle ranking over the same bucket
     bucket_docs = buckets[ego_bucket]
-    docs_tokens = {d.doc_id: list(d.tokens) for d in ds.documents}
+    docs_tokens = {d.doc_id: list(d.tokens) for d in ds}
     key_ids = [d.doc_id for d in bucket_docs if d.dataset_no in (1, 2, 3, 4)]
     targets = [d for d in bucket_docs if d.dataset_no in (6, 7, 8, 9)]
     oracle_best = oracle.best_scores(key_ids, [d.doc_id for d in targets], docs_tokens,

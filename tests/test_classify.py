@@ -17,7 +17,7 @@ from egorank.classify import (
     train_category_classifier,
 )
 from egorank.errors import ConfigError, DataError
-from egorank.lexproc import DocumentSet, TokenizedDoc
+from egorank.lexproc import TokenizedDoc
 
 CATS = list(Category)
 
@@ -160,7 +160,7 @@ class TestInheritCategory:
         model = train_category_classifier(labeled)
         docs = [tdoc("d1-p", ["vote", "law"]),
                 tdoc("d3-c", ["whatever"], dataset_no=3, parent="d1-p")]
-        labels, _, skipped = label_documents(DocumentSet(documents=docs), model, analyzer)
+        labels, _, skipped = label_documents(docs, model, analyzer)
         assert labels["d1-p"] is Category.POLITICS
         assert labels["d3-c"] is Category.POLITICS
         assert skipped == []
@@ -170,7 +170,7 @@ class TestInheritCategory:
         model = train_category_classifier(labeled)
         docs = [tdoc("d3-c", ["x"], dataset_no=3, parent="d1-missing"),
                 tdoc("d8-c", ["x"], dataset_no=8, parent=None)]
-        labels, sentiments, skipped = label_documents(DocumentSet(documents=docs), model, analyzer)
+        labels, sentiments, skipped = label_documents(docs, model, analyzer)
         assert skipped == ["d3-c", "d8-c"]
         assert labels == {} and sentiments == {}
 
@@ -263,13 +263,12 @@ class TestAssignBuckets:
             tdoc("d6-c", ["vote", "law"], dataset_no=6, owner="m1"),
             tdoc("d6-d", ["movie", "music"], dataset_no=6, owner="m2"),
         ]
-        ds = DocumentSet(documents=docs)
-        labels, sentiments, skipped = label_documents(ds, model, analyzer)
-        return ds, labels, sentiments, skipped
+        labels, sentiments, skipped = label_documents(docs, model, analyzer)
+        return docs, labels, sentiments, skipped
 
     def test_partition(self, analyzer):
-        ds, labels, sentiments, _ = self.build_labeled_set(analyzer)
-        buckets = assign_buckets(ds, labels, sentiments, {"m1", "m2"})
+        docs, labels, sentiments, _ = self.build_labeled_set(analyzer)
+        buckets = assign_buckets(docs, labels, sentiments, {"m1", "m2"})
         assert set(buckets) == set(ALL_BUCKETS)
         all_ids = [doc.doc_id for docs in buckets.values() for doc in docs]
         assert sorted(all_ids) == sorted(labels)
@@ -279,9 +278,8 @@ class TestAssignBuckets:
         labeled, _ = singleton_training()
         model = train_category_classifier(labeled)
         docs = [tdoc(f"d1-{i}", ["code", "good"]) for i in range(10)]
-        ds = DocumentSet(documents=docs)
-        labels, sentiments, _ = label_documents(ds, model, analyzer)
-        buckets = assign_buckets(ds, labels, sentiments, set())
+        labels, sentiments, _ = label_documents(docs, model, analyzer)
+        buckets = assign_buckets(docs, labels, sentiments, set())
         tech_pos = Bucket(Category.TECHNOLOGY, SentimentClass.POSITIVE)
         assert len(buckets[tech_pos]) == 10
         assert sum(len(v) for v in buckets.values()) == 10
@@ -293,8 +291,7 @@ class TestAssignBuckets:
             tdoc("d1-p", ["vote", "law", "good"], owner="ego"),
             tdoc("d3-c", ["terrible", "awful"], dataset_no=3, owner="ego", parent="d1-p"),
         ]
-        ds = DocumentSet(documents=docs)
-        labels, sentiments, skipped = label_documents(ds, model, analyzer)
+        labels, sentiments, skipped = label_documents(docs, model, analyzer)
         assert skipped == []
         assert labels["d3-c"] is Category.POLITICS
         assert sentiments["d3-c"].clazz is SentimentClass.NEGATIVE
@@ -304,9 +301,8 @@ class TestAssignBuckets:
         labeled, _ = singleton_training()
         model = train_category_classifier(labeled)
         docs = [tdoc("d3-c", ["code"], dataset_no=3, parent="d1-gone")]
-        ds = DocumentSet(documents=docs)
         with caplog.at_level("WARNING"):
-            labels, sentiments, skipped = label_documents(ds, model, analyzer)
+            labels, sentiments, skipped = label_documents(docs, model, analyzer)
         assert skipped == ["d3-c"]
         assert labels == {}
 
@@ -320,11 +316,10 @@ class TestAssignBuckets:
             tdoc("d3-d", ["code"], dataset_no=3, parent="d1-b"),
             tdoc("d6-e", [], dataset_no=6, owner="m1"),
         ]
-        ds = DocumentSet(documents=docs)
-        labels, sentiments, skipped = label_documents(ds, model, analyzer)
+        labels, sentiments, skipped = label_documents(docs, model, analyzer)
         assert set(labels) == {"d1-a"}
         assert skipped == ["d3-d"]
-        buckets = assign_buckets(ds, labels, sentiments, {"m1"})
+        buckets = assign_buckets(docs, labels, sentiments, {"m1"})
         assert [doc.doc_id for docs in buckets.values() for doc in docs] == ["d1-a"]
 
     def test_unlisted_owner_ignored(self, analyzer):
@@ -339,10 +334,9 @@ class TestAssignBuckets:
             tdoc("d7-d", ["code"], dataset_no=7, owner="ghost", parent="d6-b"),
             tdoc("d9-e", ["vote"], dataset_no=9, owner="group"),
         ]
-        ds = DocumentSet(documents=docs)
-        labels, sentiments, _ = label_documents(ds, model, analyzer)
+        labels, sentiments, _ = label_documents(docs, model, analyzer)
         assert set(labels) == {doc.doc_id for doc in docs}
-        buckets = assign_buckets(ds, labels, sentiments, {"A"})
+        buckets = assign_buckets(docs, labels, sentiments, {"A"})
         assert sorted(doc.doc_id for docs in buckets.values() for doc in docs) == ["d1-a", "d6-b"]
 
 

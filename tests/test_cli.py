@@ -117,12 +117,25 @@ class TestIngest:
         assert code == 1
         assert any(field in r.message for r in caplog.records)
 
-    def test_missing_dataset5_exits_config_error(self, synth_dir, tmp_path):
+    def test_missing_dataset5_exits_config_error(self, synth_dir, tmp_path, caplog):
         broken = tmp_path / "broken"
         shutil.copytree(synth_dir, broken)
         (broken / "members.csv").unlink()
-        code = run_cli("ingest", "--config", str(broken / "config.json"))
+        with caplog.at_level("ERROR"):
+            code = run_cli("ingest", "--config", str(broken / "config.json"))
         assert code == 1
+        assert [r.message for r in caplog.records] == [
+            f"datasets.5 not found: {broken / 'members.csv'}"]
+
+    def test_unset_dataset5_exits_config_error(self, synth_dir, caplog):
+        config = json.loads((synth_dir / "config.json").read_text())
+        del config["datasets"]["5"]
+        unset = synth_dir / "unset5.json"
+        unset.write_text(json.dumps(config))
+        with caplog.at_level("ERROR"):
+            code = run_cli("ingest", "--config", str(unset))
+        assert code == 1
+        assert [r.message for r in caplog.records] == ["datasets.5 is not configured"]
 
     def test_rerun_is_byte_identical(self, synth_dir):
         bundle = synth_dir / "out" / "bundle.json"
@@ -255,18 +268,40 @@ class TestIngest:
         cfg = load_config(synth_dir / "config.json", {"out_dir": str(tmp_path)})
         ingested = pipeline.run_ingest(cfg)
         bundle = json.loads((tmp_path / "bundle.json").read_text())
-        assert set(bundle) == {"version", "inputs", "members", "documents"}
+        assert set(bundle) == {"version", "inputs", "members", "df", "n", "documents"}
         assert {key for d in bundle["documents"] for key in d} == {
             "doc_id", "owner_id", "dataset_no", "tokens", "bucket"}
-        loaded = pipeline.load_bundle(cfg)
+        loaded = pipeline.load_bundle(cfg, ALL_BUCKETS)
 
         def shape(result):
-            docs = [(d.doc_id, d.owner_id, d.dataset_no, d.tokens)
-                    for d in result.document_set.documents]
-            buckets = {b: [d.doc_id for d in docs] for b, docs in result.buckets.items()}
-            return docs, buckets, result.members, result.inputs_digest
+            buckets = {b: [(d.doc_id, d.owner_id, d.dataset_no, d.tokens) for d in docs]
+                       for b, docs in result.buckets.items()}
+            return buckets, result.members, dict(result.df), result.n, result.inputs_digest
 
         assert shape(loaded) == shape(ingested)
+
+    def test_bundle_df_and_n_span_every_non_inert_document(self, synth_dir, tmp_path):
+        config = str(synth_dir / "config.json")
+        assert run_cli("ingest", "--config", config, "--out-dir", str(tmp_path)) == 0
+        bundle = json.loads((tmp_path / "bundle.json").read_text())
+        non_inert = [d for d in bundle["documents"] if d["tokens"]]
+        assert any(d["bucket"] is None for d in non_inert), "expected unbucketed documents"
+        df = {}
+        for d in non_inert:
+            for word in set(d["tokens"].split()):
+                df[word] = df.get(word, 0) + 1
+        assert bundle["n"] == len(non_inert)
+        assert bundle["df"] == df
+
+    def test_load_bundle_fills_only_the_requested_buckets(self, ingested):
+        cfg = load_config(ingested / "config.json")
+        full = pipeline.load_bundle(cfg, ALL_BUCKETS)
+        filled = [b for b in ALL_BUCKETS if full.buckets[b]]
+        assert len(filled) > 1
+        one = pipeline.load_bundle(cfg, filled[:1])
+        assert one.buckets[filled[0]] == full.buckets[filled[0]]
+        assert all(not docs for b, docs in one.buckets.items() if b != filled[0])
+        assert (one.df, one.n) == (full.df, full.n)
 
     def test_bad_row_exits_data_error(self, synth_dir, tmp_path, caplog):
         for case, (name, row) in enumerate([
@@ -401,7 +436,7 @@ class TestRank:
         cfg = load_config(config, {"out_dir": str(out)})
         provenance = {
             "normalization": cfg.normalization,
-            "inputs_digest": pipeline.load_bundle(cfg).inputs_digest,
+            "inputs_digest": pipeline.load_bundle(cfg, []).inputs_digest,
             "embeddings_sha256": hashlib.sha256(
                 (synth_dir / "embeddings.txt").read_bytes()).hexdigest(),
         }
@@ -584,6 +619,17 @@ class TestTargets:
         assert code == 1
         assert any("50" in rec.message for rec in caplog.records)
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--n-it", "n_it must be >= 1, got 0"),
+        ("--threshold", "threshold must be >= 1, got 0"),
+    ], ids=["n_it", "threshold"])
+    def test_nonpositive_selection_bound_exits_config_error(self, synth_dir, caplog, flag,
+                                                           message):
+        with caplog.at_level("ERROR"):
+            code = run_cli("targets", "--config", str(synth_dir / "config.json"), flag, "0")
+        assert code == 1
+        assert [r.message for r in caplog.records] == [message]
+
     def test_targets_computed_on_the_fly_after_ingest(self, synth_dir, tmp_path):
         # fresh out dir: ingest only, then targets must rank for itself
         out = tmp_path / "fresh"
@@ -651,7 +697,7 @@ class TestTargets:
         assert run_cli("targets", "--config", config) == 0
         after = json.loads(ranking.read_text())["inputs_digest"]
         assert after != before
-        assert after == pipeline.load_bundle(load_config(config)).inputs_digest
+        assert after == pipeline.load_bundle(load_config(config), []).inputs_digest
 
     def test_targets_reranks_under_new_embeddings(self, synth_dir, tmp_path):
         corpus, fresh = tmp_path / "corpus", tmp_path / "fresh"
@@ -799,6 +845,28 @@ class TestRun:
             outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert any(name.startswith("ranking_") for name in outputs["1"])
         assert outputs["1"] == outputs["2"]
+
+    def test_stop_word_corpus_runs_to_empty_rankings(self, synth_dir, tmp_path):
+        # Every document reduces to no tokens, so none is labelled or
+        # bucketed: each ranking is empty and no target is selected.
+        corpus = tmp_path / "stops"
+        shutil.copytree(synth_dir, corpus)
+        for no in CONTENT_DATASETS:
+            path = corpus / f"dataset_{no}.csv"
+            with path.open(newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            with path.open("w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows({**row, "content": "the and of to."} for row in rows)
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(corpus / "config.json"), "--out-dir", str(out)) == 0
+        bundle = json.loads((out / "bundle.json").read_text())
+        assert (bundle["df"], bundle["n"]) == ({}, 0)
+        rankings = sorted(out.glob("ranking_*.json"))
+        assert len(rankings) == len(ALL_BUCKETS)
+        assert all(json.loads(p.read_text())["entries"] == [] for p in rankings)
+        assert not list(out.glob("targets_*"))
 
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:

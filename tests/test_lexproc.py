@@ -118,13 +118,13 @@ class TestBuildDocumentSet:
     def test_cardinality(self, stop_words, lemmatizer):
         docs = [clean_doc("d1-a", "the cats ran fast."), clean_doc("d1-b", "a match today.")]
         ds = build_document_set(docs, stop_words=stop_words, lemmatizer=lemmatizer)
-        assert len(ds.documents) == 2
+        assert len(ds) == 2
 
     def test_zero_token_doc_is_inert_but_retained(self, stop_words, lemmatizer):
         docs = [clean_doc("d1-a", "the a an.")]
         ds = build_document_set(docs, stop_words=stop_words, lemmatizer=lemmatizer)
-        assert len(ds.documents) == 1
-        assert ds.documents[0].inert
+        assert len(ds) == 1
+        assert ds[0].inert
 
     def test_pipeline_matches_independent_trace(self, stop_words, lemmatizer):
         # oracle: re-run the three stages by hand with primitive operations
@@ -140,7 +140,7 @@ class TestBuildDocumentSet:
         }
         docs = [clean_doc(doc_id, text) for doc_id, text in texts.items()]
         ds = build_document_set(docs, stop_words=stop_words, lemmatizer=lemmatizer)
-        for doc in ds.documents:
+        for doc in ds:
             raw = re.findall(r"[a-z0-9]+", texts[doc.doc_id])
             expected = [lemmatizer.lemmatize(t) for t in raw if t not in stop_words]
             assert list(doc.tokens) == expected
@@ -158,7 +158,7 @@ class TestBuildDocumentSet:
                                 lemmatizer=Counting(resources.load_lemma_table()))
         assert sorted(calls) == ["cats", "ran", "won"]
         cats, ran, won = (lemmatizer.lemmatize(t) for t in ("cats", "ran", "won"))
-        assert [d.tokens for d in ds.documents] == [(cats, ran, cats, ran), (cats, won)]
+        assert [d.tokens for d in ds] == [(cats, ran, cats, ran), (cats, won)]
 
     def test_owner_attribution_preserved(self, stop_words, lemmatizer):
         docs = [
@@ -166,9 +166,9 @@ class TestBuildDocumentSet:
             clean_doc("d6-b", "goal match", owner="m1", dataset_no=6),
         ]
         ds = build_document_set(docs, stop_words=stop_words, lemmatizer=lemmatizer)
-        assert [(d.doc_id, d.owner_id) for d in ds.documents] == [("d1-a", "ego"), ("d6-b", "m1")]
+        assert [(d.doc_id, d.owner_id) for d in ds] == [("d1-a", "ego"), ("d6-b", "m1")]
 
     def test_flag_carried_through(self, stop_words, lemmatizer):
         docs = [clean_doc("d1-a", "bonjour text", flagged=True)]
         ds = build_document_set(docs, stop_words=stop_words, lemmatizer=lemmatizer)
-        assert ds.documents[0].flagged_non_english
+        assert ds[0].flagged_non_english

@@ -11,17 +11,16 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import word_store
+from conftest import build_models, word_store
 from egorank.classify import Bucket, Category, SentimentClass
 from egorank import recommend
-from egorank.lexproc import DocumentSet, TokenizedDoc
+from egorank.lexproc import TokenizedDoc
 from egorank.recommend import (
     DocumentScore,
     Normalization,
     rank_members,
     score_bucket,
 )
-from egorank.simdex import SimilarityModels
 
 BUCKET = Bucket(Category.TECHNOLOGY, SentimentClass.POSITIVE)
 
@@ -44,7 +43,7 @@ def build_case(ego_token_lists, member_token_lists, embeddings):
         for i, (owner, toks) in enumerate(member_token_lists)
     ]
     docs.sort(key=lambda d: d.doc_id)
-    return docs, SimilarityModels.build(DocumentSet(documents=docs), word_store(embeddings))
+    return docs, build_models(docs, word_store(embeddings))
 
 
 ORTHO = {
@@ -213,7 +212,7 @@ class TestScoreBucket:
 
         shuffled = list(docs)
         rng.shuffle(shuffled)
-        models2 = SimilarityModels.build(DocumentSet(documents=shuffled), word_store(emb))
+        models2 = build_models(shuffled, word_store(emb))
         scores2 = {s.target_doc_id: s for s in score_bucket(docs, models2)}
 
         assert set(scores1) == set(scores2)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import word_store
+from conftest import build_models, word_store
 
 from egorank.errors import BadRowError, DataError
-from egorank.lexproc import DocumentSet, TokenizedDoc
+from egorank.lexproc import TokenizedDoc
 from egorank.recommend import score_bucket
 from egorank.simdex import DISTANCE_FLOOR, SimilarityModels, load_word_vectors
 from egorank.synth import random_vectors, write_embeddings
@@ -26,11 +26,11 @@ def tdoc(doc_id, tokens, owner="ego", dataset_no=1):
 
 def docset(token_lists):
     docs = [tdoc(f"d1-{i:02d}", toks) for i, toks in enumerate(token_lists)]
-    return DocumentSet(documents=docs)
+    return docs
 
 
 def models_for(token_lists):
-    return SimilarityModels.build(docset(token_lists), NO_VECTORS)
+    return build_models(docset(token_lists), NO_VECTORS)
 
 
 def key_member_set(key_lists, member_lists):
@@ -38,12 +38,12 @@ def key_member_set(key_lists, member_lists):
     docs = [tdoc(f"d1-{i:02d}", toks) for i, toks in enumerate(key_lists)]
     docs += [tdoc(f"d6-{i:02d}", toks, owner=f"m{i}", dataset_no=6)
              for i, toks in enumerate(member_lists)]
-    return DocumentSet(documents=docs)
+    return docs
 
 
 def ti_cs(ds, models, key_id, target_id):
     """The tf-idf cosine that scoring reports for one key and one target doc."""
-    by_id = {doc.doc_id: doc for doc in ds.documents}
+    by_id = {doc.doc_id: doc for doc in ds}
     (score,) = score_bucket([by_id[key_id], by_id[target_id]], models)
     return score.ti_cs
 
@@ -55,7 +55,7 @@ def tfidf_weight(models, doc_id, word):
 @pytest.fixture
 def two_doc_model():
     ds = key_member_set([["a", "b"]], [["a", "c"]])
-    return ds, SimilarityModels.build(ds, NO_VECTORS)
+    return ds, build_models(ds, NO_VECTORS)
 
 
 def write_lines(tmp_path, *lines):
@@ -179,7 +179,7 @@ def pair_distance(u, v):
     """
     docs = [tdoc("d1-k", ["u"]), tdoc("d6-t", ["v"], owner="m", dataset_no=6)]
     store = word_store({"u": u, "v": v})
-    (score,) = score_bucket(docs, SimilarityModels.build(DocumentSet(documents=docs), store))
+    (score,) = score_bucket(docs, build_models(docs, store))
     return 2.0 / score.sum_n
 
 
@@ -253,10 +253,6 @@ class TestTfIdf:
         model = models_for([["a", "b"]])
         assert model.idf["a"] == pytest.approx(math.log(2 / 2) + 1) == 1.0
 
-    def test_empty_corpus(self):
-        with pytest.raises(DataError, match="no non-inert documents to index"):
-            models_for([[], []])
-
     def test_normalized_vectors_unit_length(self):
         rng = random.Random(8)
         token_lists = [rng.choices("abcdef", k=rng.randrange(1, 15)) for _ in range(12)]
@@ -275,12 +271,12 @@ class TestTfIdf:
 class TestTfIdfCosine:
     def test_identical_docs(self):
         ds = key_member_set([["x", "y"]], [["x", "y"]])
-        model = SimilarityModels.build(ds, NO_VECTORS)
+        model = build_models(ds, NO_VECTORS)
         assert ti_cs(ds, model, "d1-00", "d6-00") == pytest.approx(1.0, abs=1e-9)
 
     def test_disjoint_docs(self):
         ds = key_member_set([["x"]], [["y"]])
-        model = SimilarityModels.build(ds, NO_VECTORS)
+        model = build_models(ds, NO_VECTORS)
         assert ti_cs(ds, model, "d1-00", "d6-00") == 0.0
 
     def test_worked_example_cross_cosine(self, two_doc_model):
@@ -298,7 +294,7 @@ class TestTfIdfCosine:
         rng = random.Random(11)
         token_lists = [rng.choices("abcdefgh", k=rng.randrange(1, 12)) for _ in range(10)]
         ds = key_member_set(token_lists, token_lists)
-        model = SimilarityModels.build(ds, NO_VECTORS)
+        model = build_models(ds, NO_VECTORS)
         for a in range(10):
             for b in range(10):
                 cs = ti_cs(ds, model, f"d1-{a:02d}", f"d6-{b:02d}")
@@ -311,8 +307,8 @@ class TestTfIdfCosine:
         doubled = [base[0] * 3, base[1], base[2]]
         ds_a = key_member_set(base[:1], base[1:])
         ds_b = key_member_set(doubled[:1], doubled[1:])
-        model_a = SimilarityModels.build(ds_a, NO_VECTORS)
-        model_b = SimilarityModels.build(ds_b, NO_VECTORS)
+        model_a = build_models(ds_a, NO_VECTORS)
+        model_b = build_models(ds_b, NO_VECTORS)
         for w in model_a.counts["d1-00"]:
             assert tfidf_weight(model_a, "d1-00", w) == pytest.approx(
                 tfidf_weight(model_b, "d1-00", w), abs=1e-9
@@ -328,7 +324,17 @@ class TestSimilarityModels:
         path = tmp_path / "emb.txt"
         write_embeddings(path, random_vectors(["a", "b", "c"], 4, seed=1))
         store = load_word_vectors(path, {"a", "b", "c"})
-        models = SimilarityModels.build(ds, store)
+        models = build_models(ds, store)
         assert models.vectors is store
         assert models.counts["d1-00"] == {"a": 1, "b": 1}
         assert "d1-01" in models.lengths
+
+    def test_idf_from_corpus_counts_covers_scored_words_only(self):
+        # df and n span a corpus of which only one doc is scored: its words
+        # get the corpus-wide idf, and no other word gets one.
+        scored = tdoc("d1-00", ["a", "b", "b"])
+        models = SimilarityModels.build({"a": 3, "b": 1, "z": 2}, 4, NO_VECTORS, [scored])
+        assert models.idf == {"a": math.log(5 / 4) + 1.0, "b": math.log(5 / 2) + 1.0}
+        assert list(models.counts) == ["d1-00"]
+        weights = (models.idf["a"], 2 * models.idf["b"])
+        assert models.lengths["d1-00"] == math.sqrt(sum(x * x for x in weights))

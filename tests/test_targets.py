@@ -78,10 +78,6 @@ class TestSelectTargets:
         with pytest.raises(RankingTooSmallError, match="ranking holds 40 members but 50 were"):
             select_targets(ranking_of(40), 50, network_size=100)
 
-    def test_nonpositive_n_it(self):
-        with pytest.raises(ConfigError, match="n_it must be at least 1, got 0"):
-            select_targets(ranking_of(60), 0, allow_small=True)
-
 
 class TestRemoveDefaults:
     def test_three_megas_removed(self):
