@@ -104,7 +104,7 @@ class CategoryClassifier:
 
 
 def train_category_classifier(
-    labeled_docs: Iterable[tuple[Sequence[str] | TokenizedDoc, Category | str]],
+    labeled_docs: Iterable[tuple[Sequence[str], Category]],
 ) -> CategoryClassifier:
     """Fit the classifier from (tokens, category) pairs.
 
@@ -114,9 +114,7 @@ def train_category_classifier(
     class_docs: dict[Category, int] = {c: 0 for c in CATEGORIES}
     class_tokens: dict[Category, Counter] = {c: Counter() for c in CATEGORIES}
     total_docs = 0
-    for doc, label in labeled_docs:
-        tokens = doc.tokens if isinstance(doc, TokenizedDoc) else doc
-        cat = label if isinstance(label, Category) else Category(label)
+    for tokens, cat in labeled_docs:
         class_docs[cat] += 1
         class_tokens[cat].update(tokens)
         total_docs += 1

@@ -40,13 +40,13 @@ class PipelineConfig:
     datasets: dict[int, Path]
     window: tuple[datetime, datetime]
     resources: dict[str, Path | None]
-    bucket: str = "all"
-    n_it: int = 50
-    threshold: int = 5000
-    normalization: str = "raw"
-    allow_small: bool = False
-    out_dir: Path = Path("out")
-    workers: int = 1
+    bucket: str
+    n_it: int
+    threshold: int
+    normalization: str
+    allow_small: bool
+    out_dir: Path
+    workers: int
 
     def ingest_inputs(self) -> dict[str, Any]:
         """What ingest reads, files by content: the bundle's provenance.
@@ -150,7 +150,7 @@ def _timestamp(value: Any, name: str, default: datetime) -> datetime:
         raise ConfigError(f"{name} is not an ISO-8601 timestamp: {value!r}") from None
 
 
-def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) -> PipelineConfig:
+def load_config(path: str | Path, overrides: Mapping[str, Any]) -> PipelineConfig:
     """Read a config file, apply CLI overrides on top, and validate the result.
 
     Relative paths inside the file resolve against the file's directory.
@@ -162,6 +162,8 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file is not a JSON object: {path}")
     base = path.parent
 
     try:
@@ -173,7 +175,9 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
         try:
             no = int(key)
         except ValueError:
-            raise ConfigError(f"datasets key must be a dataset number, got {key!r}") from None
+            no = 0
+        if not 1 <= no <= 9:
+            raise ConfigError(f"datasets key must be a dataset number 1-9, got {key!r}")
         resolved = _as_path(value, base, f"datasets.{key}")
         if resolved is not None:
             datasets[no] = resolved
@@ -201,8 +205,7 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
         out_dir=_as_path(raw.get("out_dir", "out"), base, "out_dir") or base / "out",
         workers=_integer(raw, "workers", 1),
     )
-    if overrides:
-        cfg = apply_overrides(cfg, overrides)
+    cfg = apply_overrides(cfg, overrides)
     cfg.validate()
     return cfg
 

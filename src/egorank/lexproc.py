@@ -54,10 +54,9 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text)
 
 
-def remove_stop_words(tokens: Sequence[str], stop_words: Iterable[str]) -> list[str]:
+def remove_stop_words(tokens: Sequence[str], stop_words: frozenset[str]) -> list[str]:
     """Order-preserving filter of the configured stop list."""
-    stops = stop_words if isinstance(stop_words, (set, frozenset)) else frozenset(stop_words)
-    return [t for t in tokens if t not in stops]
+    return [t for t in tokens if t not in stop_words]
 
 
 class Lemmatizer:
@@ -99,7 +98,7 @@ class Lemmatizer:
 def build_document_set(
     clean_docs: Iterable[CleanDocument],
     *,
-    stop_words: Iterable[str],
+    stop_words: frozenset[str],
     lemmatizer: Lemmatizer,
 ) -> list[TokenizedDoc]:
     """Tokenize, stop-filter and lemmatize every document, in input order.
@@ -107,12 +106,11 @@ def build_document_set(
     Documents that reduce to zero tokens are kept but inert. Flagged
     non-English documents keep their flag so classification can skip them.
     """
-    stops = frozenset(stop_words)
     lemmas: dict[str, str] = {}  # lemmatize is pure: each distinct raw token runs once
     docs: list[TokenizedDoc] = []
     for cd in clean_docs:
         tokens = [lemmas[t] if t in lemmas else lemmas.setdefault(t, lemmatizer.lemmatize(t))
-                  for t in tokenize(cd.text) if t not in stops]
+                  for t in tokenize(cd.text) if t not in stop_words]
         docs.append(TokenizedDoc(
             doc_id=cd.doc_id,
             owner_id=cd.owner_id,

@@ -272,8 +272,6 @@ def load_bundle(cfg: PipelineConfig, buckets: list[Bucket]) -> IngestResult:
         raise ConfigError(f"{path} was ingested with a different version; egorank "
                           f"{bundle.get('version')} wrote it, this is {__version__}; "
                           "run ingest again")
-    if "inputs" not in bundle:
-        raise ConfigError(f"{path} records no ingest inputs; run ingest again")
     inputs = cfg.ingest_inputs()
     saved = dict(_fields(bundle["inputs"]))
     for name, value in _fields(inputs):

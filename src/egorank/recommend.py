@@ -149,7 +149,7 @@ def score_bucket(
                                        ti_cs[picked].tolist(), r_plus[picked].tolist())]
 
 
-def rank_members(scores: Sequence[DocumentScore], bucket: Bucket | None = None) -> MemberRanking:
+def rank_members(scores: Sequence[DocumentScore], bucket: Bucket) -> MemberRanking:
     """Aggregate document scores per owner and sort.
 
     A member's score is the maximum index over their documents; members

@@ -1,8 +1,9 @@
 """Loaders for the pinned resource files (stop list, lemmas, lexicons).
 
-Every loader takes an optional path; ``None`` falls back to the file
-shipped under ``egorank/data/``. The shipped lists are configuration, not
-ground truth: tests pin against them, and users may swap in their own.
+Every loader but ``load_english_words`` takes an optional path; ``None``
+falls back to the file shipped under ``egorank/data/``. The shipped lists
+are configuration, not ground truth: tests pin against them, and users may
+swap in their own.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import csv
 from importlib import resources as importlib_resources
 from pathlib import Path
 
+from .classify import Category
 from .errors import DataError
 
 def _read_builtin(name: str) -> str:
@@ -44,13 +46,11 @@ def load_boosters(path: str | Path | None = None) -> frozenset[str]:
     return _wordlist(_read(path, "boosters.txt"))
 
 
-def load_english_words(path: str | Path | None = None) -> frozenset[str]:
-    """Vocabulary backing the language-detection heuristic.
-
-    The shipped list unions the stop words so every function word counts
-    as evidence of English.
-    """
-    return _wordlist(_read(path, "english_words.txt")) | load_stop_words()
+def load_english_words() -> frozenset[str]:
+    """Vocabulary backing the language-detection heuristic: the shipped
+    list, unioned with the shipped stop words so every function word counts
+    as evidence of English."""
+    return _wordlist(_read_builtin("english_words.txt")) | load_stop_words()
 
 
 def load_lemma_table(path: str | Path | None = None) -> dict[str, str]:
@@ -106,18 +106,23 @@ def load_sentiment_lexicon(path: str | Path | None = None) -> dict[str, float]:
     return lexicon
 
 
-def load_labeled_seed(path: str | Path | None = None) -> list[tuple[str, str]]:
+def load_labeled_seed(path: str | Path | None = None) -> list[tuple[str, Category]]:
     """Read a labeled training corpus CSV with header ``text,category``."""
     where = path or "seed_categories.csv"
     reader = csv.reader(_read(path, "seed_categories.csv").splitlines())
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["text", "category"]:
         raise DataError(f"{where}: labeled seed corpus must have header 'text,category'")
-    rows: list[tuple[str, str]] = []
+    rows: list[tuple[str, Category]] = []
     for row in reader:
         if not any(map(str.strip, row)):
             continue
         if len(row) != 2:
             raise DataError(f"{where}: line {reader.line_num}: {len(row)} columns, expected 2")
-        rows.append((row[0], row[1].strip()))
+        label = row[1].strip()
+        try:
+            rows.append((row[0], Category(label)))
+        except ValueError:
+            raise DataError(f"{where}: line {reader.line_num}: "
+                            f"unknown category {label!r}") from None
     return rows

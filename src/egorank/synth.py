@@ -24,7 +24,6 @@ from .corpus import (
     DATASET_ACTIVITY,
     MEMBER_HEADER,
     PARENT_DATASET,
-    ActivityType,
     Document,
     InteractedMember,
     MemberKind,
@@ -55,14 +54,11 @@ class SyntheticTruth:
 
 @dataclass
 class Corpus:
-    """All generated activity of one ego on one platform within a time window."""
+    """All generated activity of the ego EGO_ID on PLATFORM within WINDOW."""
 
-    platform: Platform
-    ego_id: str
     datasets: dict[int, list[Document]]
     members: list[InteractedMember]
-    window: tuple[datetime, datetime]
-    synthetic_truth: SyntheticTruth | None = None
+    synthetic_truth: SyntheticTruth
 
 
 def format_timestamp(value: datetime) -> str:
@@ -108,10 +104,10 @@ def write_corpus_csvs(corpus: Corpus, directory: str | Path) -> None:
                 m.connections_count if m.connections_count is not None else "",
             ])
     meta = {
-        "platform": corpus.platform.value,
-        "ego_id": corpus.ego_id,
-        "window": [format_timestamp(corpus.window[0]), format_timestamp(corpus.window[1])],
-        "synthetic_truth": corpus.synthetic_truth.to_dict() if corpus.synthetic_truth else None,
+        "platform": PLATFORM.value,
+        "ego_id": EGO_ID,
+        "window": [format_timestamp(WINDOW[0]), format_timestamp(WINDOW[1])],
+        "synthetic_truth": corpus.synthetic_truth.to_dict(),
     }
     (directory / "corpus.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -128,8 +124,10 @@ GLUE_WORDS = (
     "it", "is", "are", "this", "that", "and", "but",
 )
 
-POSITIVE_SEED_WORDS = ("good", "great", "love", "happy", "win")
-NEGATIVE_SEED_WORDS = ("bad", "terrible", "hate", "sad", "awful")
+SENTIMENT_WORDS = {
+    "Positive": ("good", "great", "love", "happy", "win"),
+    "Negative": ("bad", "terrible", "hate", "sad", "awful"),
+}
 
 DEMO_TOPIC_PROFILES: dict[str, dict[str, float]] = {
     "Technology": {
@@ -159,17 +157,21 @@ DEMO_FILLER_VOCAB = (
     "thing", "story", "idea", "news", "event", "plan", "world", "day",
 )
 
-_DEFAULT_WINDOW = (
+PLATFORM = Platform.FACEBOOK
+EGO_ID = "ego"
+WINDOW = (
     datetime(2024, 1, 1, tzinfo=timezone.utc),
     datetime(2025, 12, 31, 23, 59, 59, tzinfo=timezone.utc),
 )
+EGO_BUCKET = ("Technology", "Positive")  # the ego's dominant (category, sentiment)
+NOISE_RATIO = 0.1  # share of documents drawn from a bucket other than their owner's
+TOKENS_PER_DOC = (8, 16)
+SEED_DOCS_PER_CATEGORY = 8
+SEED_TOKENS_PER_DOC = (8, 14)
 
 
-def _synthetic_text(rng: random.Random, profile: Mapping[str, float],
-                    sentiment: str, vocab: Sequence[str],
-                    sentiment_words: Mapping[str, Sequence[str]],
-                    tokens_per_doc: tuple[int, int]) -> str:
-    n_tokens = rng.randint(*tokens_per_doc)
+def _synthetic_text(rng: random.Random, profile: Mapping[str, float], sentiment: str) -> str:
+    n_tokens = rng.randint(*TOKENS_PER_DOC)
     words: list[str] = []
     profile_words = sorted(profile)
     weights = [profile[w] for w in profile_words]
@@ -177,9 +179,9 @@ def _synthetic_text(rng: random.Random, profile: Mapping[str, float],
     words.extend(rng.choices(profile_words, weights=weights, k=n_profile))
     words.extend(rng.choices(GLUE_WORDS, k=max(2, int(n_tokens * 0.35))))
     n_fill = max(0, n_tokens - len(words))
-    if n_fill and vocab:
-        words.extend(rng.choices(vocab, k=n_fill))
-    pool = sentiment_words[sentiment]
+    if n_fill:
+        words.extend(rng.choices(DEMO_FILLER_VOCAB, k=n_fill))
+    pool = SENTIMENT_WORDS[sentiment]
     words.extend(rng.choices(pool, k=1 + (1 if rng.random() < 0.3 else 0)))
     rng.shuffle(words)
     return " ".join(words) + "."
@@ -189,52 +191,28 @@ def generate_synthetic_corpus(
     seed: int,
     members: int,
     docs_per_member: int,
-    vocab: Sequence[str] | None = None,
-    topic_profiles: Mapping[str, Mapping[str, float]] | None = None,
     *,
-    platform: Platform = Platform.FACEBOOK,
-    ego_id: str = "ego",
     ego_docs: int = 24,
-    ego_bucket: tuple[str, str] | None = None,
     planted_members: int = 0,
     mega_members: int = 0,
     group_members: int = 0,
-    noise_ratio: float = 0.1,
-    tokens_per_doc: tuple[int, int] = (8, 16),
-    sentiment_words: Mapping[str, Sequence[str]] | None = None,
-    window: tuple[datetime, datetime] = _DEFAULT_WINDOW,
 ) -> Corpus:
     """Generate a deterministic corpus with a known (category, sentiment) plan.
 
     Every generated document carries a hidden ground-truth label in
     ``corpus.synthetic_truth``. ``planted_members`` members share the ego's
-    dominant bucket, the first ``mega_members`` of them get more than 5000
-    connections, and ``group_members`` of the remaining members are Groups
-    (hence never eligible targets). The same seed always yields a
-    byte-identical corpus.
+    dominant bucket EGO_BUCKET, the first ``mega_members`` of them get more
+    than 5000 connections, and ``group_members`` of the remaining members
+    are Groups (hence never eligible targets). The same seed always yields
+    a byte-identical corpus.
     """
     if members < 1 or docs_per_member < 1 or ego_docs < 1:
         raise ConfigError("members, docs_per_member and ego_docs must all be >= 1")
-    vocab = tuple(vocab) if vocab is not None else DEMO_FILLER_VOCAB
-    if not vocab:
-        raise ConfigError("vocab must be nonempty")
-    profiles = dict(topic_profiles) if topic_profiles is not None else DEMO_TOPIC_PROFILES
-    if not profiles:
-        raise ConfigError("topic_profiles must be nonempty")
     if planted_members + group_members > members:
         raise ConfigError("planted_members + group_members exceeds the member count")
-    senti_words = dict(sentiment_words) if sentiment_words is not None else {
-        "Positive": POSITIVE_SEED_WORDS, "Negative": NEGATIVE_SEED_WORDS,
-    }
-    sentiments = tuple(senti_words)
-    categories = list(profiles)
     rng = random.Random(seed)
-
-    ego_profile = ego_bucket if ego_bucket is not None else (categories[0], sentiments[0])
-    if ego_profile[0] not in profiles or ego_profile[1] not in senti_words:
-        raise ConfigError(f"ego_bucket {ego_profile} not covered by profiles/sentiments")
-    all_buckets = [(c, s) for c in categories for s in sentiments]
-    other_buckets = [b for b in all_buckets if b != ego_profile]
+    other_buckets = [(c, s) for c in DEMO_TOPIC_PROFILES for s in SENTIMENT_WORDS
+                     if (c, s) != EGO_BUCKET]
 
     member_ids = [f"m{i:03d}" for i in range(1, members + 1)]
     planted = tuple(member_ids[:planted_members])
@@ -242,21 +220,21 @@ def generate_synthetic_corpus(
     # run exercises the default-influencer removal inside the ego bucket.
     mega_pool = list(planted) + [m for m in member_ids if m not in planted]
     mega = tuple(mega_pool[:mega_members])
-    groups = set(member_ids[members - group_members:]) if group_members else set()
+    groups = set(member_ids[members - group_members:])
     kind_cycle = [MemberKind.FRIEND, MemberKind.FOLLOWER, MemberKind.FOLLOWING,
                   MemberKind.CONNECTION, MemberKind.PAGE]
 
     member_profiles: dict[str, tuple[str, str]] = {}
     for mid in member_ids:
         if mid in planted:
-            member_profiles[mid] = ego_profile
+            member_profiles[mid] = EGO_BUCKET
         else:
             member_profiles[mid] = other_buckets[rng.randrange(len(other_buckets))]
 
     doc_labels: dict[str, tuple[str, str]] = {}
     datasets: dict[int, list[Document]] = {no: [] for no in CONTENT_DATASETS}
     counter = 0
-    t0, t1 = window
+    t0, t1 = WINDOW
     span = (t1 - t0).total_seconds()
 
     def next_time() -> datetime:
@@ -268,8 +246,7 @@ def generate_synthetic_corpus(
         nonlocal counter
         counter += 1
         doc_id = f"d{dataset_no}-p{counter:05d}"
-        text = _synthetic_text(rng, profiles[bucket[0]], bucket[1], vocab,
-                               senti_words, tokens_per_doc)
+        text = _synthetic_text(rng, DEMO_TOPIC_PROFILES[bucket[0]], bucket[1])
         doc = Document(
             doc_id=doc_id, owner_id=owner, text=text, dataset_no=dataset_no,
             parent_doc_id=parent, time=next_time(),
@@ -279,26 +256,25 @@ def generate_synthetic_corpus(
         return doc
 
     def pick_bucket(profile: tuple[str, str]) -> tuple[str, str]:
-        if rng.random() < noise_ratio:
+        if rng.random() < NOISE_RATIO:
             options = [b for b in other_buckets if b != profile]
-            if options:
-                return options[rng.randrange(len(options))]
+            return options[rng.randrange(len(options))]
         return profile
 
     # Ego documents: mostly dataset 1, some messages, a few dependent rows.
     ego_parents: list[Document] = []
     for i in range(ego_docs):
-        bucket = ego_profile if rng.random() >= noise_ratio * 2 else \
+        bucket = EGO_BUCKET if rng.random() >= NOISE_RATIO * 2 else \
             other_buckets[rng.randrange(len(other_buckets))]
         roll = rng.random()
         if roll < 0.6 or not ego_parents:
-            ego_parents.append(emit(ego_id, 1, bucket))
+            ego_parents.append(emit(EGO_ID, 1, bucket))
         elif roll < 0.8:
-            emit(ego_id, 4, bucket)
+            emit(EGO_ID, 4, bucket)
         else:
             parent = ego_parents[rng.randrange(len(ego_parents))]
             child_no = 2 if roll < 0.9 else 3
-            emit(ego_id, child_no, doc_labels[parent.doc_id], parent=parent.doc_id)
+            emit(EGO_ID, child_no, doc_labels[parent.doc_id], parent=parent.doc_id)
 
     # Member documents.
     for mid in member_ids:
@@ -327,11 +303,8 @@ def generate_synthetic_corpus(
             connections = None
         else:
             connections = rng.randint(20, 4500)
-        acts = {DATASET_ACTIVITY[d.dataset_no] for d in datasets[6] if d.owner_id == mid}
-        acts |= {DATASET_ACTIVITY[d.dataset_no]
-                 for no in (7, 8, 9) for d in datasets[no] if d.owner_id == mid}
-        if not acts:
-            acts = {ActivityType.POST}
+        acts = {DATASET_ACTIVITY[d.dataset_no]
+                for no in (6, 7, 8, 9) for d in datasets[no] if d.owner_id == mid}
         member_list.append(InteractedMember(
             member_id=mid, display_name=f"member{mid[1:]}", kind=kind,
             activity_types=frozenset(acts), connections_count=connections,
@@ -342,31 +315,24 @@ def generate_synthetic_corpus(
         member_profiles=member_profiles,
         planted=planted,
         mega=mega,
-        ego_bucket=ego_profile,
+        ego_bucket=EGO_BUCKET,
     )
-    return Corpus(platform=platform, ego_id=ego_id, datasets=datasets,
-                  members=member_list, window=window, synthetic_truth=truth)
+    return Corpus(datasets=datasets, members=member_list, synthetic_truth=truth)
 
 
-def synthetic_seed_corpus(
-    seed: int,
-    topic_profiles: Mapping[str, Mapping[str, float]] | None = None,
-    docs_per_category: int = 8,
-    tokens_per_doc: tuple[int, int] = (8, 14),
-) -> list[tuple[str, str]]:
+def synthetic_seed_corpus(seed: int) -> list[tuple[str, str]]:
     """Labeled (text, category) rows for training the category classifier.
 
     Drawn from the same topic profiles the generator plants, with neutral
     glue only; no sentiment words, so the classifier never keys on them.
     """
-    profiles = dict(topic_profiles) if topic_profiles is not None else DEMO_TOPIC_PROFILES
     rng = random.Random(seed * 7919 + 13)
     rows: list[tuple[str, str]] = []
-    for category in profiles:
-        words = sorted(profiles[category])
-        weights = [profiles[category][w] for w in words]
-        for _ in range(docs_per_category):
-            n = rng.randint(*tokens_per_doc)
+    for category, profile in DEMO_TOPIC_PROFILES.items():
+        words = sorted(profile)
+        weights = [profile[w] for w in words]
+        for _ in range(SEED_DOCS_PER_CATEGORY):
+            n = rng.randint(*SEED_TOKENS_PER_DOC)
             picked = rng.choices(words, weights=weights, k=max(3, int(n * 0.6)))
             picked += rng.choices(GLUE_WORDS, k=n - len(picked)) if n > len(picked) else []
             rng.shuffle(picked)
@@ -426,9 +392,8 @@ def synth(
     write_corpus_csvs(corpus, out)
 
     words = set(GLUE_WORDS) | set(DEMO_FILLER_VOCAB)
-    words |= set(POSITIVE_SEED_WORDS) | set(NEGATIVE_SEED_WORDS)
-    for profile in DEMO_TOPIC_PROFILES.values():
-        words |= set(profile)
+    for group in (*SENTIMENT_WORDS.values(), *DEMO_TOPIC_PROFILES.values()):
+        words |= set(group)
     if extra_vocab > len(words):
         words |= {f"w{i:05d}" for i in range(extra_vocab - len(words))}
     write_embeddings(out / "embeddings.txt", random_vectors(sorted(words), dim, seed))
@@ -442,13 +407,13 @@ def synth(
     # synthetic corpus only hold members with documents in that bucket.
     n_it = min(50, planted) if planted else min(50, members - groups)
     config = {
-        "platform": corpus.platform.value,
-        "ego_id": corpus.ego_id,
+        "platform": PLATFORM.value,
+        "ego_id": EGO_ID,
         "datasets": {str(no): f"dataset_{no}.csv" for no in CONTENT_DATASETS}
         | {"5": "members.csv"},
         "window": {
-            "since": format_timestamp(corpus.window[0]),
-            "until": format_timestamp(corpus.window[1]),
+            "since": format_timestamp(WINDOW[0]),
+            "until": format_timestamp(WINDOW[1]),
         },
         "resources": {"embeddings": "embeddings.txt", "labeled_seed": "seed_categories.csv"},
         "bucket": "all",

@@ -22,7 +22,6 @@ from .recommend import MemberRanking
 
 log = logging.getLogger(__name__)
 
-DEFAULT_CONNECTION_THRESHOLD = 5000
 MIN_N_IT = 50
 
 
@@ -30,7 +29,7 @@ MIN_N_IT = 50
 class TargetSelection:
     """Output of the selection stage for one bucket."""
 
-    bucket: Bucket | None
+    bucket: Bucket
     n_it: int
     selected: list[str]
     defaults_removed: list[str]
@@ -59,7 +58,7 @@ def select_targets(
     ranking: MemberRanking,
     n_it: int,
     *,
-    network_size: int | None = None,
+    network_size: int,
     allow_small: bool = False,
 ) -> list[str]:
     """First ``n_it`` member ids of the ranking.
@@ -67,14 +66,13 @@ def select_targets(
     The required amount is bounded by 50 <= n_it <= network size;
     ``allow_small`` relaxes the lower bound for desk-scale runs.
     """
-    size = network_size if network_size is not None else len(ranking.entries)
     if n_it < MIN_N_IT and not allow_small:
         raise ConfigError(
             f"n_it = {n_it} violates the {MIN_N_IT} <= N_it <= network-size bound "
             "(pass --allow-small to relax the lower bound)"
         )
-    if n_it > size:
-        raise ConfigError(f"n_it = {n_it} exceeds the network size {size}")
+    if n_it > network_size:
+        raise ConfigError(f"n_it = {n_it} exceeds the network size {network_size}")
     if len(ranking.entries) < n_it:
         raise RankingTooSmallError(len(ranking.entries), n_it)
     return [entry.member_id for entry in ranking.entries[:n_it]]
@@ -83,7 +81,7 @@ def select_targets(
 def remove_defaults(
     selected: Sequence[str],
     members: Iterable[InteractedMember],
-    threshold: int = DEFAULT_CONNECTION_THRESHOLD,
+    threshold: int,
 ) -> tuple[list[str], list[str]]:
     """Split the selected list into (effective, defaults_removed).
 
@@ -116,8 +114,8 @@ def top_most(
     n_it: int,
     members: Iterable[InteractedMember],
     *,
-    threshold: int = DEFAULT_CONNECTION_THRESHOLD,
-    network_size: int | None = None,
+    threshold: int,
+    network_size: int,
     allow_small: bool = False,
 ) -> TargetSelection:
     """Run selection then default removal; |effective| = n_it - D_it."""

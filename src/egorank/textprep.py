@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .corpus import Document
 from .errors import DataError
@@ -52,7 +52,7 @@ class CleanDocument:
     flagged_non_english: bool
 
 
-def looks_english(text: str, english_vocab: Iterable[str] | None = None) -> bool:
+def looks_english(text: str, english_vocab: frozenset[str]) -> bool:
     """Deterministic language heuristic: script check plus common-word ratio.
 
     No translator ships with egorank, so detection only needs to separate
@@ -69,11 +69,7 @@ def looks_english(text: str, english_vocab: Iterable[str] | None = None) -> bool
         return False
     if not words:
         return True
-    if english_vocab is None:
-        from .resources import load_english_words
-        english_vocab = load_english_words()
-    vocab = english_vocab if isinstance(english_vocab, (set, frozenset)) else set(english_vocab)
-    known = sum(map(vocab.__contains__, map(str.lower, words)))
+    known = sum(map(english_vocab.__contains__, map(str.lower, words)))
     return known / len(words) >= ENGLISH_TOKEN_RATIO
 
 
@@ -160,7 +156,7 @@ def primary_preprocess(
     doc: Document,
     *,
     spelling: Mapping[str, int] | None = None,
-    english_vocab: Iterable[str] | None = None,
+    english_vocab: frozenset[str],
 ) -> CleanDocument:
     """Run the four primary preprocessing stages over one document."""
     if doc.dataset_no == 5:

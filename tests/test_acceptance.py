@@ -141,7 +141,7 @@ def test_criterion_2_algorithm2_count_identity():
             for e in entries
         ]
         selection = top_most(ranking, n_it, members, threshold=threshold,
-                             allow_small=True)
+                             network_size=n, allow_small=True)
         assert len(selection.selected) == n_it
         assert len(selection.effective) == n_it - selection.d_it
         removed = set(selection.defaults_removed)
@@ -294,7 +294,7 @@ def build_planted_pipeline():
     labeled = []
     for text, cat in synthetic_seed_corpus(PLANT_SEED):
         tokens = [lemmatizer.lemmatize(t) for t in remove_stop_words(tokenize(text.lower()), stops)]
-        labeled.append((tokens, cat))
+        labeled.append((tokens, Category(cat)))
     model = train_category_classifier(labeled)
     analyzer = SentimentAnalyzer(resources.load_sentiment_lexicon(), resources.load_negators(),
                                  resources.load_boosters())
@@ -335,7 +335,8 @@ def test_criterion_6_planted_target_recovery():
 
     # frozen regression fixtures
     assert top15 == FROZEN_TOP
-    selection = top_most(ranking, len(ranking.entries), eligible, allow_small=True)
+    selection = top_most(ranking, len(ranking.entries), eligible, threshold=5000,
+                         network_size=len(ranking.entries), allow_small=True)
     assert sorted(selection.defaults_removed) == FROZEN_REMOVED
     assert set(selection.defaults_removed) == set(truth.mega)
     report(6, f"{recovered}/10 planted members in top 15; ranking matches the "

@@ -92,6 +92,8 @@ class TestIngest:
         (lambda c: c.update(threshold=True), (), "threshold"),
         (lambda c: c.update(workers="two"), (), "workers"),
         (lambda c: c["datasets"].update(x="dataset_1.csv"), (), "datasets key"),
+        (lambda c: c["datasets"].update({"10": "dataset_1.csv"}), (),
+         "datasets key must be a dataset number 1-9, got '10'"),
         (lambda c: c["window"].update(since="yesterday"), (), "window.since"),
         (lambda c: c.update(allow_small="false"), (), "allow_small"),
         (lambda c: None, ("--until", "tomorrow"), "--until"),
@@ -104,9 +106,10 @@ class TestIngest:
         (lambda c: c["datasets"].update({"1": 1}), (), "datasets.1"),
         (lambda c: c["resources"].update(embeddings=["embeddings.txt"]), (),
          "resources.embeddings"),
-    ], ids=["n_it", "bool_threshold", "workers", "dataset_key", "window", "allow_small",
-            "until_flag", "window_string", "datasets_list", "resources_list", "out_dir_number",
-            "bucket_number", "ego_id_number", "dataset_path_number", "resource_path_list"])
+    ], ids=["n_it", "bool_threshold", "workers", "dataset_key", "dataset_key_range",
+            "window", "allow_small", "until_flag", "window_string", "datasets_list",
+            "resources_list", "out_dir_number", "bucket_number", "ego_id_number",
+            "dataset_path_number", "resource_path_list"])
     def test_mistyped_field_exits_config_error(self, synth_dir, edit, argv, field, caplog):
         config = json.loads((synth_dir / "config.json").read_text())
         edit(config)
@@ -116,6 +119,15 @@ class TestIngest:
             code = run_cli("ingest", "--config", str(mistyped), *argv)
         assert code == 1
         assert any(field in r.message for r in caplog.records)
+
+    def test_non_object_config_exits_config_error(self, tmp_path, caplog):
+        config = tmp_path / "list.json"
+        config.write_text("[1]")
+        with caplog.at_level("ERROR"):
+            code = run_cli("ingest", "--config", str(config))
+        assert code == 1
+        assert [r.message for r in caplog.records] == [
+            f"config file is not a JSON object: {config}"]
 
     def test_missing_dataset5_exits_config_error(self, synth_dir, tmp_path, caplog):
         broken = tmp_path / "broken"
@@ -294,7 +306,7 @@ class TestIngest:
         assert bundle["df"] == df
 
     def test_load_bundle_fills_only_the_requested_buckets(self, ingested):
-        cfg = load_config(ingested / "config.json")
+        cfg = load_config(ingested / "config.json", {})
         full = pipeline.load_bundle(cfg, ALL_BUCKETS)
         filled = [b for b in ALL_BUCKETS if full.buckets[b]]
         assert len(filled) > 1
@@ -358,6 +370,7 @@ class TestIngest:
         ("sentiment_lexicon", "good\t1.9\nbad\tvery\n"),
         ("labeled_seed", "text,category\nfine text,Technology\none,two,three\n"),
         ("spelling_dictionary", "good\t10\nbroken line\n"),
+        ("labeled_seed", "text,category\ngreat code software,Technlogy\n"),
     ])
     def test_bad_resource_line_names_file(self, synth_dir, tmp_path, caplog, resource, text):
         with caplog.at_level("ERROR"):
@@ -697,7 +710,7 @@ class TestTargets:
         assert run_cli("targets", "--config", config) == 0
         after = json.loads(ranking.read_text())["inputs_digest"]
         assert after != before
-        assert after == pipeline.load_bundle(load_config(config), []).inputs_digest
+        assert after == pipeline.load_bundle(load_config(config, {}), []).inputs_digest
 
     def test_targets_reranks_under_new_embeddings(self, synth_dir, tmp_path):
         corpus, fresh = tmp_path / "corpus", tmp_path / "fresh"

@@ -11,7 +11,12 @@ from egorank.corpus import (
     load_members_csv,
 )
 from egorank.errors import BadRowError, ConfigError, DataError
-from egorank.synth import generate_synthetic_corpus, write_corpus_csvs
+from egorank.synth import (
+    DEMO_TOPIC_PROFILES,
+    EGO_ID,
+    generate_synthetic_corpus,
+    write_corpus_csvs,
+)
 
 HEADER = "post_id,content,user_name,user_id,react_count,share_count,language,time,parent_post_id"
 MEMBER_HEADER_ROW = "member_id,display_name,kind,activity_types,connections_count"
@@ -242,29 +247,20 @@ class TestSyntheticCorpus:
         assert member_docs == 50 * 40
 
     def test_topic_concentration(self):
-        profiles = {
-            "Sports": {"goal": 5, "match": 5},
-            "Politics": {"vote": 5, "law": 5},
-        }
-        corpus = generate_synthetic_corpus(
-            11, members=20, docs_per_member=10, topic_profiles=profiles,
-        )
+        corpus = generate_synthetic_corpus(11, members=20, docs_per_member=10)
         truth = corpus.synthetic_truth
-        sports_docs = [
-            doc for docs in corpus.datasets.values() for doc in docs
-            if truth.doc_labels[doc.doc_id][0] == "Sports"
-        ]
-        assert sports_docs
-        hit = sum(1 for d in sports_docs if ("goal" in d.text or "match" in d.text))
-        assert hit / len(sports_docs) >= 0.90
+        docs = [doc for docs in corpus.datasets.values() for doc in docs]
+        for category, profile in DEMO_TOPIC_PROFILES.items():
+            labelled = [d for d in docs if truth.doc_labels[d.doc_id][0] == category]
+            assert labelled, category
+            hit = sum(1 for d in labelled if set(d.text.rstrip(".").split()) & set(profile))
+            assert hit / len(labelled) >= 0.90, category
 
     def test_bad_params(self):
         with pytest.raises(ConfigError, match="docs_per_member and ego_docs must all be >= 1"):
             generate_synthetic_corpus(1, members=0, docs_per_member=5)
         with pytest.raises(ConfigError, match="docs_per_member and ego_docs must all be >= 1"):
             generate_synthetic_corpus(1, members=5, docs_per_member=0)
-        with pytest.raises(ConfigError, match="vocab must be nonempty"):
-            generate_synthetic_corpus(1, members=5, docs_per_member=5, vocab=[])
 
     def test_planted_and_mega_flags(self):
         corpus = generate_synthetic_corpus(
@@ -287,7 +283,7 @@ class TestRoundTrip:
                                            planted_members=2, mega_members=1)
         write_corpus_csvs(corpus, tmp_path)
         for no, docs in corpus.datasets.items():
-            owner = corpus.ego_id if no in EGO_DATASETS else None
+            owner = EGO_ID if no in EGO_DATASETS else None
             path = tmp_path / f"dataset_{no}.csv"
             assert load_activity_csv(path, no, owner) == docs, path.name
         assert load_members_csv(tmp_path / "members.csv") == corpus.members

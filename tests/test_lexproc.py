@@ -49,10 +49,10 @@ class TestTokenize:
 
 class TestRemoveStopWords:
     def test_direct_filter(self):
-        assert remove_stop_words(["the", "cat", "sat"], {"the"}) == ["cat", "sat"]
+        assert remove_stop_words(["the", "cat", "sat"], frozenset({"the"})) == ["cat", "sat"]
 
     def test_all_stop_words(self):
-        assert remove_stop_words(["the", "a"], {"the", "a"}) == []
+        assert remove_stop_words(["the", "a"], frozenset({"the", "a"})) == []
 
     def test_empty_stop_list_is_identity(self):
         assert remove_stop_words(["the", "cat"], frozenset()) == ["the", "cat"]

@@ -58,20 +58,20 @@ class TestFilterEligible:
 class TestSelectTargets:
     def test_first_n_of_ranking(self):
         ranking = ranking_of(120)
-        selected = select_targets(ranking, 50)
+        selected = select_targets(ranking, 50, network_size=120)
         assert selected == [f"m{i:04d}" for i in range(50)]
 
     def test_lower_bound_enforced(self):
         with pytest.raises(ConfigError, match="violates the 50 <= N_it <= network-size bound"):
-            select_targets(ranking_of(120), 10)
+            select_targets(ranking_of(120), 10, network_size=120)
 
     def test_allow_small_override(self):
-        selected = select_targets(ranking_of(12), 10, allow_small=True)
+        selected = select_targets(ranking_of(12), 10, network_size=12, allow_small=True)
         assert len(selected) == 10
 
     def test_n_it_above_network_size(self):
         with pytest.raises(ConfigError, match="exceeds the network size 60"):
-            select_targets(ranking_of(60), 80)
+            select_targets(ranking_of(60), 80, network_size=60)
 
     def test_ranking_smaller_than_n_it(self):
         # network is large enough, but only 40 members actually ranked
@@ -83,25 +83,25 @@ class TestRemoveDefaults:
     def test_three_megas_removed(self):
         members = [member(f"m{i:04d}", connections=6000 if i < 3 else 100) for i in range(50)]
         selected = [m.member_id for m in members]
-        effective, removed = remove_defaults(selected, members)
+        effective, removed = remove_defaults(selected, members, 5000)
         assert len(effective) == 47
         assert removed == ["m0000", "m0001", "m0002"]
 
     def test_none_above_threshold_identity(self):
         members = [member(f"m{i}", connections=100) for i in range(5)]
         selected = [m.member_id for m in members]
-        effective, removed = remove_defaults(selected, members)
+        effective, removed = remove_defaults(selected, members, 5000)
         assert effective == selected and removed == []
 
     def test_exactly_threshold_not_removed(self):
         members = [member("A", connections=5000)]
-        effective, removed = remove_defaults(["A"], members)
+        effective, removed = remove_defaults(["A"], members, 5000)
         assert effective == ["A"] and removed == []
 
     def test_unknown_count_retained_with_warning(self, caplog):
         members = [member("A", connections=None), member("B", connections=9000)]
         with caplog.at_level("WARNING"):
-            effective, removed = remove_defaults(["A", "B"], members)
+            effective, removed = remove_defaults(["A", "B"], members, 5000)
         assert effective == ["A"]
         assert removed == ["B"]
         assert any("unknown" in rec.message for rec in caplog.records)
@@ -111,14 +111,14 @@ class TestRemoveDefaults:
         members.append(member("big", connections=9000))
         with caplog.at_level("WARNING"):
             top_most(MemberRanking(BUCKET, [RankEntry(m.member_id, 1.0, "d") for m in members]),
-                     5, members, allow_small=True)
+                     5, members, threshold=5000, network_size=5, allow_small=True)
         warnings = [r.message for r in caplog.records if "unknown" in r.message]
         assert warnings == ["4 of 5 selected members have unknown connections_count; retained"]
 
     def test_order_of_survivors_preserved(self):
         members = [member("C", connections=1), member("A", connections=9000),
                    member("B", connections=2)]
-        effective, removed = remove_defaults(["C", "A", "B"], members)
+        effective, removed = remove_defaults(["C", "A", "B"], members, 5000)
         assert effective == ["C", "B"]
 
     def test_threshold_monotonicity(self):
@@ -139,14 +139,14 @@ class TestTopMost:
     def test_count_identity(self):
         members = [member(f"m{i:04d}", connections=7000 if i in (3, 7, 9) else 50)
                    for i in range(120)]
-        selection = top_most(ranking_of(120), 50, members)
+        selection = top_most(ranking_of(120), 50, members, threshold=5000, network_size=120)
         assert len(selection.selected) == 50
         assert selection.d_it == 3
         assert len(selection.effective) == 47
 
     def test_no_defaults(self):
         members = [member(f"m{i:04d}", connections=10) for i in range(60)]
-        selection = top_most(ranking_of(60), 50, members)
+        selection = top_most(ranking_of(60), 50, members, threshold=5000, network_size=60)
         assert selection.d_it == 0
         assert selection.effective == selection.selected
 
@@ -158,7 +158,8 @@ class TestTopMost:
             mid = f"m{i:04d}"
             conn = rng.randrange(6000, 20000) if mid in planted_megas else rng.randrange(0, 4000)
             members.append(member(mid, connections=conn))
-        selection = top_most(ranking_of(60), 60, members, allow_small=True)
+        selection = top_most(ranking_of(60), 60, members, threshold=5000, network_size=60,
+                             allow_small=True)
         assert set(selection.defaults_removed) == planted_megas
 
     def test_effective_is_order_preserving_subsequence(self):
@@ -174,7 +175,7 @@ class TestTopMost:
                 for e in ranking.entries
             ]
             selection = top_most(ranking, n_it, members,
-                                 threshold=threshold, allow_small=True)
+                                 threshold=threshold, network_size=n, allow_small=True)
             assert len(selection.selected) == n_it
             assert len(selection.effective) == n_it - selection.d_it
             removed = set(selection.defaults_removed)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egorank.corpus import Document
+from egorank.resources import load_english_words
 from egorank.textprep import (
     extract_mentions,
     load_spelling_dictionary,
@@ -34,21 +35,23 @@ def make_doc(text, dataset_no=1, parent=None):
     )
 
 
+SHIPPED_ENGLISH = load_english_words()
+
 class TestDetectAndTranslate:
     """Language detection: non-English text passes through, flagged."""
 
     def test_english_passthrough(self):
-        assert looks_english("hello there")
-        clean = primary_preprocess(make_doc("hello there"))
+        assert looks_english("hello there", SHIPPED_ENGLISH)
+        clean = primary_preprocess(make_doc("hello there"), english_vocab=SHIPPED_ENGLISH)
         assert (clean.text, clean.flagged_non_english) == ("hello there", False)
 
     def test_non_english_flagged_without_translator(self):
-        assert not looks_english("bonjour")
-        clean = primary_preprocess(make_doc("bonjour"))
+        assert not looks_english("bonjour", SHIPPED_ENGLISH)
+        clean = primary_preprocess(make_doc("bonjour"), english_vocab=SHIPPED_ENGLISH)
         assert (clean.text, clean.flagged_non_english) == ("bonjour", True)
 
     def test_cyrillic_flagged(self):
-        assert not looks_english("привет как дела")
+        assert not looks_english("привет как дела", SHIPPED_ENGLISH)
 
     def test_fixture_corpus_flag_count(self):
         texts = [
@@ -60,12 +63,12 @@ class TestDetectAndTranslate:
             "das ist ein gutes beispiel",
             "what a great game today",
         ]
-        flags = [not looks_english(t) for t in texts]
+        flags = [not looks_english(t, SHIPPED_ENGLISH) for t in texts]
         assert sum(flags) == 5
         assert flags[0] is False and flags[-1] is False
 
     def test_empty_text_is_english(self):
-        assert looks_english("")
+        assert looks_english("", SHIPPED_ENGLISH)
 
 
 class TestExtractMentions:
@@ -170,33 +173,33 @@ class TestNormalizeCaseAndSpell:
 class TestPrimaryPreprocess:
     def test_stage_by_stage_example(self):
         doc = make_doc("Check @Bob NOW!!! \N{ROCKET}")
-        clean = primary_preprocess(doc)
+        clean = primary_preprocess(doc, english_vocab=SHIPPED_ENGLISH)
         assert clean.text == "check now"
         assert clean.mentions == ("Bob",)
         assert clean.flagged_non_english is False
 
     def test_clean_text_is_fixed_point(self):
         doc = make_doc("already clean lowercase text.")
-        clean = primary_preprocess(doc)
+        clean = primary_preprocess(doc, english_vocab=SHIPPED_ENGLISH)
         assert clean.text == "already clean lowercase text."
-        again = primary_preprocess(make_doc(clean.text))
+        again = primary_preprocess(make_doc(clean.text), english_vocab=SHIPPED_ENGLISH)
         assert again.text == clean.text
 
     def test_dataset5_guard(self):
         doc = make_doc("anything", dataset_no=5)
         with pytest.raises(ValueError, match="dataset 5"):
-            primary_preprocess(doc)
+            primary_preprocess(doc, english_vocab=SHIPPED_ENGLISH)
 
     def test_flagged_doc_still_cleaned(self):
         doc = make_doc("привет! как дела?")
-        clean = primary_preprocess(doc)
+        clean = primary_preprocess(doc, english_vocab=SHIPPED_ENGLISH)
         assert clean.flagged_non_english is True
         assert ALPHABET_OK.match(clean.text)
 
     @given(fuzz_text)
     @settings(max_examples=200)
     def test_output_alphabet_invariant(self, text):
-        clean = primary_preprocess(make_doc(text))
+        clean = primary_preprocess(make_doc(text), english_vocab=SHIPPED_ENGLISH)
         assert ALPHABET_OK.match(clean.text), clean.text
         assert all("@" not in m for m in clean.mentions)
 
@@ -258,8 +261,7 @@ class TestMatchesReference:
     @given(st.one_of(mixed_text, fuzz_text))
     @settings(max_examples=150, deadline=None)
     def test_looks_english(self, text):
-        for vocab in (ENGLISH, sorted(ENGLISH)):
-            assert looks_english(text, vocab) == reference_looks_english(text, ENGLISH)
+        assert looks_english(text, ENGLISH) == reference_looks_english(text, ENGLISH)
 
     @given(st.one_of(mixed_text, fuzz_text))
     @settings(max_examples=150, deadline=None)
