@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 usage/config error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import logging
 import os
 import sys
@@ -25,6 +27,12 @@ from .pipeline import (
 )
 
 log = logging.getLogger(__name__)
+
+# At exit, hide every live object from the collector, so the full
+# collections that interpreter shutdown runs do not walk objects that are
+# about to be freed anyway. Registered here, not in main(): a process that
+# calls main() and keeps running must go on collecting its cyclic garbage.
+atexit.register(gc.freeze)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

@@ -138,6 +138,14 @@ def _object(raw: Mapping[str, Any], key: str) -> Mapping[str, Any]:
     return value
 
 
+def _known_keys(value: Mapping[str, Any], name: str, known: tuple[str, ...]) -> None:
+    """Reject a key of the JSON object ``name`` that is not in ``known``."""
+    for key in value:
+        if key not in known:
+            raise ConfigError(f"unknown key {name}.{key}; "
+                              f"expected one of {', '.join(sorted(known))}")
+
+
 def _timestamp(value: Any, name: str, default: datetime) -> datetime:
     """Parse one window bound; an absent or empty bound keeps ``default``."""
     if not value:
@@ -182,12 +190,14 @@ def load_config(path: str | Path, overrides: Mapping[str, Any]) -> PipelineConfi
         if resolved is not None:
             datasets[no] = resolved
     window_raw = _object(raw, "window")
+    _known_keys(window_raw, "window", ("since", "until"))
     since = _timestamp(window_raw.get("since"), "window.since", DEFAULT_SINCE)
     until = _timestamp(window_raw.get("until"), "window.until", DEFAULT_UNTIL)
     allow_small = raw.get("allow_small", False)
     if not isinstance(allow_small, bool):
         raise ConfigError(f"allow_small must be true or false, got {allow_small!r}")
     resources_raw = _object(raw, "resources")
+    _known_keys(resources_raw, "resources", RESOURCE_KEYS)
     resources = {key: _as_path(resources_raw.get(key), base, f"resources.{key}")
                  for key in RESOURCE_KEYS}
 

@@ -112,7 +112,8 @@ def load_labeled_seed(path: str | Path | None = None) -> list[tuple[str, Categor
     reader = csv.reader(_read(path, "seed_categories.csv").splitlines())
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["text", "category"]:
-        raise DataError(f"{where}: labeled seed corpus must have header 'text,category'")
+        raise DataError(f"{where}: line 1: labeled seed corpus must have header "
+                        f"'text,category'")
     rows: list[tuple[str, Category]] = []
     for row in reader:
         if not any(map(str.strip, row)):

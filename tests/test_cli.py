@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -33,6 +34,11 @@ def synth_dir(tmp_path_factory):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+# The columns of an activity CSV row after user_id: counts, language, a time
+# inside the synth window and no parent.
+STAMP = "0,0,en,2024-06-01T00:00:00+00:00,"
 
 
 @pytest.fixture
@@ -128,6 +134,32 @@ class TestIngest:
         assert code == 1
         assert [r.message for r in caplog.records] == [
             f"config file is not a JSON object: {config}"]
+
+    @pytest.mark.parametrize("section, key, message", [
+        ("resources", "stoplist",
+         "unknown key resources.stoplist; expected one of boosters, embeddings, labeled_seed, "
+         "lemma_dictionary, negators, sentiment_lexicon, spelling_dictionary, stop_list"),
+        ("window", "from", "unknown key window.from; expected one of since, until"),
+    ], ids=["resources", "window"])
+    def test_unknown_nested_key_exits_config_error(self, synth_dir, section, key, message,
+                                                   caplog):
+        # a misspelt key would otherwise run with the default it meant to replace
+        config = json.loads((synth_dir / "config.json").read_text())
+        config[section][key] = "nothing.txt"
+        misspelt = synth_dir / "misspelt.json"
+        misspelt.write_text(json.dumps(config))
+        with caplog.at_level("ERROR"):
+            code = run_cli("ingest", "--config", str(misspelt))
+        assert code == 1
+        assert [r.message for r in caplog.records] == [message]
+
+    def test_unknown_top_level_key_is_ignored(self, synth_dir, tmp_path):
+        # perfbench's generated config carries a "seed" that the pipeline never reads
+        config = json.loads((synth_dir / "config.json").read_text())
+        config["seed"] = 7
+        seeded = synth_dir / "seeded.json"
+        seeded.write_text(json.dumps(config))
+        assert run_cli("ingest", "--config", str(seeded), "--out-dir", str(tmp_path)) == 0
 
     def test_missing_dataset5_exits_config_error(self, synth_dir, tmp_path, caplog):
         broken = tmp_path / "broken"
@@ -334,6 +366,41 @@ class TestIngest:
             assert code == 2, name
             assert any(f"{path}: row {len(lines)}:" in r.message for r in caplog.records), name
 
+    # One row per raise site of the CSV loaders: the file, the line that goes
+    # last in it (or, for "HEADER", the header that replaces its first), and
+    # the whole message after the file's path, where {n} is that line's number.
+    @pytest.mark.parametrize("name, line, detail", [
+        ("dataset_1.csv", "px,some text", "row {n}: expected 9 columns, got 2"),
+        ("members.csv", "m099,Someone", "row {n}: expected 5 columns, got 2"),
+        ("dataset_1.csv", f",some text,Ego,ego,{STAMP}", "row {n}: empty post_id"),
+        ("dataset_6.csv", f"px,some text,Al,,{STAMP}", "row {n}: empty user_id"),
+        ("members.csv", ",Someone,Friend,Post,", "row {n}: empty member_id"),
+        ("members.csv", "m099,Someone,Friend,Post;Poke,",
+         "row {n}: unknown activity in 'Post;Poke'"),
+        ("members.csv", "m099,Someone,Friend,,",
+         "row {n}: activity_types must name at least one activity"),
+        ("seed_categories.csv", "HEADER",
+         "line 1: labeled seed corpus must have header 'text,category'"),
+        ("seed_categories.csv", "one,two,three", "line {n}: 3 columns, expected 2"),
+    ], ids=["activity_columns", "member_columns", "empty_post_id", "empty_user_id",
+            "empty_member_id", "unknown_activity", "no_activity", "seed_header",
+            "seed_columns"])
+    def test_malformed_input_names_file_and_line(self, synth_dir, tmp_path, caplog, name,
+                                                 line, detail):
+        broken = tmp_path / "broken"
+        shutil.copytree(synth_dir, broken, ignore=shutil.ignore_patterns("out"))
+        path = broken / name
+        lines = path.read_text().splitlines()
+        if line == "HEADER":
+            lines[0] = "txt,category"
+        else:
+            lines.append(line)
+        path.write_text("\n".join(lines) + "\n")
+        with caplog.at_level("ERROR"):
+            code = run_cli("ingest", "--config", str(broken / "config.json"))
+        assert code == 2
+        assert [r.message for r in caplog.records] == [f"{path}: {detail.format(n=len(lines))}"]
+
     def test_zero_embedding_row_exits_data_error(self, synth_dir, tmp_path, caplog):
         # Only the rows of words that bucketed documents hold are parsed as
         # numbers, so zero the row of a word every synth corpus scores.
@@ -392,6 +459,65 @@ class TestIngest:
             code, _ = self.run_with_resource(synth_dir, tmp_path, resource, text)
         assert code == exit_code
         assert message in [r.message for r in caplog.records]
+
+
+@pytest.fixture(scope="module")
+def seed7_dir(tmp_path_factory):
+    """The default ``synth --seed 7`` tree: members m001-m060, named member001-member060,
+    none with a Tag activity, and no ``@`` in any text."""
+    out = tmp_path_factory.mktemp("seed7")
+    assert run_cli("synth", "--out", str(out), "--seed", "7") == 0
+    return out
+
+
+class TestMentions:
+    """The paper's first stage end to end: ``@`` mentions in the ego's posts
+    update the list of interacted members."""
+
+    @staticmethod
+    def ingest_with_ego_post(seed7_dir, tmp_path, text, member_rows=()):
+        """Ingest the seed-7 tree with one more ego post and dataset-6 rows;
+        returns the tree's copy, the ingest report and the bundle."""
+        corpus = tmp_path / "mentions"
+        shutil.copytree(seed7_dir, corpus)
+        with (corpus / "dataset_1.csv").open("a") as fh:
+            fh.write(f"px-mention,{text},ego,ego,{STAMP}\n")
+        with (corpus / "dataset_6.csv").open("a") as fh:
+            fh.writelines(f"{row}\n" for row in member_rows)
+        assert run_cli("ingest", "--config", str(corpus / "config.json")) == 0
+        report = json.loads((corpus / "out" / "ingest_report.json").read_text())
+        bundle = json.loads((corpus / "out" / "bundle.json").read_text())
+        return corpus, report, bundle
+
+    def test_mention_only_member_is_added_bucketed_and_ranked(self, seed7_dir, tmp_path):
+        corpus, report, bundle = self.ingest_with_ego_post(
+            seed7_dir, tmp_path, "hey @m777 great software love",
+            [f"px-m777,great software love,m777,m777,{STAMP}"])
+        assert (report["mentions_harvested"], report["members_before_merge"],
+                report["members_after_merge"]) == (1, 60, 61)
+        assert report["unbucketed_docs"]["unknown_owner"] == 0
+        assert [m for m in bundle["members"] if m["member_id"] == "m777"] == [
+            {"member_id": "m777", "display_name": "m777", "kind": "Connection",
+             "activity_types": ["Tag"], "connections_count": None}]
+        (doc,) = [d for d in bundle["documents"] if d["owner_id"] == "m777"]
+        assert doc["bucket"] == "Technology/Positive"
+        config = str(corpus / "config.json")
+        assert run_cli("rank", "--config", config, "--bucket", "Technology/Positive") == 0
+        ranking = json.loads((corpus / "out" / "ranking_Technology_Positive.json").read_text())
+        (entry,) = [e for e in ranking["entries"] if e["member_id"] == "m777"]
+        assert entry["best_doc_id"] == doc["doc_id"]
+
+    @pytest.mark.parametrize("text, harvested, tagged", [
+        ("hey @member001 great software love", 1, "m001"),
+        ("mail a@b.com great software love", 0, None),
+    ], ids=["display_name", "email_address"])
+    def test_mention_adds_no_member(self, seed7_dir, tmp_path, text, harvested, tagged):
+        _, report, bundle = self.ingest_with_ego_post(seed7_dir, tmp_path, text)
+        members = {m["member_id"]: m for m in bundle["members"]}
+        assert (report["mentions_harvested"], report["members_after_merge"]) == (harvested, 60)
+        assert set(members) == {f"m{i:03d}" for i in range(1, 61)}
+        assert [mid for mid, m in members.items() if "Tag" in m["activity_types"]] == (
+            [tagged] if tagged else [])
 
 
 @pytest.mark.usefixtures("ingested")
@@ -892,14 +1018,17 @@ class TestRun:
 
 # Runs egorank's CLI and reports, when the interpreter exits, which of the
 # modules that only scoring and the synth command need were loaded, the
-# OPENBLAS_NUM_THREADS it ran under and its thread count (None off Linux).
+# OPENBLAS_NUM_THREADS it ran under, its thread count (None off Linux) and
+# whether the collector was frozen. Handlers run last-registered first, so
+# the report runs after every handler that importing egorank registers.
 STARTUP_PROBE = """
-import atexit, json, os, sys
+import atexit, gc, json, os, sys
 def report():
     tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
     print("probe:", json.dumps({
         "loaded": sorted(m for m in ("numpy", "egorank.synth") if m in sys.modules),
-        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"), "tasks": tasks}),
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"), "tasks": tasks,
+        "frozen": gc.get_freeze_count() > 0}),
         file=sys.stderr)
 atexit.register(report)
 from egorank.cli import main
@@ -914,15 +1043,17 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 
 class TestStartup:
     @staticmethod
-    def probe(*argv, **env_vars):
+    def probe(*argv, code=0, **env_vars):
+        """The probe's report on a CLI process that must exit with ``code``,
+        with the process's piped standard output under ``stdout``."""
         env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
         env.update(env_vars,
                    PYTHONPATH=str(SRC_DIR) + os.pathsep + os.environ.get("PYTHONPATH", ""))
         proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == code, proc.stderr
         (line,) = [ln for ln in proc.stderr.splitlines() if ln.startswith("probe:")]
-        return json.loads(line.split(" ", 1)[1])
+        return json.loads(line.split(" ", 1)[1]) | {"stdout": proc.stdout}
 
     def loaded(self, *argv):
         return self.probe(*argv)["loaded"]
@@ -953,3 +1084,38 @@ class TestStartup:
             assert state["tasks"] == 1
         # a thread count the user set is kept
         assert self.probe(*rank, OPENBLAS_NUM_THREADS="2")["blas_threads"] == "2"
+
+    def test_every_exit_freezes_the_collector(self, synth_dir, tmp_path):
+        config = str(synth_dir / "config.json")
+        out = str(tmp_path / "out")
+        broken = tmp_path / "broken"
+        shutil.copytree(synth_dir, broken, ignore=shutil.ignore_patterns("out"))
+        with (broken / "members.csv").open("a") as fh:
+            fh.write("m099,Someone\n")
+        for code, argv in [
+            (0, ("--version",)),
+            (0, ("ingest", "--config", config, "--out-dir", out)),
+            (0, ("rank", "--config", config, "--out-dir", out, "--bucket", "all")),
+            (0, ("targets", "--config", config, "--out-dir", out, "--bucket", "all")),
+            (1, ("rank", "--config", str(tmp_path / "absent.json"))),
+            (2, ("ingest", "--config", str(broken / "config.json"))),
+        ]:
+            assert self.probe(*argv, code=code)["frozen"], argv
+
+    def test_in_process_main_leaves_the_collector_unfrozen(self, ingested, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(ingested / "out", out)
+        frozen = gc.get_freeze_count()
+        assert run_cli("rank", "--config", str(ingested / "config.json"),
+                       "--out-dir", str(out), "--bucket", "all") == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_piped_rank_prints_every_bucket(self, ingested, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(ingested / "out", out)
+        printed = self.probe("rank", "--config", str(ingested / "config.json"),
+                             "--out-dir", str(out), "--bucket", "all")["stdout"]
+        sizes = {str(b): len(json.loads(
+            (out / f"ranking_{b.category.value}_{b.sentiment.value}.json").read_text())["entries"])
+            for b in ALL_BUCKETS}
+        assert printed.splitlines() == [f"{b}: {n} ranked members" for b, n in sizes.items()]
