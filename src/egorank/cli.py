@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: ingest, rank, targets, run (all three), synth (generator).
+Subcommands: ingest, rank, targets, run (ingest then targets), synth (generator).
 Exit codes: 0 success, 1 usage/config error, 2 data error.
 """
 
@@ -20,7 +20,6 @@ from .errors import ConfigError, EgorankError
 from .pipeline import (
     INGEST_REPORT_NAME,
     parse_bucket_filter,
-    run_all,
     run_ingest,
     run_rank,
     run_targets,
@@ -74,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("ingest", "load, preprocess, classify and bucket all datasets into a labelled bundle"),
         ("rank", "score the bundle's buckets and write ranking reports"),
         ("targets", "select top-most influenceable targets from a ranking"),
-        ("run", "ingest + rank + targets in one go"),
+        ("run", "ingest, then targets: rank what has no current ranking and select"),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_override_flags(p)
@@ -139,14 +138,10 @@ def main(argv: list[str] | None = None) -> int:
             rankings = run_rank(cfg, parse_bucket_filter(cfg.bucket))
             for bucket, ranking in rankings.items():
                 print(f"{bucket}: {len(ranking.entries)} ranked members")
-        elif args.command == "targets":
-            selections = run_targets(cfg)
-            for bucket, sel in selections.items():
-                print(f"{bucket}: N_it={sel.n_it} D_it={sel.d_it} "
-                      f"effective={len(sel.effective)}")
-        elif args.command == "run":
-            selections = run_all(cfg)
-            for bucket, sel in selections.items():
+        else:  # targets, or run: ingest then targets
+            if args.command == "run":
+                run_ingest(cfg)
+            for bucket, sel in run_targets(cfg).items():
                 print(f"{bucket}: N_it={sel.n_it} D_it={sel.d_it} "
                       f"effective={len(sel.effective)}")
         return EXIT_OK

@@ -169,7 +169,7 @@ def load_config(path: str | Path, overrides: Mapping[str, Any]) -> PipelineConfi
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config file is not valid JSON: {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file is not a JSON object: {path}")
     base = path.parent

@@ -86,15 +86,6 @@ class Document:
     parent_doc_id: str | None
     time: datetime
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.dataset_no <= 9:
-            raise ValueError(f"dataset_no must be in 1..9, got {self.dataset_no}")
-        if (self.parent_doc_id is not None) != (self.dataset_no in DEPENDENT_DATASETS):
-            raise ValueError(
-                f"parent_doc_id must be set iff dataset_no in {sorted(DEPENDENT_DATASETS)} "
-                f"(dataset {self.dataset_no}, parent {self.parent_doc_id!r})"
-            )
-
 
 @dataclass(frozen=True)
 class InteractedMember:

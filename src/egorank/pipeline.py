@@ -1,19 +1,19 @@
 """End-to-end orchestration shared by the CLI commands.
 
-The stages compose: ingest loads the nine datasets, keeps the rows inside
-the time window (counting the others), preprocesses them, builds the
-Document-Set, classifies every document and buckets those of the ego and
-of members who can be targets, counts each word's document frequency (df)
+The stages pass state only through files in the output directory, and
+``run`` is ``ingest`` followed by ``targets``. Ingest loads the nine
+datasets, keeps the rows inside the time window (counting the others),
+preprocesses and labels them, buckets the documents of the ego and of
+members who can be targets, counts each word's document frequency (df)
 over every non-inert document, and writes the labelled corpus and df to a
-bundle under a fingerprint of what it read; rank reads back the requested
-buckets' documents only (refusing a bundle ingested from other inputs or
-by another egorank version), gives a requested bucket with no ego or no
-member documents its empty ranking, and loads word vectors and builds the
-similarity models for the other requested buckets only, and scores them;
-targets applies the selection algorithm to a ranking, reusing a saved one
-only if it was made from the same bundle, embeddings and normalization.
-Outputs are deterministic: the same config and inputs give byte-identical
-files.
+bundle under a fingerprint of what it read. Rank reads back the requested
+buckets' documents only (refusing a bundle that does not parse, or that
+other inputs or another egorank version made), writes an empty ranking
+for a bucket with no ego or no member documents, and scores the others.
+Targets reuses a saved ranking only if it parses, has its CSV twin, and
+was made from the same bundle, embeddings and normalization; it ranks the
+other requested buckets, then applies the selection algorithm. The same
+config and inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -84,9 +84,8 @@ INGEST_REPORT_NAME = "ingest_report.json"
 
 @dataclass
 class IngestResult:
-    """The labelled corpus that rank and targets read: from ``run_ingest``
-    in memory, with every bucket filled, or from the bundle through
-    ``load_bundle``, with only the requested buckets filled."""
+    """The labelled corpus that rank and targets read back from the bundle,
+    with only the requested buckets filled."""
 
     members: list[InteractedMember]
     df: Mapping[str, int]  # documents holding each word, over all n non-inert ones
@@ -160,7 +159,7 @@ def _label(
     return (documents, *label_documents(documents, model, analyzer))
 
 
-def run_ingest(cfg: PipelineConfig) -> IngestResult:
+def run_ingest(cfg: PipelineConfig) -> None:
     """Load all datasets, preprocess, merge mentions, label every document,
     bucket those of the ego and of eligible members, count document
     frequencies over every non-inert document, and write the bundle."""
@@ -246,8 +245,6 @@ def run_ingest(cfg: PipelineConfig) -> IngestResult:
         "ingested %d documents (%d flagged non-English, %d bucketed), %d members",
         len(documents), flagged, len(bucket_of), len(members),
     )
-    return IngestResult(members=members, df=df, n=n, buckets=buckets,
-                        inputs_digest=digest(inputs))
 
 
 def _fields(record: dict[str, Any], prefix: str = "") -> Iterator[tuple[str, Any]]:
@@ -261,17 +258,25 @@ def _fields(record: dict[str, Any], prefix: str = "") -> Iterator[tuple[str, Any
 
 def load_bundle(cfg: PipelineConfig, buckets: list[Bucket]) -> IngestResult:
     """Read the ingested corpus back, with the documents of ``buckets`` only
-    (every other bucket is left empty), refusing a bundle that another
-    egorank version wrote, or that was ingested from other inputs than the
-    config names now."""
+    (every other bucket is left empty), refusing a bundle that does not
+    parse, that another egorank version wrote, or that was ingested from
+    other inputs than the config names now."""
     path = cfg.out_dir / BUNDLE_NAME
     if not path.is_file():
         raise ConfigError(f"no ingested bundle at {path}; run the ingest command first")
-    bundle = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        bundle = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError:  # a JSON or UTF-8 decoding error
+        bundle = None
+    if not isinstance(bundle, dict):
+        raise ConfigError(f"{path} does not parse as a JSON object; run ingest again")
     if bundle.get("version") != __version__:
         raise ConfigError(f"{path} was ingested with a different version; egorank "
                           f"{bundle.get('version')} wrote it, this is {__version__}; "
                           "run ingest again")
+    missing = sorted({"inputs", "members", "df", "n", "documents"} - bundle.keys())
+    if missing:
+        raise ConfigError(f"{path} lacks {', '.join(missing)}; run ingest again")
     inputs = cfg.ingest_inputs()
     saved = dict(_fields(bundle["inputs"]))
     for name, value in _fields(inputs):
@@ -403,13 +408,20 @@ def run_rank(
 
 def load_ranking_report(cfg: PipelineConfig, bucket: Bucket,
                         provenance: dict[str, str]) -> MemberRanking | None:
-    """The saved ranking of ``bucket``; None when there is none, or when its
+    """The saved ranking of ``bucket``; None when there is none, when it
+    does not parse as a JSON object or its CSV twin is missing, or when its
     provenance differs: another egorank version, another normalization,
     other ingest inputs or other embeddings."""
     path = cfg.out_dir / f"ranking_{_bucket_slug(bucket)}.json"
     if not path.is_file():
         return None
-    data = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError:  # a JSON or UTF-8 decoding error
+        data = None
+    if not isinstance(data, dict) or not path.with_suffix(".csv").is_file():
+        log.info("%s does not parse, or has no CSV twin; ranking again", path)
+        return None
     if any(data.get(key) != value for key, value in provenance.items()):
         log.info("%s was ranked by another version, or from other inputs, embeddings "
                  "or normalization; ranking again", path)
@@ -453,40 +465,34 @@ def write_target_reports(cfg: PipelineConfig, selection: TargetSelection,
     })
 
 
-def run_targets(
-    cfg: PipelineConfig,
-    rankings: dict[Bucket, MemberRanking] | None = None,
-    ingest: IngestResult | None = None,
-) -> dict[Bucket, TargetSelection]:
+def run_targets(cfg: PipelineConfig) -> dict[Bucket, TargetSelection]:
     """Select top-most influenceable targets for every requested bucket.
 
-    Without ``ingest``, the labelled corpus is read from the bundle. Without
-    ``rankings``, saved rankings are read back and only the buckets that
-    have none made from this corpus, embeddings and normalization are
-    ranked; saved rankings that are current are not rewritten.
+    The labelled corpus is read from the bundle, saved rankings are read
+    back, and only the buckets that have none made from this corpus,
+    embeddings and normalization are ranked; saved rankings that are
+    current are not rewritten.
     """
     buckets = parse_bucket_filter(cfg.bucket)
-    if ingest is None:
-        ingest = load_bundle(cfg, buckets)
-    if rankings is None:
-        rankings = {}
-        missing = []
-        provenance = _ranking_provenance(cfg, ingest)  # hashes the embeddings once
-        for bucket in buckets:
-            loaded = load_ranking_report(cfg, bucket, provenance)
-            if loaded is None:
-                missing.append(bucket)
-            else:
-                rankings[bucket] = loaded
-        if missing:
-            rankings.update(run_rank(cfg, missing, ingest, provenance))
+    ingest = load_bundle(cfg, buckets)
+    provenance = _ranking_provenance(cfg, ingest)  # hashes the embeddings once
+    rankings = {}
+    missing = []
+    for bucket in buckets:
+        loaded = load_ranking_report(cfg, bucket, provenance)
+        if loaded is None:
+            missing.append(bucket)
+        else:
+            rankings[bucket] = loaded
+    if missing:
+        rankings.update(run_rank(cfg, missing, ingest, provenance))
 
     eligible = filter_eligible(ingest.members)
 
     selections: dict[Bucket, TargetSelection] = {}
     for bucket in buckets:
-        ranking = rankings.get(bucket)
-        if ranking is None or not ranking.entries:
+        ranking = rankings[bucket]
+        if not ranking.entries:
             log.warning("bucket %s has an empty ranking; no targets to select", bucket)
             continue
         try:
@@ -510,10 +516,3 @@ def run_targets(
         write_target_reports(cfg, selection, ingest.members)
         selections[bucket] = selection
     return selections
-
-
-def run_all(cfg: PipelineConfig) -> dict[Bucket, TargetSelection]:
-    """ingest + rank + targets in one process."""
-    ingest = run_ingest(cfg)
-    rankings = run_rank(cfg, parse_bucket_filter(cfg.bucket), ingest)
-    return run_targets(cfg, rankings, ingest)

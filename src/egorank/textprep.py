@@ -159,8 +159,6 @@ def primary_preprocess(
     english_vocab: frozenset[str],
 ) -> CleanDocument:
     """Run the four primary preprocessing stages over one document."""
-    if doc.dataset_no == 5:
-        raise ValueError("dataset 5 holds the member list, not text to preprocess")
     flagged = not looks_english(doc.text, english_vocab)
     text, mentions = extract_mentions(doc.text)
     text = strip_noise(text)

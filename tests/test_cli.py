@@ -309,20 +309,12 @@ class TestIngest:
         assert {d["doc_id"] for d in bundle["documents"]} == kept
 
     def test_bundle_holds_tokens_and_buckets_as_ingest_returns_them(self, synth_dir, tmp_path):
-        cfg = load_config(synth_dir / "config.json", {"out_dir": str(tmp_path)})
-        ingested = pipeline.run_ingest(cfg)
+        config = str(synth_dir / "config.json")
+        assert run_cli("ingest", "--config", config, "--out-dir", str(tmp_path)) == 0
         bundle = json.loads((tmp_path / "bundle.json").read_text())
         assert set(bundle) == {"version", "inputs", "members", "df", "n", "documents"}
         assert {key for d in bundle["documents"] for key in d} == {
             "doc_id", "owner_id", "dataset_no", "tokens", "bucket"}
-        loaded = pipeline.load_bundle(cfg, ALL_BUCKETS)
-
-        def shape(result):
-            buckets = {b: [(d.doc_id, d.owner_id, d.dataset_no, d.tokens) for d in docs]
-                       for b, docs in result.buckets.items()}
-            return buckets, result.members, dict(result.df), result.n, result.inputs_digest
-
-        assert shape(loaded) == shape(ingested)
 
     def test_bundle_df_and_n_span_every_non_inert_document(self, synth_dir, tmp_path):
         config = str(synth_dir / "config.json")
@@ -859,6 +851,21 @@ class TestTargets:
         for path in sorted(fresh.glob("ranking_*")) + sorted(fresh.glob("targets_*")):
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
+    @pytest.mark.parametrize("command", ["targets", "run"])
+    def test_unreadable_ranking_is_ranked_again(self, synth_dir, tmp_path, command):
+        config = str(synth_dir / "config.json")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        for path in (out, fresh):
+            assert run_cli("run", "--config", config, "--out-dir", str(path)) == 0
+        truncated = out / "ranking_Technology_Positive.json"
+        truncated.write_text(truncated.read_text()[:-20])
+        (out / "ranking_Technology_Negative.json").write_text("[]\n")
+        (out / "ranking_Sports_Positive.csv").unlink()
+        assert run_cli(command, "--config", config, "--out-dir", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in fresh.iterdir())
+        for path in sorted(fresh.iterdir()):
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
     def test_targets_without_ingest_is_config_error(self, synth_dir, tmp_path):
         code = run_cli("targets", "--config", str(synth_dir / "config.json"),
                        "--out-dir", str(tmp_path / "nothing"))
@@ -900,6 +907,20 @@ class TestRun:
         assert any(name.startswith("targets_") for name in reports)
         for name in reports:
             assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
+
+    def test_second_run_changes_no_byte_and_scores_nothing(self, synth_dir, tmp_path,
+                                                           monkeypatch):
+        config, out = str(synth_dir / "config.json"), tmp_path / "out"
+        assert run_cli("run", "--config", config, "--out-dir", str(out)) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert any(name.startswith("targets_") for name in before)
+
+        def score(*args, **kwargs):
+            raise AssertionError("a current ranking was scored again")
+
+        monkeypatch.setattr(pipeline, "score_bucket", score)
+        assert run_cli("run", "--config", config, "--out-dir", str(out)) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_files_depend_only_on_what_produced_them(self, synth_dir, tmp_path):
         # ingest reads none of n_it, threshold and bucket, and rank does not
@@ -1014,6 +1035,101 @@ class TestRun:
 
     def test_missing_config_exits_one(self):
         assert main(["rank", "--config", "/nonexistent/config.json"]) == 1
+
+
+# One row per error exit that no other test reaches, and per unreadable
+# bundle: the files to write into a copy of the synth tree (a dict is merged
+# into config.json, one level deep), the command line, the exit code and the
+# whole message. {dir} stands for the copy; rank and targets find a bundle
+# ingested there before the files are written.
+ERROR_EXITS = {
+    "window_bound_not_a_string": (
+        {"config.json": {"window": {"since": 5}}}, ["ingest", "--config", "{dir}/config.json"],
+        1, "window.since must be an ISO-8601 timestamp string, got 5"),
+    "since_after_until": (
+        {}, ["ingest", "--config", "{dir}/config.json", "--since", "2025-06-01T00:00:00+00:00",
+             "--until", "2024-06-01T00:00:00+00:00"],
+        1, "window since is after until"),
+    "config_not_json": (
+        {"config.json": "{"}, ["ingest", "--config", "{dir}/config.json"],
+        1, "config file is not valid JSON: {dir}/config.json: Expecting property name "
+           "enclosed in double quotes: line 1 column 2 (char 1)"),
+    "platform_in_file": (
+        {"config.json": {"platform": "MySpace"}}, ["ingest", "--config", "{dir}/config.json"],
+        1, "unknown platform 'MySpace'"),
+    "platform_flag": (
+        {}, ["ingest", "--config", "{dir}/config.json", "--platform", "MySpace"],
+        1, "unknown platform 'MySpace'"),
+    "missing_resource": (
+        {"config.json": {"resources": {"stop_list": "nothing.txt"}}},
+        ["ingest", "--config", "{dir}/config.json"],
+        1, "resource 'stop_list' not found: {dir}/nothing.txt"),
+    "malformed_bucket": (
+        {}, ["rank", "--config", "{dir}/config.json", "--bucket", "Technology"],
+        1, "bucket must be 'all' or 'Category/Sentiment', got 'Technology'"),
+    "unknown_bucket": (
+        {}, ["rank", "--config", "{dir}/config.json", "--bucket", "Tech/Positive"],
+        1, "unknown bucket 'Tech/Positive'; categories are ['Technology', 'Politics', "
+           "'Sports', 'Business', 'Entertainment'] and sentiments ['Positive', 'Negative']"),
+    "no_embeddings": (
+        {"config.json": {"resources": {"embeddings": None}}},
+        ["rank", "--config", "{dir}/config.json"],
+        1, "resources.embeddings must point at a word-vector file"),
+    "empty_lemma_form": (
+        {"lemmas.tsv": "\trun\n"},
+        ["ingest", "--config", "{dir}/config.json", "--lemma-dictionary", "{dir}/lemmas.tsv"],
+        2, "{dir}/lemmas.tsv: line 1: empty form or lemma"),
+    "lexicon_line_without_tab": (
+        {"lexicon.tsv": "good\t1.9\ngreat 3.1\n"},
+        ["ingest", "--config", "{dir}/config.json", "--sentiment-lexicon", "{dir}/lexicon.tsv"],
+        2, "{dir}/lexicon.tsv: line 2: expected word<TAB>valence"),
+    "valence_out_of_range": (
+        {"lexicon.tsv": "good\t4.5\n"},
+        ["ingest", "--config", "{dir}/config.json", "--sentiment-lexicon", "{dir}/lexicon.tsv"],
+        2, "{dir}/lexicon.tsv: line 1: valence 4.5 outside [-4, 4]"),
+    "embedding_dimension": (
+        {"embeddings.txt": "1 0\nsoftware\n"}, ["rank", "--config", "{dir}/config.json"],
+        2, "{dir}/embeddings.txt: dimension must be positive"),
+    # software is a word that every synth corpus scores, so its row is parsed
+    "non_finite_component": (
+        {"embeddings.txt": "1 2\nsoftware nan 1.0\n"}, ["rank", "--config", "{dir}/config.json"],
+        2, "{dir}/embeddings.txt: row 2: non-finite vector component"),
+    "spelling_count": (
+        {"spelling.tsv": "good\t10\ngreat\tmany\n"},
+        ["ingest", "--config", "{dir}/config.json", "--spelling-dictionary", "{dir}/spelling.tsv"],
+        2, "{dir}/spelling.tsv: line 2: bad count 'many'"),
+    "synth_too_many_members": (
+        {}, ["synth", "--out", "{dir}/synth", "--members", "3", "--planted", "2", "--groups", "2"],
+        1, "planted_members + group_members exceeds the member count"),
+    "bundle_not_json": (
+        {"out/bundle.json": "{"}, ["targets", "--config", "{dir}/config.json"],
+        1, "{dir}/out/bundle.json does not parse as a JSON object; run ingest again"),
+    "bundle_without_inputs": (
+        {"out/bundle.json": json.dumps({"version": __version__})},
+        ["targets", "--config", "{dir}/config.json"],
+        1, "{dir}/out/bundle.json lacks df, documents, inputs, members, n; run ingest again"),
+}
+
+
+@pytest.mark.parametrize("files, argv, code, message", ERROR_EXITS.values(), ids=ERROR_EXITS)
+def test_error_exit_gives_the_whole_message(synth_dir, tmp_path, caplog, files, argv, code,
+                                            message):
+    tree = tmp_path / "tree"
+    shutil.copytree(synth_dir, tree, ignore=shutil.ignore_patterns("out"))
+    if argv[0] in ("rank", "targets"):
+        assert run_cli("ingest", "--config", str(tree / "config.json")) == 0
+    for name, content in files.items():
+        path = tree / name
+        if isinstance(content, dict):
+            config = json.loads(path.read_text())
+            for key, value in content.items():
+                config[key] = {**config[key], **value} if isinstance(value, dict) else value
+            content = json.dumps(config)
+        path.write_text(content)
+    caplog.clear()
+    with caplog.at_level("ERROR"):
+        assert run_cli(*(a.format(dir=tree) for a in argv)) == code
+    assert [r.message for r in caplog.records] == [message.format(dir=tree)]
 
 
 # Runs egorank's CLI and reports, when the interpreter exits, which of the

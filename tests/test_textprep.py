@@ -24,13 +24,13 @@ fuzz_text = st.text(
 )
 
 
-def make_doc(text, dataset_no=1, parent=None):
+def make_doc(text):
     return Document(
-        doc_id="d1-p1" if dataset_no == 1 else f"d{dataset_no}-p1",
+        doc_id="d1-p1",
         owner_id="ego",
         text=text,
-        dataset_no=dataset_no,
-        parent_doc_id=parent,
+        dataset_no=1,
+        parent_doc_id=None,
         time=datetime(2024, 6, 1, tzinfo=timezone.utc),
     )
 
@@ -184,11 +184,6 @@ class TestPrimaryPreprocess:
         assert clean.text == "already clean lowercase text."
         again = primary_preprocess(make_doc(clean.text), english_vocab=SHIPPED_ENGLISH)
         assert again.text == clean.text
-
-    def test_dataset5_guard(self):
-        doc = make_doc("anything", dataset_no=5)
-        with pytest.raises(ValueError, match="dataset 5"):
-            primary_preprocess(doc, english_vocab=SHIPPED_ENGLISH)
 
     def test_flagged_doc_still_cleaned(self):
         doc = make_doc("привет! как дела?")
