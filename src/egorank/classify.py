@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
@@ -61,8 +60,7 @@ NORMALIZATION_ALPHA = 15.0
 NEGATION_WINDOW = 3
 
 
-@dataclass(frozen=True)
-class SentimentResult:
+class SentimentResult(NamedTuple):
     clazz: SentimentClass
     compound: float
 

@@ -45,7 +45,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _add_override_flags(parser: argparse.ArgumentParser) -> None:
+def _override_flags() -> argparse.ArgumentParser:
+    """The flags of ingest, rank, targets and run, built once for all four."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", required=True, help="pipeline config JSON")
     parser.add_argument("--platform", help="Facebook, Twitter or LinkedIn")
     parser.add_argument("--ego-id", dest="ego_id")
@@ -61,6 +63,7 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     for key in ("stop-list", "lemma-dictionary", "sentiment-lexicon", "negators",
                 "boosters", "spelling-dictionary", "embeddings", "labeled-seed"):
         parser.add_argument(f"--{key}", dest=key.replace("-", "_"))
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,14 +72,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    shared = _override_flags()
     for name, help_text in (
         ("ingest", "load, preprocess, classify and bucket all datasets into a labelled bundle"),
         ("rank", "score the bundle's buckets and write ranking reports"),
         ("targets", "select top-most influenceable targets from a ranking"),
         ("run", "ingest, then targets: rank what has no current ranking and select"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        _add_override_flags(p)
+        sub.add_parser(name, help=help_text, parents=[shared])
 
     synth = sub.add_parser("synth", help="write a deterministic synthetic corpus + config")
     synth.add_argument("--out", required=True, help="output directory")

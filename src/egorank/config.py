@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .corpus import CONTENT_DATASETS, Platform, parse_timestamp
 from .errors import ConfigError
@@ -33,8 +32,7 @@ RESOURCE_KEYS = (
 )
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     platform: Platform
     ego_id: str
     datasets: dict[int, Path]
@@ -247,4 +245,4 @@ def apply_overrides(cfg: PipelineConfig, overrides: Mapping[str, Any]) -> Pipeli
             touched = True
     if touched:
         updates["resources"] = resources
-    return replace(cfg, **updates) if updates else cfg
+    return cfg._replace(**updates) if updates else cfg

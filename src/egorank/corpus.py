@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BadRowError, DataError
 
@@ -71,8 +70,7 @@ DATASET_ACTIVITY = {
 }
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """One piece of activity text with provenance.
 
     ``parent_doc_id`` is set exactly for the dependent datasets 2, 3, 7
@@ -87,8 +85,7 @@ class Document:
     time: datetime
 
 
-@dataclass(frozen=True)
-class InteractedMember:
+class InteractedMember(NamedTuple):
     """An alter from dataset 5: who they are and how they touch the ego."""
 
     member_id: str

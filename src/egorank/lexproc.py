@@ -11,8 +11,7 @@ an actual word. The Document-Set is a plain list of ``TokenizedDoc``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError
 from .textprep import CleanDocument
@@ -24,8 +23,7 @@ _TOKEN = re.compile(r"[a-z0-9]+")
 _SUFFIX_RULES = ("ies", "es", "s", "ing", "ed")
 
 
-@dataclass(frozen=True)
-class TokenizedDoc:
+class TokenizedDoc(NamedTuple):
     """A document reduced to its scored token list.
 
     ``parent_doc_id``, ``text`` and ``flagged_non_english`` serve labelling

@@ -24,12 +24,10 @@ import logging
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterator, Mapping, TextIO
+from typing import Any, Iterator, Mapping, NamedTuple, TextIO
 
 from . import __version__
 from .classify import (
@@ -82,15 +80,14 @@ BUNDLE_NAME = "bundle.json"
 INGEST_REPORT_NAME = "ingest_report.json"
 
 
-@dataclass
-class IngestResult:
+class IngestResult(NamedTuple):
     """The labelled corpus that rank and targets read back from the bundle,
     with only the requested buckets filled."""
 
     members: list[InteractedMember]
     df: Mapping[str, int]  # documents holding each word, over all n non-inert ones
     n: int
-    buckets: dict[Bucket, list[TokenizedDoc]]  # each in doc id order
+    buckets: dict[Bucket, list[dict[str, Any]]]  # bundle document records, in doc id order
     inputs_digest: str  # config.digest of the ingest inputs: each ranking's provenance
 
 
@@ -257,8 +254,9 @@ def _fields(record: dict[str, Any], prefix: str = "") -> Iterator[tuple[str, Any
 
 
 def load_bundle(cfg: PipelineConfig, buckets: list[Bucket]) -> IngestResult:
-    """Read the ingested corpus back, with the documents of ``buckets`` only
-    (every other bucket is left empty), refusing a bundle that does not
+    """Read the ingested corpus back, with the document records of
+    ``buckets`` only (every other bucket is left empty; rank builds the
+    documents of the buckets it scores), refusing a bundle that does not
     parse, that another egorank version wrote, or that was ingested from
     other inputs than the config names now."""
     path = cfg.out_dir / BUNDLE_NAME
@@ -284,17 +282,13 @@ def load_bundle(cfg: PipelineConfig, buckets: list[Bucket]) -> IngestResult:
             raise ConfigError(f"{path} was ingested with a different {name}; run ingest again")
 
     wanted = {str(bucket): bucket for bucket in buckets}
-    filled: dict[Bucket, list[TokenizedDoc]] = {bucket: [] for bucket in ALL_BUCKETS}
+    filled: dict[Bucket, list[dict[str, Any]]] = {bucket: [] for bucket in ALL_BUCKETS}
     for record in bundle["documents"]:
         bucket = wanted.get(record["bucket"])
-        if bucket is None:
-            continue
-        # One string per distinct word, as build_document_set leaves them.
-        tokens = tuple(map(sys.intern, record["tokens"].split()))
-        filled[bucket].append(TokenizedDoc(doc_id=record["doc_id"], owner_id=record["owner_id"],
-                                           dataset_no=record["dataset_no"], tokens=tokens))
-    for docs in filled.values():
-        docs.sort(key=lambda d: d.doc_id)  # the order assign_buckets gives
+        if bucket is not None:
+            filled[bucket].append(record)
+    for records in filled.values():
+        records.sort(key=lambda r: r["doc_id"])  # the order assign_buckets gives
     return IngestResult(
         members=[_member_from_dict(m) for m in bundle["members"]],
         df=bundle["df"],
@@ -325,14 +319,21 @@ def _ranking_provenance(cfg: PipelineConfig, ingest: IngestResult) -> dict[str, 
     }
 
 
-def _empty_side(docs: list[TokenizedDoc]) -> str | None:
+def _empty_side(records: list[dict[str, Any]]) -> str | None:
     """The side of a bucket that has no documents, the ego's first; None
     when both have some and the bucket can be scored."""
-    if not any(doc.dataset_no in EGO_DATASETS for doc in docs):
+    if not any(r["dataset_no"] in EGO_DATASETS for r in records):
         return "ego"
-    if all(doc.dataset_no in EGO_DATASETS for doc in docs):
+    if all(r["dataset_no"] in EGO_DATASETS for r in records):
         return "member"
     return None
+
+
+def _documents(records: list[dict[str, Any]]) -> list[TokenizedDoc]:
+    # One string per distinct word, as build_document_set leaves them.
+    return [TokenizedDoc(doc_id=r["doc_id"], owner_id=r["owner_id"], dataset_no=r["dataset_no"],
+                         tokens=tuple(map(sys.intern, r["tokens"].split())))
+            for r in records]
 
 
 def write_ranking_reports(cfg: PipelineConfig, ranking: MemberRanking,
@@ -367,34 +368,37 @@ def run_rank(
     Every member-side document in a bucket belongs to a member who can be
     a target (ingest left the others out), so each scored owner is ranked.
     A bucket with no ego or no member documents gets an empty ranking and a
-    warning, and nothing is loaded for it. Word vectors, counts, idf and
-    tf-idf lengths are built for the documents of the other buckets only,
-    idf from the df and n that ingest counted. When no bucket is left to
-    score, the embeddings file is still checked for structure, but no row
-    is parsed and no model is built.
+    warning, and nothing is built or loaded for it. Documents, word
+    vectors, counts, idf and tf-idf lengths are built for the other
+    buckets only, idf from the df and n that ingest counted. When no
+    bucket is left to score, the embeddings file is still checked for
+    structure, but no row is parsed and no model is built.
     """
     if ingest is None:
         ingest = load_bundle(cfg, buckets)
     if provenance is None:
         provenance = _ranking_provenance(cfg, ingest)
     rankings: dict[Bucket, MemberRanking] = {}
-    scored: list[Bucket] = []
+    scored: dict[Bucket, list[TokenizedDoc]] = {}
     for bucket in buckets:
         side = _empty_side(ingest.buckets[bucket])
         if side is None:
-            scored.append(bucket)
+            scored[bucket] = _documents(ingest.buckets[bucket])
         else:
             log.warning("bucket %s: no %s documents; writing empty ranking", bucket, side)
             rankings[bucket] = MemberRanking(bucket=bucket, entries=[])
 
-    docs = [doc for bucket in scored for doc in ingest.buckets[bucket]]
+    docs = [doc for bucket_docs in scored.values() for doc in bucket_docs]
     vectors = load_word_vectors(_embeddings_path(cfg), {w for doc in docs for w in doc.tokens})
     if scored:
+        # here, not at the top: only scoring needs the thread pool
+        from concurrent.futures import ThreadPoolExecutor
+
         models = SimilarityModels.build(ingest.df, ingest.n, vectors, docs)
         normalization = Normalization(cfg.normalization)
 
         def rank(bucket: Bucket) -> MemberRanking:
-            scores = score_bucket(ingest.buckets[bucket], models, normalization=normalization)
+            scores = score_bucket(scored[bucket], models, normalization=normalization)
             return rank_members(scores, bucket)
 
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
@@ -409,9 +413,10 @@ def run_rank(
 def load_ranking_report(cfg: PipelineConfig, bucket: Bucket,
                         provenance: dict[str, str]) -> MemberRanking | None:
     """The saved ranking of ``bucket``; None when there is none, when it
-    does not parse as a JSON object or its CSV twin is missing, or when its
-    provenance differs: another egorank version, another normalization,
-    other ingest inputs or other embeddings."""
+    does not parse as a JSON object or its CSV twin is missing, when its
+    provenance differs (another egorank version, another normalization,
+    other ingest inputs or other embeddings), or when an entry lacks a
+    field or holds one of the wrong type."""
     path = cfg.out_dir / f"ranking_{_bucket_slug(bucket)}.json"
     if not path.is_file():
         return None
@@ -426,10 +431,15 @@ def load_ranking_report(cfg: PipelineConfig, bucket: Bucket,
         log.info("%s was ranked by another version, or from other inputs, embeddings "
                  "or normalization; ranking again", path)
         return None
-    entries = [
-        RankEntry(e["member_id"], float(e["score"]), e["best_doc_id"])
-        for e in data["entries"]
-    ]
+    try:
+        entries = [RankEntry(e["member_id"], float(e["score"]), e["best_doc_id"])
+                   for e in data["entries"]]
+    except (KeyError, TypeError, ValueError):  # a field missing or of the wrong type
+        entries = None
+    if entries is None or not all(isinstance(e.member_id, str) and isinstance(e.best_doc_id, str)
+                                  for e in entries):
+        log.info("%s holds a malformed entry; ranking again", path)
+        return None
     return MemberRanking(bucket=bucket, entries=entries)
 
 

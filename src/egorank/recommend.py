@@ -25,7 +25,6 @@ bit, whatever the other targets, slice width, input order or BLAS threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -42,8 +41,7 @@ class Normalization(str, Enum):
     MEAN = "mean"  # pair sum divided by the number of evaluated pairs
 
 
-@dataclass(frozen=True)
-class DocumentScore:
+class DocumentScore(NamedTuple):
     """Recommendation index of one target document against its best key doc."""
 
     target_doc_id: str
@@ -60,8 +58,7 @@ class RankEntry(NamedTuple):
     best_doc_id: str
 
 
-@dataclass
-class MemberRanking:
+class MemberRanking(NamedTuple):
     bucket: Bucket
     entries: list[RankEntry]
 

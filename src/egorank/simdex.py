@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, NamedTuple
 
 from .errors import BadRowError, DataError
 from .lexproc import TokenizedDoc
@@ -35,8 +34,7 @@ if TYPE_CHECKING:
 DISTANCE_FLOOR = 1e-6
 
 
-@dataclass
-class WordVectorStore:
+class WordVectorStore(NamedTuple):
     """Unit-length word vectors: row ``index[word]`` of ``unit``. ``unit``
     is None when no word was asked for, as nothing is scored then."""
 
@@ -105,8 +103,7 @@ def load_word_vectors(path: str | Path, words: Collection[str]) -> WordVectorSto
     return WordVectorStore(unit=vectors / np.linalg.norm(vectors, axis=1)[:, None], index=index)
 
 
-@dataclass
-class SimilarityModels:
+class SimilarityModels(NamedTuple):
     """Word vectors, per-document token counts and smoothed idf, shared by scoring.
 
     idf(w) = ln((1 + n) / (1 + df(w))) + 1, where ingest counted ``df`` and

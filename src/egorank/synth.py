@@ -13,10 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import random
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import (
     ACTIVITY_HEADER,
@@ -32,8 +31,7 @@ from .corpus import (
 from .errors import ConfigError
 
 
-@dataclass
-class SyntheticTruth:
+class SyntheticTruth(NamedTuple):
     """Hidden ground truth attached to generated corpora, for tests only."""
 
     doc_labels: dict[str, tuple[str, str]]
@@ -52,8 +50,7 @@ class SyntheticTruth:
         }
 
 
-@dataclass
-class Corpus:
+class Corpus(NamedTuple):
     """All generated activity of the ego EGO_ID on PLATFORM within WINDOW."""
 
     datasets: dict[int, list[Document]]

@@ -12,8 +12,7 @@ effective targets. Nothing is re-filled after removal.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .classify import Bucket
 from .corpus import InteractedMember, MemberKind
@@ -25,8 +24,7 @@ log = logging.getLogger(__name__)
 MIN_N_IT = 50
 
 
-@dataclass
-class TargetSelection:
+class TargetSelection(NamedTuple):
     """Output of the selection stage for one bucket."""
 
     bucket: Bucket

@@ -14,9 +14,8 @@ order or in parallel.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .corpus import Document
 from .errors import DataError
@@ -39,8 +38,7 @@ FOREIGN_LETTER_RATIO = 0.30
 _SPELL_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
-class CleanDocument:
+class CleanDocument(NamedTuple):
     """A primary-preprocessed document plus harvested mentions."""
 
     doc_id: str

@@ -866,6 +866,29 @@ class TestTargets:
         for path in sorted(fresh.iterdir()):
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
+    @pytest.mark.parametrize("entries", [
+        [{"rank": 1}],
+        "oops",
+        [{"rank": 1, "member_id": "m001", "score": "x", "best_doc_id": "d001"}],
+        [{"rank": 1, "member_id": 1, "score": 1.0, "best_doc_id": "d001"}],
+    ], ids=["no_member_id", "entries_not_a_list", "score_not_a_number",
+            "member_id_not_a_string"])
+    def test_malformed_ranking_entry_is_ranked_again(self, synth_dir, tmp_path, caplog, entries):
+        config = str(synth_dir / "config.json")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        for path in (out, fresh):
+            assert run_cli("run", "--config", config, "--out-dir", str(path)) == 0
+        malformed = out / "ranking_Technology_Positive.json"
+        data = json.loads(malformed.read_text())
+        data["entries"] = entries
+        malformed.write_text(json.dumps(data))
+        caplog.clear()
+        with caplog.at_level("INFO"):
+            assert run_cli("targets", "--config", config, "--out-dir", str(out)) == 0
+        assert f"{malformed} holds a malformed entry; ranking again" in caplog.messages
+        for path in sorted(fresh.iterdir()):
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
     def test_targets_without_ingest_is_config_error(self, synth_dir, tmp_path):
         code = run_cli("targets", "--config", str(synth_dir / "config.json"),
                        "--out-dir", str(tmp_path / "nothing"))
@@ -915,12 +938,15 @@ class TestRun:
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert any(name.startswith("targets_") for name in before)
 
-        def score(*args, **kwargs):
-            raise AssertionError("a current ranking was scored again")
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bucket with a current ranking was built or scored again")
 
-        monkeypatch.setattr(pipeline, "score_bucket", score)
-        assert run_cli("run", "--config", config, "--out-dir", str(out)) == 0
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        monkeypatch.setattr(pipeline, "score_bucket", refuse)
+        monkeypatch.setattr(pipeline, "TokenizedDoc", refuse)
+        for command in ("run", "targets"):
+            assert run_cli(command, "--config", config, "--out-dir", str(out),
+                           "--bucket", "all") == 0
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before, command
 
     def test_files_depend_only_on_what_produced_them(self, synth_dir, tmp_path):
         # ingest reads none of n_it, threshold and bucket, and rank does not
@@ -1133,16 +1159,18 @@ def test_error_exit_gives_the_whole_message(synth_dir, tmp_path, caplog, files, 
 
 
 # Runs egorank's CLI and reports, when the interpreter exits, which of the
-# modules that only scoring and the synth command need were loaded, the
-# OPENBLAS_NUM_THREADS it ran under, its thread count (None off Linux) and
-# whether the collector was frozen. Handlers run last-registered first, so
-# the report runs after every handler that importing egorank registers.
+# modules that only scoring and the synth command need, or that no command
+# needs, were loaded, the OPENBLAS_NUM_THREADS it ran under, its thread
+# count (None off Linux) and whether the collector was frozen. Handlers run
+# last-registered first, so the report runs after every handler that
+# importing egorank registers.
 STARTUP_PROBE = """
 import atexit, gc, json, os, sys
 def report():
     tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
     print("probe:", json.dumps({
-        "loaded": sorted(m for m in ("numpy", "egorank.synth") if m in sys.modules),
+        "loaded": sorted(m for m in ("numpy", "egorank.synth", "concurrent.futures",
+                                  "dataclasses", "inspect") if m in sys.modules),
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"), "tasks": tasks,
         "frozen": gc.get_freeze_count() > 0}),
         file=sys.stderr)
