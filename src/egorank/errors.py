@@ -41,5 +41,6 @@ class BadRowError(DataError):
 
 
 class RankingTooSmallError(DataError):
-    def __init__(self, have: int, want: int):
-        super().__init__(f"ranking holds {have} members but {want} were requested")
+    def __init__(self, bucket: object, have: int, want: int):
+        super().__init__(
+            f"bucket {bucket}: ranking holds {have} members but {want} were requested")

@@ -12,8 +12,9 @@ other inputs or another egorank version made), writes an empty ranking
 for a bucket with no ego or no member documents, and scores the others.
 Targets reuses a saved ranking only if it parses, has its CSV twin, and
 was made from the same bundle, embeddings and normalization; it ranks the
-other requested buckets, then applies the selection algorithm. The same
-config and inputs give byte-identical files.
+other requested buckets, then applies the selection algorithm; it checks
+N_it's bounds before it reads any ranking. The same config and inputs
+give byte-identical files.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .resources import (
     load_stop_words,
 )
 from .simdex import SimilarityModels, load_word_vectors
-from .targets import TargetSelection, filter_eligible, top_most
+from .targets import MIN_N_IT, TargetSelection, filter_eligible, top_most
 from .textprep import CleanDocument, load_spelling_dictionary, primary_preprocess
 
 log = logging.getLogger(__name__)
@@ -478,13 +479,23 @@ def write_target_reports(cfg: PipelineConfig, selection: TargetSelection,
 def run_targets(cfg: PipelineConfig) -> dict[Bucket, TargetSelection]:
     """Select top-most influenceable targets for every requested bucket.
 
-    The labelled corpus is read from the bundle, saved rankings are read
-    back, and only the buckets that have none made from this corpus,
-    embeddings and normalization are ranked; saved rankings that are
-    current are not rewritten.
+    N_it's bounds are checked against the bundle's eligible members before
+    any ranking is read. Saved rankings are read back, and only the
+    buckets that have none made from this corpus, embeddings and
+    normalization are ranked; saved rankings that are current are not
+    rewritten. A ranking shorter than N_it, an empty one included, gets no
+    selection, and its bucket's old target reports are removed.
     """
     buckets = parse_bucket_filter(cfg.bucket)
     ingest = load_bundle(cfg, buckets)
+    eligible = filter_eligible(ingest.members)
+    if cfg.n_it < MIN_N_IT and not cfg.allow_small:
+        raise ConfigError(
+            f"n_it = {cfg.n_it} violates the {MIN_N_IT} <= N_it <= network-size bound "
+            "(pass --allow-small to relax the lower bound)"
+        )
+    if cfg.n_it > len(eligible):
+        raise ConfigError(f"n_it = {cfg.n_it} exceeds the network size {len(eligible)}")
     provenance = _ranking_provenance(cfg, ingest)  # hashes the embeddings once
     rankings = {}
     missing = []
@@ -497,28 +508,18 @@ def run_targets(cfg: PipelineConfig) -> dict[Bucket, TargetSelection]:
     if missing:
         rankings.update(run_rank(cfg, missing, ingest, provenance))
 
-    eligible = filter_eligible(ingest.members)
-
     selections: dict[Bucket, TargetSelection] = {}
     for bucket in buckets:
-        ranking = rankings[bucket]
-        if not ranking.entries:
-            log.warning("bucket %s has an empty ranking; no targets to select", bucket)
-            continue
         try:
-            selection = top_most(
-                ranking,
-                cfg.n_it,
-                eligible,
-                threshold=cfg.threshold,
-                network_size=len(eligible),
-                allow_small=cfg.allow_small,
-            )
+            selection = top_most(rankings[bucket], cfg.n_it, eligible, threshold=cfg.threshold)
         except RankingTooSmallError as exc:
+            slug = _bucket_slug(bucket)
+            for suffix in (".csv", ".json"):
+                (cfg.out_dir / f"targets_{slug}{suffix}").unlink(missing_ok=True)
             # Sweeping all buckets, thin rankings are expected; a bucket the
             # user asked for by name still fails hard.
             if len(buckets) > 1:
-                log.warning("bucket %s skipped: %s", bucket, exc)
+                log.warning("%s; skipped", exc)
                 continue
             raise
         if not selection.effective:

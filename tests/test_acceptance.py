@@ -140,8 +140,7 @@ def test_criterion_2_algorithm2_count_identity():
             )
             for e in entries
         ]
-        selection = top_most(ranking, n_it, members, threshold=threshold,
-                             network_size=n, allow_small=True)
+        selection = top_most(ranking, n_it, members, threshold=threshold)
         assert len(selection.selected) == n_it
         assert len(selection.effective) == n_it - selection.d_it
         removed = set(selection.defaults_removed)
@@ -335,8 +334,7 @@ def test_criterion_6_planted_target_recovery():
 
     # frozen regression fixtures
     assert top15 == FROZEN_TOP
-    selection = top_most(ranking, len(ranking.entries), eligible, threshold=5000,
-                         network_size=len(ranking.entries), allow_small=True)
+    selection = top_most(ranking, len(ranking.entries), eligible, threshold=5000)
     assert sorted(selection.defaults_removed) == FROZEN_REMOVED
     assert set(selection.defaults_removed) == set(truth.mega)
     report(6, f"{recovered}/10 planted members in top 15; ranking matches the "

@@ -739,16 +739,59 @@ class TestTargets:
         truth = json.loads((targeted / "corpus.json").read_text())["synthetic_truth"]
         assert set(report["defaults_removed"]) == set(truth["mega"])
 
-    def test_n_it_out_of_range_cites_bound(self, synth_dir, caplog):
+    def test_n_it_out_of_range_cites_bound(self, synth_dir, tmp_path, monkeypatch, caplog):
+        # Either bound fails before any ranking is read or scored, also when
+        # the one bucket asked for would have an empty ranking.
         strict = synth_dir / "strict.json"
         config = json.loads((synth_dir / "config.json").read_text())
         config["allow_small"] = False
         config["n_it"] = 7
         strict.write_text(json.dumps(config))
-        with caplog.at_level("ERROR"):
-            code = run_cli("targets", "--config", str(strict))
-        assert code == 1
-        assert any("50" in rec.message for rec in caplog.records)
+        out = tmp_path / "fresh"
+        assert run_cli("ingest", "--config", str(strict), "--out-dir", str(out)) == 0
+
+        def score_bucket(*args, **kwargs):
+            raise AssertionError("a bucket was scored")
+
+        monkeypatch.setattr(pipeline, "score_bucket", score_bucket)
+        for bucket in ("all", bucket_without_ego(out)):
+            for argv, message in [
+                ((), "n_it = 7 violates the 50 <= N_it <= network-size bound "
+                     "(pass --allow-small to relax the lower bound)"),
+                (("--allow-small", "--n-it", "23"), "n_it = 23 exceeds the network size 22"),
+            ]:
+                caplog.clear()
+                with caplog.at_level("ERROR"):
+                    code = run_cli("targets", "--config", str(strict), "--out-dir", str(out),
+                                   "--bucket", bucket, *argv)
+                assert code == 1
+                assert [r.message for r in caplog.records] == [message]
+                assert not list(out.glob("ranking_*"))
+
+    def test_allow_small_relaxes_the_lower_bound(self, synth_dir):
+        strict = synth_dir / "strict.json"
+        config = json.loads((synth_dir / "config.json").read_text())
+        config["allow_small"] = False
+        strict.write_text(json.dumps(config))
+        assert config["n_it"] < 50
+        assert run_cli("targets", "--config", str(strict), "--allow-small") == 0
+        report = json.loads((synth_dir / "out" / "targets_Technology_Positive.json").read_text())
+        assert report["n_it"] == config["n_it"]
+
+    def test_no_selection_leaves_no_old_targets(self, synth_dir, tmp_path):
+        config = str(synth_dir / "config.json")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", config, "--out-dir", str(out), "--n-it", "3") == 0
+        before = sorted(p.name for p in out.glob("targets_*"))
+        assert "targets_Technology_Positive.json" in before
+        # A bucket named on the command line exits 2 and loses only its own
+        # targets; a sweep in which no ranking holds 20 members leaves none.
+        assert run_cli("targets", "--config", config, "--out-dir", str(out), "--n-it", "20",
+                       "--bucket", "Technology/Positive") == 2
+        assert sorted(p.name for p in out.glob("targets_*")) == [
+            name for name in before if "Technology_Positive" not in name]
+        assert run_cli("targets", "--config", config, "--out-dir", str(out), "--n-it", "20") == 0
+        assert not list(out.glob("targets_*"))
 
     @pytest.mark.parametrize("flag, message", [
         ("--n-it", "n_it must be >= 1, got 0"),
@@ -1127,6 +1170,18 @@ ERROR_EXITS = {
     "synth_too_many_members": (
         {}, ["synth", "--out", "{dir}/synth", "--members", "3", "--planted", "2", "--groups", "2"],
         1, "planted_members + group_members exceeds the member count"),
+    "n_it_below_bound": (
+        {"config.json": {"allow_small": False, "n_it": 7}},
+        ["targets", "--config", "{dir}/config.json"],
+        1, "n_it = 7 violates the 50 <= N_it <= network-size bound "
+           "(pass --allow-small to relax the lower bound)"),
+    "n_it_above_network_size": (
+        {}, ["targets", "--config", "{dir}/config.json", "--n-it", "23"],
+        1, "n_it = 23 exceeds the network size 22"),
+    "thin_named_bucket": (
+        {}, ["targets", "--config", "{dir}/config.json", "--n-it", "20",
+             "--bucket", "Technology/Positive"],
+        2, "bucket Technology/Positive: ranking holds 5 members but 20 were requested"),
     "bundle_not_json": (
         {"out/bundle.json": "{"}, ["targets", "--config", "{dir}/config.json"],
         1, "{dir}/out/bundle.json does not parse as a JSON object; run ingest again"),
