@@ -131,19 +131,10 @@ def train_category_classifier(
     return CategoryClassifier(log_priors, token_log_probs, vocabulary)
 
 
-def _argmax_category(scores: Mapping[Category, float]) -> Category:
-    best = None
-    best_score = -math.inf
-    for cat in CATEGORIES:  # enum order breaks ties
-        if scores[cat] > best_score:
-            best = cat
-            best_score = scores[cat]
-    return best
-
-
 def classify_category(doc: TokenizedDoc, model: CategoryClassifier) -> Category:
     """Classify an independent-dataset document by its posterior argmax."""
-    return _argmax_category(model.posteriors(doc.tokens))
+    scores = model.posteriors(doc.tokens)
+    return max(CATEGORIES, key=scores.__getitem__)  # the first maximum: enum order breaks ties
 
 
 class SentimentAnalyzer:

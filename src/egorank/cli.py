@@ -24,6 +24,7 @@ from .pipeline import (
     run_rank,
     run_targets,
 )
+from .targets import MIN_N_IT
 
 log = logging.getLogger(__name__)
 
@@ -137,16 +138,22 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "ingest":
             run_ingest(cfg)
             sys.stdout.write((cfg.out_dir / INGEST_REPORT_NAME).read_text(encoding="utf-8"))
-        elif args.command == "rank":
-            rankings = run_rank(cfg, parse_bucket_filter(cfg.bucket))
-            for bucket, ranking in rankings.items():
+            return EXIT_OK
+        buckets = parse_bucket_filter(cfg.bucket)
+        if args.command == "rank":
+            for bucket, ranking in run_rank(cfg, buckets).items():
                 print(f"{bucket}: {len(ranking.entries)} ranked members")
-        else:  # targets, or run: ingest then targets
-            if args.command == "run":
-                run_ingest(cfg)
-            for bucket, sel in run_targets(cfg).items():
-                print(f"{bucket}: N_it={sel.n_it} D_it={sel.d_it} "
-                      f"effective={len(sel.effective)}")
+            return EXIT_OK
+        # targets, or run: ingest then targets. N_it's lower bound needs no
+        # bundle, so it fails before any stage runs.
+        if cfg.n_it < MIN_N_IT and not cfg.allow_small:
+            raise ConfigError(
+                f"n_it = {cfg.n_it} violates the {MIN_N_IT} <= N_it <= network-size bound "
+                "(pass --allow-small to relax the lower bound)")
+        if args.command == "run":
+            run_ingest(cfg)
+        for bucket, sel in run_targets(cfg, buckets).items():
+            print(f"{bucket}: N_it={sel.n_it} D_it={sel.d_it} effective={len(sel.effective)}")
         return EXIT_OK
     except ConfigError as exc:
         log.error("%s", exc)

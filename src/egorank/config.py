@@ -144,6 +144,13 @@ def _known_keys(value: Mapping[str, Any], name: str, known: tuple[str, ...]) -> 
                               f"expected one of {', '.join(sorted(known))}")
 
 
+def _platform(value: Any) -> Platform:
+    try:
+        return Platform(value)
+    except ValueError:
+        raise ConfigError(f"unknown platform {value!r}") from None
+
+
 def _timestamp(value: Any, name: str, default: datetime) -> datetime:
     """Parse one window bound; an absent or empty bound keeps ``default``."""
     if not value:
@@ -172,10 +179,7 @@ def load_config(path: str | Path, overrides: Mapping[str, Any]) -> PipelineConfi
         raise ConfigError(f"config file is not a JSON object: {path}")
     base = path.parent
 
-    try:
-        platform = Platform(raw.get("platform", "Facebook"))
-    except ValueError:
-        raise ConfigError(f"unknown platform {raw.get('platform')!r}") from None
+    platform = _platform(raw.get("platform", "Facebook"))
     datasets: dict[int, Path] = {}
     for key, value in _object(raw, "datasets").items():
         try:
@@ -227,22 +231,15 @@ def apply_overrides(cfg: PipelineConfig, overrides: Mapping[str, Any]) -> Pipeli
         if overrides.get(key) is not None:
             updates[key] = overrides[key]
     if overrides.get("platform") is not None:
-        try:
-            updates["platform"] = Platform(overrides["platform"])
-        except ValueError:
-            raise ConfigError(f"unknown platform {overrides['platform']!r}") from None
+        updates["platform"] = _platform(overrides["platform"])
     if overrides.get("out_dir") is not None:
         updates["out_dir"] = Path(overrides["out_dir"])
     if overrides.get("since") is not None or overrides.get("until") is not None:
         since = _timestamp(overrides.get("since"), "--since", cfg.window[0])
         until = _timestamp(overrides.get("until"), "--until", cfg.window[1])
         updates["window"] = (since, until)
-    resources = dict(cfg.resources)
-    touched = False
-    for key in RESOURCE_KEYS:
-        if overrides.get(key) is not None:
-            resources[key] = Path(overrides[key])
-            touched = True
-    if touched:
-        updates["resources"] = resources
+    resources = {key: Path(overrides[key]) for key in RESOURCE_KEYS
+                 if overrides.get(key) is not None}
+    if resources:
+        updates["resources"] = cfg.resources | resources
     return cfg._replace(**updates) if updates else cfg

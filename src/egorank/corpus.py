@@ -6,8 +6,10 @@ messages (4); the list of interacted network members (5); and the members'
 counterparts (6-9). Datasets 2, 3, 7 and 8 are dependent: each of their
 rows references a parent post in dataset 1 or 6.
 
-All loading is single-threaded per file. Loaded documents and members are
-frozen and safe to share across threads.
+Both CSV loaders read their rows through one reader, which checks the
+header and each row's cell count and numbers the rows. All loading is
+single-threaded per file. Loaded documents and members are frozen and safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import logging
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadRowError, DataError
 
@@ -111,15 +113,27 @@ def parse_timestamp(value: str) -> datetime:
 
 # --- activity CSV loading -------------------------------------------------------
 
-def _check_header(header: Sequence[str] | None, expected: Sequence[str], path: str) -> None:
-    if header is None:
-        raise DataError(f"empty file (no header row): {path}")
-    got = [h.strip() for h in header]
-    for name in expected:
-        if name not in got:
-            raise DataError(f"missing required column '{name}' in {path}")
-    if got != list(expected):
-        raise BadRowError(path, 1, f"header order mismatch: expected {','.join(expected)}")
+def _rows(path: Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """(row number, cells) of each non-blank data row of a ``utf-8-sig`` CSV,
+    after checking that its header is exactly ``header`` and that the row
+    holds one cell per column. The header is row 1."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got is None:
+            raise DataError(f"empty file (no header row): {path}")
+        got = [h.strip() for h in got]
+        for name in header:
+            if name not in got:
+                raise DataError(f"missing required column '{name}' in {path}")
+        if got != list(header):
+            raise BadRowError(path, 1, f"header order mismatch: expected {','.join(header)}")
+        for row_no, row in enumerate(reader, start=2):
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) != len(header):
+                raise BadRowError(path, row_no, f"expected {len(header)} columns, got {len(row)}")
+            yield row_no, row
 
 
 def _parse_count(value: str, path: Path, row_no: int, name: str) -> int:
@@ -151,47 +165,37 @@ def load_activity_csv(
 
     docs: list[Document] = []
     seen_post_ids: set[str] = set()
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        _check_header(header, ACTIVITY_HEADER, str(path))
-        for row_no, row in enumerate(reader, start=2):
-            if not any(map(str.strip, row)):
-                continue
-            if len(row) != len(ACTIVITY_HEADER):
-                raise BadRowError(
-                    path, row_no, f"expected {len(ACTIVITY_HEADER)} columns, got {len(row)}")
-            # _check_header pinned the column order to ACTIVITY_HEADER's.
-            post_id, content, _, user_id, reacts, shares, _, time_raw, parent_raw = row
-            post_id = post_id.strip()
-            if not post_id:
-                raise BadRowError(path, row_no, "empty post_id")
-            if post_id in seen_post_ids:
-                raise BadRowError(path, row_no, f"duplicate post_id {post_id!r}")
-            seen_post_ids.add(post_id)
-            user_id = user_id.strip()
-            if not user_id:
-                raise BadRowError(path, row_no, "empty user_id")
-            _parse_count(reacts, path, row_no, "react_count")
-            _parse_count(shares, path, row_no, "share_count")
-            try:
-                time = parse_timestamp(time_raw)
-            except ValueError:
-                raise BadRowError(path, row_no, f"unparseable timestamp {time_raw!r}") from None
-            parent_raw = parent_raw.strip()
-            if dependent and not parent_raw:
-                raise BadRowError(path, row_no, f"dataset {dataset_no} requires parent_post_id")
-            if not dependent and parent_raw:
-                raise BadRowError(
-                    path, row_no, f"dataset {dataset_no} must leave parent_post_id empty")
-            docs.append(Document(
-                doc_id=f"d{dataset_no}-{post_id}",
-                owner_id=owner_id if owner_id is not None else user_id,
-                text=content,
-                dataset_no=dataset_no,
-                parent_doc_id=f"d{parent_dataset}-{parent_raw}" if dependent else None,
-                time=time,
-            ))
+    for row_no, (post_id, content, _, user_id, reacts, shares, _, time_raw,
+                 parent_raw) in _rows(path, ACTIVITY_HEADER):
+        post_id = post_id.strip()
+        if not post_id:
+            raise BadRowError(path, row_no, "empty post_id")
+        if post_id in seen_post_ids:
+            raise BadRowError(path, row_no, f"duplicate post_id {post_id!r}")
+        seen_post_ids.add(post_id)
+        user_id = user_id.strip()
+        if not user_id:
+            raise BadRowError(path, row_no, "empty user_id")
+        _parse_count(reacts, path, row_no, "react_count")
+        _parse_count(shares, path, row_no, "share_count")
+        try:
+            time = parse_timestamp(time_raw)
+        except ValueError:
+            raise BadRowError(path, row_no, f"unparseable timestamp {time_raw!r}") from None
+        parent_raw = parent_raw.strip()
+        if dependent and not parent_raw:
+            raise BadRowError(path, row_no, f"dataset {dataset_no} requires parent_post_id")
+        if not dependent and parent_raw:
+            raise BadRowError(
+                path, row_no, f"dataset {dataset_no} must leave parent_post_id empty")
+        docs.append(Document(
+            doc_id=f"d{dataset_no}-{post_id}",
+            owner_id=owner_id if owner_id is not None else user_id,
+            text=content,
+            dataset_no=dataset_no,
+            parent_doc_id=f"d{parent_dataset}-{parent_raw}" if dependent else None,
+            time=time,
+        ))
     return docs
 
 
@@ -200,41 +204,29 @@ def load_members_csv(path: str | Path) -> list[InteractedMember]:
     duplicates are merged with activity types unioned."""
     path = Path(path)
     merged: dict[str, InteractedMember] = {}
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        _check_header(header, MEMBER_HEADER, str(path))
-        for row_no, row in enumerate(reader, start=2):
-            if not any(map(str.strip, row)):
-                continue
-            if len(row) != len(MEMBER_HEADER):
-                raise BadRowError(
-                    path, row_no, f"expected {len(MEMBER_HEADER)} columns, got {len(row)}")
-            # _check_header pinned the column order to MEMBER_HEADER's.
-            member_id, display_name, kind_raw, activities, conn_raw = row
-            member_id = member_id.strip()
-            if not member_id:
-                raise BadRowError(path, row_no, "empty member_id")
-            try:
-                kind = MemberKind(kind_raw.strip())
-            except ValueError:
-                raise BadRowError(path, row_no, f"unknown member kind {kind_raw!r}") from None
-            try:
-                acts = frozenset(
-                    ActivityType(a.strip()) for a in activities.split(";") if a.strip()
-                )
-            except ValueError:
-                raise BadRowError(path, row_no, f"unknown activity in {activities!r}") from None
-            if not acts:
-                raise BadRowError(path, row_no, "activity_types must name at least one activity")
-            conn_raw = conn_raw.strip()
-            connections = (_parse_count(conn_raw, path, row_no, "connections_count")
-                           if conn_raw else None)
-            member = InteractedMember(member_id, display_name.strip(), kind, acts, connections)
-            if member_id in merged:
-                merged[member_id] = _merge_members(merged[member_id], member)
-            else:
-                merged[member_id] = member
+    for row_no, (member_id, display_name, kind_raw, activities,
+                 conn_raw) in _rows(path, MEMBER_HEADER):
+        member_id = member_id.strip()
+        if not member_id:
+            raise BadRowError(path, row_no, "empty member_id")
+        try:
+            kind = MemberKind(kind_raw.strip())
+        except ValueError:
+            raise BadRowError(path, row_no, f"unknown member kind {kind_raw!r}") from None
+        try:
+            acts = frozenset(ActivityType(a.strip()) for a in activities.split(";") if a.strip())
+        except ValueError:
+            raise BadRowError(path, row_no, f"unknown activity in {activities!r}") from None
+        if not acts:
+            raise BadRowError(path, row_no, "activity_types must name at least one activity")
+        conn_raw = conn_raw.strip()
+        connections = (_parse_count(conn_raw, path, row_no, "connections_count")
+                       if conn_raw else None)
+        member = InteractedMember(member_id, display_name.strip(), kind, acts, connections)
+        if member_id in merged:
+            merged[member_id] = _merge_members(merged[member_id], member)
+        else:
+            merged[member_id] = member
     return [merged[mid] for mid in sorted(merged)]
 
 

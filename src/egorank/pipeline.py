@@ -13,8 +13,8 @@ for a bucket with no ego or no member documents, and scores the others.
 Targets reuses a saved ranking only if it parses, has its CSV twin, and
 was made from the same bundle, embeddings and normalization; it ranks the
 other requested buckets, then applies the selection algorithm; it checks
-N_it's bounds before it reads any ranking. The same config and inputs
-give byte-identical files.
+N_it against the network size before it reads any ranking. The same
+config and inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -69,11 +69,12 @@ from .resources import (
     load_lemma_table,
     load_negators,
     load_sentiment_lexicon,
+    load_spelling_dictionary,
     load_stop_words,
 )
 from .simdex import SimilarityModels, load_word_vectors
-from .targets import MIN_N_IT, TargetSelection, filter_eligible, top_most
-from .textprep import CleanDocument, load_spelling_dictionary, primary_preprocess
+from .targets import TargetSelection, filter_eligible, top_most
+from .textprep import CleanDocument, primary_preprocess
 
 log = logging.getLogger(__name__)
 
@@ -476,35 +477,24 @@ def write_target_reports(cfg: PipelineConfig, selection: TargetSelection,
     })
 
 
-def run_targets(cfg: PipelineConfig) -> dict[Bucket, TargetSelection]:
-    """Select top-most influenceable targets for every requested bucket.
+def run_targets(cfg: PipelineConfig, buckets: list[Bucket]) -> dict[Bucket, TargetSelection]:
+    """Select top-most influenceable targets for each of ``buckets``.
 
-    N_it's bounds are checked against the bundle's eligible members before
-    any ranking is read. Saved rankings are read back, and only the
-    buckets that have none made from this corpus, embeddings and
+    N_it's upper bound, the size of the bundle's eligible network, is
+    checked before any ranking is read; the CLI checks the lower bound
+    before any stage runs. Saved rankings are read back, and only
+    the buckets that have none made from this corpus, embeddings and
     normalization are ranked; saved rankings that are current are not
     rewritten. A ranking shorter than N_it, an empty one included, gets no
     selection, and its bucket's old target reports are removed.
     """
-    buckets = parse_bucket_filter(cfg.bucket)
     ingest = load_bundle(cfg, buckets)
     eligible = filter_eligible(ingest.members)
-    if cfg.n_it < MIN_N_IT and not cfg.allow_small:
-        raise ConfigError(
-            f"n_it = {cfg.n_it} violates the {MIN_N_IT} <= N_it <= network-size bound "
-            "(pass --allow-small to relax the lower bound)"
-        )
     if cfg.n_it > len(eligible):
         raise ConfigError(f"n_it = {cfg.n_it} exceeds the network size {len(eligible)}")
     provenance = _ranking_provenance(cfg, ingest)  # hashes the embeddings once
-    rankings = {}
-    missing = []
-    for bucket in buckets:
-        loaded = load_ranking_report(cfg, bucket, provenance)
-        if loaded is None:
-            missing.append(bucket)
-        else:
-            rankings[bucket] = loaded
+    rankings = {bucket: load_ranking_report(cfg, bucket, provenance) for bucket in buckets}
+    missing = [bucket for bucket, ranking in rankings.items() if ranking is None]
     if missing:
         rankings.update(run_rank(cfg, missing, ingest, provenance))
 

@@ -1,7 +1,9 @@
 """Loaders for the pinned resource files (stop list, lemmas, lexicons).
 
-Every loader but ``load_english_words`` takes an optional path; ``None``
-falls back to the file shipped under ``egorank/data/``. The shipped lists
+Every loader but ``load_english_words`` and ``load_spelling_dictionary``
+takes an optional path; ``None`` falls back to the file shipped under
+``egorank/data/``. The three ``key<TAB>value`` tables (lemmas, sentiment
+lexicon, spelling dictionary) share one line reader. The shipped lists
 are configuration, not ground truth: tests pin against them, and users may
 swap in their own.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 from importlib import resources as importlib_resources
 from pathlib import Path
+from typing import Iterator
 
 from .classify import Category
 from .errors import DataError
@@ -53,6 +56,22 @@ def load_english_words() -> frozenset[str]:
     return _wordlist(_read_builtin("english_words.txt")) | load_stop_words()
 
 
+def _tab_lines(path: str | Path | None, builtin_name: str | None,
+               expected: str) -> Iterator[tuple[str | Path, int, str, str]]:
+    """(file name, line number, lowercased key, raw value) of each
+    ``key<TAB>value`` line, skipping blank lines and lines that start with
+    ``#``; ``expected`` names the two fields in the error for a line
+    without exactly one tab."""
+    where = path or builtin_name
+    for line_no, line in enumerate(_read(path, builtin_name).splitlines(), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{where}: line {line_no}: expected {expected}")
+        yield where, line_no, parts[0].strip().lower(), parts[1]
+
+
 def load_lemma_table(path: str | Path | None = None) -> dict[str, str]:
     """Read ``form<TAB>lemma`` lines.
 
@@ -61,15 +80,8 @@ def load_lemma_table(path: str | Path | None = None) -> dict[str, str]:
     always the lemma (required for idempotence).
     """
     table: dict[str, str] = {}
-    text = _read(path, "lemmas.tsv")
-    where = path or "lemmas.tsv"
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{where}: line {line_no}: expected form<TAB>lemma")
-        form, lemma = parts[0].strip().lower(), parts[1].strip().lower()
+    for where, line_no, form, lemma in _tab_lines(path, "lemmas.tsv", "form<TAB>lemma"):
+        lemma = lemma.strip().lower()
         if not form or not lemma:
             raise DataError(f"{where}: line {line_no}: empty form or lemma")
         table[form] = lemma
@@ -88,22 +100,27 @@ def load_lemma_table(path: str | Path | None = None) -> dict[str, str]:
 def load_sentiment_lexicon(path: str | Path | None = None) -> dict[str, float]:
     """Read ``word<TAB>valence`` lines with valences in [-4, 4]."""
     lexicon: dict[str, float] = {}
-    text = _read(path, "sentiment_lexicon.tsv")
-    where = path or "sentiment_lexicon.tsv"
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{where}: line {line_no}: expected word<TAB>valence")
+    lines = _tab_lines(path, "sentiment_lexicon.tsv", "word<TAB>valence")
+    for where, line_no, word, raw in lines:
         try:
-            valence = float(parts[1])
+            valence = float(raw)
         except ValueError:
-            raise DataError(f"{where}: line {line_no}: bad valence {parts[1]!r}") from None
+            raise DataError(f"{where}: line {line_no}: bad valence {raw!r}") from None
         if not -4.0 <= valence <= 4.0:
             raise DataError(f"{where}: line {line_no}: valence {valence} outside [-4, 4]")
-        lexicon[parts[0].strip().lower()] = valence
+        lexicon[word] = valence
     return lexicon
+
+
+def load_spelling_dictionary(path: str | Path) -> dict[str, int]:
+    """Read a unigram-frequency lexicon of ``word<TAB>count`` lines; none ships."""
+    table: dict[str, int] = {}
+    for where, line_no, word, raw in _tab_lines(path, None, "word<TAB>count"):
+        try:
+            table[word] = int(raw)
+        except ValueError:
+            raise DataError(f"{where}: line {line_no}: bad count {raw!r}") from None
+    return table
 
 
 def load_labeled_seed(path: str | Path | None = None) -> list[tuple[str, Category]]:

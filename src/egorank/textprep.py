@@ -14,11 +14,9 @@ order or in parallel.
 from __future__ import annotations
 
 import re
-from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .corpus import Document
-from .errors import DataError
 
 # A token opening with '@' at the start or after whitespace. The pattern opens
 # with the literal '@' so the regex engine can skip from one '@' to the next.
@@ -95,22 +93,6 @@ def strip_noise(text: str) -> str:
     whitespace collapse to single spaces.
     """
     return _NOISE.sub(" ", text).strip()
-
-
-def load_spelling_dictionary(path: str | Path) -> dict[str, int]:
-    """Read a unigram-frequency lexicon of ``word<TAB>count`` lines."""
-    table: dict[str, int] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path}: line {line_no}: expected word<TAB>count")
-        try:
-            table[parts[0].strip().lower()] = int(parts[1])
-        except ValueError:
-            raise DataError(f"{path}: line {line_no}: bad count {parts[1]!r}") from None
-    return table
 
 
 def _edits1(word: str) -> set[str]:

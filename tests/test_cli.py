@@ -424,18 +424,26 @@ class TestIngest:
         return run_cli("run", "--config", str(broken / "config.json"),
                        "--out-dir", str(tmp_path / "out")), path
 
-    @pytest.mark.parametrize("resource, text", [
-        ("lemma_dictionary", "runs\trun\nbroken line\n"),
-        ("sentiment_lexicon", "good\t1.9\nbad\tvery\n"),
-        ("labeled_seed", "text,category\nfine text,Technology\none,two,three\n"),
-        ("spelling_dictionary", "good\t10\nbroken line\n"),
-        ("labeled_seed", "text,category\ngreat code software,Technlogy\n"),
-    ])
+    # (resource, its text): the message after "PATH: ".
+    BAD_LINES = {
+        ("lemma_dictionary", "runs\trun\nbroken line\n"): "line 2: expected form<TAB>lemma",
+        ("sentiment_lexicon", "good\t1.9\nbad\tvery\n"): "line 2: bad valence 'very'",
+        ("labeled_seed", "text,category\nfine text,Technology\none,two,three\n"):
+            "line 3: 3 columns, expected 2",
+        ("spelling_dictionary", "good\t10\nbroken line\n"): "line 2: expected word<TAB>count",
+        # A comment line is skipped, as in the other two tab-separated resources.
+        ("spelling_dictionary", "# unigram counts\ngood\t10\nbroken line\n"):
+            "line 3: expected word<TAB>count",
+        ("labeled_seed", "text,category\ngreat code software,Technlogy\n"):
+            "line 2: unknown category 'Technlogy'",
+    }
+
+    @pytest.mark.parametrize("resource, text", BAD_LINES)
     def test_bad_resource_line_names_file(self, synth_dir, tmp_path, caplog, resource, text):
         with caplog.at_level("ERROR"):
             code, path = self.run_with_resource(synth_dir, tmp_path, resource, text)
         assert code == 2
-        assert any(f"{path}: line " in r.message for r in caplog.records)
+        assert [r.message for r in caplog.records] == [f"{path}: {self.BAD_LINES[resource, text]}"]
 
     @pytest.mark.parametrize("resource, text, exit_code, message", [
         ("lemma_dictionary", "# no entries\n", 1, "no lemma dictionary loaded"),
@@ -990,6 +998,28 @@ class TestRun:
             assert run_cli(command, "--config", config, "--out-dir", str(out),
                            "--bucket", "all") == 0
             assert {p.name: p.read_bytes() for p in out.iterdir()} == before, command
+
+    @pytest.mark.parametrize("allow_small, argv, message", [
+        (True, ("--bucket", "Tech/Positive"),
+         "unknown bucket 'Tech/Positive'; categories are ['Technology', 'Politics', "
+         "'Sports', 'Business', 'Entertainment'] and sentiments ['Positive', 'Negative']"),
+        (False, ("--n-it", "7"),
+         "n_it = 7 violates the 50 <= N_it <= network-size bound "
+         "(pass --allow-small to relax the lower bound)"),
+    ], ids=["bucket", "n_it_below_bound"])
+    def test_bad_selection_fails_before_ingest(self, synth_dir, tmp_path, caplog, allow_small,
+                                               argv, message):
+        config = json.loads((synth_dir / "config.json").read_text())
+        config["allow_small"] = allow_small
+        path = synth_dir / f"allow_small_{allow_small}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        out.mkdir()
+        with caplog.at_level("ERROR"):
+            code = run_cli("run", "--config", str(path), "--out-dir", str(out), *argv)
+        assert code == 1
+        assert [r.message for r in caplog.records] == [message]
+        assert not list(out.iterdir())
 
     def test_files_depend_only_on_what_produced_them(self, synth_dir, tmp_path):
         # ingest reads none of n_it, threshold and bucket, and rank does not

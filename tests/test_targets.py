@@ -50,8 +50,8 @@ class TestFilterEligible:
 
 
 # Both stages are top_most now. N_it's bounds (50 <= N_it <= network size,
-# unless allow_small) are checked by pipeline.run_targets before any ranking
-# is read; tests/test_cli.py covers them.
+# unless allow_small) are checked before any ranking is read, the lower one
+# by the CLI before any stage runs; tests/test_cli.py covers them.
 class TestSelectTargets:
     def test_first_n_of_ranking(self):
         selection = top_most(ranking_of(120), 50, [], threshold=5000)

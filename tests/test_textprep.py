@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egorank.corpus import Document
-from egorank.resources import load_english_words
+from egorank.resources import load_english_words, load_spelling_dictionary
 from egorank.textprep import (
     extract_mentions,
-    load_spelling_dictionary,
     looks_english,
     normalize_case_and_spell,
     primary_preprocess,
