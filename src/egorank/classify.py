@@ -164,10 +164,8 @@ class SentimentAnalyzer:
         total = 0.0
         for i in compress(range(len(tokens)), map(self._lexicon.__contains__, tokens)):
             valence = self._lexicon[tokens[i]]
-            if valence > 0 and i > 0 and tokens[i - 1] in self._boosters:
-                valence += BOOSTER_INCREMENT
-            elif valence < 0 and i > 0 and tokens[i - 1] in self._boosters:
-                valence -= BOOSTER_INCREMENT
+            if valence and i > 0 and tokens[i - 1] in self._boosters:
+                valence += math.copysign(BOOSTER_INCREMENT, valence)
             if not self._negators.isdisjoint(tokens[max(0, i - NEGATION_WINDOW):i]):
                 valence *= NEGATION_SCALAR
             total += valence
@@ -181,17 +179,17 @@ def label_documents(
     documents: Sequence[TokenizedDoc],
     model: CategoryClassifier,
     analyzer: SentimentAnalyzer,
-) -> tuple[dict[str, Category], dict[str, SentimentResult], list[str]]:
-    """Label every eligible document with a category and a sentiment.
+) -> tuple[dict[str, Bucket], list[str]]:
+    """Label every eligible document with its bucket: a category and its
+    own sentiment.
 
     Independent documents are classified directly; dependent ones inherit
-    from their parent. Inert and flagged-non-English documents are
+    their parent's category. Inert and flagged-non-English documents are
     skipped, as are dependents whose parent never got a label (these are
     reported in the returned ``skipped`` list and warned about, rather
     than failing the whole run).
     """
-    labels: dict[str, Category] = {}
-    sentiments: dict[str, SentimentResult] = {}
+    labels: dict[str, Bucket] = {}
     skipped: list[str] = []
 
     def eligible(doc: TokenizedDoc) -> bool:
@@ -199,31 +197,29 @@ def label_documents(
 
     for doc in documents:
         if doc.dataset_no in INDEPENDENT_DATASETS and eligible(doc):
-            labels[doc.doc_id] = classify_category(doc, model)
-            sentiments[doc.doc_id] = analyzer.score(doc.text)
+            labels[doc.doc_id] = Bucket(classify_category(doc, model),
+                                        analyzer.score(doc.text).clazz)
     for doc in documents:
         if doc.dataset_no in DEPENDENT_DATASETS and eligible(doc):
             parent = labels.get(doc.parent_doc_id)
             if parent is None:
                 skipped.append(doc.doc_id)
                 continue
-            labels[doc.doc_id] = parent
-            sentiments[doc.doc_id] = analyzer.score(doc.text)
+            labels[doc.doc_id] = Bucket(parent.category, analyzer.score(doc.text).clazz)
     if skipped:
         log.warning(
             "%d dependent documents had no labeled parent and were left unbucketed",
             len(skipped),
         )
-    return labels, sentiments, skipped
+    return labels, skipped
 
 
 def assign_buckets(
     documents: Sequence[TokenizedDoc],
-    labels: Mapping[str, Category],
-    sentiments: Mapping[str, SentimentResult],
+    labels: Mapping[str, Bucket],
     eligible_ids: Container[str],
-) -> dict[Bucket, list[TokenizedDoc]]:
-    """Each of the ten (category, sentiment) buckets' documents, in doc id order.
+) -> dict[str, Bucket]:
+    """The bucket of each bucketed document, in ``documents`` order.
 
     Every labeled ego document, and every labeled member-side document of
     an owner in ``eligible_ids``, lands in exactly one bucket. The others
@@ -231,9 +227,6 @@ def assign_buckets(
     of owners who can never be targets (groups, and owners in neither the
     member list nor the mentions), so scoring sees only rankable targets.
     """
-    buckets: dict[Bucket, list[TokenizedDoc]] = {b: [] for b in ALL_BUCKETS}
-    for doc in sorted(documents, key=lambda d: d.doc_id):
-        if doc.doc_id in labels and (doc.dataset_no in EGO_DATASETS
-                                     or doc.owner_id in eligible_ids):
-            buckets[Bucket(labels[doc.doc_id], sentiments[doc.doc_id].clazz)].append(doc)
-    return buckets
+    return {doc.doc_id: labels[doc.doc_id] for doc in documents
+            if doc.doc_id in labels and (doc.dataset_no in EGO_DATASETS
+                                         or doc.owner_id in eligible_ids)}

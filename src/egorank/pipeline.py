@@ -37,7 +37,6 @@ from .classify import (
     Category,
     SentimentClass,
     SentimentAnalyzer,
-    SentimentResult,
     assign_buckets,
     label_documents,
     train_category_classifier,
@@ -89,7 +88,7 @@ class IngestResult(NamedTuple):
     members: list[InteractedMember]
     df: Mapping[str, int]  # documents holding each word, over all n non-inert ones
     n: int
-    buckets: dict[Bucket, list[dict[str, Any]]]  # bundle document records, in doc id order
+    buckets: dict[Bucket, list[dict[str, Any]]]  # bundle document records
     inputs_digest: str  # config.digest of the ingest inputs: each ranking's provenance
 
 
@@ -136,9 +135,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _label(
     cfg: PipelineConfig, clean_docs: list[CleanDocument],
-) -> tuple[list[TokenizedDoc], dict[str, Category], dict[str, SentimentResult], list[str]]:
-    """Build the Document-Set, then label it; returns the labels, the
-    sentiments and the orphaned dependent documents too."""
+) -> tuple[list[TokenizedDoc], dict[str, Bucket], list[str]]:
+    """Build the Document-Set, then label it; returns each labelled
+    document's bucket and the orphaned dependent documents too."""
     stop_words = load_stop_words(cfg.resources.get("stop_list"))
     lemmatizer = Lemmatizer(load_lemma_table(cfg.resources.get("lemma_dictionary")))
     documents = build_document_set(clean_docs, stop_words=stop_words, lemmatizer=lemmatizer)
@@ -188,20 +187,19 @@ def run_ingest(cfg: PipelineConfig) -> None:
             mentions.extend(clean.mentions)
     members_raw = load_members_csv(cfg.datasets[5])
     members = build_interaction_list(members_raw, mentions)
-    documents, labels, sentiments, orphans = _label(cfg, clean_docs)
+    documents, labels, orphans = _label(cfg, clean_docs)
     eligible_ids = {m.member_id for m in filter_eligible(members)}
-    buckets = assign_buckets(documents, labels, sentiments, eligible_ids)
+    buckets = assign_buckets(documents, labels, eligible_ids)
     # idf spans every non-inert document, bucketed or not; an inert one adds no word.
     df = Counter(chain.from_iterable(set(d.tokens) for d in documents))
     n = sum(1 for d in documents if d.tokens)
 
     flagged = sum(1 for d in documents if d.flagged_non_english)
-    bucket_of = {doc.doc_id: name for bucket, docs in buckets.items()
-                 for name in (str(bucket),) for doc in docs}
+    bucketed = Counter(buckets.values())
     member_ids = {m.member_id for m in members}
     # Labelled but left out: a group's documents, or an unknown owner's.
     left_out = [d.owner_id in member_ids for d in documents
-                if d.doc_id in labels and d.doc_id not in bucket_of]
+                if d.doc_id in labels and d.doc_id not in buckets]
     report = {
         "version": __version__,
         "platform": cfg.platform.value,
@@ -212,7 +210,7 @@ def run_ingest(cfg: PipelineConfig) -> None:
         "mentions_harvested": len(set(mentions)),
         "members_before_merge": len(members_raw),
         "members_after_merge": len(members),
-        "bucketed_docs": {str(bucket): len(docs) for bucket, docs in buckets.items()},
+        "bucketed_docs": {str(bucket): bucketed[bucket] for bucket in ALL_BUCKETS},
         # Each unbucketed document under its first reason, in this order.
         "unbucketed_docs": {
             "non_english": flagged,
@@ -232,7 +230,8 @@ def run_ingest(cfg: PipelineConfig) -> None:
         # Tokens are [a-z0-9]+ runs, so joining them with spaces is lossless.
         "documents": [
             {"doc_id": d.doc_id, "owner_id": d.owner_id, "dataset_no": d.dataset_no,
-             "tokens": " ".join(d.tokens), "bucket": bucket_of.get(d.doc_id)}
+             "tokens": " ".join(d.tokens),
+             "bucket": str(buckets[d.doc_id]) if d.doc_id in buckets else None}
             for d in documents
         ],
     }
@@ -242,7 +241,7 @@ def run_ingest(cfg: PipelineConfig) -> None:
     _write_json(cfg.out_dir / INGEST_REPORT_NAME, report)
     log.info(
         "ingested %d documents (%d flagged non-English, %d bucketed), %d members",
-        len(documents), flagged, len(bucket_of), len(members),
+        len(documents), flagged, len(buckets), len(members),
     )
 
 
@@ -289,8 +288,6 @@ def load_bundle(cfg: PipelineConfig, buckets: list[Bucket]) -> IngestResult:
         bucket = wanted.get(record["bucket"])
         if bucket is not None:
             filled[bucket].append(record)
-    for records in filled.values():
-        records.sort(key=lambda r: r["doc_id"])  # the order assign_buckets gives
     return IngestResult(
         members=[_member_from_dict(m) for m in bundle["members"]],
         df=bundle["df"],

@@ -71,16 +71,17 @@ def score_bucket(
 ) -> list[DocumentScore]:
     """Score every member document of one bucket against the ego's key docs.
 
-    ``docs`` is one bucket as ``classify.assign_buckets`` returns it: in doc
-    id order, none inert, so every doc has a tf-idf length, and holding both
-    key and target docs (``pipeline.run_rank`` gives a bucket with an empty
-    side its empty ranking without scoring it). Ego datasets give the key
-    docs, the others the targets. Each target keeps the maximum index over
-    all key documents (ties going to the lowest key doc id).
+    ``docs`` is one bucket's documents, in any order: none inert, so every
+    doc has a tf-idf length, and holding both key and target docs
+    (``pipeline.run_rank`` gives a bucket with an empty side its empty
+    ranking without scoring it). Ego datasets give the key docs, the others
+    the targets. Each target keeps the maximum index over all key documents
+    (ties going to the lowest key doc id).
     """
     import numpy as np  # here, not at the top: only scoring needs numpy
 
-    keys = [doc for doc in docs if doc.dataset_no in EGO_DATASETS]
+    keys = sorted((doc for doc in docs if doc.dataset_no in EGO_DATASETS),
+                  key=lambda doc: doc.doc_id)
     targets = [doc for doc in docs if doc.dataset_no not in EGO_DATASETS]
     unit, index = models.vectors.unit, models.vectors.index
     counts, idf, lengths = models.counts, models.idf, models.lengths

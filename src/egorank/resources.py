@@ -25,7 +25,7 @@ def _read_builtin(name: str) -> str:
 def _read(path: str | Path | None, builtin_name: str) -> str:
     if path is None:
         return _read_builtin(builtin_name)
-    return Path(path).read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _wordlist(text: str) -> frozenset[str]:

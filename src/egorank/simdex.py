@@ -57,7 +57,7 @@ def load_word_vectors(path: str | Path, words: Collection[str]) -> WordVectorSto
     seen: set[str] = set()
     rows: list[list[float]] = []
     index: dict[str, int] = {}
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise DataError(f"{path}: header must be 'vocab_size dim'")

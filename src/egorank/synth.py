@@ -40,15 +40,6 @@ class SyntheticTruth(NamedTuple):
     mega: tuple[str, ...]
     ego_bucket: tuple[str, str]
 
-    def to_dict(self) -> dict:
-        return {
-            "doc_labels": {k: list(v) for k, v in self.doc_labels.items()},
-            "member_profiles": {k: list(v) for k, v in self.member_profiles.items()},
-            "planted": list(self.planted),
-            "mega": list(self.mega),
-            "ego_bucket": list(self.ego_bucket),
-        }
-
 
 class Corpus(NamedTuple):
     """All generated activity of the ego EGO_ID on PLATFORM within WINDOW."""
@@ -104,7 +95,7 @@ def write_corpus_csvs(corpus: Corpus, directory: str | Path) -> None:
         "platform": PLATFORM.value,
         "ego_id": EGO_ID,
         "window": [format_timestamp(WINDOW[0]), format_timestamp(WINDOW[1])],
-        "synthetic_truth": corpus.synthetic_truth.to_dict(),
+        "synthetic_truth": corpus.synthetic_truth._asdict(),
     }
     (directory / "corpus.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"

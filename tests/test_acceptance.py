@@ -297,9 +297,11 @@ def build_planted_pipeline():
     model = train_category_classifier(labeled)
     analyzer = SentimentAnalyzer(resources.load_sentiment_lexicon(), resources.load_negators(),
                                  resources.load_boosters())
-    labels, sentiments, _ = label_documents(ds, model, analyzer)
+    labels, _ = label_documents(ds, model, analyzer)
     eligible_ids = {m.member_id for m in filter_eligible(members)}
-    buckets = assign_buckets(ds, labels, sentiments, eligible_ids)
+    bucket_of = assign_buckets(ds, labels, eligible_ids)
+    buckets = {bucket: [d for d in ds if bucket_of.get(d.doc_id) == bucket]
+               for bucket in set(bucket_of.values())}
     vocab = sorted({t for d in ds for t in d.tokens})
     vectors = random_vectors(vocab, 16, PLANT_SEED)
     models = build_models(ds, word_store(vectors))

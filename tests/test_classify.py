@@ -160,9 +160,9 @@ class TestInheritCategory:
         model = train_category_classifier(labeled)
         docs = [tdoc("d1-p", ["vote", "law"]),
                 tdoc("d3-c", ["whatever"], dataset_no=3, parent="d1-p")]
-        labels, _, skipped = label_documents(docs, model, analyzer)
-        assert labels["d1-p"] is Category.POLITICS
-        assert labels["d3-c"] is Category.POLITICS
+        labels, skipped = label_documents(docs, model, analyzer)
+        assert labels["d1-p"].category is Category.POLITICS
+        assert labels["d3-c"].category is Category.POLITICS
         assert skipped == []
 
     def test_orphan(self, analyzer):
@@ -170,9 +170,9 @@ class TestInheritCategory:
         model = train_category_classifier(labeled)
         docs = [tdoc("d3-c", ["x"], dataset_no=3, parent="d1-missing"),
                 tdoc("d8-c", ["x"], dataset_no=8, parent=None)]
-        labels, sentiments, skipped = label_documents(docs, model, analyzer)
+        labels, skipped = label_documents(docs, model, analyzer)
         assert skipped == ["d3-c", "d8-c"]
-        assert labels == {} and sentiments == {}
+        assert labels == {}
 
 
 class TestSentiment:
@@ -263,26 +263,24 @@ class TestAssignBuckets:
             tdoc("d6-c", ["vote", "law"], dataset_no=6, owner="m1"),
             tdoc("d6-d", ["movie", "music"], dataset_no=6, owner="m2"),
         ]
-        labels, sentiments, skipped = label_documents(docs, model, analyzer)
-        return docs, labels, sentiments, skipped
+        labels, skipped = label_documents(docs, model, analyzer)
+        return docs, labels, skipped
 
     def test_partition(self, analyzer):
-        docs, labels, sentiments, _ = self.build_labeled_set(analyzer)
-        buckets = assign_buckets(docs, labels, sentiments, {"m1", "m2"})
-        assert set(buckets) == set(ALL_BUCKETS)
-        all_ids = [doc.doc_id for docs in buckets.values() for doc in docs]
-        assert sorted(all_ids) == sorted(labels)
-        assert len(all_ids) == len(set(all_ids))
+        docs, labels, _ = self.build_labeled_set(analyzer)
+        buckets = assign_buckets(docs, labels, {"m1", "m2"})
+        assert buckets == labels
+        assert list(buckets) == [doc.doc_id for doc in docs]
+        assert set(buckets.values()) <= set(ALL_BUCKETS)
 
     def test_single_bucket_when_uniform(self, analyzer):
         labeled, _ = singleton_training()
         model = train_category_classifier(labeled)
         docs = [tdoc(f"d1-{i}", ["code", "good"]) for i in range(10)]
-        labels, sentiments, _ = label_documents(docs, model, analyzer)
-        buckets = assign_buckets(docs, labels, sentiments, set())
+        labels, _ = label_documents(docs, model, analyzer)
+        buckets = assign_buckets(docs, labels, set())
         tech_pos = Bucket(Category.TECHNOLOGY, SentimentClass.POSITIVE)
-        assert len(buckets[tech_pos]) == 10
-        assert sum(len(v) for v in buckets.values()) == 10
+        assert list(buckets.values()) == [tech_pos] * 10
 
     def test_dependent_docs_inherit_but_score_own_sentiment(self, analyzer):
         labeled, _ = singleton_training()
@@ -291,18 +289,17 @@ class TestAssignBuckets:
             tdoc("d1-p", ["vote", "law", "good"], owner="ego"),
             tdoc("d3-c", ["terrible", "awful"], dataset_no=3, owner="ego", parent="d1-p"),
         ]
-        labels, sentiments, skipped = label_documents(docs, model, analyzer)
+        labels, skipped = label_documents(docs, model, analyzer)
         assert skipped == []
-        assert labels["d3-c"] is Category.POLITICS
-        assert sentiments["d3-c"].clazz is SentimentClass.NEGATIVE
-        assert sentiments["d1-p"].clazz is SentimentClass.POSITIVE
+        assert labels["d3-c"] == Bucket(Category.POLITICS, SentimentClass.NEGATIVE)
+        assert labels["d1-p"] == Bucket(Category.POLITICS, SentimentClass.POSITIVE)
 
     def test_orphan_dependent_skipped_with_warning(self, analyzer, caplog):
         labeled, _ = singleton_training()
         model = train_category_classifier(labeled)
         docs = [tdoc("d3-c", ["code"], dataset_no=3, parent="d1-gone")]
         with caplog.at_level("WARNING"):
-            labels, sentiments, skipped = label_documents(docs, model, analyzer)
+            labels, skipped = label_documents(docs, model, analyzer)
         assert skipped == ["d3-c"]
         assert labels == {}
 
@@ -316,11 +313,10 @@ class TestAssignBuckets:
             tdoc("d3-d", ["code"], dataset_no=3, parent="d1-b"),
             tdoc("d6-e", [], dataset_no=6, owner="m1"),
         ]
-        labels, sentiments, skipped = label_documents(docs, model, analyzer)
+        labels, skipped = label_documents(docs, model, analyzer)
         assert set(labels) == {"d1-a"}
         assert skipped == ["d3-d"]
-        buckets = assign_buckets(docs, labels, sentiments, {"m1"})
-        assert [doc.doc_id for docs in buckets.values() for doc in docs] == ["d1-a"]
+        assert list(assign_buckets(docs, labels, {"m1"})) == ["d1-a"]
 
     def test_unlisted_owner_ignored(self, analyzer):
         # only eligible members' documents are bucketed on the member side,
@@ -334,10 +330,9 @@ class TestAssignBuckets:
             tdoc("d7-d", ["code"], dataset_no=7, owner="ghost", parent="d6-b"),
             tdoc("d9-e", ["vote"], dataset_no=9, owner="group"),
         ]
-        labels, sentiments, _ = label_documents(docs, model, analyzer)
+        labels, _ = label_documents(docs, model, analyzer)
         assert set(labels) == {doc.doc_id for doc in docs}
-        buckets = assign_buckets(docs, labels, sentiments, {"A"})
-        assert sorted(doc.doc_id for docs in buckets.values() for doc in docs) == ["d1-a", "d6-b"]
+        assert list(assign_buckets(docs, labels, {"A"})) == ["d1-a", "d6-b"]
 
 
 # Test-side references for the labelling arithmetic. They redo each float

@@ -10,7 +10,9 @@ from egorank.corpus import (
     load_activity_csv,
     load_members_csv,
 )
+from egorank import resources
 from egorank.errors import BadRowError, ConfigError, DataError
+from egorank.simdex import load_word_vectors
 from egorank.synth import (
     DEMO_TOPIC_PROFILES,
     EGO_ID,
@@ -142,6 +144,33 @@ class TestLoadActivityCsv:
                         encoding="utf-8")
         docs = load_activity_csv(path, 1, "ego")
         assert [(d.doc_id, d.text) for d in docs] == [("d1-p1", "hello world")]
+
+
+def _vectors(path):
+    store = load_word_vectors(path, {"good", "bad"})
+    return store.unit.tolist(), store.index
+
+
+# Each resource loader, and a file it reads whose first line matters.
+BOM_LOADERS = {
+    "stop_list": (resources.load_stop_words, "the\nand\n"),
+    "negators": (resources.load_negators, "not\nnever\n"),
+    "boosters": (resources.load_boosters, "very\nreally\n"),
+    "lemma_dictionary": (resources.load_lemma_table, "ran\trun\ngoes\tgo\n"),
+    "sentiment_lexicon": (resources.load_sentiment_lexicon, "good\t1.9\nbad\t-2.5\n"),
+    "spelling_dictionary": (resources.load_spelling_dictionary, "hello\t10\nworld\t3\n"),
+    "labeled_seed": (resources.load_labeled_seed, "text,category\ncode ships,Technology\n"),
+    "embeddings": (_vectors, "2 2\ngood 1 0\nbad 0 1\n"),
+}
+
+
+@pytest.mark.parametrize("resource", BOM_LOADERS)
+def test_resource_loaders_accept_utf8_bom(tmp_path, resource):
+    loader, text = BOM_LOADERS[resource]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert loader(marked) == loader(plain)
 
 
 class TestMembersCsv:
@@ -288,4 +317,4 @@ class TestRoundTrip:
             assert load_activity_csv(path, no, owner) == docs, path.name
         assert load_members_csv(tmp_path / "members.csv") == corpus.members
         meta = json.loads((tmp_path / "corpus.json").read_text(encoding="utf-8"))
-        assert meta["synthetic_truth"] == corpus.synthetic_truth.to_dict()
+        assert meta["synthetic_truth"] == json.loads(json.dumps(corpus.synthetic_truth._asdict()))

@@ -253,6 +253,18 @@ class TestScoreBucket:
             assert s.key_doc_id == "d1-k01"
             assert s.r_plus == pytest.approx(by_key["d1-k01"], rel=1e-9)
 
+    def test_tied_key_docs_given_in_reverse_go_to_lowest_id(self):
+        # the same tie as above, with the bucket's documents in reverse doc id
+        # order: the key docs' order breaks no tie, and no score moves a bit
+        rng = random.Random(5)
+        emb = random_embeddings(rng, ["a", "b", "c", "d", "e"], 6, coverage=1.0)
+        keys = [["e"], ["a", "b", "a", "c"], ["a", "b", "a", "c"]]
+        members = [("m1", ["a", "b"]), ("m2", ["b", "c", "d"]), ("m3", ["a", "a", "e"])]
+        docs, models = build_case(keys, members, emb)
+        reversed_scores = score_bucket(docs[::-1], models)
+        assert [s.key_doc_id for s in reversed_scores] == ["d1-k01"] * 3
+        assert reversed_scores[::-1] == score_bucket(docs, models)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_twin_target_docs_tie_bit_for_bit_across_blocks(self, seed):
         # one bag of words in the first and in the last block, which holds it
