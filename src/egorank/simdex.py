@@ -111,7 +111,9 @@ class SimilarityModels(NamedTuple):
     and single-document corpora still work. ``idf`` covers the scored
     documents' words; ``counts`` and ``lengths`` cover the scored documents:
     ``lengths`` holds the raw tf-idf L2 length of each non-inert one, whose
-    tf-idf row is count(w) * idf(w) / length. Inert documents get empty counts.
+    tf-idf row is count(w) * idf(w) / length; its sum of squares is
+    ``math.fsum``, correctly rounded, so its bits depend neither on word
+    order nor on the Python version. Inert documents get empty counts.
     """
 
     vectors: WordVectorStore
@@ -126,7 +128,7 @@ class SimilarityModels(NamedTuple):
         idf = {w: math.log((1 + n) / (1 + df[w])) + 1.0
                for w in {w for row in counts.values() for w in row}}
         lengths = {
-            doc_id: math.sqrt(sum(x * x for x in (row[w] * idf[w] for w in sorted(row))))
+            doc_id: math.sqrt(math.fsum(x * x for x in (row[w] * idf[w] for w in row)))
             for doc_id, row in counts.items() if row
         }
         return cls(vectors=vectors, counts=counts, idf=idf, lengths=lengths)

@@ -1,5 +1,11 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +21,29 @@ from egorank.simdex import DISTANCE_FLOOR, SimilarityModels, load_word_vectors
 from egorank.synth import random_vectors, write_embeddings
 
 NO_VECTORS = word_store({})
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+PYENV_ROOT = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+OTHER_PYTHONS = sorted(PYENV_ROOT.glob("versions/3.1[0-3]*/bin/python"))
+# Prints the tf-idf lengths of 400 documents whose squared weights span four
+# orders of magnitude, as float.hex, without numpy. A plain float sum() of
+# those squares depends on the word order and, since Python 3.12 made it
+# compensated, on the interpreter.
+LENGTHS_SCRIPT = """
+import json, random
+from collections import Counter
+from egorank.lexproc import TokenizedDoc
+from egorank.simdex import SimilarityModels, WordVectorStore
+
+rng = random.Random(24)
+words = [f"w{i}" for i in range(600)]
+weights = [1 / (i + 1) for i in range(len(words))]
+docs = [TokenizedDoc(doc_id=f"d6-{i:03d}", owner_id="m1", dataset_no=6,
+                     tokens=tuple(rng.choices(words, weights, k=rng.randrange(5, 80))))
+        for i in range(400)]
+df = Counter(w for d in docs for w in set(d.tokens))
+models = SimilarityModels.build(df, len(docs), WordVectorStore(None, {}), docs)
+print(json.dumps({doc_id: x.hex() for doc_id, x in models.lengths.items()}))
+"""
 
 
 def tdoc(doc_id, tokens, owner="ego", dataset_no=1):
@@ -260,6 +289,34 @@ class TestTfIdf:
         for doc_id in model.lengths:
             weights = [tfidf_weight(model, doc_id, w) for w in model.counts[doc_id]]
             assert math.sqrt(sum(x * x for x in weights)) == pytest.approx(1.0, abs=1e-9)
+
+    def test_lengths_are_correctly_rounded(self):
+        # each length is the square root of the correctly rounded sum of the
+        # squared weights, so no word order and no Python version moves a bit
+        rng = random.Random(24)
+        words = [f"w{i}" for i in range(600)]
+        token_lists = [rng.choices(words, [1 / (i + 1) for i in range(600)],
+                                   k=rng.randrange(5, 80)) for _ in range(400)]
+        docs = docset(token_lists)
+        model = build_models(docs, NO_VECTORS)
+        df = Counter(w for toks in token_lists for w in set(toks))
+        for doc in docs:
+            idf = {w: math.log((1 + len(docs)) / (1 + df[w])) + 1.0 for w in doc.tokens}
+            squares = [x * x for x in (c * idf[w] for w, c in sorted(Counter(doc.tokens).items()))]
+            assert model.lengths[doc.doc_id] == math.sqrt(math.fsum(squares)), doc.doc_id
+
+    @pytest.mark.parametrize(
+        "python", OTHER_PYTHONS or [pytest.param(None, marks=pytest.mark.skip(
+            reason="no pyenv interpreter 3.10-3.13 installed"))],
+        ids=lambda path: path.parent.parent.name if path else "none")
+    def test_lengths_agree_across_interpreters(self, python):
+        def lengths(executable):
+            proc = subprocess.run([str(executable), "-c", LENGTHS_SCRIPT], capture_output=True,
+                                  text=True, env=dict(os.environ, PYTHONPATH=str(SRC_DIR)))
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout)
+
+        assert lengths(python) == lengths(sys.executable)
 
     def test_inert_docs_excluded_from_n(self):
         # idf over 2 non-inert docs must ignore the inert third
