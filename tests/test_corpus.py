@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from egorank import resources
 from egorank.corpus import (
     EGO_DATASETS,
     ActivityType,
@@ -10,7 +11,6 @@ from egorank.corpus import (
     load_activity_csv,
     load_members_csv,
 )
-from egorank import resources
 from egorank.errors import BadRowError, ConfigError, DataError
 from egorank.simdex import load_word_vectors
 from egorank.synth import (
