@@ -19,6 +19,7 @@ from .config import load_config
 from .errors import ConfigError, EgorankError
 from .pipeline import (
     INGEST_REPORT_NAME,
+    load_bundle,
     parse_bucket_filter,
     run_ingest,
     run_rank,
@@ -76,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = _override_flags()
     for name, help_text in (
         ("ingest", "load, preprocess, classify and bucket all datasets into a labelled bundle"),
-        ("rank", "score the bundle's buckets and write ranking reports"),
+        ("rank", "rank the bundle's buckets that have no current ranking"),
         ("targets", "select top-most influenceable targets from a ranking"),
         ("run", "ingest, then targets: rank what has no current ranking and select"),
     ):
@@ -141,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         buckets = parse_bucket_filter(cfg.bucket)
         if args.command == "rank":
-            for bucket, ranking in run_rank(cfg, buckets).items():
+            for bucket, ranking in run_rank(cfg, buckets, load_bundle(cfg, buckets)).items():
                 print(f"{bucket}: {len(ranking.entries)} ranked members")
             return EXIT_OK
         # targets, or run: ingest then targets. N_it's lower bound needs no

@@ -172,7 +172,7 @@ def load_config(path: str | Path, overrides: Mapping[str, Any]) -> PipelineConfi
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {path}: {exc}") from exc
     if not isinstance(raw, dict):

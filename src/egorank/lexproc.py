@@ -10,13 +10,10 @@ an actual word. The Document-Set is a plain list of ``TokenizedDoc``.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError
-from .textprep import CleanDocument
-
-_TOKEN = re.compile(r"[a-z0-9]+")
+from .textprep import _WORD_TOKEN, CleanDocument
 
 # Suffix rules tried in order once the exception table misses. Each rule
 # yields candidates that must validate against the known-lemma set.
@@ -49,7 +46,7 @@ class TokenizedDoc(NamedTuple):
 
 def tokenize(text: str) -> list[str]:
     """Split primary-preprocessed text into maximal [a-z0-9]+ runs."""
-    return _TOKEN.findall(text)
+    return _WORD_TOKEN.findall(text)
 
 
 def remove_stop_words(tokens: Sequence[str], stop_words: frozenset[str]) -> list[str]:

@@ -8,13 +8,13 @@ members who can be targets, counts each word's document frequency (df)
 over every non-inert document, and writes the labelled corpus and df to a
 bundle under a fingerprint of what it read. Rank reads back the requested
 buckets' documents only (refusing a bundle that does not parse, or that
-other inputs or another egorank version made), writes an empty ranking
-for a bucket with no ego or no member documents, and scores the others.
-Targets reuses a saved ranking only if it parses, has its CSV twin, and
-was made from the same bundle, embeddings and normalization; it ranks the
-other requested buckets, then applies the selection algorithm; it checks
-N_it against the network size before it reads any ranking. The same
-config and inputs give byte-identical files.
+other inputs or another egorank version made) and reuses a saved ranking
+only if it parses, has its CSV twin, and was made from the same bundle,
+embeddings and normalization. It ranks the other requested buckets:
+an empty ranking for a bucket with no ego or no member documents, scores
+for the others. Targets gets its rankings from rank, then applies the
+selection algorithm; it checks N_it against the network size before it
+reads any ranking. The same config and inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -299,25 +299,6 @@ def load_bundle(cfg: PipelineConfig, buckets: list[Bucket]) -> IngestResult:
 
 # --- rank -----------------------------------------------------------------------
 
-def _embeddings_path(cfg: PipelineConfig) -> Path:
-    path = cfg.resources.get("embeddings")
-    if path is None:
-        raise ConfigError("resources.embeddings must point at a word-vector file")
-    return path
-
-
-def _ranking_provenance(cfg: PipelineConfig, ingest: IngestResult) -> dict[str, str]:
-    """What a saved ranking records it was made from, and must match to be
-    reused: the egorank version, the normalization, the ingest inputs and
-    the embeddings file."""
-    return {
-        "version": __version__,
-        "normalization": cfg.normalization,
-        "inputs_digest": ingest.inputs_digest,
-        "embeddings_sha256": _file_sha256(_embeddings_path(cfg)),
-    }
-
-
 def _empty_side(records: list[dict[str, Any]]) -> str | None:
     """The side of a bucket that has no documents, the ego's first; None
     when both have some and the bucket can be scored."""
@@ -354,61 +335,6 @@ def write_ranking_reports(cfg: PipelineConfig, ranking: MemberRanking,
     })
 
 
-def run_rank(
-    cfg: PipelineConfig,
-    buckets: list[Bucket],
-    ingest: IngestResult | None = None,
-    provenance: dict[str, str] | None = None,
-) -> dict[Bucket, MemberRanking]:
-    """Rank members for each of ``buckets`` and write the reports; without
-    ``ingest``, the labelled corpus is read from the bundle, and without
-    ``provenance``, it is worked out here.
-
-    Every member-side document in a bucket belongs to a member who can be
-    a target (ingest left the others out), so each scored owner is ranked.
-    A bucket with no ego or no member documents gets an empty ranking and a
-    warning, and nothing is built or loaded for it. Documents, word
-    vectors, counts, idf and tf-idf lengths are built for the other
-    buckets only, idf from the df and n that ingest counted. When no
-    bucket is left to score, the embeddings file is still checked for
-    structure, but no row is parsed and no model is built.
-    """
-    if ingest is None:
-        ingest = load_bundle(cfg, buckets)
-    if provenance is None:
-        provenance = _ranking_provenance(cfg, ingest)
-    rankings: dict[Bucket, MemberRanking] = {}
-    scored: dict[Bucket, list[TokenizedDoc]] = {}
-    for bucket in buckets:
-        side = _empty_side(ingest.buckets[bucket])
-        if side is None:
-            scored[bucket] = _documents(ingest.buckets[bucket])
-        else:
-            log.warning("bucket %s: no %s documents; writing empty ranking", bucket, side)
-            rankings[bucket] = MemberRanking(bucket=bucket, entries=[])
-
-    docs = [doc for bucket_docs in scored.values() for doc in bucket_docs]
-    vectors = load_word_vectors(_embeddings_path(cfg), {w for doc in docs for w in doc.tokens})
-    if scored:
-        # here, not at the top: only scoring needs the thread pool
-        from concurrent.futures import ThreadPoolExecutor
-
-        models = SimilarityModels.build(ingest.df, ingest.n, vectors, docs)
-        normalization = Normalization(cfg.normalization)
-
-        def rank(bucket: Bucket) -> MemberRanking:
-            scores = score_bucket(scored[bucket], models, normalization=normalization)
-            return rank_members(scores, bucket)
-
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rankings.update(zip(scored, pool.map(rank, scored)))
-    for bucket in buckets:
-        write_ranking_reports(cfg, rankings[bucket], provenance)
-    return {bucket: rankings[bucket] for bucket in buckets}
-
-
-# --- targets --------------------------------------------------------------------
-
 def load_ranking_report(cfg: PipelineConfig, bucket: Bucket,
                         provenance: dict[str, str]) -> MemberRanking | None:
     """The saved ranking of ``bucket``; None when there is none, when it
@@ -441,6 +367,70 @@ def load_ranking_report(cfg: PipelineConfig, bucket: Bucket,
         return None
     return MemberRanking(bucket=bucket, entries=entries)
 
+
+def run_rank(cfg: PipelineConfig, buckets: list[Bucket],
+             ingest: IngestResult) -> dict[Bucket, MemberRanking]:
+    """The ranking of each of ``buckets``, in request order: the saved one
+    where it is current, otherwise one ranked now and written.
+
+    A saved ranking is current when ``load_ranking_report`` finds it made
+    by this egorank version from this corpus, embeddings and normalization;
+    current files are not rewritten, and when every requested ranking is
+    current no word vector is loaded. Every member-side document in a
+    bucket belongs to a member who can be a target (ingest left the others
+    out), so each scored owner is ranked. A bucket with no ego or no member
+    documents gets an empty ranking and a warning, and nothing is built or
+    loaded for it. Documents, word vectors, counts, idf and tf-idf lengths
+    are built for the other buckets only, idf from the df and n that ingest
+    counted. When a bucket is ranked now but none is scored, the embeddings
+    file is still checked for structure, but no row is parsed and no model
+    is built.
+    """
+    embeddings = cfg.resources.get("embeddings")
+    if embeddings is None:
+        raise ConfigError("resources.embeddings must point at a word-vector file")
+    # What a saved ranking records it was made from, and must match to be reused.
+    provenance = {
+        "version": __version__,
+        "normalization": cfg.normalization,
+        "inputs_digest": ingest.inputs_digest,
+        "embeddings_sha256": _file_sha256(embeddings),
+    }
+    rankings = {bucket: load_ranking_report(cfg, bucket, provenance) for bucket in buckets}
+    stale = [bucket for bucket, ranking in rankings.items() if ranking is None]
+    if not stale:
+        return rankings
+
+    scored: dict[Bucket, list[TokenizedDoc]] = {}
+    for bucket in stale:
+        side = _empty_side(ingest.buckets[bucket])
+        if side is None:
+            scored[bucket] = _documents(ingest.buckets[bucket])
+        else:
+            log.warning("bucket %s: no %s documents; writing empty ranking", bucket, side)
+            rankings[bucket] = MemberRanking(bucket=bucket, entries=[])
+
+    docs = [doc for bucket_docs in scored.values() for doc in bucket_docs]
+    vectors = load_word_vectors(embeddings, {w for doc in docs for w in doc.tokens})
+    if scored:
+        # here, not at the top: only scoring needs the thread pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        models = SimilarityModels.build(ingest.df, ingest.n, vectors, docs)
+        normalization = Normalization(cfg.normalization)
+
+        def rank(bucket: Bucket) -> MemberRanking:
+            scores = score_bucket(scored[bucket], models, normalization=normalization)
+            return rank_members(scores, bucket)
+
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            rankings.update(zip(scored, pool.map(rank, scored)))
+    for bucket in stale:
+        write_ranking_reports(cfg, rankings[bucket], provenance)
+    return rankings
+
+
+# --- targets --------------------------------------------------------------------
 
 def write_target_reports(cfg: PipelineConfig, selection: TargetSelection,
                          members: list[InteractedMember]) -> None:
@@ -479,21 +469,16 @@ def run_targets(cfg: PipelineConfig, buckets: list[Bucket]) -> dict[Bucket, Targ
 
     N_it's upper bound, the size of the bundle's eligible network, is
     checked before any ranking is read; the CLI checks the lower bound
-    before any stage runs. Saved rankings are read back, and only
-    the buckets that have none made from this corpus, embeddings and
-    normalization are ranked; saved rankings that are current are not
-    rewritten. A ranking shorter than N_it, an empty one included, gets no
-    selection, and its bucket's old target reports are removed.
+    before any stage runs. The rankings come from ``run_rank``, which
+    reuses the current ones. A ranking shorter than N_it, an empty one
+    included, gets no selection, and its bucket's old target reports are
+    removed.
     """
     ingest = load_bundle(cfg, buckets)
     eligible = filter_eligible(ingest.members)
     if cfg.n_it > len(eligible):
         raise ConfigError(f"n_it = {cfg.n_it} exceeds the network size {len(eligible)}")
-    provenance = _ranking_provenance(cfg, ingest)  # hashes the embeddings once
-    rankings = {bucket: load_ranking_report(cfg, bucket, provenance) for bucket in buckets}
-    missing = [bucket for bucket, ranking in rankings.items() if ranking is None]
-    if missing:
-        rankings.update(run_rank(cfg, missing, ingest, provenance))
+    rankings = run_rank(cfg, buckets, ingest)
 
     selections: dict[Bucket, TargetSelection] = {}
     for bucket in buckets:

@@ -11,6 +11,7 @@ swap in their own.
 from __future__ import annotations
 
 import csv
+import io
 from importlib import resources as importlib_resources
 from pathlib import Path
 from typing import Iterator
@@ -126,7 +127,8 @@ def load_spelling_dictionary(path: str | Path) -> dict[str, int]:
 def load_labeled_seed(path: str | Path | None = None) -> list[tuple[str, Category]]:
     """Read a labeled training corpus CSV with header ``text,category``."""
     where = path or "seed_categories.csv"
-    reader = csv.reader(_read(path, "seed_categories.csv").splitlines())
+    # a quoted text may span lines
+    reader = csv.reader(io.StringIO(_read(path, "seed_categories.csv")))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["text", "category"]:
         raise DataError(f"{where}: line 1: labeled seed corpus must have header "

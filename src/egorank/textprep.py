@@ -24,7 +24,7 @@ _MENTION = re.compile(r"@(?<!\S@)\S+")
 _NAME_EDGE = re.compile(r"^[^A-Za-z0-9_]+|[^A-Za-z0-9_]+$")
 _NOISE = re.compile(r"[^A-Za-z0-9,.]+")
 _GAP = re.compile(r"[ \t]{2,}")
-_WORD_TOKEN = re.compile(r"[a-z0-9]+")
+_WORD_TOKEN = re.compile(r"[a-z0-9]+")  # spelling correction's words and lexproc's tokens
 _ASCII_WORD = re.compile(r"[A-Za-z]+")
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
 

@@ -135,6 +135,12 @@ class TestIngest:
         assert [r.message for r in caplog.records] == [
             f"config file is not a JSON object: {config}"]
 
+    def test_config_with_utf8_bom_loads_as_without(self, synth_dir):
+        plain = synth_dir / "config.json"
+        marked = synth_dir / "bom.json"
+        marked.write_text("\ufeff" + plain.read_text(encoding="utf-8"), encoding="utf-8")
+        assert load_config(marked, {}) == load_config(plain, {})
+
     @pytest.mark.parametrize("section, key, message", [
         ("resources", "stoplist",
          "unknown key resources.stoplist; expected one of boosters, embeddings, labeled_seed, "
@@ -543,17 +549,44 @@ class TestRank:
         scores = [e["score"] for e in report["entries"]]
         assert scores == sorted(scores, reverse=True)
 
-    def test_empty_bucket_warning_and_empty_report(self, synth_dir, caplog):
+    def test_empty_bucket_warning_and_empty_report(self, synth_dir, tmp_path, caplog):
+        config = str(synth_dir / "config.json")
+        assert run_cli("ingest", "--config", config, "--out-dir", str(tmp_path)) == 0
         with caplog.at_level("WARNING"):
-            code = run_cli("rank", "--config", str(synth_dir / "config.json"))
+            code = run_cli("rank", "--config", config, "--out-dir", str(tmp_path))
         assert code == 0
         empty_warnings = [r for r in caplog.records if "empty ranking" in r.message]
         assert empty_warnings, "expected at least one thin bucket in the fixture"
         # the warned bucket still gets a header-only report, not a crash
         first = empty_warnings[0].message.split(":")[0].replace("bucket ", "")
         slug = first.replace("/", "_")
-        lines = (synth_dir / "out" / f"ranking_{slug}.csv").read_text().splitlines()
+        lines = (tmp_path / f"ranking_{slug}.csv").read_text().splitlines()
         assert lines == ["rank,member_id,score,best_doc_id"]
+
+    def test_current_rankings_are_reused(self, synth_dir, tmp_path, monkeypatch, capsys):
+        config = str(synth_dir / "config.json")
+        rank = ("rank", "--config", config, "--out-dir", str(tmp_path), "--bucket", "all")
+        assert run_cli("ingest", "--config", config, "--out-dir", str(tmp_path)) == 0
+        capsys.readouterr()
+        assert run_cli(*rank) == 0
+        printed = capsys.readouterr().out
+        saved = sorted(tmp_path.glob("ranking_*"))
+        assert len(saved) == 20
+        for path in saved:
+            os.utime(path, ns=(10**9, 10**9))
+        before = {path: path.read_bytes() for path in saved}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a current ranking was made again")
+
+        for name in ("score_bucket", "load_word_vectors"):
+            monkeypatch.setattr(pipeline, name, refuse)
+        assert run_cli(*rank) == 0
+        assert capsys.readouterr().out == printed
+        assert sorted(tmp_path.glob("ranking_*")) == saved
+        for path in saved:
+            assert path.read_bytes() == before[path], path.name
+            assert path.stat().st_mtime_ns == 10**9, path.name
 
     def test_empty_bucket_sides(self, synth_dir, tmp_path, caplog):
         config = str(synth_dir / "config.json")

@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
 from egorank import resources
+from egorank.classify import Category
 from egorank.corpus import (
     EGO_DATASETS,
     ActivityType,
@@ -171,6 +173,17 @@ def test_resource_loaders_accept_utf8_bom(tmp_path, resource):
     plain.write_text(text, encoding="utf-8")
     marked.write_text("\ufeff" + text, encoding="utf-8")
     assert loader(marked) == loader(plain)
+
+
+def test_labeled_seed_keeps_a_quoted_line_break(tmp_path):
+    path = tmp_path / "seed.csv"
+    path.write_text('text,category\n"code\nships fast",Technology\n', encoding="utf-8")
+    assert resources.load_labeled_seed(path) == [("code\nships fast", Category.TECHNOLOGY)]
+    # a bad row after the quoted one is named by its line in the file
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write("match day,Sprots\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 4: unknown category 'Sprots'$"):
+        resources.load_labeled_seed(path)
 
 
 class TestMembersCsv:
