@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import compress
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import DEPENDENT_DATASETS, EGO_DATASETS, INDEPENDENT_DATASETS
+from .corpus import EGO_DATASETS, PARENT_DATASET
 from .errors import ConfigError, DataError
 from .lexproc import TokenizedDoc, tokenize
 
@@ -170,7 +170,6 @@ class SentimentAnalyzer:
                 valence *= NEGATION_SCALAR
             total += valence
         compound = total / math.sqrt(total * total + NORMALIZATION_ALPHA)
-        compound = max(-1.0, min(1.0, compound))
         clazz = SentimentClass.POSITIVE if compound >= 0 else SentimentClass.NEGATIVE
         return SentimentResult(clazz=clazz, compound=compound)
 
@@ -196,11 +195,11 @@ def label_documents(
         return not doc.inert and not doc.flagged_non_english
 
     for doc in documents:
-        if doc.dataset_no in INDEPENDENT_DATASETS and eligible(doc):
+        if doc.dataset_no not in PARENT_DATASET and eligible(doc):
             labels[doc.doc_id] = Bucket(classify_category(doc, model),
                                         analyzer.score(doc.text).clazz)
     for doc in documents:
-        if doc.dataset_no in DEPENDENT_DATASETS and eligible(doc):
+        if doc.dataset_no in PARENT_DATASET and eligible(doc):
             parent = labels.get(doc.parent_doc_id)
             if parent is None:
                 skipped.append(doc.doc_id)

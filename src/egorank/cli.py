@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import load_config
+from .config import RESOURCE_KEYS, load_config
 from .errors import ConfigError, EgorankError
 from .pipeline import (
     INGEST_REPORT_NAME,
@@ -56,15 +56,14 @@ def _override_flags() -> argparse.ArgumentParser:
     parser.add_argument("--bucket", help="'all' or 'Category/Sentiment'")
     parser.add_argument("--n-it", dest="n_it", type=int)
     parser.add_argument("--threshold", type=int)
-    parser.add_argument("--normalization", choices=["raw", "mean"])
+    parser.add_argument("--normalization")
     parser.add_argument("--allow-small", dest="allow_small", action="store_const", const=True)
     parser.add_argument("--out-dir", dest="out_dir")
     parser.add_argument("--workers", type=int)
     parser.add_argument("--since")
     parser.add_argument("--until")
-    for key in ("stop-list", "lemma-dictionary", "sentiment-lexicon", "negators",
-                "boosters", "spelling-dictionary", "embeddings", "labeled-seed"):
-        parser.add_argument(f"--{key}", dest=key.replace("-", "_"))
+    for key in RESOURCE_KEYS:
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key)
     return parser
 
 
@@ -88,10 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--seed", type=int, default=7)
     synth.add_argument("--members", type=int, default=60)
     synth.add_argument("--docs-per-member", dest="docs_per_member", type=int, default=12)
-    synth.add_argument("--ego-docs", dest="ego_docs", type=int, default=24)
     synth.add_argument("--planted", type=int, default=10)
-    synth.add_argument("--mega", type=int, default=2)
-    synth.add_argument("--groups", type=int, default=2)
     synth.add_argument("--dim", type=int, default=50)
     synth.add_argument("--extra-vocab", dest="extra_vocab", type=int, default=0,
                        help="pad the embedding vocabulary to this size")
@@ -107,10 +103,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
         members=args.members,
         docs_per_member=args.docs_per_member,
-        ego_docs=args.ego_docs,
         planted=args.planted,
-        mega=args.mega,
-        groups=args.groups,
         dim=args.dim,
         extra_vocab=args.extra_vocab,
     )

@@ -15,6 +15,7 @@ from typing import Any, Mapping, NamedTuple
 
 from .corpus import CONTENT_DATASETS, Platform, parse_timestamp
 from .errors import ConfigError
+from .recommend import Normalization
 
 # Wide-open default window: ingest everything unless the config narrows it.
 DEFAULT_SINCE = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -70,8 +71,10 @@ class PipelineConfig(NamedTuple):
             raise ConfigError(f"n_it must be >= 1, got {self.n_it}")
         if self.threshold < 1:
             raise ConfigError(f"threshold must be >= 1, got {self.threshold}")
-        if self.normalization not in ("raw", "mean"):
-            raise ConfigError(f"normalization must be 'raw' or 'mean', got {self.normalization!r}")
+        modes = [mode.value for mode in Normalization]
+        if self.normalization not in modes:
+            raise ConfigError(f"normalization must be {' or '.join(map(repr, modes))}, "
+                              f"got {self.normalization!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.window[0] > self.window[1]:
@@ -152,8 +155,9 @@ def _platform(value: Any) -> Platform:
 
 
 def _timestamp(value: Any, name: str, default: datetime) -> datetime:
-    """Parse one window bound; an absent or empty bound keeps ``default``."""
-    if not value:
+    """Parse one window bound; an absent, null or empty-string bound keeps
+    ``default``."""
+    if value is None or value == "":
         return default
     if not isinstance(value, str):
         raise ConfigError(f"{name} must be an ISO-8601 timestamp string, got {value!r}")

@@ -32,10 +32,8 @@ ACTIVITY_HEADER = [
 MEMBER_HEADER = ["member_id", "display_name", "kind", "activity_types", "connections_count"]
 
 EGO_DATASETS = (1, 2, 3, 4)
-MEMBER_DATASETS = (6, 7, 8, 9)
-CONTENT_DATASETS = EGO_DATASETS + MEMBER_DATASETS
-DEPENDENT_DATASETS = frozenset({2, 3, 7, 8})
-INDEPENDENT_DATASETS = frozenset({1, 4, 6, 9})
+CONTENT_DATASETS = EGO_DATASETS + (6, 7, 8, 9)
+# The dependent datasets, each with the dataset its parent posts are in.
 PARENT_DATASET = {2: 1, 3: 1, 7: 6, 8: 6}
 
 
@@ -160,8 +158,8 @@ def load_activity_csv(
     applies the time window.
     """
     path = Path(path)
-    dependent = dataset_no in DEPENDENT_DATASETS
     parent_dataset = PARENT_DATASET.get(dataset_no)
+    dependent = parent_dataset is not None
 
     docs: list[Document] = []
     seen_post_ids: set[str] = set()

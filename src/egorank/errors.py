@@ -9,7 +9,7 @@ one by what the user must fix:
   out-of-range ``n_it``).
 - :class:`DataError` (exit code 2): an input file is malformed or its
   contents are unusable (a missing column, a seed corpus with no example
-  of a category, a corpus with nothing to index).
+  of a category, a word vector with a non-finite component).
 
 Two subclasses of :class:`DataError` exist for what they carry, not for
 a new exit code. :class:`BadRowError` formats ``"{path}: row {row}:

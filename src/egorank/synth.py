@@ -156,6 +156,9 @@ NOISE_RATIO = 0.1  # share of documents drawn from a bucket other than their own
 TOKENS_PER_DOC = (8, 16)
 SEED_DOCS_PER_CATEGORY = 8
 SEED_TOKENS_PER_DOC = (8, 14)
+EGO_DOCS = 24  # documents of the ego, across datasets 1-4
+MEGA_MEMBERS = 2  # members of a synth corpus with more than 5000 connections
+GROUP_MEMBERS = 2  # members of a synth corpus that are Groups
 
 
 def _synthetic_text(rng: random.Random, profile: Mapping[str, float], sentiment: str) -> str:
@@ -180,7 +183,6 @@ def generate_synthetic_corpus(
     members: int,
     docs_per_member: int,
     *,
-    ego_docs: int = 24,
     planted_members: int = 0,
     mega_members: int = 0,
     group_members: int = 0,
@@ -194,8 +196,8 @@ def generate_synthetic_corpus(
     are Groups (hence never eligible targets). The same seed always yields
     a byte-identical corpus.
     """
-    if members < 1 or docs_per_member < 1 or ego_docs < 1:
-        raise ConfigError("members, docs_per_member and ego_docs must all be >= 1")
+    if members < 1 or docs_per_member < 1:
+        raise ConfigError("members and docs_per_member must both be >= 1")
     if planted_members + group_members > members:
         raise ConfigError("planted_members + group_members exceeds the member count")
     rng = random.Random(seed)
@@ -205,9 +207,9 @@ def generate_synthetic_corpus(
     member_ids = [f"m{i:03d}" for i in range(1, members + 1)]
     planted = tuple(member_ids[:planted_members])
     # Mega-connected members come from the planted set first so a planted
-    # run exercises the default-influencer removal inside the ego bucket.
-    mega_pool = list(planted) + [m for m in member_ids if m not in planted]
-    mega = tuple(mega_pool[:mega_members])
+    # run exercises the default-influencer removal inside the ego bucket;
+    # the planted members are the first ids.
+    mega = tuple(member_ids[:mega_members])
     groups = set(member_ids[members - group_members:])
     kind_cycle = [MemberKind.FRIEND, MemberKind.FOLLOWER, MemberKind.FOLLOWING,
                   MemberKind.CONNECTION, MemberKind.PAGE]
@@ -251,7 +253,7 @@ def generate_synthetic_corpus(
 
     # Ego documents: mostly dataset 1, some messages, a few dependent rows.
     ego_parents: list[Document] = []
-    for i in range(ego_docs):
+    for i in range(EGO_DOCS):
         bucket = EGO_BUCKET if rng.random() >= NOISE_RATIO * 2 else \
             other_buckets[rng.randrange(len(other_buckets))]
         roll = rng.random()
@@ -333,8 +335,6 @@ def synthetic_seed_corpus(seed: int) -> list[tuple[str, str]]:
 def write_embeddings(path: str | Path, vectors: Mapping[str, Sequence[float]]) -> None:
     """Write the text embedding format, bit-stable for fixed inputs."""
     words = sorted(vectors)
-    if not words:
-        raise ValueError("no vectors to write")
     dim = len(vectors[words[0]])
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(f"{len(words)} {dim}\n")
@@ -360,10 +360,7 @@ def synth(
     seed: int,
     members: int,
     docs_per_member: int,
-    ego_docs: int,
     planted: int,
-    mega: int,
-    groups: int,
     dim: int,
     extra_vocab: int,
 ) -> SyntheticTruth:
@@ -372,10 +369,9 @@ def synth(
         seed=seed,
         members=members,
         docs_per_member=docs_per_member,
-        ego_docs=ego_docs,
         planted_members=planted,
-        mega_members=mega,
-        group_members=groups,
+        mega_members=MEGA_MEMBERS,
+        group_members=GROUP_MEMBERS,
     )
     write_corpus_csvs(corpus, out)
 
@@ -393,7 +389,7 @@ def synth(
 
     # Ask for about as many targets as were planted; bucket rankings in a
     # synthetic corpus only hold members with documents in that bucket.
-    n_it = min(50, planted) if planted else min(50, members - groups)
+    n_it = min(50, planted) if planted else min(50, members - GROUP_MEMBERS)
     config = {
         "platform": PLATFORM.value,
         "ego_id": EGO_ID,

@@ -63,8 +63,6 @@ def looks_english(text: str, english_vocab: frozenset[str]) -> bool:
         return True
     if foreign / letters > FOREIGN_LETTER_RATIO:
         return False
-    if not words:
-        return True
     known = sum(map(english_vocab.__contains__, map(str.lower, words)))
     return known / len(words) >= ENGLISH_TOKEN_RATIO
 

@@ -279,7 +279,7 @@ FROZEN_REMOVED = ["m001", "m002"]
 def build_planted_pipeline():
     corpus = generate_synthetic_corpus(
         PLANT_SEED, members=60, docs_per_member=12,
-        planted_members=10, mega_members=2, group_members=2, ego_docs=24,
+        planted_members=10, mega_members=2, group_members=2,
     )
     truth = corpus.synthetic_truth
     stops = resources.load_stop_words()
@@ -359,8 +359,7 @@ def test_criterion_7_performance_envelope(tmp_path):
         )
 
     proc = cli("synth", "--out", str(synth_dir), "--seed", "7",
-               "--members", "50", "--docs-per-member", "40",
-               "--planted", "10", "--mega", "2", "--groups", "2",
+               "--members", "50", "--docs-per-member", "40", "--planted", "10",
                "--dim", "50", "--extra-vocab", "5000")
     assert proc.returncode == 0, proc.stderr
 

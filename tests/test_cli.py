@@ -26,7 +26,7 @@ def synth_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth")
     code = main([
         "synth", "--out", str(out), "--seed", "7", "--members", "24",
-        "--docs-per-member", "8", "--planted", "5", "--mega", "2", "--groups", "2",
+        "--docs-per-member", "8", "--planted", "5",
     ])
     assert code == 0
     return out
@@ -76,10 +76,32 @@ class TestSynth:
     def test_deterministic(self, synth_dir, tmp_path):
         again = tmp_path / "again"
         assert run_cli("synth", "--out", str(again), "--seed", "7", "--members", "24",
-                       "--docs-per-member", "8", "--planted", "5", "--mega", "2",
-                       "--groups", "2") == 0
+                       "--docs-per-member", "8", "--planted", "5") == 0
         for path in sorted(synth_dir.iterdir()):
             assert path.read_bytes() == (again / path.name).read_bytes(), path.name
+
+    def test_output_is_pinned(self, tmp_path):
+        # sha256 of each file `synth --seed 7` wrote when these were taken.
+        # Every pinned figure of the CLI tests starts from this corpus, so
+        # these are not updated to let a change pass.
+        assert run_cli("synth", "--out", str(tmp_path), "--seed", "7") == 0
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in tmp_path.iterdir()} == {
+            "config.json": "e401fedaca14e2e164725b77c4e02c7d61f9ebf13ed41f67c5ec3a99c923afbc",
+            "corpus.json": "3c6c92a270e39eb86c29b7d97f8b25a833ecdb7ca50d22ee9dfca17ca96bffdf",
+            "dataset_1.csv": "abd2cafbf66ac8008e91e67e27a322e106adaf8aec5e07dafb474ce30be92b1d",
+            "dataset_2.csv": "bb89ea27f0d647ecebc631a8b389b7eca55d342d2206a0d5c5c0655782c85efb",
+            "dataset_3.csv": "79d1a74bc20db94828c44cb3e64768aa373f1991ba6c1aa168da3c99bc73054c",
+            "dataset_4.csv": "1d6ceb5ccb8fea712b63895c7acaf3d20ab065091e74899891c6d7a3ca231cac",
+            "dataset_6.csv": "be789a8ab524766c6c33321454c18876034a6723c98150297cd11df6b8ab7c3a",
+            "dataset_7.csv": "532a0d5d5afe8f20d663dde70fdb9223f8ac334d0ed6978f4034b74839d6ac99",
+            "dataset_8.csv": "253fd19e0352f9a840c3d1718abf62b127520795d79bc74c2bf2134c623ed9ab",
+            "dataset_9.csv": "e40599cb4c479618b96870fbbdb112d9bbd1c19f82ca3638c73dd05e543f8a07",
+            "embeddings.txt": "c92f68f082f0d29fd48306f003c37619fd6a2eb9cb741567c1537036791bb294",
+            "members.csv": "8cd276c0f321146fcb80911969d4cb3fe67c3cf407d1e7bb837a0fb65198cf15",
+            "seed_categories.csv":
+                "985d6f563890f890f69074ec39d4c4e61abb8c0bcd16901d7d8de60d9db43d8a",
+        }
 
 
 class TestIngest:
@@ -313,6 +335,16 @@ class TestIngest:
         assert set(report["window_dropped"]) == {str(no) for no in CONTENT_DATASETS}
         bundle = json.loads((out / "bundle.json").read_text())
         assert {d["doc_id"] for d in bundle["documents"]} == kept
+
+    def test_z_bound_filters_as_utc_offset(self, synth_dir, tmp_path, capsys):
+        written = []
+        for n, since in enumerate(("2024-05-01T00:00:00Z", "2024-05-01T00:00:00+00:00")):
+            out = tmp_path / f"out{n}"
+            assert run_cli("ingest", "--config", str(synth_dir / "config.json"),
+                           "--out-dir", str(out), "--since", since) == 0
+            written.append((capsys.readouterr().out, (out / "bundle.json").read_bytes()))
+        assert written[0] == written[1]
+        assert sum(json.loads(written[0][0])["window_dropped"].values())
 
     def test_bundle_holds_tokens_and_buckets_as_ingest_returns_them(self, synth_dir, tmp_path):
         config = str(synth_dir / "config.json")
@@ -1178,6 +1210,12 @@ ERROR_EXITS = {
     "window_bound_not_a_string": (
         {"config.json": {"window": {"since": 5}}}, ["ingest", "--config", "{dir}/config.json"],
         1, "window.since must be an ISO-8601 timestamp string, got 5"),
+    # Only an absent, null or "" bound keeps the default; a falsy one is mistyped.
+    **{f"window_{bound}_{name}": (
+        {"config.json": {"window": {bound: value}}}, ["ingest", "--config", "{dir}/config.json"],
+        1, f"window.{bound} must be an ISO-8601 timestamp string, got {value!r}")
+       for bound in ("since", "until")
+       for name, value in (("0", 0), ("false", False), ("list", []))},
     "since_after_until": (
         {}, ["ingest", "--config", "{dir}/config.json", "--since", "2025-06-01T00:00:00+00:00",
              "--until", "2024-06-01T00:00:00+00:00"],
@@ -1186,6 +1224,9 @@ ERROR_EXITS = {
         {"config.json": "{"}, ["ingest", "--config", "{dir}/config.json"],
         1, "config file is not valid JSON: {dir}/config.json: Expecting property name "
            "enclosed in double quotes: line 1 column 2 (char 1)"),
+    "normalization_flag": (
+        {}, ["ingest", "--config", "{dir}/config.json", "--normalization", "median"],
+        1, "normalization must be 'raw' or 'mean', got 'median'"),
     "platform_in_file": (
         {"config.json": {"platform": "MySpace"}}, ["ingest", "--config", "{dir}/config.json"],
         1, "unknown platform 'MySpace'"),
@@ -1231,7 +1272,7 @@ ERROR_EXITS = {
         ["ingest", "--config", "{dir}/config.json", "--spelling-dictionary", "{dir}/spelling.tsv"],
         2, "{dir}/spelling.tsv: line 2: bad count 'many'"),
     "synth_too_many_members": (
-        {}, ["synth", "--out", "{dir}/synth", "--members", "3", "--planted", "2", "--groups", "2"],
+        {}, ["synth", "--out", "{dir}/synth", "--members", "3", "--planted", "2"],
         1, "planted_members + group_members exceeds the member count"),
     "n_it_below_bound": (
         {"config.json": {"allow_small": False, "n_it": 7}},

@@ -92,6 +92,17 @@ class TestLoadActivityCsv:
         with pytest.raises(BadRowError, match="row 2: unparseable timestamp 'not-a-time'"):
             load_activity_csv(path, 1, "ego")
 
+    def test_timestamp_forms_load_as_one_utc_instant(self, tmp_path):
+        # A trailing Z (which fromisoformat rejects before Python 3.11), a
+        # naive time (taken as UTC) and another offset.
+        path = write_csv(tmp_path, "d1.csv", [
+            HEADER,
+            "p1,x,Ego,ego,0,0,en,2024-03-01T10:00:00Z,",
+            "p2,x,Ego,ego,0,0,en,2024-03-01T10:00:00,",
+            "p3,x,Ego,ego,0,0,en,2024-03-01T12:00:00+02:00,",
+        ])
+        assert [d.time.isoformat() for d in load_activity_csv(path, 1, "ego")] == [T1] * 3
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d1.csv"
         path.write_text("", encoding="utf-8")
@@ -299,9 +310,9 @@ class TestSyntheticCorpus:
             assert hit / len(labelled) >= 0.90, category
 
     def test_bad_params(self):
-        with pytest.raises(ConfigError, match="docs_per_member and ego_docs must all be >= 1"):
+        with pytest.raises(ConfigError, match="members and docs_per_member must both be >= 1"):
             generate_synthetic_corpus(1, members=0, docs_per_member=5)
-        with pytest.raises(ConfigError, match="docs_per_member and ego_docs must all be >= 1"):
+        with pytest.raises(ConfigError, match="members and docs_per_member must both be >= 1"):
             generate_synthetic_corpus(1, members=5, docs_per_member=0)
 
     def test_planted_and_mega_flags(self):

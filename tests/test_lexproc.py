@@ -107,6 +107,17 @@ class TestLemmatizer:
             assert lemmatizer.lemmatize(lemma) == lemma, (form, lemma)
             assert lemmatizer.lemmatize(lemmatizer.lemmatize(form)) == lemmatizer.lemmatize(form)
 
+    def test_chained_table_resolves_to_its_fixed_point(self, tmp_path):
+        # A chain resolves to its end; a cycle leaves each of its forms as is.
+        path = tmp_path / "lemmas.tsv"
+        path.write_text("went\tgoes\ngoes\tgo\nx\ty\ny\tx\n", encoding="utf-8")
+        table = resources.load_lemma_table(path)
+        assert table == {"went": "go", "goes": "go", "go": "go", "x": "x", "y": "y"}
+        lemmatizer = Lemmatizer(table)
+        for word in table:
+            once = lemmatizer.lemmatize(word)
+            assert lemmatizer.lemmatize(once) == once, word
+
     @given(token=st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=12))
     @settings(max_examples=300)
     def test_idempotent_on_fuzzed_tokens(self, lemmatizer, token):
