@@ -337,6 +337,7 @@ class TestIngest:
         assert {d["doc_id"] for d in bundle["documents"]} == kept
 
     def test_z_bound_filters_as_utc_offset(self, synth_dir, tmp_path, capsys):
+        # Python 3.10's fromisoformat rejects a trailing Z; the bound must not.
         written = []
         for n, since in enumerate(("2024-05-01T00:00:00Z", "2024-05-01T00:00:00+00:00")):
             out = tmp_path / f"out{n}"
