@@ -127,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "synth":
             return cmd_synth(args)
-        # apply_overrides reads only the flag names it knows
+        # load_config reads only the dests that name a config field
         cfg = load_config(args.config, vars(args))
         if args.command == "ingest":
             run_ingest(cfg)

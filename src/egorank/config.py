@@ -1,8 +1,8 @@
 """Declarative pipeline configuration.
 
-One JSON file drives a whole run; every field can be overridden by a CLI
-flag of the same name. Resource paths left null fall back to the files
-shipped with the package.
+One JSON file drives a whole run; every field but ``datasets`` can be
+replaced by a CLI flag of the same name. Resource paths left null fall back
+to the files shipped with the package.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class PipelineConfig(NamedTuple):
     bucket: str
     n_it: int
     threshold: int
-    normalization: str
+    normalization: Normalization
     allow_small: bool
     out_dir: Path
     workers: int
@@ -65,29 +65,6 @@ class PipelineConfig(NamedTuple):
                 for key in RESOURCE_KEYS if key != "embeddings"
             },
         }
-
-    def validate(self) -> None:
-        if self.n_it < 1:
-            raise ConfigError(f"n_it must be >= 1, got {self.n_it}")
-        if self.threshold < 1:
-            raise ConfigError(f"threshold must be >= 1, got {self.threshold}")
-        modes = [mode.value for mode in Normalization]
-        if self.normalization not in modes:
-            raise ConfigError(f"normalization must be {' or '.join(map(repr, modes))}, "
-                              f"got {self.normalization!r}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.window[0] > self.window[1]:
-            raise ConfigError("window since is after until")
-        for no in CONTENT_DATASETS + (5,):
-            path = self.datasets.get(no)
-            if path is None:
-                raise ConfigError(f"datasets.{no} is not configured")
-            if not Path(path).is_file():
-                raise ConfigError(f"datasets.{no} not found: {path}")
-        for key, path in self.resources.items():
-            if path is not None and not Path(path).is_file():
-                raise ConfigError(f"resource {key!r} not found: {path}")
 
 
 def digest(record: Mapping[str, Any]) -> str:
@@ -115,10 +92,21 @@ def _as_path(value: Any, base: Path, name: str) -> Path | None:
     return p if p.is_absolute() else base / p
 
 
+def _file(value: Any, base: Path, name: str, label: str) -> Path | None:
+    """A path field that, when set, must name an existing file."""
+    resolved = _as_path(value, base, name)
+    if resolved is not None and not resolved.is_file():
+        raise ConfigError(f"{label} not found: {resolved}")
+    return resolved
+
+
 def _integer(raw: Mapping[str, Any], key: str, default: int) -> int:
+    """A field that must be an integer >= 1."""
     value = raw.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"{key} must be >= 1, got {value}")
     return value
 
 
@@ -154,6 +142,14 @@ def _platform(value: Any) -> Platform:
         raise ConfigError(f"unknown platform {value!r}") from None
 
 
+def _normalization(value: Any) -> Normalization:
+    try:
+        return Normalization(value)
+    except ValueError:
+        modes = " or ".join(repr(mode.value) for mode in Normalization)
+        raise ConfigError(f"normalization must be {modes}, got {value!r}") from None
+
+
 def _timestamp(value: Any, name: str, default: datetime) -> datetime:
     """Parse one window bound; an absent, null or empty-string bound keeps
     ``default``."""
@@ -167,10 +163,15 @@ def _timestamp(value: Any, name: str, default: datetime) -> datetime:
         raise ConfigError(f"{name} is not an ISO-8601 timestamp: {value!r}") from None
 
 
-def load_config(path: str | Path, overrides: Mapping[str, Any]) -> PipelineConfig:
-    """Read a config file, apply CLI overrides on top, and validate the result.
+def load_config(path: str | Path, flags: Mapping[str, Any]) -> PipelineConfig:
+    """Read a config file with the flags that are set in place of its
+    fields, checking each field as it is read.
 
-    Relative paths inside the file resolve against the file's directory.
+    ``flags`` maps a flag's dest (``n_it``, ``since``, ``embeddings``) to its
+    value, None when unset. A set flag's value reads as the same value in the
+    file would, and the file's value it replaces is not read. Relative paths
+    resolve against the file's directory, or, in a flag, the working
+    directory.
     """
     path = Path(path)
     if not path.is_file():
@@ -182,8 +183,11 @@ def load_config(path: str | Path, overrides: Mapping[str, Any]) -> PipelineConfi
     if not isinstance(raw, dict):
         raise ConfigError(f"config file is not a JSON object: {path}")
     base = path.parent
+    given = {key: value for key, value in flags.items() if value is not None}
 
-    platform = _platform(raw.get("platform", "Facebook"))
+    def base_of(key: str) -> Path:
+        return Path() if key in given else base
+
     datasets: dict[int, Path] = {}
     for key, value in _object(raw, "datasets").items():
         try:
@@ -192,58 +196,43 @@ def load_config(path: str | Path, overrides: Mapping[str, Any]) -> PipelineConfi
             no = 0
         if not 1 <= no <= 9:
             raise ConfigError(f"datasets key must be a dataset number 1-9, got {key!r}")
-        resolved = _as_path(value, base, f"datasets.{key}")
+        resolved = _file(value, base, f"datasets.{key}", f"datasets.{no}")
         if resolved is not None:
             datasets[no] = resolved
-    window_raw = _object(raw, "window")
-    _known_keys(window_raw, "window", ("since", "until"))
-    since = _timestamp(window_raw.get("since"), "window.since", DEFAULT_SINCE)
-    until = _timestamp(window_raw.get("until"), "window.until", DEFAULT_UNTIL)
+    for no in CONTENT_DATASETS + (5,):
+        if no not in datasets:
+            raise ConfigError(f"datasets.{no} is not configured")
+    # Flag dests are unique across the top level, window and resources, and
+    # each reads only its own keys, so every set flag overlays all three.
+    window = _object(raw, "window")
+    _known_keys(window, "window", ("since", "until"))
+    window = {**window, **given}
+    since, until = (
+        _timestamp(window.get(key), f"--{key}" if key in given else f"window.{key}", default)
+        for key, default in (("since", DEFAULT_SINCE), ("until", DEFAULT_UNTIL)))
+    if since > until:
+        raise ConfigError("window since is after until")
+    resources = _object(raw, "resources")
+    _known_keys(resources, "resources", RESOURCE_KEYS)
+    resources = {**resources, **given}
+    raw = {**raw, **given}
     allow_small = raw.get("allow_small", False)
     if not isinstance(allow_small, bool):
         raise ConfigError(f"allow_small must be true or false, got {allow_small!r}")
-    resources_raw = _object(raw, "resources")
-    _known_keys(resources_raw, "resources", RESOURCE_KEYS)
-    resources = {key: _as_path(resources_raw.get(key), base, f"resources.{key}")
-                 for key in RESOURCE_KEYS}
 
-    cfg = PipelineConfig(
-        platform=platform,
+    return PipelineConfig(
+        platform=_platform(raw.get("platform", "Facebook")),
         ego_id=_string(raw, "ego_id", "ego"),
         datasets=datasets,
         window=(since, until),
-        resources=resources,
+        resources={key: _file(resources.get(key), base_of(key), f"resources.{key}",
+                              f"resource {key!r}")
+                   for key in RESOURCE_KEYS},
         bucket=_string(raw, "bucket", "all"),
         n_it=_integer(raw, "n_it", 50),
         threshold=_integer(raw, "threshold", 5000),
-        normalization=raw.get("normalization", "raw"),
+        normalization=_normalization(raw.get("normalization", "raw")),
         allow_small=allow_small,
-        out_dir=_as_path(raw.get("out_dir", "out"), base, "out_dir") or base / "out",
+        out_dir=_as_path(raw.get("out_dir", "out"), base_of("out_dir"), "out_dir") or base / "out",
         workers=_integer(raw, "workers", 1),
     )
-    cfg = apply_overrides(cfg, overrides)
-    cfg.validate()
-    return cfg
-
-
-def apply_overrides(cfg: PipelineConfig, overrides: Mapping[str, Any]) -> PipelineConfig:
-    """Apply flag values (already typed) over a loaded config."""
-    updates: dict[str, Any] = {}
-    simple = ("ego_id", "bucket", "n_it", "threshold", "normalization",
-              "allow_small", "workers")
-    for key in simple:
-        if overrides.get(key) is not None:
-            updates[key] = overrides[key]
-    if overrides.get("platform") is not None:
-        updates["platform"] = _platform(overrides["platform"])
-    if overrides.get("out_dir") is not None:
-        updates["out_dir"] = Path(overrides["out_dir"])
-    if overrides.get("since") is not None or overrides.get("until") is not None:
-        since = _timestamp(overrides.get("since"), "--since", cfg.window[0])
-        until = _timestamp(overrides.get("until"), "--until", cfg.window[1])
-        updates["window"] = (since, until)
-    resources = {key: Path(overrides[key]) for key in RESOURCE_KEYS
-                 if overrides.get(key) is not None}
-    if resources:
-        updates["resources"] = cfg.resources | resources
-    return cfg._replace(**updates) if updates else cfg

@@ -60,7 +60,7 @@ from .lexproc import (
     remove_stop_words,
     tokenize,
 )
-from .recommend import MemberRanking, Normalization, RankEntry, rank_members, score_bucket
+from .recommend import MemberRanking, RankEntry, rank_members, score_bucket
 from .resources import (
     load_boosters,
     load_english_words,
@@ -392,7 +392,7 @@ def run_rank(cfg: PipelineConfig, buckets: list[Bucket],
     # What a saved ranking records it was made from, and must match to be reused.
     provenance = {
         "version": __version__,
-        "normalization": cfg.normalization,
+        "normalization": cfg.normalization.value,
         "inputs_digest": ingest.inputs_digest,
         "embeddings_sha256": _file_sha256(embeddings),
     }
@@ -417,10 +417,9 @@ def run_rank(cfg: PipelineConfig, buckets: list[Bucket],
         from concurrent.futures import ThreadPoolExecutor
 
         models = SimilarityModels.build(ingest.df, ingest.n, vectors, docs)
-        normalization = Normalization(cfg.normalization)
 
         def rank(bucket: Bucket) -> MemberRanking:
-            scores = score_bucket(scored[bucket], models, normalization=normalization)
+            scores = score_bucket(scored[bucket], models, normalization=cfg.normalization)
             return rank_members(scores, bucket)
 
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:

@@ -13,8 +13,8 @@ import pytest
 
 from egorank import __version__, pipeline
 from egorank.classify import ALL_BUCKETS
-from egorank.cli import main
-from egorank.config import load_config
+from egorank.cli import build_parser, main
+from egorank.config import RESOURCE_KEYS, PipelineConfig, load_config
 from egorank.corpus import CONTENT_DATASETS, EGO_DATASETS, parse_timestamp
 from egorank.recommend import MemberRanking, RankEntry
 
@@ -1316,6 +1316,93 @@ def test_error_exit_gives_the_whole_message(synth_dir, tmp_path, caplog, files, 
     with caplog.at_level("ERROR"):
         assert run_cli(*(a.format(dir=tree) for a in argv)) == code
     assert [r.message for r in caplog.records] == [message.format(dir=tree)]
+
+
+def parse_flags(*argv):
+    """The flags of ``ingest`` as ``cli.main`` hands them to ``load_config``."""
+    return vars(build_parser().parse_args(["ingest", "--config", "config.json", *argv]))
+
+
+# One case per flag, and one per flag whose empty value means unset: the
+# config section the flag's field lives in (None for the top level), the
+# field, which the flag is named after, and a value. True stands for a flag
+# that takes no value. {dir} is a directory holding a file named after each
+# resource.
+FLAG_CASES = {
+    "platform": (None, "platform", "Twitter"),
+    "ego_id": (None, "ego_id", "member_3"),
+    "bucket": (None, "bucket", "Sports/Negative"),
+    "n_it": (None, "n_it", 60),
+    "threshold": (None, "threshold", 7),
+    "normalization": (None, "normalization", "mean"),
+    "allow_small": (None, "allow_small", True),
+    "out_dir": (None, "out_dir", "{dir}/elsewhere"),
+    "workers": (None, "workers", 2),
+    "since": ("window", "since", "2024-03-01T00:00:00+00:00"),
+    "until": ("window", "until", "2024-09-01T00:00:00Z"),
+    **{key: ("resources", key, f"{{dir}}/{key}.txt") for key in RESOURCE_KEYS},
+    "out_dir_empty": (None, "out_dir", ""),
+    "since_empty": ("window", "since", ""),
+    "embeddings_empty": ("resources", "embeddings", ""),
+}
+
+
+@pytest.mark.parametrize("section, key, value", FLAG_CASES.values(), ids=FLAG_CASES)
+def test_flag_reads_as_the_file_field_it_replaces(synth_dir, tmp_path, section, key, value):
+    for name in RESOURCE_KEYS:
+        (tmp_path / f"{name}.txt").write_text("")
+    if isinstance(value, str):
+        value = value.format(dir=tmp_path)
+    text = (synth_dir / "config.json").read_text()
+
+    def config_with(name, field_value):
+        config = json.loads(text)
+        (config[section] if section else config)[key] = field_value
+        path = synth_dir / name
+        path.write_text(json.dumps(config))
+        return path
+
+    flag = [f"--{key.replace('_', '-')}"] + ([] if value is True else [str(value)])
+    # The file value the flag replaces is not read, so it may be anything.
+    assert (load_config(config_with("flagged.json", []), parse_flags(*flag))
+            == load_config(config_with("filed.json", value), {}))
+
+
+def test_every_config_field_but_datasets_has_its_flag():
+    flags = set(parse_flags()) - {"command", "config", "verbose"}
+    fields = set(PipelineConfig._fields) - {"datasets", "window", "resources"}
+    assert flags == fields | {"since", "until"} | set(RESOURCE_KEYS)
+    assert flags == {key for _, key, _ in FLAG_CASES.values()}
+
+
+def test_relative_paths_resolve_against_file_or_working_directory(synth_dir, tmp_path,
+                                                                  monkeypatch):
+    tree, work = tmp_path / "tree", tmp_path / "work"
+    shutil.copytree(synth_dir, tree, ignore=shutil.ignore_patterns("out"))
+    work.mkdir()
+    for directory in (tree, work):
+        (directory / "stop.txt").write_text("")
+    config = json.loads((tree / "config.json").read_text())
+    config["resources"]["stop_list"] = "stop.txt"
+    (tree / "config.json").write_text(json.dumps(config))
+    monkeypatch.chdir(work)
+    filed = load_config(tree / "config.json", {})
+    assert (filed.resources["stop_list"], filed.out_dir) == (tree / "stop.txt", tree / "out")
+    flagged = load_config(tree / "config.json",
+                          parse_flags("--stop-list", "stop.txt", "--out-dir", "out"))
+    assert ((flagged.resources["stop_list"].resolve(), flagged.out_dir.resolve())
+            == ((work / "stop.txt").resolve(), (work / "out").resolve()))
+
+
+@pytest.mark.parametrize("flag", ["--out-dir", "--embeddings"])
+def test_empty_flag_reads_as_the_empty_file_field(synth_dir, tmp_path, monkeypatch, flag):
+    # "" in the file means the default out dir, or no embeddings: so in a flag
+    tree = tmp_path / "tree"
+    shutil.copytree(synth_dir, tree, ignore=shutil.ignore_patterns("out"))
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("ingest", "--config", str(tree / "config.json"), flag, "") == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["tree"]
+    assert (tree / "out" / "bundle.json").is_file()
 
 
 # Runs egorank's CLI and reports, when the interpreter exits, which of the

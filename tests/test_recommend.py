@@ -325,9 +325,10 @@ def test_target_score_depends_only_on_its_own_words(seed, monkeypatch):
 def test_wide_bucket_scores_in_time_and_memory():
     # 100 key x 2000 target docs of 40 tokens from a 20k-word Zipfian
     # vocabulary, dim 300: about 1.7k key words and 12k target words. With
-    # tracemalloc on, it scores in about 6 s on 2 cores and peaks at about
-    # 110 MiB; an unsliced W alone is about 160 MB, and its temporaries
-    # take the peak to about 330 MiB.
+    # tracemalloc on, it scored in 6.4-7.5 s in three runs on a 2-core host
+    # (the whole test, building the case and checking the oracle too, took
+    # 8.7-10.7 s) and peaks at about 110 MiB; an unsliced W alone is about
+    # 160 MB, and its temporaries take the peak to about 330 MiB.
     rng = random.Random(2018)
     keys, members, emb = zipf_bucket_case(rng, 100, 2000, 20_000, 300, 40)
     docs, models = build_case(keys, members, emb)
