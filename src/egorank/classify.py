@@ -4,8 +4,8 @@ Categories come from a multinomial naive Bayes classifier trained on a
 user-supplied labeled seed corpus (a small demo one ships with the
 package). Only the independent datasets 1, 4, 6 and 9 are classified;
 dependent documents inherit the category of their parent post. Sentiment
-is a lexicon-and-rule scorer over the punctuated clean text and applies
-to every content dataset.
+is a lexicon-and-rule scorer over the clean text's word tokens, stop
+words kept, and applies to every content dataset.
 
 The trained model, lexicon and rule word lists are immutable after
 construction; classification and sentiment scoring are pure per document.
@@ -65,19 +65,12 @@ class SentimentResult(NamedTuple):
     compound: float
 
 
-class CategoryClassifier:
+class CategoryClassifier(NamedTuple):
     """Multinomial naive Bayes with add-one smoothing over lemmatized tokens."""
 
-    def __init__(
-        self,
-        log_priors: Mapping[Category, float],
-        token_log_probs: Mapping[Category, Mapping[str, float]],
-        vocabulary: frozenset[str],
-    ):
-        self._token_log_probs = {c: dict(p) for c, p in token_log_probs.items()}
-        self._vocabulary = vocabulary
-        # (prior, token log-probs) of each category, in CATEGORIES order.
-        self._rows = tuple((log_priors[c], self._token_log_probs[c]) for c in CATEGORIES)
+    # (log prior, token log-probs) of each category, in CATEGORIES order.
+    rows: tuple[tuple[float, dict[str, float]], ...]
+    vocabulary: frozenset[str]
 
     def posteriors(self, tokens: Sequence[str]) -> dict[Category, float]:
         """Normalized posterior over the five categories.
@@ -86,9 +79,9 @@ class CategoryClassifier:
         skipped; an empty (or fully out-of-vocabulary) token list falls
         back to the class priors.
         """
-        known = [tok for tok in tokens if tok in self._vocabulary]
+        known = [tok for tok in tokens if tok in self.vocabulary]
         log_scores = []
-        for total, probs in self._rows:
+        for total, probs in self.rows:
             # Float sums keep their order and operator: this loop stays a
             # loop and z stays a sum(). From Python 3.12 on, sum() of floats
             # is compensated, so trading one for the other changes the bits.
@@ -121,14 +114,12 @@ def train_category_classifier(
             raise DataError(f"training data has no examples for category {cat.value!r}")
     vocabulary = frozenset(tok for counter in class_tokens.values() for tok in counter)
     v = len(vocabulary)
-    log_priors = {cat: math.log(class_docs[cat] / total_docs) for cat in CATEGORIES}
-    token_log_probs: dict[Category, dict[str, float]] = {}
+    rows = []
     for cat in CATEGORIES:
         denom = sum(class_tokens[cat].values()) + v
-        token_log_probs[cat] = {
-            tok: math.log((class_tokens[cat][tok] + 1) / denom) for tok in vocabulary
-        }
-    return CategoryClassifier(log_priors, token_log_probs, vocabulary)
+        rows.append((math.log(class_docs[cat] / total_docs),
+                     {tok: math.log((class_tokens[cat][tok] + 1) / denom) for tok in vocabulary}))
+    return CategoryClassifier(tuple(rows), vocabulary)
 
 
 def classify_category(doc: TokenizedDoc, model: CategoryClassifier) -> Category:
@@ -138,13 +129,15 @@ def classify_category(doc: TokenizedDoc, model: CategoryClassifier) -> Category:
 
 
 class SentimentAnalyzer:
-    """Lexicon-and-rule sentiment over punctuated, pre-stop-removal text.
+    """Lexicon-and-rule sentiment over the word tokens of pre-stop-removal text.
 
     Negators are ordinary stop words, so this must run before stop-word
     removal destroys them. A negator within the three preceding tokens
     multiplies a lexicon hit by -0.74; a booster immediately before it
     adds 0.293 toward the hit's sign. The summed valence S maps to
-    compound = S / sqrt(S^2 + 15).
+    compound = S / sqrt(S^2 + 15). Only the ``[a-z0-9]+`` runs are
+    scored: commas and full stops are dropped, so a negator's window runs
+    on across them.
     """
 
     def __init__(

@@ -20,14 +20,14 @@ from .errors import ConfigError, EgorankError
 from .pipeline import (
     INGEST_REPORT_NAME,
     load_bundle,
-    parse_bucket_filter,
     run_ingest,
     run_rank,
     run_targets,
 )
 from .targets import MIN_N_IT
 
-log = logging.getLogger(__name__)
+# Named, not __name__: under ``python -m egorank.cli`` that is "__main__".
+log = logging.getLogger("egorank.cli")
 
 # At exit, hide every live object from the collector, so the full
 # collections that interpreter shutdown runs do not walk objects that are
@@ -133,9 +133,8 @@ def main(argv: list[str] | None = None) -> int:
             run_ingest(cfg)
             sys.stdout.write((cfg.out_dir / INGEST_REPORT_NAME).read_text(encoding="utf-8"))
             return EXIT_OK
-        buckets = parse_bucket_filter(cfg.bucket)
         if args.command == "rank":
-            for bucket, ranking in run_rank(cfg, buckets, load_bundle(cfg, buckets)).items():
+            for bucket, ranking in run_rank(cfg, load_bundle(cfg)).items():
                 print(f"{bucket}: {len(ranking.entries)} ranked members")
             return EXIT_OK
         # targets, or run: ingest then targets. N_it's lower bound needs no
@@ -146,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
                 "(pass --allow-small to relax the lower bound)")
         if args.command == "run":
             run_ingest(cfg)
-        for bucket, sel in run_targets(cfg, buckets).items():
+        for bucket, sel in run_targets(cfg).items():
             print(f"{bucket}: N_it={sel.n_it} D_it={sel.d_it} effective={len(sel.effective)}")
         return EXIT_OK
     except ConfigError as exc:

@@ -13,6 +13,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple
 
+from .classify import ALL_BUCKETS, Bucket, Category, SentimentClass
 from .corpus import CONTENT_DATASETS, Platform, parse_timestamp
 from .errors import ConfigError
 from .recommend import Normalization
@@ -39,7 +40,7 @@ class PipelineConfig(NamedTuple):
     datasets: dict[int, Path]
     window: tuple[datetime, datetime]
     resources: dict[str, Path | None]
-    bucket: str
+    bucket: tuple[Bucket, ...]  # the buckets a run ranks and targets
     n_it: int
     threshold: int
     normalization: Normalization
@@ -150,6 +151,22 @@ def _normalization(value: Any) -> Normalization:
         raise ConfigError(f"normalization must be {modes}, got {value!r}") from None
 
 
+def _buckets(value: str) -> tuple[Bucket, ...]:
+    """Parse 'all' or 'Category/Sentiment' into concrete buckets."""
+    if value.strip().lower() == "all":
+        return ALL_BUCKETS
+    parts = value.split("/")
+    if len(parts) != 2:
+        raise ConfigError(f"bucket must be 'all' or 'Category/Sentiment', got {value!r}")
+    try:
+        return (Bucket(Category(parts[0].strip()), SentimentClass(parts[1].strip())),)
+    except ValueError:
+        raise ConfigError(
+            f"unknown bucket {value!r}; categories are "
+            f"{[c.value for c in Category]} and sentiments {[s.value for s in SentimentClass]}"
+        ) from None
+
+
 def _timestamp(value: Any, name: str, default: datetime) -> datetime:
     """Parse one window bound; an absent, null or empty-string bound keeps
     ``default``."""
@@ -228,7 +245,7 @@ def load_config(path: str | Path, flags: Mapping[str, Any]) -> PipelineConfig:
         resources={key: _file(resources.get(key), base_of(key), f"resources.{key}",
                               f"resource {key!r}")
                    for key in RESOURCE_KEYS},
-        bucket=_string(raw, "bucket", "all"),
+        bucket=_buckets(_string(raw, "bucket", "all")),
         n_it=_integer(raw, "n_it", 50),
         threshold=_integer(raw, "threshold", 5000),
         normalization=_normalization(raw.get("normalization", "raw")),

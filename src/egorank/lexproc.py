@@ -1,11 +1,11 @@
 """Secondary preprocessing: tokens, stop-word removal, lemmas, Document-Set.
 
 This stage feeds the recommender only. Sentence punctuation is dropped
-here (sentiment already ran on the punctuated text), frequent function
-words are filtered against a pinned external stop list, and surviving
-tokens are reduced to root words by a dictionary-validated rule
-lemmatizer. Lemmatization is used instead of stemming so every output is
-an actual word. The Document-Set is a plain list of ``TokenizedDoc``.
+here (sentiment scoring ignores it too), frequent function words are
+filtered against a pinned external stop list, and surviving tokens are
+reduced to root words by a dictionary-validated rule lemmatizer.
+Lemmatization is used instead of stemming so every output is an actual
+word. The Document-Set is a plain list of ``TokenizedDoc``.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ class TokenizedDoc(NamedTuple):
     """A document reduced to its scored token list.
 
     ``parent_doc_id``, ``text`` and ``flagged_non_english`` serve labelling
-    only: ``text`` keeps the primary-preprocessed form (with commas and
-    full stops) because sentiment scoring needs it. Documents read back
-    from the ingested bundle are labelled already and carry none of them.
+    only: ``text`` keeps the primary-preprocessed form because sentiment
+    scoring needs its stop words (its negators); scoring ignores its commas
+    and full stops. Documents read back from the ingested bundle are
+    labelled already and carry none of them.
     A doc whose token list is empty is inert: it is retained for
     bookkeeping but never scores, nor counts towards idf.
     """

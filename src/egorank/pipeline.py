@@ -6,15 +6,16 @@ datasets, keeps the rows inside the time window (counting the others),
 preprocesses and labels them, buckets the documents of the ego and of
 members who can be targets, counts each word's document frequency (df)
 over every non-inert document, and writes the labelled corpus and df to a
-bundle under a fingerprint of what it read. Rank reads back the requested
-buckets' documents only (refusing a bundle that does not parse, or that
-other inputs or another egorank version made) and reuses a saved ranking
-only if it parses, has its CSV twin, and was made from the same bundle,
-embeddings and normalization. It ranks the other requested buckets:
-an empty ranking for a bucket with no ego or no member documents, scores
-for the others. Targets gets its rankings from rank, then applies the
-selection algorithm; it checks N_it against the network size before it
-reads any ranking. The same config and inputs give byte-identical files.
+bundle under a fingerprint of what it read. Rank reads back only the
+documents of the buckets the config selects (refusing a bundle that does
+not parse, or that other inputs or another egorank version made) and
+reuses a saved ranking only if it parses, has its CSV twin, and was made
+from the same bundle, embeddings and normalization. It ranks the other
+selected buckets: an empty ranking for a bucket with no ego or no member
+documents, scores for the others. Targets gets its rankings from rank,
+then applies the selection algorithm; it checks N_it against the network
+size before it reads any ranking. The same config and inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from . import __version__
 from .classify import (
     ALL_BUCKETS,
     Bucket,
-    Category,
-    SentimentClass,
     SentimentAnalyzer,
     assign_buckets,
     label_documents,
@@ -83,29 +82,13 @@ INGEST_REPORT_NAME = "ingest_report.json"
 
 class IngestResult(NamedTuple):
     """The labelled corpus that rank and targets read back from the bundle,
-    with only the requested buckets filled."""
+    with only the config's buckets filled."""
 
     members: list[InteractedMember]
     df: Mapping[str, int]  # documents holding each word, over all n non-inert ones
     n: int
     buckets: dict[Bucket, list[dict[str, Any]]]  # bundle document records
     inputs_digest: str  # config.digest of the ingest inputs: each ranking's provenance
-
-
-def parse_bucket_filter(value: str) -> list[Bucket]:
-    """Parse 'all' or 'Category/Sentiment' into concrete buckets."""
-    if value.strip().lower() == "all":
-        return list(ALL_BUCKETS)
-    parts = value.split("/")
-    if len(parts) != 2:
-        raise ConfigError(f"bucket must be 'all' or 'Category/Sentiment', got {value!r}")
-    try:
-        return [Bucket(Category(parts[0].strip()), SentimentClass(parts[1].strip()))]
-    except ValueError:
-        raise ConfigError(
-            f"unknown bucket {value!r}; categories are "
-            f"{[c.value for c in Category]} and sentiments {[s.value for s in SentimentClass]}"
-        ) from None
 
 
 def _bucket_slug(bucket: Bucket) -> str:
@@ -254,9 +237,9 @@ def _fields(record: dict[str, Any], prefix: str = "") -> Iterator[tuple[str, Any
             yield prefix + key, value
 
 
-def load_bundle(cfg: PipelineConfig, buckets: list[Bucket]) -> IngestResult:
-    """Read the ingested corpus back, with the document records of
-    ``buckets`` only (every other bucket is left empty; rank builds the
+def load_bundle(cfg: PipelineConfig) -> IngestResult:
+    """Read the ingested corpus back, with the document records of the
+    config's buckets only (every other bucket is left empty; rank builds the
     documents of the buckets it scores), refusing a bundle that does not
     parse, that another egorank version wrote, or that was ingested from
     other inputs than the config names now."""
@@ -282,7 +265,7 @@ def load_bundle(cfg: PipelineConfig, buckets: list[Bucket]) -> IngestResult:
         if saved.get(name) != value:
             raise ConfigError(f"{path} was ingested with a different {name}; run ingest again")
 
-    wanted = {str(bucket): bucket for bucket in buckets}
+    wanted = {str(bucket): bucket for bucket in cfg.bucket}
     filled: dict[Bucket, list[dict[str, Any]]] = {bucket: [] for bucket in ALL_BUCKETS}
     for record in bundle["documents"]:
         bucket = wanted.get(record["bucket"])
@@ -368,14 +351,13 @@ def load_ranking_report(cfg: PipelineConfig, bucket: Bucket,
     return MemberRanking(bucket=bucket, entries=entries)
 
 
-def run_rank(cfg: PipelineConfig, buckets: list[Bucket],
-             ingest: IngestResult) -> dict[Bucket, MemberRanking]:
-    """The ranking of each of ``buckets``, in request order: the saved one
+def run_rank(cfg: PipelineConfig, ingest: IngestResult) -> dict[Bucket, MemberRanking]:
+    """The ranking of each of the config's buckets, in order: the saved one
     where it is current, otherwise one ranked now and written.
 
     A saved ranking is current when ``load_ranking_report`` finds it made
     by this egorank version from this corpus, embeddings and normalization;
-    current files are not rewritten, and when every requested ranking is
+    current files are not rewritten, and when every selected ranking is
     current no word vector is loaded. Every member-side document in a
     bucket belongs to a member who can be a target (ingest left the others
     out), so each scored owner is ranked. A bucket with no ego or no member
@@ -396,7 +378,7 @@ def run_rank(cfg: PipelineConfig, buckets: list[Bucket],
         "inputs_digest": ingest.inputs_digest,
         "embeddings_sha256": _file_sha256(embeddings),
     }
-    rankings = {bucket: load_ranking_report(cfg, bucket, provenance) for bucket in buckets}
+    rankings = {bucket: load_ranking_report(cfg, bucket, provenance) for bucket in cfg.bucket}
     stale = [bucket for bucket, ranking in rankings.items() if ranking is None]
     if not stale:
         return rankings
@@ -463,8 +445,8 @@ def write_target_reports(cfg: PipelineConfig, selection: TargetSelection,
     })
 
 
-def run_targets(cfg: PipelineConfig, buckets: list[Bucket]) -> dict[Bucket, TargetSelection]:
-    """Select top-most influenceable targets for each of ``buckets``.
+def run_targets(cfg: PipelineConfig) -> dict[Bucket, TargetSelection]:
+    """Select top-most influenceable targets for each of the config's buckets.
 
     N_it's upper bound, the size of the bundle's eligible network, is
     checked before any ranking is read; the CLI checks the lower bound
@@ -473,14 +455,14 @@ def run_targets(cfg: PipelineConfig, buckets: list[Bucket]) -> dict[Bucket, Targ
     included, gets no selection, and its bucket's old target reports are
     removed.
     """
-    ingest = load_bundle(cfg, buckets)
+    ingest = load_bundle(cfg)
     eligible = filter_eligible(ingest.members)
     if cfg.n_it > len(eligible):
         raise ConfigError(f"n_it = {cfg.n_it} exceeds the network size {len(eligible)}")
-    rankings = run_rank(cfg, buckets, ingest)
+    rankings = run_rank(cfg, ingest)
 
     selections: dict[Bucket, TargetSelection] = {}
-    for bucket in buckets:
+    for bucket in cfg.bucket:
         try:
             selection = top_most(rankings[bucket], cfg.n_it, eligible, threshold=cfg.threshold)
         except RankingTooSmallError as exc:
@@ -489,7 +471,7 @@ def run_targets(cfg: PipelineConfig, buckets: list[Bucket]) -> dict[Bucket, Targ
                 (cfg.out_dir / f"targets_{slug}{suffix}").unlink(missing_ok=True)
             # Sweeping all buckets, thin rankings are expected; a bucket the
             # user asked for by name still fails hard.
-            if len(buckets) > 1:
+            if len(cfg.bucket) > 1:
                 log.warning("%s; skipped", exc)
                 continue
             raise

@@ -86,12 +86,13 @@ class TestTraining:
 
         vocab = {w for words in class_words.values() for w in words}
         v = len(vocab)
+        log_probs = {cat: probs for cat, (_, probs) in zip(Category, model.rows)}
         for cat, words in class_words.items():
             total_tokens = 4 * len(words)
             for word in vocab:
                 count = 4 * words.count(word)
                 expected = math.log((count + 1) / (total_tokens + v))
-                assert model._token_log_probs[cat][word] == pytest.approx(expected, abs=1e-12)
+                assert log_probs[cat][word] == pytest.approx(expected, abs=1e-12)
 
     def test_permutation_invariance(self):
         labeled, _ = singleton_training()
@@ -215,6 +216,12 @@ class TestSentiment:
         # negator four tokens back is out of the window
         outside = analyzer.score("not a b c good").compound
         assert outside == analyzer.score("good").compound
+
+    def test_punctuation_does_not_end_the_negation_window(self, analyzer):
+        # scoring sees only the [a-z0-9]+ runs, so "not" still negates "good"
+        # across the full stop
+        assert analyzer.score("not bad. good") == analyzer.score("not bad good")
+        assert analyzer.score("not bad. good").compound == pytest.approx(0.1139, abs=1e-4)
 
     def test_negated_booster_combination(self, analyzer):
         s = (1.9 + 0.293) * -0.74

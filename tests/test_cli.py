@@ -370,10 +370,10 @@ class TestIngest:
 
     def test_load_bundle_fills_only_the_requested_buckets(self, ingested):
         cfg = load_config(ingested / "config.json", {})
-        full = pipeline.load_bundle(cfg, ALL_BUCKETS)
+        full = pipeline.load_bundle(cfg._replace(bucket=ALL_BUCKETS))
         filled = [b for b in ALL_BUCKETS if full.buckets[b]]
         assert len(filled) > 1
-        one = pipeline.load_bundle(cfg, filled[:1])
+        one = pipeline.load_bundle(cfg._replace(bucket=tuple(filled[:1])))
         assert one.buckets[filled[0]] == full.buckets[filled[0]]
         assert all(not docs for b, docs in one.buckets.items() if b != filled[0])
         assert (one.df, one.n) == (full.df, full.n)
@@ -641,7 +641,7 @@ class TestRank:
         cfg = load_config(config, {"out_dir": str(out)})
         provenance = {
             "normalization": cfg.normalization,
-            "inputs_digest": pipeline.load_bundle(cfg, []).inputs_digest,
+            "inputs_digest": pipeline.load_bundle(cfg._replace(bucket=())).inputs_digest,
             "embeddings_sha256": hashlib.sha256(
                 (synth_dir / "embeddings.txt").read_bytes()).hexdigest(),
         }
@@ -780,8 +780,9 @@ class TestRank:
             def __repr__(self):
                 raise RuntimeError("disk went away")
 
-        cfg = load_config(synth_dir / "config.json", {"out_dir": str(tmp_path)})
-        ranking = MemberRanking(bucket=pipeline.parse_bucket_filter("Sports/Negative")[0],
+        cfg = load_config(synth_dir / "config.json",
+                          {"out_dir": str(tmp_path), "bucket": "Sports/Negative"})
+        ranking = MemberRanking(bucket=cfg.bucket[0],
                                 entries=[RankEntry("m1", 2.0, "d6-a"), RankEntry("m2", 1.0, "d6-b")])
         pipeline.write_ranking_reports(cfg, ranking, {"inputs_digest": "0" * 64})
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -945,7 +946,8 @@ class TestTargets:
         assert run_cli("targets", "--config", config) == 0
         after = json.loads(ranking.read_text())["inputs_digest"]
         assert after != before
-        assert after == pipeline.load_bundle(load_config(config, {}), []).inputs_digest
+        cfg = load_config(config, {})._replace(bucket=())
+        assert after == pipeline.load_bundle(cfg).inputs_digest
 
     def test_targets_reranks_under_new_embeddings(self, synth_dir, tmp_path):
         corpus, fresh = tmp_path / "corpus", tmp_path / "fresh"
@@ -1086,6 +1088,41 @@ class TestRun:
         assert code == 1
         assert [r.message for r in caplog.records] == [message]
         assert not list(out.iterdir())
+
+    # load_config parses bucket, so ingest, which reads no bucket, still
+    # refuses a bad one before it writes a byte.
+    @pytest.mark.parametrize("field, argv, message", [
+        (None, ("--bucket", "Tech/Positive"),
+         "unknown bucket 'Tech/Positive'; categories are ['Technology', 'Politics', "
+         "'Sports', 'Business', 'Entertainment'] and sentiments ['Positive', 'Negative']"),
+        ("Technology", (), "bucket must be 'all' or 'Category/Sentiment', got 'Technology'"),
+    ], ids=["flag", "file"])
+    def test_bad_bucket_fails_ingest_before_it_writes(self, synth_dir, tmp_path, caplog, field,
+                                                      argv, message):
+        config = json.loads((synth_dir / "config.json").read_text())
+        if field is not None:
+            config["bucket"] = field
+        path = synth_dir / "bad_bucket.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        out.mkdir()
+        with caplog.at_level("ERROR"):
+            code = run_cli("ingest", "--config", str(path), "--out-dir", str(out), *argv)
+        assert code == 1
+        assert [r.message for r in caplog.records] == [message]
+        assert not list(out.iterdir())
+
+    def test_module_form_logs_under_the_package_name(self, synth_dir):
+        env = dict(os.environ,
+                   PYTHONPATH=str(SRC_DIR) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-m", "egorank.cli", "rank", "--config",
+                               str(synth_dir / "config.json"), "--bucket", "Tech/Positive"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "ERROR egorank.cli: unknown bucket 'Tech/Positive'; categories are ['Technology', "
+            "'Politics', 'Sports', 'Business', 'Entertainment'] and sentiments "
+            "['Positive', 'Negative']\n")
 
     def test_files_depend_only_on_what_produced_them(self, synth_dir, tmp_path):
         # ingest reads none of n_it, threshold and bucket, and rank does not
@@ -1245,6 +1282,9 @@ ERROR_EXITS = {
         {}, ["rank", "--config", "{dir}/config.json", "--bucket", "Tech/Positive"],
         1, "unknown bucket 'Tech/Positive'; categories are ['Technology', 'Politics', "
            "'Sports', 'Business', 'Entertainment'] and sentiments ['Positive', 'Negative']"),
+    "ingest_bucket_in_file": (
+        {"config.json": {"bucket": "Sports"}}, ["ingest", "--config", "{dir}/config.json"],
+        1, "bucket must be 'all' or 'Category/Sentiment', got 'Sports'"),
     "no_embeddings": (
         {"config.json": {"resources": {"embeddings": None}}},
         ["rank", "--config", "{dir}/config.json"],
