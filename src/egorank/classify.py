@@ -20,9 +20,9 @@ from enum import Enum
 from itertools import compress
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import EGO_DATASETS, PARENT_DATASET
+from .corpus import EGO_DATASETS, PARENT_DATASET, Document
 from .errors import ConfigError, DataError
-from .lexproc import TokenizedDoc, tokenize
+from .lexproc import tokenize
 
 log = logging.getLogger(__name__)
 
@@ -122,7 +122,7 @@ def train_category_classifier(
     return CategoryClassifier(tuple(rows), vocabulary)
 
 
-def classify_category(doc: TokenizedDoc, model: CategoryClassifier) -> Category:
+def classify_category(doc: Document, model: CategoryClassifier) -> Category:
     """Classify an independent-dataset document by its posterior argmax."""
     scores = model.posteriors(doc.tokens)
     return max(CATEGORIES, key=scores.__getitem__)  # the first maximum: enum order breaks ties
@@ -168,7 +168,7 @@ class SentimentAnalyzer:
 
 
 def label_documents(
-    documents: Sequence[TokenizedDoc],
+    documents: Sequence[Document],
     model: CategoryClassifier,
     analyzer: SentimentAnalyzer,
 ) -> tuple[dict[str, Bucket], list[str]]:
@@ -184,7 +184,7 @@ def label_documents(
     labels: dict[str, Bucket] = {}
     skipped: list[str] = []
 
-    def eligible(doc: TokenizedDoc) -> bool:
+    def eligible(doc: Document) -> bool:
         return not doc.inert and not doc.flagged_non_english
 
     for doc in documents:
@@ -207,7 +207,7 @@ def label_documents(
 
 
 def assign_buckets(
-    documents: Sequence[TokenizedDoc],
+    documents: Sequence[Document],
     labels: Mapping[str, Bucket],
     eligible_ids: Container[str],
 ) -> dict[str, Bucket]:

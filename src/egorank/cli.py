@@ -24,7 +24,6 @@ from .pipeline import (
     run_rank,
     run_targets,
 )
-from .targets import MIN_N_IT
 
 # Named, not __name__: under ``python -m egorank.cli`` that is "__main__".
 log = logging.getLogger("egorank.cli")
@@ -137,12 +136,7 @@ def main(argv: list[str] | None = None) -> int:
             for bucket, ranking in run_rank(cfg, load_bundle(cfg)).items():
                 print(f"{bucket}: {len(ranking.entries)} ranked members")
             return EXIT_OK
-        # targets, or run: ingest then targets. N_it's lower bound needs no
-        # bundle, so it fails before any stage runs.
-        if cfg.n_it < MIN_N_IT and not cfg.allow_small:
-            raise ConfigError(
-                f"n_it = {cfg.n_it} violates the {MIN_N_IT} <= N_it <= network-size bound "
-                "(pass --allow-small to relax the lower bound)")
+        # targets, or run: ingest then targets
         if args.command == "run":
             run_ingest(cfg)
         for bucket, sel in run_targets(cfg).items():

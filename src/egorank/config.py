@@ -22,6 +22,9 @@ from .recommend import Normalization
 DEFAULT_SINCE = datetime(1970, 1, 1, tzinfo=timezone.utc)
 DEFAULT_UNTIL = datetime(9999, 12, 31, tzinfo=timezone.utc)
 
+# N_it's lower bound, which allow_small relaxes.
+MIN_N_IT = 50
+
 RESOURCE_KEYS = (
     "stop_list",
     "lemma_dictionary",
@@ -237,7 +240,7 @@ def load_config(path: str | Path, flags: Mapping[str, Any]) -> PipelineConfig:
     if not isinstance(allow_small, bool):
         raise ConfigError(f"allow_small must be true or false, got {allow_small!r}")
 
-    return PipelineConfig(
+    cfg = PipelineConfig(
         platform=_platform(raw.get("platform", "Facebook")),
         ego_id=_string(raw, "ego_id", "ego"),
         datasets=datasets,
@@ -253,3 +256,9 @@ def load_config(path: str | Path, flags: Mapping[str, Any]) -> PipelineConfig:
         out_dir=_as_path(raw.get("out_dir", "out"), base_of("out_dir"), "out_dir") or base / "out",
         workers=_integer(raw, "workers", 1),
     )
+    # Last, so a fault in any other field is reported first.
+    if cfg.n_it < MIN_N_IT and not cfg.allow_small:
+        raise ConfigError(
+            f"n_it = {cfg.n_it} violates the {MIN_N_IT} <= N_it <= network-size bound "
+            "(pass --allow-small to relax the lower bound)")
+    return cfg

@@ -71,18 +71,34 @@ DATASET_ACTIVITY = {
 
 
 class Document(NamedTuple):
-    """One piece of activity text with provenance.
+    """One piece of activity text with provenance, from CSV row to score.
 
-    ``parent_doc_id`` is set exactly for the dependent datasets 2, 3, 7
-    and 8 and names the dataset-1 / dataset-6 post the row hangs off.
+    Each stage fills its own fields and copies the rest: the CSV loader
+    sets ``text``, ``parent_doc_id`` and ``time``; primary preprocessing
+    (``textprep``) replaces ``text`` with the clean text and sets
+    ``mentions`` and ``flagged_non_english``; the Document-Set
+    (``lexproc``) sets ``tokens``. Rank rebuilds the documents it scores
+    from the bundle with ``tokens`` alone. ``parent_doc_id`` is set
+    exactly for the dependent datasets 2, 3, 7 and 8 and names the
+    dataset-1 / dataset-6 post the row hangs off.
+
+    A tokenized document whose token list is empty is inert: it is kept
+    for bookkeeping but never labelled or scored, nor counts towards idf.
     """
 
     doc_id: str
     owner_id: str
-    text: str
     dataset_no: int
-    parent_doc_id: str | None
-    time: datetime
+    tokens: tuple[str, ...] = ()
+    text: str = ""
+    parent_doc_id: str | None = None
+    time: datetime | None = None
+    mentions: tuple[str, ...] = ()
+    flagged_non_english: bool = False
+
+    @property
+    def inert(self) -> bool:
+        return not self.tokens
 
 
 class InteractedMember(NamedTuple):

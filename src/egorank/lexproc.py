@@ -5,44 +5,22 @@ here (sentiment scoring ignores it too), frequent function words are
 filtered against a pinned external stop list, and surviving tokens are
 reduced to root words by a dictionary-validated rule lemmatizer.
 Lemmatization is used instead of stemming so every output is an actual
-word. The Document-Set is a plain list of ``TokenizedDoc``.
+word. The Document-Set is a plain list of ``corpus.Document``, each with
+its ``tokens`` set. Its ``text`` stays the primary-preprocessed form, stop
+words included, because sentiment scoring needs its negators.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
+from .corpus import Document
 from .errors import ConfigError
-from .textprep import _WORD_TOKEN, CleanDocument
+from .textprep import _WORD_TOKEN
 
 # Suffix rules tried in order once the exception table misses. Each rule
 # yields candidates that must validate against the known-lemma set.
 _SUFFIX_RULES = ("ies", "es", "s", "ing", "ed")
-
-
-class TokenizedDoc(NamedTuple):
-    """A document reduced to its scored token list.
-
-    ``parent_doc_id``, ``text`` and ``flagged_non_english`` serve labelling
-    only: ``text`` keeps the primary-preprocessed form because sentiment
-    scoring needs its stop words (its negators); scoring ignores its commas
-    and full stops. Documents read back from the ingested bundle are
-    labelled already and carry none of them.
-    A doc whose token list is empty is inert: it is retained for
-    bookkeeping but never scores, nor counts towards idf.
-    """
-
-    doc_id: str
-    owner_id: str
-    dataset_no: int
-    tokens: tuple[str, ...]
-    parent_doc_id: str | None = None
-    text: str = ""
-    flagged_non_english: bool = False
-
-    @property
-    def inert(self) -> bool:
-        return not self.tokens
 
 
 def tokenize(text: str) -> list[str]:
@@ -92,28 +70,22 @@ class Lemmatizer:
 
 
 def build_document_set(
-    clean_docs: Iterable[CleanDocument],
+    clean_docs: Iterable[Document],
     *,
     stop_words: frozenset[str],
     lemmatizer: Lemmatizer,
-) -> list[TokenizedDoc]:
-    """Tokenize, stop-filter and lemmatize every document, in input order.
+) -> list[Document]:
+    """Tokenize, stop-filter and lemmatize every primary-preprocessed
+    document, in input order: each comes back with its ``tokens`` set and
+    every other field as it was.
 
     Documents that reduce to zero tokens are kept but inert. Flagged
     non-English documents keep their flag so classification can skip them.
     """
     lemmas: dict[str, str] = {}  # lemmatize is pure: each distinct raw token runs once
-    docs: list[TokenizedDoc] = []
-    for cd in clean_docs:
+    docs: list[Document] = []
+    for doc in clean_docs:
         tokens = [lemmas[t] if t in lemmas else lemmas.setdefault(t, lemmatizer.lemmatize(t))
-                  for t in tokenize(cd.text) if t not in stop_words]
-        docs.append(TokenizedDoc(
-            doc_id=cd.doc_id,
-            owner_id=cd.owner_id,
-            dataset_no=cd.dataset_no,
-            parent_doc_id=cd.parent_doc_id,
-            text=cd.text,
-            tokens=tuple(tokens),
-            flagged_non_english=cd.flagged_non_english,
-        ))
+                  for t in tokenize(doc.text) if t not in stop_words]
+        docs.append(doc._replace(tokens=tuple(tokens)))
     return docs

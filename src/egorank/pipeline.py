@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from collections import Counter
@@ -44,6 +45,7 @@ from .config import PipelineConfig, _file_sha256, digest
 from .corpus import (
     CONTENT_DATASETS,
     EGO_DATASETS,
+    Document,
     InteractedMember,
     build_interaction_list,
     load_activity_csv,
@@ -52,13 +54,7 @@ from .corpus import (
     _member_to_dict,
 )
 from .errors import ConfigError, RankingTooSmallError
-from .lexproc import (
-    Lemmatizer,
-    TokenizedDoc,
-    build_document_set,
-    remove_stop_words,
-    tokenize,
-)
+from .lexproc import Lemmatizer, build_document_set, remove_stop_words, tokenize
 from .recommend import MemberRanking, RankEntry, rank_members, score_bucket
 from .resources import (
     load_boosters,
@@ -72,7 +68,7 @@ from .resources import (
 )
 from .simdex import SimilarityModels, load_word_vectors
 from .targets import TargetSelection, filter_eligible, top_most
-from .textprep import CleanDocument, primary_preprocess
+from .textprep import primary_preprocess
 
 log = logging.getLogger(__name__)
 
@@ -117,8 +113,8 @@ def _write_json(path: Path, payload: dict) -> None:
 # --- ingest ---------------------------------------------------------------------
 
 def _label(
-    cfg: PipelineConfig, clean_docs: list[CleanDocument],
-) -> tuple[list[TokenizedDoc], dict[str, Bucket], list[str]]:
+    cfg: PipelineConfig, clean_docs: list[Document],
+) -> tuple[list[Document], dict[str, Bucket], list[str]]:
     """Build the Document-Set, then label it; returns each labelled
     document's bucket and the orphaned dependent documents too."""
     stop_words = load_stop_words(cfg.resources.get("stop_list"))
@@ -156,7 +152,7 @@ def run_ingest(cfg: PipelineConfig) -> None:
     since, until = cfg.window
     dataset_counts: dict[str, int] = {}
     window_dropped: dict[str, int] = {}
-    clean_docs: list[CleanDocument] = []
+    clean_docs: list[Document] = []
     mentions: list[str] = []
     for no in CONTENT_DATASETS:
         owner = cfg.ego_id if no in EGO_DATASETS else None
@@ -171,6 +167,7 @@ def run_ingest(cfg: PipelineConfig) -> None:
     members_raw = load_members_csv(cfg.datasets[5])
     members = build_interaction_list(members_raw, mentions)
     documents, labels, orphans = _label(cfg, clean_docs)
+    del clean_docs  # ``documents`` replaces them; freed here, they add nothing to the peak
     eligible_ids = {m.member_id for m in filter_eligible(members)}
     buckets = assign_buckets(documents, labels, eligible_ids)
     # idf spans every non-inert document, bucketed or not; an inert one adds no word.
@@ -292,10 +289,10 @@ def _empty_side(records: list[dict[str, Any]]) -> str | None:
     return None
 
 
-def _documents(records: list[dict[str, Any]]) -> list[TokenizedDoc]:
+def _documents(records: list[dict[str, Any]]) -> list[Document]:
     # One string per distinct word, as build_document_set leaves them.
-    return [TokenizedDoc(doc_id=r["doc_id"], owner_id=r["owner_id"], dataset_no=r["dataset_no"],
-                         tokens=tuple(map(sys.intern, r["tokens"].split())))
+    return [Document(doc_id=r["doc_id"], owner_id=r["owner_id"], dataset_no=r["dataset_no"],
+                     tokens=tuple(map(sys.intern, r["tokens"].split())))
             for r in records]
 
 
@@ -324,7 +321,8 @@ def load_ranking_report(cfg: PipelineConfig, bucket: Bucket,
     does not parse as a JSON object or its CSV twin is missing, when its
     provenance differs (another egorank version, another normalization,
     other ingest inputs or other embeddings), or when an entry lacks a
-    field or holds one of the wrong type."""
+    field or holds one of the wrong type, or a score that is not a finite
+    float."""
     path = cfg.out_dir / f"ranking_{_bucket_slug(bucket)}.json"
     if not path.is_file():
         return None
@@ -340,12 +338,13 @@ def load_ranking_report(cfg: PipelineConfig, bucket: Bucket,
                  "or normalization; ranking again", path)
         return None
     try:
-        entries = [RankEntry(e["member_id"], float(e["score"]), e["best_doc_id"])
+        entries = [RankEntry(e["member_id"], e["score"], e["best_doc_id"])
                    for e in data["entries"]]
-    except (KeyError, TypeError, ValueError):  # a field missing or of the wrong type
+    except (KeyError, TypeError):  # a field missing, or entries not a list of objects
         entries = None
-    if entries is None or not all(isinstance(e.member_id, str) and isinstance(e.best_doc_id, str)
-                                  for e in entries):
+    if entries is None or not all(
+            isinstance(e.member_id, str) and type(e.score) is float and math.isfinite(e.score)
+            and isinstance(e.best_doc_id, str) for e in entries):
         log.info("%s holds a malformed entry; ranking again", path)
         return None
     return MemberRanking(bucket=bucket, entries=entries)
@@ -383,7 +382,7 @@ def run_rank(cfg: PipelineConfig, ingest: IngestResult) -> dict[Bucket, MemberRa
     if not stale:
         return rankings
 
-    scored: dict[Bucket, list[TokenizedDoc]] = {}
+    scored: dict[Bucket, list[Document]] = {}
     for bucket in stale:
         side = _empty_side(ingest.buckets[bucket])
         if side is None:
@@ -449,8 +448,8 @@ def run_targets(cfg: PipelineConfig) -> dict[Bucket, TargetSelection]:
     """Select top-most influenceable targets for each of the config's buckets.
 
     N_it's upper bound, the size of the bundle's eligible network, is
-    checked before any ranking is read; the CLI checks the lower bound
-    before any stage runs. The rankings come from ``run_rank``, which
+    checked before any ranking is read; ``load_config`` checks the lower
+    bound before any stage runs. The rankings come from ``run_rank``, which
     reuses the current ones. A ranking shorter than N_it, an empty one
     included, gets no selection, and its bucket's old target reports are
     removed.

@@ -3,13 +3,15 @@
 Each cross pair of distinct in-vocabulary words between an ego key document
 and a member's target document in one (category, sentiment) bucket
 contributes (count_key + count_target) / distance, with distance the cosine
-distance of the two word vectors floored at 1e-6. The pair sum times the
-documents' tf-idf cosine is the target's recommendation index; a target keeps
-its best key document, and a member is ranked by their best target. Only a
-bucket with both ego and member documents is scored: any other ranks no
-one, and ``pipeline.run_rank`` writes its empty ranking without scoring it.
-Who can be ranked is settled when documents are bucketed
-(``classify.assign_buckets``), so every scored target's owner is ranked.
+distance of the two word vectors, floored at DISTANCE_FLOOR so identical
+shared words score very high instead of dividing by zero. The pair sum
+times the documents' tf-idf cosine is the target's recommendation index; a
+target keeps its best key document, and a member is ranked by their best
+target. Only a bucket with both ego and member documents is scored: any
+other ranks no one, and ``pipeline.run_rank`` writes its empty ranking
+without scoring it. Who can be ranked is settled when documents are
+bucketed (``classify.assign_buckets``), so every scored target's owner is
+ranked.
 
 The pair sum is the soft cosine of Sidorov et al. (2014) in bilinear form:
 with Ê the unit word vectors (rows of the store's matrix, normalised once
@@ -29,10 +31,11 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .classify import Bucket
-from .corpus import EGO_DATASETS
-from .lexproc import TokenizedDoc
-from .simdex import DISTANCE_FLOOR, SimilarityModels
+from .corpus import EGO_DATASETS, Document
+from .simdex import SimilarityModels
 
+# Lower clamp for cosine distance between word vectors.
+DISTANCE_FLOOR = 1e-6
 SLICE_COLUMNS = 2048  # target words per slice of W
 
 
@@ -64,7 +67,7 @@ class MemberRanking(NamedTuple):
 
 
 def score_bucket(
-    docs: Sequence[TokenizedDoc],
+    docs: Sequence[Document],
     models: SimilarityModels,
     *,
     normalization: Normalization = Normalization.RAW,

@@ -4,9 +4,7 @@ One model is built once per run and shared read-only by the scoring
 stage: unit word vectors for word distances, exact per-document token
 counts, and smoothed idf weights (from the document frequencies that ingest
 counted over the whole corpus) with each document's tf-idf L2 length,
-from which scoring builds tf-idf rows out of the count rows. Word distance
-is cosine distance, floored at DISTANCE_FLOOR so identical shared words
-score very high instead of dividing by zero.
+from which scoring builds tf-idf rows out of the count rows.
 
 The word vectors come from a text-format embedding file. Every row of it is
 checked for structure (component count, repeated word) and counted against
@@ -24,14 +22,11 @@ from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping, NamedTuple
 
+from .corpus import Document
 from .errors import BadRowError, DataError
-from .lexproc import TokenizedDoc
 
 if TYPE_CHECKING:
     import numpy as np
-
-# Lower clamp for cosine distance between word vectors.
-DISTANCE_FLOOR = 1e-6
 
 
 class WordVectorStore(NamedTuple):
@@ -123,7 +118,7 @@ class SimilarityModels(NamedTuple):
 
     @classmethod
     def build(cls, df: Mapping[str, int], n: int, vectors: WordVectorStore,
-              scored: Iterable[TokenizedDoc]) -> "SimilarityModels":
+              scored: Iterable[Document]) -> "SimilarityModels":
         counts = {d.doc_id: Counter(d.tokens) for d in scored}
         idf = {w: math.log((1 + n) / (1 + df[w])) + 1.0
                for w in {w for row in counts.values() for w in row}}

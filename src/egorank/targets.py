@@ -21,8 +21,6 @@ from .recommend import MemberRanking
 
 log = logging.getLogger(__name__)
 
-MIN_N_IT = 50
-
 
 class TargetSelection(NamedTuple):
     """Output of the selection stage for one bucket."""

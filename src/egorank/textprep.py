@@ -5,7 +5,10 @@ language detection, mention extraction, noise removal, then lowercasing
 with optional spelling correction. Text that does not look English is
 kept but flagged, which excludes it from classification and scoring. The
 output alphabet is exactly lowercase letters, digits, spaces, commas and
-full stops.
+full stops. ``primary_preprocess`` returns the ``corpus.Document`` it is
+given with the clean text in ``text``, the harvested mentions in
+``mentions`` and the flag in ``flagged_non_english``; its other fields
+stay as they were.
 
 All operations are pure functions; documents can be preprocessed in any
 order or in parallel.
@@ -14,7 +17,7 @@ order or in parallel.
 from __future__ import annotations
 
 import re
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .corpus import Document
 
@@ -34,18 +37,6 @@ ENGLISH_TOKEN_RATIO = 0.34
 FOREIGN_LETTER_RATIO = 0.30
 
 _SPELL_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
-
-
-class CleanDocument(NamedTuple):
-    """A primary-preprocessed document plus harvested mentions."""
-
-    doc_id: str
-    owner_id: str
-    dataset_no: int
-    parent_doc_id: str | None
-    text: str
-    mentions: tuple[str, ...]
-    flagged_non_english: bool
 
 
 def looks_english(text: str, english_vocab: frozenset[str]) -> bool:
@@ -135,18 +126,11 @@ def primary_preprocess(
     *,
     spelling: Mapping[str, int] | None = None,
     english_vocab: frozenset[str],
-) -> CleanDocument:
-    """Run the four primary preprocessing stages over one document."""
+) -> Document:
+    """Run the four primary preprocessing stages over one document: the
+    same document with its clean text, its mentions and its language flag."""
     flagged = not looks_english(doc.text, english_vocab)
     text, mentions = extract_mentions(doc.text)
     text = strip_noise(text)
     text = normalize_case_and_spell(text, spelling)
-    return CleanDocument(
-        doc_id=doc.doc_id,
-        owner_id=doc.owner_id,
-        dataset_no=doc.dataset_no,
-        parent_doc_id=doc.parent_doc_id,
-        text=text,
-        mentions=tuple(mentions),
-        flagged_non_english=flagged,
-    )
+    return doc._replace(text=text, mentions=tuple(mentions), flagged_non_english=flagged)

@@ -34,7 +34,6 @@ from egorank.classify import (
 from egorank.corpus import ActivityType, Document, build_interaction_list
 from egorank.lexproc import (
     Lemmatizer,
-    TokenizedDoc,
     build_document_set,
     remove_stop_words,
     tokenize,
@@ -52,7 +51,7 @@ def report(criterion, message):
 
 
 def tdoc(doc_id, tokens, owner="ego", dataset_no=1):
-    return TokenizedDoc(
+    return Document(
         doc_id=doc_id, owner_id=owner, dataset_no=dataset_no, parent_doc_id=None,
         text=" ".join(tokens), tokens=tuple(tokens),
     )

@@ -16,14 +16,14 @@ from egorank.classify import (
     label_documents,
     train_category_classifier,
 )
+from egorank.corpus import Document
 from egorank.errors import ConfigError, DataError
-from egorank.lexproc import TokenizedDoc
 
 CATS = list(Category)
 
 
 def tdoc(doc_id, tokens, dataset_no=1, owner="ego", parent=None, flagged=False):
-    return TokenizedDoc(
+    return Document(
         doc_id=doc_id,
         owner_id=owner,
         dataset_no=dataset_no,

@@ -2,6 +2,7 @@ import csv
 import gc
 import hashlib
 import json
+import math
 import os
 import random
 import shutil
@@ -823,7 +824,10 @@ class TestTargets:
         config["n_it"] = 7
         strict.write_text(json.dumps(config))
         out = tmp_path / "fresh"
-        assert run_cli("ingest", "--config", str(strict), "--out-dir", str(out)) == 0
+        # The bundle's provenance ignores n_it and allow_small, and load_config
+        # refuses the strict config, so ingest with synth's own.
+        assert run_cli("ingest", "--config", str(synth_dir / "config.json"),
+                       "--out-dir", str(out)) == 0
 
         def score_bucket(*args, **kwargs):
             raise AssertionError("a bucket was scored")
@@ -985,13 +989,18 @@ class TestTargets:
         for path in sorted(fresh.iterdir()):
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
+    # A score counts only as a finite JSON float: a string or bool that
+    # float() would take, NaN or infinity makes the bucket rank again.
     @pytest.mark.parametrize("entries", [
         [{"rank": 1}],
         "oops",
         [{"rank": 1, "member_id": "m001", "score": "x", "best_doc_id": "d001"}],
         [{"rank": 1, "member_id": 1, "score": 1.0, "best_doc_id": "d001"}],
+        *([{"rank": 1, "member_id": "m001", "score": score, "best_doc_id": "d001"}]
+          for score in ("0.5", True, "nan", "inf", math.nan)),
     ], ids=["no_member_id", "entries_not_a_list", "score_not_a_number",
-            "member_id_not_a_string"])
+            "member_id_not_a_string", "score_a_string", "score_a_bool", "score_nan_string",
+            "score_inf_string", "score_nan"])
     def test_malformed_ranking_entry_is_ranked_again(self, synth_dir, tmp_path, caplog, entries):
         config = str(synth_dir / "config.json")
         out, fresh = tmp_path / "out", tmp_path / "fresh"
@@ -1061,7 +1070,7 @@ class TestRun:
             raise AssertionError("a bucket with a current ranking was built or scored again")
 
         monkeypatch.setattr(pipeline, "score_bucket", refuse)
-        monkeypatch.setattr(pipeline, "TokenizedDoc", refuse)
+        monkeypatch.setattr(pipeline, "Document", refuse)
         for command in ("run", "targets"):
             assert run_cli(command, "--config", config, "--out-dir", str(out),
                            "--bucket", "all") == 0
@@ -1111,6 +1120,29 @@ class TestRun:
         assert code == 1
         assert [r.message for r in caplog.records] == [message]
         assert not list(out.iterdir())
+
+    # load_config checks N_it's lower bound, so ingest and rank, which use
+    # no N_it, still refuse a small one before they write a byte.
+    @pytest.mark.parametrize("command", ["ingest", "rank"])
+    def test_small_n_it_fails_before_it_writes(self, synth_dir, tmp_path, caplog, command):
+        config = json.loads((synth_dir / "config.json").read_text())
+        config["allow_small"] = False
+        path = synth_dir / "small_n_it.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "rank":
+            assert run_cli("ingest", "--config", str(synth_dir / "config.json"),
+                           "--out-dir", str(out)) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        caplog.clear()
+        with caplog.at_level("ERROR"):
+            code = run_cli(command, "--config", str(path), "--out-dir", str(out))
+        assert code == 1
+        assert [r.message for r in caplog.records] == [
+            f"n_it = {config['n_it']} violates the 50 <= N_it <= network-size bound "
+            "(pass --allow-small to relax the lower bound)"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_module_form_logs_under_the_package_name(self, synth_dir):
         env = dict(os.environ,

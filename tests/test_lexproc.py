@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egorank import resources
+from egorank.corpus import Document
 from egorank.errors import ConfigError
 from egorank.lexproc import (
     Lemmatizer,
@@ -12,7 +13,6 @@ from egorank.lexproc import (
     remove_stop_words,
     tokenize,
 )
-from egorank.textprep import CleanDocument
 
 TOKEN_OK = re.compile(r"^[a-z0-9]+$")
 
@@ -20,7 +20,7 @@ token_lists = st.lists(st.text(alphabet="abcdef", min_size=1, max_size=8), max_s
 
 
 def clean_doc(doc_id, text, owner="ego", dataset_no=1, flagged=False):
-    return CleanDocument(
+    return Document(
         doc_id=doc_id,
         owner_id=owner,
         dataset_no=dataset_no,

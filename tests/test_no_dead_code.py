@@ -1,7 +1,9 @@
-"""Every name src/egorank defines is used there.
+"""Every name src/egorank defines or imports is used there.
 
 A module-level function, class or constant counts as used when some code
 in the package loads it: by name, or as an attribute (``module.NAME``).
+A name that a module-level import binds, one under ``if TYPE_CHECKING:``
+included, counts as used only when the importing module loads it by name.
 A public method, property or classmethod counts as used only when some
 code in the package loads it as an attribute (``obj.method``,
 ``cls.build``). Imports and the definition itself do not count, so a name
@@ -129,3 +131,25 @@ def test_every_defaulted_parameter_is_passed_in_src():
                   or (index is not None and index < positional))
                   for called, positional, keywords in calls)]
     assert not unused, "defaulted but never passed in src/egorank: " + ", ".join(unused)
+
+
+def _imported(tree):
+    """(name, line) of each name a module-level import binds, also inside a
+    module-level ``if`` such as ``if TYPE_CHECKING:``."""
+    for node in tree.body:
+        for item in (node.body + node.orelse if isinstance(node, ast.If) else [node]):
+            if isinstance(item, ast.ImportFrom) and item.module == "__future__":
+                continue
+            if isinstance(item, (ast.Import, ast.ImportFrom)):
+                for alias in item.names:
+                    yield alias.asname or alias.name.split(".")[0], item.lineno
+
+
+def test_every_import_is_used():
+    unused = []
+    for module, tree in _trees().items():
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{module}:{line} {name}"
+                   for name, line in _imported(tree) if name not in loaded]
+    assert not unused, "imported in src/egorank but never loaded there: " + ", ".join(unused)

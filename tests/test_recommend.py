@@ -14,7 +14,7 @@ import oracle
 from conftest import build_models, word_store
 from egorank.classify import Bucket, Category, SentimentClass
 from egorank import recommend
-from egorank.lexproc import TokenizedDoc
+from egorank.corpus import Document
 from egorank.recommend import (
     DocumentScore,
     Normalization,
@@ -26,7 +26,7 @@ BUCKET = Bucket(Category.TECHNOLOGY, SentimentClass.POSITIVE)
 
 
 def tdoc(doc_id, tokens, owner="ego", dataset_no=1):
-    return TokenizedDoc(
+    return Document(
         doc_id=doc_id, owner_id=owner, dataset_no=dataset_no, parent_doc_id=None,
         text=" ".join(tokens), tokens=tuple(tokens),
     )

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from conftest import build_models, word_store
 
+from egorank.corpus import Document
 from egorank.errors import BadRowError, DataError
-from egorank.lexproc import TokenizedDoc
-from egorank.recommend import score_bucket
-from egorank.simdex import DISTANCE_FLOOR, SimilarityModels, load_word_vectors
+from egorank.recommend import DISTANCE_FLOOR, score_bucket
+from egorank.simdex import SimilarityModels, load_word_vectors
 from egorank.synth import random_vectors, write_embeddings
 
 NO_VECTORS = word_store({})
@@ -31,14 +31,14 @@ OTHER_PYTHONS = sorted(PYENV_ROOT.glob("versions/3.1[0-3]*/bin/python"))
 LENGTHS_SCRIPT = """
 import json, random
 from collections import Counter
-from egorank.lexproc import TokenizedDoc
+from egorank.corpus import Document
 from egorank.simdex import SimilarityModels, WordVectorStore
 
 rng = random.Random(24)
 words = [f"w{i}" for i in range(600)]
 weights = [1 / (i + 1) for i in range(len(words))]
-docs = [TokenizedDoc(doc_id=f"d6-{i:03d}", owner_id="m1", dataset_no=6,
-                     tokens=tuple(rng.choices(words, weights, k=rng.randrange(5, 80))))
+docs = [Document(doc_id=f"d6-{i:03d}", owner_id="m1", dataset_no=6,
+                 tokens=tuple(rng.choices(words, weights, k=rng.randrange(5, 80))))
         for i in range(400)]
 df = Counter(w for d in docs for w in set(d.tokens))
 models = SimilarityModels.build(df, len(docs), WordVectorStore(None, {}), docs)
@@ -47,7 +47,7 @@ print(json.dumps({doc_id: x.hex() for doc_id, x in models.lengths.items()}))
 
 
 def tdoc(doc_id, tokens, owner="ego", dataset_no=1):
-    return TokenizedDoc(
+    return Document(
         doc_id=doc_id, owner_id=owner, dataset_no=dataset_no, parent_doc_id=None,
         text=" ".join(tokens), tokens=tuple(tokens),
     )
