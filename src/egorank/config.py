@@ -62,10 +62,10 @@ class PipelineConfig(NamedTuple):
             "platform": self.platform.value,
             "ego_id": self.ego_id,
             "window": [self.window[0].isoformat(), self.window[1].isoformat()],
-            "datasets": {str(no): _file_sha256(self.datasets[no])
+            "datasets": {str(no): file_sha256(self.datasets[no])
                          for no in sorted(CONTENT_DATASETS + (5,))},
             "resources": {
-                key: (_file_sha256(self.resources[key]) if self.resources.get(key) else None)
+                key: (file_sha256(self.resources[key]) if self.resources.get(key) else None)
                 for key in RESOURCE_KEYS if key != "embeddings"
             },
         }
@@ -77,7 +77,7 @@ def digest(record: Mapping[str, Any]) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _file_sha256(path: Path) -> str:
+def file_sha256(path: Path) -> str:
     # In 1 MiB blocks: a whole embeddings file read at once would add its
     # size to the process's peak memory.
     sha = hashlib.sha256()

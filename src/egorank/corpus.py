@@ -19,7 +19,7 @@ import logging
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BadRowError, DataError
 
@@ -292,25 +292,3 @@ def build_interaction_list(
                 connections_count=None,
             )
     return [merged[mid] for mid in sorted(merged)]
-
-
-# --- serialization -------------------------------------------------------------
-
-def _member_to_dict(m: InteractedMember) -> dict:
-    return {
-        "member_id": m.member_id,
-        "display_name": m.display_name,
-        "kind": m.kind.value,
-        "activity_types": sorted(a.value for a in m.activity_types),
-        "connections_count": m.connections_count,
-    }
-
-
-def _member_from_dict(data: Mapping) -> InteractedMember:
-    return InteractedMember(
-        member_id=data["member_id"],
-        display_name=data["display_name"],
-        kind=MemberKind(data["kind"]),
-        activity_types=frozenset(ActivityType(a) for a in data["activity_types"]),
-        connections_count=data["connections_count"],
-    )

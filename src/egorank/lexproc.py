@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import Document
 from .errors import ConfigError
-from .textprep import _WORD_TOKEN
+from .textprep import WORD_TOKEN
 
 # Suffix rules tried in order once the exception table misses. Each rule
 # yields candidates that must validate against the known-lemma set.
@@ -25,7 +25,7 @@ _SUFFIX_RULES = ("ies", "es", "s", "ing", "ed")
 
 def tokenize(text: str) -> list[str]:
     """Split primary-preprocessed text into maximal [a-z0-9]+ runs."""
-    return _WORD_TOKEN.findall(text)
+    return WORD_TOKEN.findall(text)
 
 
 def remove_stop_words(tokens: Sequence[str], stop_words: frozenset[str]) -> list[str]:

@@ -8,29 +8,30 @@ members who can be targets, counts each word's document frequency (df)
 over every non-inert document, and writes the labelled corpus and df to a
 bundle under a fingerprint of what it read. Rank reads back only the
 documents of the buckets the config selects (refusing a bundle that does
-not parse, or that other inputs or another egorank version made) and
-reuses a saved ranking only if it parses, has its CSV twin, and was made
-from the same bundle, embeddings and normalization. It ranks the other
-selected buckets: an empty ranking for a bucket with no ego or no member
-documents, scores for the others. Targets gets its rankings from rank,
-then applies the selection algorithm; it checks N_it against the network
-size before it reads any ranking. The same config and inputs give
+not parse, that other inputs or another egorank version made, or whose
+records are malformed) and reuses a saved ranking only if its two files
+are, byte for byte, what it would write now for the entries the JSON
+holds. It ranks the other selected buckets: an empty ranking for a bucket
+with no ego or no member documents, scores for the others. Targets gets
+its rankings from rank, then applies the selection algorithm; it checks
+N_it against the network size before it reads any ranking. Every file is
+written whole or not at all, and the same config and inputs give
 byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
 import os
 import sys
 from collections import Counter
-from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterator, Mapping, NamedTuple, TextIO
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from . import __version__
 from .classify import (
@@ -41,17 +42,17 @@ from .classify import (
     label_documents,
     train_category_classifier,
 )
-from .config import PipelineConfig, _file_sha256, digest
+from .config import PipelineConfig, digest, file_sha256
 from .corpus import (
     CONTENT_DATASETS,
     EGO_DATASETS,
+    ActivityType,
     Document,
     InteractedMember,
+    MemberKind,
     build_interaction_list,
     load_activity_csv,
     load_members_csv,
-    _member_from_dict,
-    _member_to_dict,
 )
 from .errors import ConfigError, RankingTooSmallError
 from .lexproc import Lemmatizer, build_document_set, remove_stop_words, tokenize
@@ -91,26 +92,45 @@ def _bucket_slug(bucket: Bucket) -> str:
     return f"{bucket.category.value}_{bucket.sentiment.value}"
 
 
-@contextmanager
-def _replacing(path: Path) -> Iterator[TextIO]:
-    """Write a temp file beside ``path`` and rename it over ``path`` only on
-    success, so no reader ever sees a half-written report."""
+def _replace(path: Path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path`` and rename it over
+    ``path`` only on success, so no reader ever sees a half-written file.
+    Every file in the output directory is written here."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w", newline="", encoding="utf-8") as fh:
-            yield fh
+        tmp.write_text(text, encoding="utf-8", newline="")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # a no-op once the rename has happened
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with _replacing(path) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _table(header: list[str], rows: Iterable[Iterable[Any]]) -> str:
+    """A report's CSV text; a None cell reads as empty."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
+
+
+def _json(payload: dict[str, Any]) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # --- ingest ---------------------------------------------------------------------
+
+def _member_to_dict(m: InteractedMember) -> dict[str, Any]:
+    """A member as the bundle records it; ``_member_from_dict`` reads it back."""
+    return m._asdict() | {"kind": m.kind.value,
+                          "activity_types": sorted(a.value for a in m.activity_types)}
+
+
+def _member_from_dict(data: Mapping[str, Any]) -> InteractedMember:
+    member = InteractedMember(*(data[name] for name in InteractedMember._fields))
+    return member._replace(kind=MemberKind(member.kind),
+                           activity_types=frozenset(map(ActivityType, member.activity_types)))
+
 
 def _label(
     cfg: PipelineConfig, clean_docs: list[Document],
@@ -215,10 +235,10 @@ def run_ingest(cfg: PipelineConfig) -> None:
             for d in documents
         ],
     }
-    with _replacing(cfg.out_dir / BUNDLE_NAME) as fh:
-        # Compact, so that json encodes it in C; indent=2 would not.
-        fh.write(json.dumps(bundle, sort_keys=True, separators=(",", ":")) + "\n")
-    _write_json(cfg.out_dir / INGEST_REPORT_NAME, report)
+    # Compact, so that json encodes it in C; indent=2 would not.
+    _replace(cfg.out_dir / BUNDLE_NAME,
+             json.dumps(bundle, sort_keys=True, separators=(",", ":")) + "\n")
+    _replace(cfg.out_dir / INGEST_REPORT_NAME, _json(report))
     log.info(
         "ingested %d documents (%d flagged non-English, %d bucketed), %d members",
         len(documents), flagged, len(buckets), len(members),
@@ -238,8 +258,9 @@ def load_bundle(cfg: PipelineConfig) -> IngestResult:
     """Read the ingested corpus back, with the document records of the
     config's buckets only (every other bucket is left empty; rank builds the
     documents of the buckets it scores), refusing a bundle that does not
-    parse, that another egorank version wrote, or that was ingested from
-    other inputs than the config names now."""
+    parse, that another egorank version wrote, that was ingested from other
+    inputs than the config names now, or whose inputs, member or document
+    records are of the wrong shape."""
     path = cfg.out_dir / BUNDLE_NAME
     if not path.is_file():
         raise ConfigError(f"no ingested bundle at {path}; run the ingest command first")
@@ -257,24 +278,27 @@ def load_bundle(cfg: PipelineConfig) -> IngestResult:
     if missing:
         raise ConfigError(f"{path} lacks {', '.join(missing)}; run ingest again")
     inputs = cfg.ingest_inputs()
-    saved = dict(_fields(bundle["inputs"]))
-    for name, value in _fields(inputs):
-        if saved.get(name) != value:
-            raise ConfigError(f"{path} was ingested with a different {name}; run ingest again")
-
     wanted = {str(bucket): bucket for bucket in cfg.bucket}
     filled: dict[Bucket, list[dict[str, Any]]] = {bucket: [] for bucket in ALL_BUCKETS}
-    for record in bundle["documents"]:
-        bucket = wanted.get(record["bucket"])
-        if bucket is not None:
-            filled[bucket].append(record)
-    return IngestResult(
-        members=[_member_from_dict(m) for m in bundle["members"]],
-        df=bundle["df"],
-        n=bundle["n"],
-        buckets=filled,
-        inputs_digest=digest(inputs),
-    )
+    try:
+        saved = dict(_fields(bundle["inputs"]))
+        for name, value in _fields(inputs):
+            if saved.get(name) != value:
+                raise ConfigError(f"{path} was ingested with a different {name}; "
+                                  "run ingest again")
+        for record in bundle["documents"]:
+            bucket = wanted.get(record["bucket"])
+            if bucket is not None:
+                filled[bucket].append(record)
+        return IngestResult(
+            members=[_member_from_dict(m) for m in bundle["members"]],
+            df=bundle["df"],
+            n=bundle["n"],
+            buckets=filled,
+            inputs_digest=digest(inputs),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError):  # a record of the wrong shape
+        raise ConfigError(f"{path} holds a malformed record; run ingest again") from None
 
 
 # --- rank -----------------------------------------------------------------------
@@ -296,76 +320,80 @@ def _documents(records: list[dict[str, Any]]) -> list[Document]:
             for r in records]
 
 
+def _ranking_files(cfg: PipelineConfig, ranking: MemberRanking,
+                   provenance: dict[str, str]) -> dict[Path, str]:
+    """The text of each of ``ranking``'s two report files, by path."""
+    stem = f"ranking_{_bucket_slug(ranking.bucket)}"
+    return {
+        cfg.out_dir / f"{stem}.csv": _table(
+            ["rank", "member_id", "score", "best_doc_id"],
+            [(i, e.member_id, repr(e.score), e.best_doc_id)
+             for i, e in enumerate(ranking.entries, start=1)]),
+        cfg.out_dir / f"{stem}.json": _json({
+            "bucket": str(ranking.bucket),
+            **provenance,
+            "entries": [
+                {"rank": i, "member_id": e.member_id, "score": e.score, "best_doc_id": e.best_doc_id}
+                for i, e in enumerate(ranking.entries, start=1)
+            ],
+        }),
+    }
+
+
 def write_ranking_reports(cfg: PipelineConfig, ranking: MemberRanking,
                           provenance: dict[str, str]) -> None:
-    slug = _bucket_slug(ranking.bucket)
-    out = cfg.out_dir
-    with _replacing(out / f"ranking_{slug}.csv") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "member_id", "score", "best_doc_id"])
-        for position, entry in enumerate(ranking.entries, start=1):
-            writer.writerow([position, entry.member_id, repr(entry.score), entry.best_doc_id])
-    _write_json(out / f"ranking_{slug}.json", {
-        "bucket": str(ranking.bucket),
-        **provenance,
-        "entries": [
-            {"rank": i + 1, "member_id": e.member_id, "score": e.score, "best_doc_id": e.best_doc_id}
-            for i, e in enumerate(ranking.entries)
-        ],
-    })
+    for path, text in _ranking_files(cfg, ranking, provenance).items():
+        _replace(path, text)
 
 
 def load_ranking_report(cfg: PipelineConfig, bucket: Bucket,
                         provenance: dict[str, str]) -> MemberRanking | None:
-    """The saved ranking of ``bucket``; None when there is none, when it
-    does not parse as a JSON object or its CSV twin is missing, when its
-    provenance differs (another egorank version, another normalization,
-    other ingest inputs or other embeddings), or when an entry lacks a
-    field or holds one of the wrong type, or a score that is not a finite
-    float."""
+    """The saved ranking of ``bucket``; None when there is none, when an
+    entry lacks a field or holds one of the wrong type or a score that is
+    not a finite float, or when the JSON and its CSV twin are not, byte for
+    byte, what ``write_ranking_reports`` would write now for the entries
+    the JSON holds. So a missing or edited twin, another provenance or
+    ``rank`` numbering, or a JSON that is not an object is ranked again."""
     path = cfg.out_dir / f"ranking_{_bucket_slug(bucket)}.json"
     if not path.is_file():
         return None
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_bytes())
     except ValueError:  # a JSON or UTF-8 decoding error
         data = None
-    if not isinstance(data, dict) or not path.with_suffix(".csv").is_file():
-        log.info("%s does not parse, or has no CSV twin; ranking again", path)
-        return None
-    if any(data.get(key) != value for key, value in provenance.items()):
-        log.info("%s was ranked by another version, or from other inputs, embeddings "
-                 "or normalization; ranking again", path)
-        return None
-    try:
-        entries = [RankEntry(e["member_id"], e["score"], e["best_doc_id"])
-                   for e in data["entries"]]
-    except (KeyError, TypeError):  # a field missing, or entries not a list of objects
-        entries = None
-    if entries is None or not all(
-            isinstance(e.member_id, str) and type(e.score) is float and math.isfinite(e.score)
-            and isinstance(e.best_doc_id, str) for e in entries):
-        log.info("%s holds a malformed entry; ranking again", path)
-        return None
-    return MemberRanking(bucket=bucket, entries=entries)
+    if isinstance(data, dict):
+        try:
+            entries = [RankEntry(e["member_id"], e["score"], e["best_doc_id"])
+                       for e in data["entries"]]
+        except (KeyError, TypeError):  # a field missing, or entries not a list of objects
+            entries = None
+        if entries is None or not all(
+                isinstance(e.member_id, str) and type(e.score) is float and math.isfinite(e.score)
+                and isinstance(e.best_doc_id, str) for e in entries):
+            log.info("%s holds a malformed entry; ranking again", path)
+            return None
+        ranking = MemberRanking(bucket=bucket, entries=entries)
+        if all(saved.is_file() and saved.read_bytes() == text.encode("utf-8")
+               for saved, text in _ranking_files(cfg, ranking, provenance).items()):
+            return ranking
+    log.info("%s or its CSV twin is not what rank would write now; ranking again", path)
+    return None
 
 
 def run_rank(cfg: PipelineConfig, ingest: IngestResult) -> dict[Bucket, MemberRanking]:
     """The ranking of each of the config's buckets, in order: the saved one
     where it is current, otherwise one ranked now and written.
 
-    A saved ranking is current when ``load_ranking_report`` finds it made
-    by this egorank version from this corpus, embeddings and normalization;
+    A saved ranking is reused when ``load_ranking_report`` finds it current;
     current files are not rewritten, and when every selected ranking is
-    current no word vector is loaded. Every member-side document in a
-    bucket belongs to a member who can be a target (ingest left the others
-    out), so each scored owner is ranked. A bucket with no ego or no member
-    documents gets an empty ranking and a warning, and nothing is built or
-    loaded for it. Documents, word vectors, counts, idf and tf-idf lengths
-    are built for the other buckets only, idf from the df and n that ingest
-    counted. When a bucket is ranked now but none is scored, the embeddings
-    file is still checked for structure, but no row is parsed and no model
-    is built.
+    current no word vector is loaded. Every member-side document in a bucket
+    belongs to a member who can be a target (ingest left the others out), so
+    each scored owner is ranked. A bucket with no ego or no member documents
+    gets an empty ranking and a warning, and nothing is built or loaded for
+    it. Documents, word vectors, counts, idf and tf-idf lengths are built
+    for the other buckets only, idf from the df and n that ingest counted.
+    When a bucket is ranked now but none is scored, the embeddings file is
+    still checked for structure, but no row is parsed and no model is built.
     """
     embeddings = cfg.resources.get("embeddings")
     if embeddings is None:
@@ -375,7 +403,7 @@ def run_rank(cfg: PipelineConfig, ingest: IngestResult) -> dict[Bucket, MemberRa
         "version": __version__,
         "normalization": cfg.normalization.value,
         "inputs_digest": ingest.inputs_digest,
-        "embeddings_sha256": _file_sha256(embeddings),
+        "embeddings_sha256": file_sha256(embeddings),
     }
     rankings = {bucket: load_ranking_report(cfg, bucket, provenance) for bucket in cfg.bucket}
     stale = [bucket for bucket, ranking in rankings.items() if ranking is None]
@@ -414,24 +442,16 @@ def run_rank(cfg: PipelineConfig, ingest: IngestResult) -> dict[Bucket, MemberRa
 
 def write_target_reports(cfg: PipelineConfig, selection: TargetSelection,
                          members: list[InteractedMember]) -> None:
-    slug = _bucket_slug(selection.bucket)
-    out = cfg.out_dir
-    by_id = {m.member_id: m for m in members}
-
-    with _replacing(out / f"targets_{slug}.csv") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["section", "position", "member_id", "connections_count"])
-        for section, ids in (
-            ("selected", selection.selected),
-            ("default", selection.defaults_removed),
-            ("effective", selection.effective),
-        ):
-            for position, member_id in enumerate(ids, start=1):
-                member = by_id.get(member_id)
-                conn = member.connections_count if member else None
-                writer.writerow([section, position, member_id, "" if conn is None else conn])
-
-    _write_json(out / f"targets_{slug}.json", {
+    stem = f"targets_{_bucket_slug(selection.bucket)}"
+    connections = {m.member_id: m.connections_count for m in members}
+    sections = {"selected": selection.selected, "default": selection.defaults_removed,
+                "effective": selection.effective}
+    _replace(cfg.out_dir / f"{stem}.csv", _table(
+        ["section", "position", "member_id", "connections_count"],
+        [(section, position, member_id, connections.get(member_id))
+         for section, ids in sections.items()
+         for position, member_id in enumerate(ids, start=1)]))
+    _replace(cfg.out_dir / f"{stem}.json", _json({
         "version": __version__,
         "bucket": str(selection.bucket),
         "n_it": selection.n_it,
@@ -441,7 +461,7 @@ def write_target_reports(cfg: PipelineConfig, selection: TargetSelection,
         "selected": list(selection.selected),
         "defaults_removed": list(selection.defaults_removed),
         "effective": list(selection.effective),
-    })
+    }))
 
 
 def run_targets(cfg: PipelineConfig) -> dict[Bucket, TargetSelection]:

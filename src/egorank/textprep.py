@@ -27,7 +27,7 @@ _MENTION = re.compile(r"@(?<!\S@)\S+")
 _NAME_EDGE = re.compile(r"^[^A-Za-z0-9_]+|[^A-Za-z0-9_]+$")
 _NOISE = re.compile(r"[^A-Za-z0-9,.]+")
 _GAP = re.compile(r"[ \t]{2,}")
-_WORD_TOKEN = re.compile(r"[a-z0-9]+")  # spelling correction's words and lexproc's tokens
+WORD_TOKEN = re.compile(r"[a-z0-9]+")  # spelling correction's words and lexproc's tokens
 _ASCII_WORD = re.compile(r"[A-Za-z]+")
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
@@ -118,7 +118,7 @@ def normalize_case_and_spell(text: str, dictionary: Mapping[str, int] | None = N
         token = match.group(0)
         return _correct(token, dictionary) if token.isalpha() else token
 
-    return _WORD_TOKEN.sub(fix, lowered)
+    return WORD_TOKEN.sub(fix, lowered)
 
 
 def primary_preprocess(

@@ -764,6 +764,24 @@ class TestRank:
         assert any(f"bundle.json was ingested with a different {field};" in r.message
                    for r in caplog.records)
 
+    @pytest.mark.parametrize("edit", [
+        lambda bundle: bundle.update(inputs=[]),
+        lambda bundle: bundle["documents"][0].pop("bucket"),
+        lambda bundle: bundle["members"].__setitem__(0, {}),
+        lambda bundle: bundle["members"][0].update(kind="Robot"),
+    ], ids=["inputs_a_list", "document_without_bucket", "empty_member", "unknown_member_kind"])
+    def test_malformed_bundle_exits_config_error(self, ingested, tmp_path, caplog, edit):
+        bundle = json.loads((ingested / "out" / "bundle.json").read_text())
+        edit(bundle)
+        (tmp_path / "bundle.json").write_text(json.dumps(bundle))
+        caplog.clear()
+        with caplog.at_level("ERROR"):
+            code = run_cli("rank", "--config", str(ingested / "config.json"),
+                           "--out-dir", str(tmp_path))
+        assert code == 1
+        assert [r.message for r in caplog.records] == [
+            f"{tmp_path / 'bundle.json'} holds a malformed record; run ingest again"]
+
     def test_rank_reads_labels_from_the_bundle(self, synth_dir, tmp_path, monkeypatch):
         config = str(synth_dir / "config.json")
         assert run_cli("ingest", "--config", config, "--out-dir", str(tmp_path)) == 0
@@ -1014,6 +1032,36 @@ class TestTargets:
         with caplog.at_level("INFO"):
             assert run_cli("targets", "--config", config, "--out-dir", str(out)) == 0
         assert f"{malformed} holds a malformed entry; ranking again" in caplog.messages
+        for path in sorted(fresh.iterdir()):
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    # A saved ranking is reused only when its JSON and CSV files are, byte
+    # for byte, what rank would write now for the entries the JSON holds.
+    @pytest.mark.parametrize("edit", [
+        lambda entries, rows: entries.reverse(),  # each entry keeps its rank field
+        lambda entries, rows: rows[1].__setitem__(2, repr(float(rows[1][2]) + 1.0)),
+        lambda entries, rows: [entry.update(rank=entry["rank"] - 1) for entry in entries],
+    ], ids=["entries_reversed", "csv_score_changed", "rank_from_zero"])
+    def test_edited_ranking_is_ranked_again(self, synth_dir, tmp_path, caplog, edit):
+        config = str(synth_dir / "config.json")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert run_cli("run", "--config", config, "--out-dir", str(fresh)) == 0
+        shutil.copytree(fresh, out)
+        edited, twin = out / "ranking_Technology_Positive.json", out / "ranking_Technology_Positive.csv"
+        data = json.loads(edited.read_text())
+        rows = list(csv.reader(twin.read_text().splitlines()))
+        assert len(data["entries"]) > 1
+        edit(data["entries"], rows)
+        edited.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        with twin.open("w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        caplog.clear()
+        with caplog.at_level("INFO"):
+            assert run_cli("targets", "--config", config, "--out-dir", str(out),
+                           "--bucket", "Technology/Positive") == 0
+        assert (f"{edited} or its CSV twin is not what rank would write now; ranking again"
+                in caplog.messages)
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in fresh.iterdir())
         for path in sorted(fresh.iterdir()):
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 

@@ -9,7 +9,8 @@ code in the package loads it as an attribute (``obj.method``,
 ``cls.build``). Imports and the definition itself do not count, so a name
 that only tests call is flagged. Likewise a defaulted parameter counts as
 used only when some call in the package passes it, by keyword or by
-position, so an option that only tests set is flagged.
+position, so an option that only tests set is flagged. A ``_name`` is
+private to its module: no other module in the package imports it.
 """
 
 import ast
@@ -153,3 +154,13 @@ def test_every_import_is_used():
         unused += [f"{module}:{line} {name}"
                    for name, line in _imported(tree) if name not in loaded]
     assert not unused, "imported in src/egorank but never loaded there: " + ", ".join(unused)
+
+
+def test_no_private_name_is_imported_across_modules():
+    imported = [f"{module}:{node.lineno} {alias.name}"
+                for module, tree in _trees().items()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names
+                if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert not imported, "private names imported from another module: " + ", ".join(imported)
