@@ -77,8 +77,8 @@ class Document(NamedTuple):
     sets ``text``, ``parent_doc_id`` and ``time``; primary preprocessing
     (``textprep``) replaces ``text`` with the clean text and sets
     ``mentions`` and ``flagged_non_english``; the Document-Set
-    (``lexproc``) sets ``tokens``. Rank rebuilds the documents it scores
-    from the bundle with ``tokens`` alone. ``parent_doc_id`` is set
+    (``lexproc``) sets ``tokens``. Rank rebuilds the documents it ranks
+    from checked bundle records, with ``tokens`` alone. ``parent_doc_id`` is set
     exactly for the dependent datasets 2, 3, 7 and 8 and names the
     dataset-1 / dataset-6 post the row hangs off.
 

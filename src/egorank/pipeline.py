@@ -7,16 +7,16 @@ preprocesses and labels them, buckets the documents of the ego and of
 members who can be targets, counts each word's document frequency (df)
 over every non-inert document, and writes the labelled corpus and df to a
 bundle under a fingerprint of what it read. Rank reads back only the
-documents of the buckets the config selects (refusing a bundle that does
+records of the buckets the config selects (refusing a bundle that does
 not parse, that other inputs or another egorank version made, or whose
 records are malformed) and reuses a saved ranking only if its two files
 are, byte for byte, what it would write now for the entries the JSON
-holds. It ranks the other selected buckets: an empty ranking for a bucket
-with no ego or no member documents, scores for the others. Targets gets
-its rankings from rank, then applies the selection algorithm; it checks
-N_it against the network size before it reads any ranking. Every file is
-written whole or not at all, and the same config and inputs give
-byte-identical files.
+holds. It ranks the other selected buckets from documents it checks as
+it reads them: an empty ranking for a bucket with no ego or no member
+documents, scores for the others. Targets gets its rankings from rank,
+then applies the selection algorithm; it checks N_it against the network
+size before it reads any ranking. Every file is written whole or not at
+all, and the same config and inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class IngestResult(NamedTuple):
     members: list[InteractedMember]
     df: Mapping[str, int]  # documents holding each word, over all n non-inert ones
     n: int
-    buckets: dict[Bucket, list[dict[str, Any]]]  # bundle document records
+    buckets: dict[Bucket, list[dict[str, Any]]]  # records; run_rank reads those it ranks
     inputs_digest: str  # config.digest of the ingest inputs: each ranking's provenance
 
 
@@ -130,6 +130,24 @@ def _member_from_dict(data: Mapping[str, Any]) -> InteractedMember:
     member = InteractedMember(*(data[name] for name in InteractedMember._fields))
     return member._replace(kind=MemberKind(member.kind),
                            activity_types=frozenset(map(ActivityType, member.activity_types)))
+
+
+def _document_to_dict(d: Document, bucket: Bucket | None) -> dict[str, Any]:
+    """A document as the bundle records it; ``_document_from_dict`` reads it
+    back. Tokens are [a-z0-9]+ runs, so joining them with spaces is lossless."""
+    return {"doc_id": d.doc_id, "owner_id": d.owner_id, "dataset_no": d.dataset_no,
+            "tokens": " ".join(d.tokens), "bucket": None if bucket is None else str(bucket)}
+
+
+def _document_from_dict(data: Mapping[str, Any]) -> Document:
+    """The document a bundle record holds; ValueError for a field of the wrong type."""
+    doc_id, owner_id = data["doc_id"], data["owner_id"]
+    dataset_no, tokens = data["dataset_no"], data["tokens"]
+    if not (isinstance(doc_id, str) and isinstance(owner_id, str) and isinstance(tokens, str)
+            and type(dataset_no) is int and dataset_no in CONTENT_DATASETS):
+        raise ValueError("a document record of the wrong shape")
+    # One string per distinct word, as build_document_set leaves them.
+    return Document(doc_id, owner_id, dataset_no, tuple(map(sys.intern, tokens.split())))
 
 
 def _label(
@@ -227,13 +245,7 @@ def run_ingest(cfg: PipelineConfig) -> None:
         "df": df,
         "n": n,
         # Every document, kept for inspection; rank reads only bucketed ones.
-        # Tokens are [a-z0-9]+ runs, so joining them with spaces is lossless.
-        "documents": [
-            {"doc_id": d.doc_id, "owner_id": d.owner_id, "dataset_no": d.dataset_no,
-             "tokens": " ".join(d.tokens),
-             "bucket": str(buckets[d.doc_id]) if d.doc_id in buckets else None}
-            for d in documents
-        ],
+        "documents": [_document_to_dict(d, buckets.get(d.doc_id)) for d in documents],
     }
     # Compact, so that json encodes it in C; indent=2 would not.
     _replace(cfg.out_dir / BUNDLE_NAME,
@@ -256,11 +268,11 @@ def _fields(record: dict[str, Any], prefix: str = "") -> Iterator[tuple[str, Any
 
 def load_bundle(cfg: PipelineConfig) -> IngestResult:
     """Read the ingested corpus back, with the document records of the
-    config's buckets only (every other bucket is left empty; rank builds the
-    documents of the buckets it scores), refusing a bundle that does not
+    config's buckets only (every other bucket is left empty; rank reads the
+    records of the buckets it ranks now), refusing a bundle that does not
     parse, that another egorank version wrote, that was ingested from other
-    inputs than the config names now, or whose inputs, member or document
-    records are of the wrong shape."""
+    inputs than the config names now, whose inputs, member records, df or n
+    are of the wrong shape, or whose document names no bucket."""
     path = cfg.out_dir / BUNDLE_NAME
     if not path.is_file():
         raise ConfigError(f"no ingested bundle at {path}; run the ingest command first")
@@ -278,7 +290,8 @@ def load_bundle(cfg: PipelineConfig) -> IngestResult:
     if missing:
         raise ConfigError(f"{path} lacks {', '.join(missing)}; run ingest again")
     inputs = cfg.ingest_inputs()
-    wanted = {str(bucket): bucket for bucket in cfg.bucket}
+    # Every bucket name, and null, maps to its bucket if the config selects it, else to None.
+    wanted = dict.fromkeys([None, *map(str, ALL_BUCKETS)]) | {str(b): b for b in cfg.bucket}
     filled: dict[Bucket, list[dict[str, Any]]] = {bucket: [] for bucket in ALL_BUCKETS}
     try:
         saved = dict(_fields(bundle["inputs"]))
@@ -286,14 +299,17 @@ def load_bundle(cfg: PipelineConfig) -> IngestResult:
             if saved.get(name) != value:
                 raise ConfigError(f"{path} was ingested with a different {name}; "
                                   "run ingest again")
+        df, n = bundle["df"], bundle["n"]
+        if not (isinstance(df, dict) and type(n) is int and n >= 0):
+            raise ValueError("df or n of the wrong shape")
         for record in bundle["documents"]:
-            bucket = wanted.get(record["bucket"])
+            bucket = wanted[record["bucket"]]  # a KeyError for a name no bucket has
             if bucket is not None:
                 filled[bucket].append(record)
         return IngestResult(
             members=[_member_from_dict(m) for m in bundle["members"]],
-            df=bundle["df"],
-            n=bundle["n"],
+            df=df,
+            n=n,
             buckets=filled,
             inputs_digest=digest(inputs),
         )
@@ -303,21 +319,14 @@ def load_bundle(cfg: PipelineConfig) -> IngestResult:
 
 # --- rank -----------------------------------------------------------------------
 
-def _empty_side(records: list[dict[str, Any]]) -> str | None:
+def _empty_side(docs: list[Document]) -> str | None:
     """The side of a bucket that has no documents, the ego's first; None
     when both have some and the bucket can be scored."""
-    if not any(r["dataset_no"] in EGO_DATASETS for r in records):
+    if not any(d.dataset_no in EGO_DATASETS for d in docs):
         return "ego"
-    if all(r["dataset_no"] in EGO_DATASETS for r in records):
+    if all(d.dataset_no in EGO_DATASETS for d in docs):
         return "member"
     return None
-
-
-def _documents(records: list[dict[str, Any]]) -> list[Document]:
-    # One string per distinct word, as build_document_set leaves them.
-    return [Document(doc_id=r["doc_id"], owner_id=r["owner_id"], dataset_no=r["dataset_no"],
-                     tokens=tuple(map(sys.intern, r["tokens"].split())))
-            for r in records]
 
 
 def _ranking_files(cfg: PipelineConfig, ranking: MemberRanking,
@@ -386,12 +395,12 @@ def run_rank(cfg: PipelineConfig, ingest: IngestResult) -> dict[Bucket, MemberRa
 
     A saved ranking is reused when ``load_ranking_report`` finds it current;
     current files are not rewritten, and when every selected ranking is
-    current no word vector is loaded. Every member-side document in a bucket
-    belongs to a member who can be a target (ingest left the others out), so
-    each scored owner is ranked. A bucket with no ego or no member documents
-    gets an empty ranking and a warning, and nothing is built or loaded for
-    it. Documents, word vectors, counts, idf and tf-idf lengths are built
-    for the other buckets only, idf from the df and n that ingest counted.
+    current no document is built and no word vector is loaded. Each bucket
+    ranked now reads its documents from checked records (a malformed one
+    exits 1); its member-side ones all belong to possible targets, as ingest
+    left the others out. A bucket with no ego or no member documents gets an
+    empty ranking and a warning. Word vectors, counts, idf and tf-idf lengths
+    are built for the others only, idf from the df and n that ingest counted.
     When a bucket is ranked now but none is scored, the embeddings file is
     still checked for structure, but no row is parsed and no model is built.
     """
@@ -411,16 +420,25 @@ def run_rank(cfg: PipelineConfig, ingest: IngestResult) -> dict[Bucket, MemberRa
         return rankings
 
     scored: dict[Bucket, list[Document]] = {}
-    for bucket in stale:
-        side = _empty_side(ingest.buckets[bucket])
-        if side is None:
-            scored[bucket] = _documents(ingest.buckets[bucket])
-        else:
-            log.warning("bucket %s: no %s documents; writing empty ranking", bucket, side)
-            rankings[bucket] = MemberRanking(bucket=bucket, entries=[])
-
-    docs = [doc for bucket_docs in scored.values() for doc in bucket_docs]
-    vectors = load_word_vectors(embeddings, {w for doc in docs for w in doc.tokens})
+    try:
+        for bucket in stale:
+            docs = [_document_from_dict(record) for record in ingest.buckets[bucket]]
+            side = _empty_side(docs)
+            if side is None:
+                scored[bucket] = docs
+            else:
+                log.warning("bucket %s: no %s documents; writing empty ranking", bucket, side)
+                rankings[bucket] = MemberRanking(bucket=bucket, entries=[])
+        docs = [doc for bucket_docs in scored.values() for doc in bucket_docs]
+        words = {w for doc in docs for w in doc.tokens}
+        counts = [ingest.df[w] for w in words]
+        if not ({*map(type, counts)} <= {int}
+                and min(counts, default=1) >= 1 and max(counts, default=0) <= ingest.n):
+            raise ValueError("a scored word's df is no count from 1 to n")
+    except (KeyError, TypeError, ValueError):  # a record of the wrong shape
+        raise ConfigError(f"{cfg.out_dir / BUNDLE_NAME} holds a malformed record; "
+                          "run ingest again") from None
+    vectors = load_word_vectors(embeddings, words)
     if scored:
         # here, not at the top: only scoring needs the thread pool
         from concurrent.futures import ThreadPoolExecutor

@@ -66,6 +66,16 @@ def bucket_without_ego(out):
     return next(str(b) for b in ALL_BUCKETS if str(b) not in ego)
 
 
+def ego_document(bundle):
+    """The first dataset-1 record of Technology/Positive, a bucket with both sides."""
+    return next(d for d in bundle["documents"]
+                if d["bucket"] == "Technology/Positive" and d["dataset_no"] == 1)
+
+
+def ego_word(bundle):
+    return ego_document(bundle)["tokens"].split()[0]
+
+
 class TestSynth:
     def test_writes_all_inputs(self, synth_dir):
         names = {p.name for p in synth_dir.iterdir()}
@@ -769,7 +779,24 @@ class TestRank:
         lambda bundle: bundle["documents"][0].pop("bucket"),
         lambda bundle: bundle["members"].__setitem__(0, {}),
         lambda bundle: bundle["members"][0].update(kind="Robot"),
-    ], ids=["inputs_a_list", "document_without_bucket", "empty_member", "unknown_member_kind"])
+        lambda bundle: bundle.update(df=[]),
+        lambda bundle: bundle["df"].pop(ego_word(bundle)),
+        lambda bundle: bundle["df"].update({ego_word(bundle): 0}),
+        lambda bundle: bundle["df"].update({ego_word(bundle): bundle["n"] + 1}),
+        lambda bundle: bundle.update(n="x"),
+        lambda bundle: bundle.update(n=-1),
+        lambda bundle: ego_document(bundle).update(tokens=5),
+        lambda bundle: ego_document(bundle).update(doc_id=7),
+        lambda bundle: ego_document(bundle).update(owner_id=None),
+        lambda bundle: ego_document(bundle).update(dataset_no="1"),
+        lambda bundle: ego_document(bundle).update(dataset_no=5),
+        lambda bundle: ego_document(bundle).update(dataset_no=True),
+        lambda bundle: ego_document(bundle).update(bucket="Technology/Neutral"),
+    ], ids=["inputs_a_list", "document_without_bucket", "empty_member", "unknown_member_kind",
+            "df_a_list", "df_missing_a_word", "df_zero", "df_above_n",
+            "n_a_string", "n_negative",
+            "tokens_not_a_string", "doc_id_not_a_string", "owner_id_null",
+            "ego_dataset_no_a_string", "dataset_no_5", "dataset_no_true", "unknown_bucket"])
     def test_malformed_bundle_exits_config_error(self, ingested, tmp_path, caplog, edit):
         bundle = json.loads((ingested / "out" / "bundle.json").read_text())
         edit(bundle)
