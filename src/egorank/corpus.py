@@ -74,13 +74,13 @@ class Document(NamedTuple):
     """One piece of activity text with provenance, from CSV row to score.
 
     Each stage fills its own fields and copies the rest: the CSV loader
-    sets ``text``, ``parent_doc_id`` and ``time``; primary preprocessing
-    (``textprep``) replaces ``text`` with the clean text and sets
-    ``mentions`` and ``flagged_non_english``; the Document-Set
-    (``lexproc``) sets ``tokens``. Rank rebuilds the documents it ranks
-    from checked bundle records, with ``tokens`` alone. ``parent_doc_id`` is set
-    exactly for the dependent datasets 2, 3, 7 and 8 and names the
-    dataset-1 / dataset-6 post the row hangs off.
+    sets ``text``, ``parent_doc_id`` and ``time`` (cleared at the window,
+    its last reader); primary preprocessing (``textprep``) replaces ``text``
+    with the clean text and sets ``mentions`` and ``flagged_non_english``;
+    the Document-Set (``lexproc``) sets ``tokens``. Rank rebuilds the
+    documents it ranks from checked bundle records, with ``tokens`` alone.
+    ``parent_doc_id`` is set exactly for the dependent datasets 2, 3, 7 and
+    8 and names the dataset-1 / dataset-6 post the row hangs off.
 
     A tokenized document whose token list is empty is inert: it is kept
     for bookkeeping but never labelled or scored, nor counts towards idf.

@@ -84,7 +84,7 @@ class IngestResult(NamedTuple):
     members: list[InteractedMember]
     df: Mapping[str, int]  # documents holding each word, over all n non-inert ones
     n: int
-    buckets: dict[Bucket, list[dict[str, Any]]]  # records; run_rank reads those it ranks
+    buckets: dict[Bucket, list[dict[str, Any]]]  # records; run_rank takes out those it ranks
     inputs_digest: str  # config.digest of the ingest inputs: each ranking's provenance
 
 
@@ -179,11 +179,9 @@ def run_ingest(cfg: PipelineConfig) -> None:
     bucket those of the ego and of eligible members, count document
     frequencies over every non-inert document, and write the bundle."""
     inputs = cfg.ingest_inputs()
-    spelling = (
-        load_spelling_dictionary(cfg.resources["spelling_dictionary"])
-        if cfg.resources.get("spelling_dictionary")
-        else None
-    )
+    spelling_path = cfg.resources.get("spelling_dictionary")
+    spelling = load_spelling_dictionary(spelling_path) if spelling_path else None
+    corrections: dict[str, str] = {}  # the spelling search runs once per distinct token
     english_vocab = load_english_words()
 
     # One dataset's raw rows at a time, to keep ingest's memory peak down.
@@ -195,17 +193,18 @@ def run_ingest(cfg: PipelineConfig) -> None:
     for no in CONTENT_DATASETS:
         owner = cfg.ego_id if no in EGO_DATASETS else None
         loaded = load_activity_csv(cfg.datasets[no], no, owner)
-        docs = [doc for doc in loaded if since <= doc.time <= until]
+        docs = [doc._replace(time=None) for doc in loaded if since <= doc.time <= until]
         dataset_counts[str(no)] = len(docs)
         window_dropped[str(no)] = len(loaded) - len(docs)
         for doc in docs:
-            clean = primary_preprocess(doc, spelling=spelling, english_vocab=english_vocab)
+            clean = primary_preprocess(doc, spelling=spelling, corrections=corrections,
+                                       english_vocab=english_vocab)
             clean_docs.append(clean)
             mentions.extend(clean.mentions)
     members_raw = load_members_csv(cfg.datasets[5])
     members = build_interaction_list(members_raw, mentions)
     documents, labels, orphans = _label(cfg, clean_docs)
-    del clean_docs  # ``documents`` replaces them; freed here, they add nothing to the peak
+    del clean_docs, loaded, docs  # ``documents`` replaces them; freed, they add to no peak
     eligible_ids = {m.member_id for m in filter_eligible(members)}
     buckets = assign_buckets(documents, labels, eligible_ids)
     # idf spans every non-inert document, bucketed or not; an inert one adds no word.
@@ -396,11 +395,11 @@ def run_rank(cfg: PipelineConfig, ingest: IngestResult) -> dict[Bucket, MemberRa
     A saved ranking is reused when ``load_ranking_report`` finds it current;
     current files are not rewritten, and when every selected ranking is
     current no document is built and no word vector is loaded. Each bucket
-    ranked now reads its documents from checked records (a malformed one
-    exits 1); its member-side ones all belong to possible targets, as ingest
-    left the others out. A bucket with no ego or no member documents gets an
-    empty ranking and a warning. Word vectors, counts, idf and tf-idf lengths
-    are built for the others only, idf from the df and n that ingest counted.
+    ranked now takes its records out of ``ingest.buckets`` into checked
+    documents (a malformed one exits 1), freed before the vectors load;
+    ingest kept the member-side ones of possible targets only. A bucket with
+    no ego or no member documents gets an empty ranking and a warning. Word
+    vectors, counts, idf and tf-idf lengths are built for the others only.
     When a bucket is ranked now but none is scored, the embeddings file is
     still checked for structure, but no row is parsed and no model is built.
     """
@@ -422,7 +421,7 @@ def run_rank(cfg: PipelineConfig, ingest: IngestResult) -> dict[Bucket, MemberRa
     scored: dict[Bucket, list[Document]] = {}
     try:
         for bucket in stale:
-            docs = [_document_from_dict(record) for record in ingest.buckets[bucket]]
+            docs = [_document_from_dict(record) for record in ingest.buckets.pop(bucket)]
             side = _empty_side(docs)
             if side is None:
                 scored[bucket] = docs

@@ -9,10 +9,10 @@ from which scoring builds tf-idf rows out of the count rows.
 The word vectors come from a text-format embedding file. Every row of it is
 checked for structure (component count, repeated word) and counted against
 the header's vocabulary size, but only the rows of the words the scored
-buckets' documents hold are parsed as numbers, checked finite and non-zero
-(a zero vector's cosine is undefined), and normalised once, into one
-matrix. When no bucket is scored, no row is parsed and numpy is not
-imported.
+buckets' documents hold are parsed, by numpy straight into one matrix, and
+checked finite and non-zero (a zero vector's cosine is undefined); the
+matrix is then normalised once. When no bucket is scored, no row is parsed
+and numpy is not imported.
 """
 
 from __future__ import annotations
@@ -44,13 +44,13 @@ def load_word_vectors(path: str | Path, words: Collection[str]) -> WordVectorSto
     Every row must have ``dim`` components and a word not seen before, and
     the file must hold ``vocab_size`` non-blank rows, so a file cut at a line
     boundary fails instead of loading fewer words. Only the rows of
-    ``words`` are parsed as numbers, and those must be finite and not all
-    zero; a bad number elsewhere is never read. With no ``words``, only the
+    ``words`` are parsed, by numpy as ``float()`` would, straight into one
+    matrix, and each must be finite and not all zero before the next line is
+    read; a bad number elsewhere is never read. With no ``words``, only the
     structure is checked.
     """
     path = Path(path)
     seen: set[str] = set()
-    rows: list[list[float]] = []
     index: dict[str, int] = {}
     with path.open(encoding="utf-8-sig") as fh:
         header = fh.readline().split()
@@ -75,26 +75,29 @@ def load_word_vectors(path: str | Path, words: Collection[str]) -> WordVectorSto
                     path, row_no, f"expected {dim} components, got {len(parts) - 1}")
             if word not in words:
                 continue
+            if not index:  # the first wanted row, whose length has proved ``dim``
+                import numpy as np  # here, not at the top: only scoring needs numpy
+                matrix = np.empty((len(words), dim))
+            row = matrix[len(index)]
             try:
-                vec = [float(x) for x in parts[1:]]
+                row[:] = parts[1:]
             except ValueError:
                 raise BadRowError(path, row_no, "non-numeric vector component") from None
-            if not all(map(math.isfinite, vec)):
+            if not np.isfinite(row).all():
                 raise BadRowError(path, row_no, "non-finite vector component")
-            if not any(x * x for x in vec):
+            if not (row * row).any():  # as the norm sees it: a subnormal squares to 0
                 raise BadRowError(path, row_no, f"zero vector for {word!r}; "
                                   "its cosine distance is undefined")
-            index[word] = len(rows)
-            rows.append(vec)
+            index[word] = len(index)
     # every non-blank row added its word to ``seen`` once, or raised above
     if len(seen) != vocab_size:
         raise DataError(
             f"{path}: header declares {vocab_size} rows, but {len(seen)} were read")
     if not words:
         return WordVectorStore(unit=None, index=index)
-    import numpy as np  # here, not at the top: only scoring needs numpy
+    import numpy as np  # a no-op unless no wanted row was found
 
-    vectors = np.array(rows, dtype=np.float64).reshape(-1, dim)
+    vectors = matrix[:len(index)] if index else np.empty((0, dim))
     return WordVectorStore(unit=vectors / np.linalg.norm(vectors, axis=1)[:, None], index=index)
 
 

@@ -102,21 +102,25 @@ def _correct(word: str, dictionary: Mapping[str, int]) -> str:
     return min(candidates, key=lambda w: (-dictionary[w], w))
 
 
-def normalize_case_and_spell(text: str, dictionary: Mapping[str, int] | None = None) -> str:
+def normalize_case_and_spell(text: str, dictionary: Mapping[str, int] | None = None,
+                             corrections: dict[str, str] | None = None) -> str:
     """Lowercase the text; optionally correct noisy spellings.
 
     Correction stays off without a dictionary. With one, each alphabetic
     token absent from the dictionary is replaced by its highest-frequency
     edit-distance-1 neighbor (ties broken lexicographically); tokens with
-    no candidate are kept.
+    no candidate are kept. Each distinct token is looked up once, through
+    ``corrections``, which calls with the same dictionary may share.
     """
     lowered = text.lower()
     if not dictionary:
         return lowered
+    memo = {} if corrections is None else corrections
 
     def fix(match: re.Match) -> str:
         token = match.group(0)
-        return _correct(token, dictionary) if token.isalpha() else token
+        return memo[token] if token in memo else memo.setdefault(
+            token, _correct(token, dictionary) if token.isalpha() else token)
 
     return WORD_TOKEN.sub(fix, lowered)
 
@@ -125,6 +129,7 @@ def primary_preprocess(
     doc: Document,
     *,
     spelling: Mapping[str, int] | None = None,
+    corrections: dict[str, str] | None = None,
     english_vocab: frozenset[str],
 ) -> Document:
     """Run the four primary preprocessing stages over one document: the
@@ -132,5 +137,5 @@ def primary_preprocess(
     flagged = not looks_english(doc.text, english_vocab)
     text, mentions = extract_mentions(doc.text)
     text = strip_noise(text)
-    text = normalize_case_and_spell(text, spelling)
+    text = normalize_case_and_spell(text, spelling, corrections)
     return doc._replace(text=text, mentions=tuple(mentions), flagged_non_english=flagged)

@@ -8,16 +8,18 @@ import random
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from egorank import __version__, pipeline
+from egorank import __version__, pipeline, textprep
 from egorank.classify import ALL_BUCKETS
 from egorank.cli import build_parser, main
 from egorank.config import RESOURCE_KEYS, PipelineConfig, load_config
 from egorank.corpus import CONTENT_DATASETS, EGO_DATASETS, parse_timestamp
 from egorank.recommend import MemberRanking, RankEntry
+from egorank.simdex import load_word_vectors
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -388,6 +390,37 @@ class TestIngest:
         assert one.buckets[filled[0]] == full.buckets[filled[0]]
         assert all(not docs for b, docs in one.buckets.items() if b != filled[0])
         assert (one.df, one.n) == (full.df, full.n)
+
+    def test_no_document_keeps_its_time_past_the_window(self, synth_dir, tmp_path, monkeypatch):
+        # The window filter is the last reader of a document's time.
+        reached = []
+        build = pipeline.build_document_set
+
+        def check(clean_docs, **kwargs):
+            reached.extend(clean_docs)
+            return build(clean_docs, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_document_set", check)
+        assert run_cli("ingest", "--config", str(synth_dir / "config.json"),
+                       "--out-dir", str(tmp_path)) == 0
+        assert reached and all(doc.time is None for doc in reached)
+
+    def test_spelling_search_runs_once_per_distinct_word(self, synth_dir, tmp_path, monkeypatch):
+        # Spelling correction is pure, so one ingest searches the
+        # neighbours of each unknown word once, however often it occurs.
+        spelling = tmp_path / "spelling.tsv"
+        spelling.write_text("good\t10\ngreat\t5\nlove\t3\n")
+        searched = Counter()
+        edits1 = textprep._edits1
+
+        def count(word):
+            searched[word] += 1
+            return edits1(word)
+
+        monkeypatch.setattr(textprep, "_edits1", count)
+        assert run_cli("ingest", "--config", str(synth_dir / "config.json"), "--out-dir",
+                       str(tmp_path / "out"), "--spelling-dictionary", str(spelling)) == 0
+        assert searched and max(searched.values()) == 1
 
     def test_bad_row_exits_data_error(self, synth_dir, tmp_path, caplog):
         for case, (name, row) in enumerate([
@@ -820,6 +853,24 @@ class TestRank:
             monkeypatch.setattr(pipeline, name, relabel)
         assert run_cli("rank", "--config", config, "--out-dir", str(tmp_path)) == 0
         assert len(list(tmp_path.glob("ranking_*.json"))) == 10
+
+    def test_rank_takes_out_the_records_it_ranks(self, ingested, tmp_path, monkeypatch):
+        # A bucket's bundle records are freed once its documents are built,
+        # before the word vectors load.
+        cfg = load_config(ingested / "config.json",
+                          {"out_dir": str(tmp_path), "bucket": "Technology/Positive"})
+        shutil.copy(ingested / "out" / "bundle.json", tmp_path)
+        ingest = pipeline.load_bundle(cfg)
+        (bucket,) = cfg.bucket
+        assert ingest.buckets[bucket]
+
+        def load(path, words):
+            assert not ingest.buckets.get(bucket), "records held while the vectors load"
+            return load_word_vectors(path, words)
+
+        monkeypatch.setattr(pipeline, "load_word_vectors", load)
+        assert pipeline.run_rank(cfg, ingest)[bucket].entries
+        assert not ingest.buckets.get(bucket)
 
     def test_failed_write_keeps_previous_report(self, synth_dir, tmp_path):
         class Unprintable(float):
@@ -1314,6 +1365,39 @@ class TestRun:
             outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert any(name.startswith("ranking_") for name in outputs["1"])
         assert outputs["1"] == outputs["2"]
+
+    def test_simd_dispatch_does_not_change_reports(self, tmp_path):
+        # numpy picks a SIMD kernel per CPU at start-up; turning off every
+        # dispatch target this CPU has leaves the baseline kernels.
+        probe = ("import numpy as np\n"
+                 "core = getattr(np, '_core', None) or np.core\n"
+                 "m = core._multiarray_umath\n"
+                 "print(' '.join(f for f in m.__cpu_dispatch__ if m.__cpu_features__.get(f)))")
+
+        def cli(disabled, *argv):
+            env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+                       PYTHONPATH=str(SRC_DIR) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+            proc = subprocess.run([sys.executable, *argv], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        found = cli("", "-c", probe).split()
+        if not found:
+            pytest.skip("numpy finds no SIMD dispatch target on this CPU")
+        disabled = " ".join(found)
+        assert cli(disabled, "-c", probe).split() == []
+        synth = tmp_path / "synth"
+        cli("", "-m", "egorank.cli", "synth", "--out", str(synth), "--seed", "3", "--members",
+            "30", "--docs-per-member", "12", "--planted", "5", "--dim", "300")
+        outputs = {}
+        for features in ("", disabled):
+            out = tmp_path / f"out{len(outputs)}"
+            cli(features, "-m", "egorank.cli", "run", "--config", str(synth / "config.json"),
+                "--out-dir", str(out))
+            outputs[features] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert any(name.startswith("ranking_") for name in outputs[""])
+        assert outputs[""] == outputs[disabled]
 
     def test_stop_word_corpus_runs_to_empty_rankings(self, synth_dir, tmp_path):
         # Every document reduces to no tokens, so none is labelled or

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -130,6 +131,50 @@ class TestLoadWordVectors:
         path = write_lines(tmp_path, "1 2", "alpha 0.1 oops")
         with pytest.raises(BadRowError, match="row 2: non-numeric vector component"):
             load_word_vectors(path, {"alpha"})
+
+    # float() accepts underscores, other scripts' digits and any case of
+    # inf/nan; it rejects hex and a cut exponent. A subnormal squares to 0.
+    @pytest.mark.parametrize("component", [
+        "1_0", "\u0661\u0662", "+1.5", ".5", "1E3", "-0.25", "Infinity", "iNf", "-inf", "nan",
+        "-nan", "1e400", "4.9e-324", "1e-400", "-0", "0x1p3", "1.5e", "1.5f", "oops"])
+    def test_component_loads_or_fails_as_float_decides(self, tmp_path, component):
+        path = write_lines(tmp_path, "3 2", "alpha 1 0", f"beta 0 {component}", "gamma 0 1")
+        try:
+            value = float(component)
+        except ValueError:
+            error = "non-numeric vector component"
+        else:
+            error = ("non-finite vector component" if not math.isfinite(value)
+                     else "zero vector for 'beta'" if value * value == 0 else None)
+        if error is not None:
+            with pytest.raises(BadRowError, match=f"row 3: {error}"):
+                load_word_vectors(path, {"alpha", "beta", "gamma"})
+        else:
+            store = load_word_vectors(path, {"alpha", "beta", "gamma"})
+            assert store.unit[store.index["beta"]].tolist() == [0.0, math.copysign(1.0, value)]
+
+    def test_bad_rows_fail_in_file_order(self, tmp_path):
+        path = write_lines(tmp_path, "4 2", "alpha 1 0", "beta 0 0", "gamma 1 oops", "delta 1 inf")
+        with pytest.raises(BadRowError, match="row 3: zero vector for 'beta'"):
+            load_word_vectors(path, {"alpha", "beta", "gamma", "delta"})
+        with pytest.raises(BadRowError, match="row 4: non-numeric vector component"):
+            load_word_vectors(path, {"alpha", "gamma", "delta"})
+
+    def test_load_peaks_below_three_matrices(self, tmp_path):
+        # Each wanted row is parsed into one preallocated matrix; no list of
+        # Python floats per component is built on the way.
+        words = [f"w{i:04d}" for i in range(3000)]
+        path = tmp_path / "emb.txt"
+        write_embeddings(path, random_vectors(words, dim=300, seed=5))
+        wanted = set(words)
+        tracemalloc.start()
+        try:
+            store = load_word_vectors(path, wanted)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert store.unit.shape == (3000, 300)
+        assert peak < 3 * store.unit.nbytes
 
     @pytest.mark.parametrize("row", ["beta 0 0", "beta nan 1", "beta 1 inf", "beta 1 oops"],
                              ids=["zero", "nan", "inf", "non_numeric"])

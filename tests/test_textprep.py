@@ -156,6 +156,15 @@ class TestNormalizeCaseAndSpell:
     def test_tokens_with_digits_untouched(self):
         assert normalize_case_and_spell("a1b2", {"ab": 10}) == "a1b2"
 
+    def test_shared_corrections_give_the_same_text(self):
+        dictionary = {"hello": 10, "help": 3, "cat": 5, "get": 5}
+        texts = ["helo cet", "Helo zzqzz a1b2 cet", "hello helo"]
+        corrections = {}
+        assert [normalize_case_and_spell(t, dictionary, corrections) for t in texts] == [
+            normalize_case_and_spell(t, dictionary) for t in texts]
+        assert (corrections["helo"], corrections["cet"], corrections["zzqzz"]) == (
+            "hello", "cat", "zzqzz")
+
     def test_dictionary_file_loader(self, tmp_path):
         path = tmp_path / "dict.tsv"
         path.write_text("hello\t10\nworld\t5\n", encoding="utf-8")
