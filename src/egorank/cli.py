@@ -148,6 +148,9 @@ def main(argv: list[str] | None = None) -> int:
     except EgorankError as exc:
         log.error("%s", exc)
         return EXIT_DATA
+    except OSError as exc:  # such as an out_dir that names a file, or a path under one
+        log.error("%s", exc)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import BadRowError, DataError
+from .errors import BadRowError, DataError, utf8_text
 
 log = logging.getLogger(__name__)
 
@@ -131,23 +131,28 @@ def _rows(path: Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """(row number, cells) of each non-blank data row of a ``utf-8-sig`` CSV,
     after checking that its header is exactly ``header`` and that the row
     holds one cell per column. The header is row 1."""
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
-        if got is None:
-            raise DataError(f"empty file (no header row): {path}")
-        got = [h.strip() for h in got]
-        for name in header:
-            if name not in got:
-                raise DataError(f"missing required column '{name}' in {path}")
-        if got != list(header):
-            raise BadRowError(path, 1, f"header order mismatch: expected {','.join(header)}")
-        for row_no, row in enumerate(reader, start=2):
-            if not any(map(str.strip, row)):
-                continue
-            if len(row) != len(header):
-                raise BadRowError(path, row_no, f"expected {len(header)} columns, got {len(row)}")
-            yield row_no, row
+    with path.open(newline="", encoding="utf-8-sig") as fh, utf8_text(path):
+        rows = enumerate(csv.reader(fh), start=1)
+        row_no = 0  # the last row read; a reader error is in the next one
+        try:
+            row_no, got = next(rows, (1, None))
+            if got is None:
+                raise DataError(f"empty file (no header row): {path}")
+            got = [h.strip() for h in got]
+            for name in header:
+                if name not in got:
+                    raise DataError(f"missing required column '{name}' in {path}")
+            if got != list(header):
+                raise BadRowError(path, 1, f"header order mismatch: expected {','.join(header)}")
+            for row_no, row in rows:
+                if not any(map(str.strip, row)):
+                    continue
+                if len(row) != len(header):
+                    raise BadRowError(path, row_no,
+                                      f"expected {len(header)} columns, got {len(row)}")
+                yield row_no, row
+        except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+            raise BadRowError(path, row_no + 1, str(exc)) from None
 
 
 def _parse_count(value: str, path: Path, row_no: int, name: str) -> int:

@@ -17,10 +17,14 @@ a new exit code. :class:`BadRowError` formats ``"{path}: row {row}:
 :class:`RankingTooSmallError` is caught by type, so that a sweep over
 all buckets can skip a thin ranking. Everything derives from
 :class:`EgorankError`, so callers can catch broadly. No class stores
-anything but its message.
+anything but its message. Every dataset, resource and embeddings file is
+read under :func:`utf8_text`, so bytes that are not UTF-8 exit 2 naming it.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator
 
 
 class EgorankError(Exception):
@@ -44,3 +48,12 @@ class RankingTooSmallError(DataError):
     def __init__(self, bucket: object, have: int, want: int):
         super().__init__(
             f"bucket {bucket}: ranking holds {have} members but {want} were requested")
+
+
+@contextmanager
+def utf8_text(path: object) -> Iterator[None]:
+    """Turn a decoding error in the block into a DataError naming ``path``."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None

@@ -398,10 +398,10 @@ def run_rank(cfg: PipelineConfig, ingest: IngestResult) -> dict[Bucket, MemberRa
     ranked now takes its records out of ``ingest.buckets`` into checked
     documents (a malformed one exits 1), freed before the vectors load;
     ingest kept the member-side ones of possible targets only. A bucket with
-    no ego or no member documents gets an empty ranking and a warning. Word
-    vectors, counts, idf and tf-idf lengths are built for the others only.
-    When a bucket is ranked now but none is scored, the embeddings file is
-    still checked for structure, but no row is parsed and no model is built.
+    no ego or no member documents gets an empty ranking and a warning. Each
+    other bucket's model is built from its own documents by the worker that
+    scores it. With no bucket scored, the embeddings file is still checked
+    for structure, but no row is parsed and no model is built.
     """
     embeddings = cfg.resources.get("embeddings")
     if embeddings is None:
@@ -428,8 +428,7 @@ def run_rank(cfg: PipelineConfig, ingest: IngestResult) -> dict[Bucket, MemberRa
             else:
                 log.warning("bucket %s: no %s documents; writing empty ranking", bucket, side)
                 rankings[bucket] = MemberRanking(bucket=bucket, entries=[])
-        docs = [doc for bucket_docs in scored.values() for doc in bucket_docs]
-        words = {w for doc in docs for w in doc.tokens}
+        words = {w for docs in scored.values() for doc in docs for w in doc.tokens}
         counts = [ingest.df[w] for w in words]
         if not ({*map(type, counts)} <= {int}
                 and min(counts, default=1) >= 1 and max(counts, default=0) <= ingest.n):
@@ -442,9 +441,8 @@ def run_rank(cfg: PipelineConfig, ingest: IngestResult) -> dict[Bucket, MemberRa
         # here, not at the top: only scoring needs the thread pool
         from concurrent.futures import ThreadPoolExecutor
 
-        models = SimilarityModels.build(ingest.df, ingest.n, vectors, docs)
-
         def rank(bucket: Bucket) -> MemberRanking:
+            models = SimilarityModels.build(ingest.df, ingest.n, vectors, scored[bucket])
             scores = score_bucket(scored[bucket], models, normalization=cfg.normalization)
             return rank_members(scores, bucket)
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .classify import Category
-from .errors import DataError
+from .errors import DataError, utf8_text
 
 def _read_builtin(name: str) -> str:
     return (importlib_resources.files("egorank") / "data" / name).read_text(encoding="utf-8")
@@ -26,7 +26,8 @@ def _read_builtin(name: str) -> str:
 def _read(path: str | Path | None, builtin_name: str) -> str:
     if path is None:
         return _read_builtin(builtin_name)
-    return Path(path).read_text(encoding="utf-8-sig")
+    with utf8_text(path):
+        return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _wordlist(text: str) -> frozenset[str]:
@@ -129,20 +130,23 @@ def load_labeled_seed(path: str | Path | None = None) -> list[tuple[str, Categor
     where = path or "seed_categories.csv"
     # a quoted text may span lines
     reader = csv.reader(io.StringIO(_read(path, "seed_categories.csv")))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["text", "category"]:
-        raise DataError(f"{where}: line 1: labeled seed corpus must have header "
-                        f"'text,category'")
     rows: list[tuple[str, Category]] = []
-    for row in reader:
-        if not any(map(str.strip, row)):
-            continue
-        if len(row) != 2:
-            raise DataError(f"{where}: line {reader.line_num}: {len(row)} columns, expected 2")
-        label = row[1].strip()
-        try:
-            rows.append((row[0], Category(label)))
-        except ValueError:
-            raise DataError(f"{where}: line {reader.line_num}: "
-                            f"unknown category {label!r}") from None
+    try:
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["text", "category"]:
+            raise DataError(f"{where}: line 1: labeled seed corpus must have header "
+                            f"'text,category'")
+        for row in reader:
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) != 2:
+                raise DataError(f"{where}: line {reader.line_num}: {len(row)} columns, expected 2")
+            label = row[1].strip()
+            try:
+                rows.append((row[0], Category(label)))
+            except ValueError:
+                raise DataError(f"{where}: line {reader.line_num}: "
+                                f"unknown category {label!r}") from None
+    except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+        raise DataError(f"{where}: line {reader.line_num}: {exc}") from None
     return rows

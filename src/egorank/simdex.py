@@ -1,10 +1,10 @@
 """Similarity models: word-vector store, token counts and tf-idf weights.
 
-One model is built once per run and shared read-only by the scoring
-stage: unit word vectors for word distances, exact per-document token
-counts, and smoothed idf weights (from the document frequencies that ingest
-counted over the whole corpus) with each document's tf-idf L2 length,
-from which scoring builds tf-idf rows out of the count rows.
+Each scored bucket's model is built by the worker that scores it, from its
+own documents: the run's unit word vectors, exact per-document token counts,
+and smoothed idf weights (from the document frequencies that ingest counted
+over the whole corpus) with each document's tf-idf L2 length, from which
+scoring builds tf-idf rows out of the count rows.
 
 The word vectors come from a text-format embedding file. Every row of it is
 checked for structure (component count, repeated word) and counted against
@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping, NamedTuple
 
 from .corpus import Document
-from .errors import BadRowError, DataError
+from .errors import BadRowError, DataError, utf8_text
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,7 +52,7 @@ def load_word_vectors(path: str | Path, words: Collection[str]) -> WordVectorSto
     path = Path(path)
     seen: set[str] = set()
     index: dict[str, int] = {}
-    with path.open(encoding="utf-8-sig") as fh:
+    with path.open(encoding="utf-8-sig") as fh, utf8_text(path):
         header = fh.readline().split()
         if len(header) != 2:
             raise DataError(f"{path}: header must be 'vocab_size dim'")
@@ -102,7 +102,7 @@ def load_word_vectors(path: str | Path, words: Collection[str]) -> WordVectorSto
 
 
 class SimilarityModels(NamedTuple):
-    """Word vectors, per-document token counts and smoothed idf, shared by scoring.
+    """One scored bucket's word vectors, token counts and smoothed idf.
 
     idf(w) = ln((1 + n) / (1 + df(w))) + 1, where ingest counted ``df`` and
     ``n`` over every non-inert document, bucketed or not, so no idf is zero

@@ -8,6 +8,7 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from egorank.cli import build_parser, main
 from egorank.config import RESOURCE_KEYS, PipelineConfig, load_config
 from egorank.corpus import CONTENT_DATASETS, EGO_DATASETS, parse_timestamp
 from egorank.recommend import MemberRanking, RankEntry
-from egorank.simdex import load_word_vectors
+from egorank.simdex import SimilarityModels, load_word_vectors
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -169,6 +170,16 @@ class TestIngest:
         assert code == 1
         assert [r.message for r in caplog.records] == [
             f"config file is not a JSON object: {config}"]
+
+    def test_config_not_utf8_exits_config_error(self, synth_dir, tmp_path, caplog):
+        config = tmp_path / "config.json"
+        config.write_bytes((synth_dir / "config.json").read_bytes() + b"\xff")
+        with caplog.at_level("ERROR"):
+            code = run_cli("ingest", "--config", str(config))
+        assert code == 1
+        assert [r.message for r in caplog.records] == [
+            f"config file is not valid JSON: {config}: 'utf-8' codec can't decode byte 0xff "
+            f"in position {config.stat().st_size - 1}: invalid start byte"]
 
     def test_config_with_utf8_bom_loads_as_without(self, synth_dir):
         plain = synth_dir / "config.json"
@@ -457,9 +468,16 @@ class TestIngest:
         ("seed_categories.csv", "HEADER",
          "line 1: labeled seed corpus must have header 'text,category'"),
         ("seed_categories.csv", "one,two,three", "line {n}: 3 columns, expected 2"),
+        ("dataset_6.csv", f"px,{'x' * 131073},Al,m001,{STAMP}",
+         "row {n}: field larger than field limit (131072)"),
+        ("members.csv", f"m099,{'x' * 131073},Friend,Post,",
+         "row {n}: field larger than field limit (131072)"),
+        ("seed_categories.csv", f"{'x' * 131073},Technology",
+         "line {n}: field larger than field limit (131072)"),
     ], ids=["activity_columns", "member_columns", "empty_post_id", "empty_user_id",
             "empty_member_id", "unknown_activity", "no_activity", "seed_header",
-            "seed_columns"])
+            "seed_columns", "activity_cell_too_long", "member_cell_too_long",
+            "seed_cell_too_long"])
     def test_malformed_input_names_file_and_line(self, synth_dir, tmp_path, caplog, name,
                                                  line, detail):
         broken = tmp_path / "broken"
@@ -475,6 +493,18 @@ class TestIngest:
             code = run_cli("ingest", "--config", str(broken / "config.json"))
         assert code == 2
         assert [r.message for r in caplog.records] == [f"{path}: {detail.format(n=len(lines))}"]
+
+    @pytest.mark.parametrize("name", ["dataset_6.csv", "members.csv", "seed_categories.csv",
+                                      "embeddings.txt"])
+    def test_input_not_utf8_exits_data_error(self, synth_dir, tmp_path, caplog, name):
+        broken = tmp_path / "broken"
+        shutil.copytree(synth_dir, broken, ignore=shutil.ignore_patterns("out"))
+        path = broken / name
+        path.write_bytes(path.read_bytes() + b"caf\xff\n")
+        with caplog.at_level("ERROR"):
+            code = run_cli("run", "--config", str(broken / "config.json"))
+        assert code == 2
+        assert [r.message for r in caplog.records] == [f"{path}: not UTF-8 text"]
 
     def test_zero_embedding_row_exits_data_error(self, synth_dir, tmp_path, caplog):
         # Only the rows of words that bucketed documents hold are parsed as
@@ -871,6 +901,31 @@ class TestRank:
         monkeypatch.setattr(pipeline, "load_word_vectors", load)
         assert pipeline.run_rank(cfg, ingest)[bucket].entries
         assert not ingest.buckets.get(bucket)
+
+    def test_each_bucket_model_holds_that_bucket_only(self, ingested, tmp_path, monkeypatch):
+        # No bucket's score reads another bucket's documents, so each scored
+        # bucket's model is built, in the worker that scores it, from its own.
+        shutil.copy(ingested / "out" / "bundle.json", tmp_path)
+        bundle = json.loads((tmp_path / "bundle.json").read_text())
+        buckets: dict[str, list[dict]] = {}
+        for d in bundle["documents"]:
+            buckets.setdefault(d["bucket"], []).append(d)
+        scored = sorted(
+            sorted(d["doc_id"] for d in docs) for bucket, docs in buckets.items()
+            if bucket and {d["dataset_no"] in EGO_DATASETS for d in docs} == {True, False})
+        assert len(scored) > 1
+        built, build = [], SimilarityModels.build
+
+        def record(df, n, vectors, docs):
+            docs = list(docs)
+            built.append(({d.doc_id for d in docs}, threading.current_thread()))
+            return build(df, n, vectors, docs)
+
+        monkeypatch.setattr(SimilarityModels, "build", record)
+        assert run_cli("rank", "--config", str(ingested / "config.json"), "--bucket", "all",
+                       "--out-dir", str(tmp_path)) == 0
+        assert sorted(sorted(ids) for ids, _ in built) == scored
+        assert threading.main_thread() not in {thread for _, thread in built}
 
     def test_failed_write_keeps_previous_report(self, synth_dir, tmp_path):
         class Unprintable(float):
@@ -1518,6 +1573,15 @@ ERROR_EXITS = {
         {}, ["targets", "--config", "{dir}/config.json", "--n-it", "20",
              "--bucket", "Technology/Positive"],
         2, "bucket Technology/Positive: ranking holds 5 members but 20 were requested"),
+    # out_dir is made by the first write, after ingest has read every input.
+    "out_dir_is_a_file": (
+        {"blocker": "a file"}, ["ingest", "--config", "{dir}/config.json", "--out-dir",
+                                "{dir}/blocker"],
+        1, "[Errno 17] File exists: '{dir}/blocker'"),
+    "out_dir_under_a_file": (
+        {"blocker": "a file"}, ["ingest", "--config", "{dir}/config.json", "--out-dir",
+                                "{dir}/blocker/out"],
+        1, "[Errno 20] Not a directory: '{dir}/blocker/out'"),
     "bundle_not_json": (
         {"out/bundle.json": "{"}, ["targets", "--config", "{dir}/config.json"],
         1, "{dir}/out/bundle.json does not parse as a JSON object; run ingest again"),

@@ -186,6 +186,24 @@ def test_resource_loaders_accept_utf8_bom(tmp_path, resource):
     assert loader(marked) == loader(plain)
 
 
+# Every loader of an input file: the resource loaders and the two CSV loaders.
+INPUT_LOADERS = BOM_LOADERS | {
+    "activity_csv": (lambda path: load_activity_csv(path, 1, "ego"),
+                     HEADER + f"\np1,hello world,Ego,ego,3,1,en,{T1},\n"),
+    "members_csv": (load_members_csv, MEMBER_HEADER_ROW + "\nA,Alice,Friend,React,120\n"),
+}
+
+
+@pytest.mark.parametrize("loader", INPUT_LOADERS)
+def test_input_loaders_name_a_file_that_is_not_utf8(tmp_path, loader):
+    # One byte that no UTF-8 text holds, after a valid file's last line.
+    load, text = INPUT_LOADERS[loader]
+    path = tmp_path / "input"
+    path.write_bytes(text.encode("utf-8") + b"caf\xff\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text$"):
+        load(path)
+
+
 def test_labeled_seed_keeps_a_quoted_line_break(tmp_path):
     path = tmp_path / "seed.csv"
     path.write_text('text,category\n"code\nships fast",Technology\n', encoding="utf-8")
