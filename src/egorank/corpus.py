@@ -74,9 +74,9 @@ class Document(NamedTuple):
     """One piece of activity text with provenance, from CSV row to score.
 
     Each stage fills its own fields and copies the rest: the CSV loader
-    sets ``text``, ``parent_doc_id`` and ``time`` (cleared at the window,
-    its last reader); primary preprocessing (``textprep``) replaces ``text``
-    with the clean text and sets ``mentions`` and ``flagged_non_english``;
+    sets ``text``, ``parent_doc_id`` and ``time``; primary preprocessing
+    (``textprep``) replaces ``text`` with the clean text, sets ``mentions``
+    and ``flagged_non_english``, and clears ``time``, which the window read last;
     the Document-Set (``lexproc``) sets ``tokens``. Rank rebuilds the
     documents it ranks from checked bundle records, with ``tokens`` alone.
     ``parent_doc_id`` is set exactly for the dependent datasets 2, 3, 7 and

@@ -127,7 +127,14 @@ def _member_to_dict(m: InteractedMember) -> dict[str, Any]:
 
 
 def _member_from_dict(data: Mapping[str, Any]) -> InteractedMember:
+    """The member a bundle record holds, with the field types ``load_members_csv``
+    gives; ValueError for any other."""
     member = InteractedMember(*(data[name] for name in InteractedMember._fields))
+    count = member.connections_count
+    if not (isinstance(member.member_id, str) and member.member_id
+            and isinstance(member.display_name, str)
+            and (count is None or type(count) is int and count >= 0)):
+        raise ValueError("a member record of the wrong shape")
     return member._replace(kind=MemberKind(member.kind),
                            activity_types=frozenset(map(ActivityType, member.activity_types)))
 
@@ -140,11 +147,12 @@ def _document_to_dict(d: Document, bucket: Bucket | None) -> dict[str, Any]:
 
 
 def _document_from_dict(data: Mapping[str, Any]) -> Document:
-    """The document a bundle record holds; ValueError for a field of the wrong type."""
+    """The document a bucketed bundle record holds; ValueError for a field of
+    the wrong type, or for no tokens, as ingest buckets no inert document."""
     doc_id, owner_id = data["doc_id"], data["owner_id"]
     dataset_no, tokens = data["dataset_no"], data["tokens"]
     if not (isinstance(doc_id, str) and isinstance(owner_id, str) and isinstance(tokens, str)
-            and type(dataset_no) is int and dataset_no in CONTENT_DATASETS):
+            and tokens.strip() and type(dataset_no) is int and dataset_no in CONTENT_DATASETS):
         raise ValueError("a document record of the wrong shape")
     # One string per distinct word, as build_document_set leaves them.
     return Document(doc_id, owner_id, dataset_no, tuple(map(sys.intern, tokens.split())))
@@ -193,7 +201,7 @@ def run_ingest(cfg: PipelineConfig) -> None:
     for no in CONTENT_DATASETS:
         owner = cfg.ego_id if no in EGO_DATASETS else None
         loaded = load_activity_csv(cfg.datasets[no], no, owner)
-        docs = [doc._replace(time=None) for doc in loaded if since <= doc.time <= until]
+        docs = [doc for doc in loaded if since <= doc.time <= until]
         dataset_counts[str(no)] = len(docs)
         window_dropped[str(no)] = len(loaded) - len(docs)
         for doc in docs:

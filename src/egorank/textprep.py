@@ -7,8 +7,8 @@ kept but flagged, which excludes it from classification and scoring. The
 output alphabet is exactly lowercase letters, digits, spaces, commas and
 full stops. ``primary_preprocess`` returns the ``corpus.Document`` it is
 given with the clean text in ``text``, the harvested mentions in
-``mentions`` and the flag in ``flagged_non_english``; its other fields
-stay as they were.
+``mentions``, the flag in ``flagged_non_english`` and ``time`` cleared;
+its other fields stay as they were.
 
 All operations are pure functions; documents can be preprocessed in any
 order or in parallel.
@@ -26,7 +26,6 @@ from .corpus import Document
 _MENTION = re.compile(r"@(?<!\S@)\S+")
 _NAME_EDGE = re.compile(r"^[^A-Za-z0-9_]+|[^A-Za-z0-9_]+$")
 _NOISE = re.compile(r"[^A-Za-z0-9,.]+")
-_GAP = re.compile(r"[ \t]{2,}")
 WORD_TOKEN = re.compile(r"[a-z0-9]+")  # spelling correction's words and lexproc's tokens
 _ASCII_WORD = re.compile(r"[A-Za-z]+")
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
@@ -58,21 +57,16 @@ def looks_english(text: str, english_vocab: frozenset[str]) -> bool:
     return known / len(words) >= ENGLISH_TOKEN_RATIO
 
 
-def extract_mentions(text: str) -> tuple[str, list[str]]:
-    """Remove every whitespace-delimited token starting with '@'.
-
-    The stripped names are returned deduplicated in first-seen order, with
-    '@' and surrounding punctuation dropped. Non-mention token order is
-    preserved.
-    """
+def extract_mentions(text: str) -> list[str]:
+    """The names of the text's mentions (whitespace-delimited tokens starting
+    with '@'), with every '@' and the punctuation at either end dropped,
+    deduplicated in first-seen order."""
     mentions: list[str] = []
     for tok in _MENTION.findall(text):
         name = _NAME_EDGE.sub("", tok.replace("@", ""))
         if name and name not in mentions:
             mentions.append(name)
-    stripped = _MENTION.sub("", text)
-    stripped = _GAP.sub(" ", stripped).strip()
-    return stripped, mentions
+    return mentions
 
 
 def strip_noise(text: str) -> str:
@@ -133,9 +127,9 @@ def primary_preprocess(
     english_vocab: frozenset[str],
 ) -> Document:
     """Run the four primary preprocessing stages over one document: the
-    same document with its clean text, its mentions and its language flag."""
+    same document with its clean text, its mentions, its language flag and
+    ``time`` cleared. ``strip_noise`` closes the gaps the mentions leave."""
     flagged = not looks_english(doc.text, english_vocab)
-    text, mentions = extract_mentions(doc.text)
-    text = strip_noise(text)
-    text = normalize_case_and_spell(text, spelling, corrections)
-    return doc._replace(text=text, mentions=tuple(mentions), flagged_non_english=flagged)
+    text = normalize_case_and_spell(strip_noise(_MENTION.sub("", doc.text)), spelling, corrections)
+    mentions = tuple(extract_mentions(doc.text))
+    return doc._replace(text=text, mentions=mentions, flagged_non_english=flagged, time=None)

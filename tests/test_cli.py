@@ -75,6 +75,12 @@ def ego_document(bundle):
                 if d["bucket"] == "Technology/Positive" and d["dataset_no"] == 1)
 
 
+def member_document(bundle):
+    """The first member-side record of Technology/Positive."""
+    return next(d for d in bundle["documents"]
+                if d["bucket"] == "Technology/Positive" and d["dataset_no"] > 5)
+
+
 def ego_word(bundle):
     return ego_document(bundle)["tokens"].split()[0]
 
@@ -842,6 +848,10 @@ class TestRank:
         lambda bundle: bundle["documents"][0].pop("bucket"),
         lambda bundle: bundle["members"].__setitem__(0, {}),
         lambda bundle: bundle["members"][0].update(kind="Robot"),
+        lambda bundle: bundle["members"][0].update(connections_count="9000"),
+        lambda bundle: bundle["members"][0].update(connections_count=-1),
+        lambda bundle: bundle["members"][0].update(connections_count=True),
+        lambda bundle: bundle["members"][0].update(member_id=5),
         lambda bundle: bundle.update(df=[]),
         lambda bundle: bundle["df"].pop(ego_word(bundle)),
         lambda bundle: bundle["df"].update({ego_word(bundle): 0}),
@@ -849,6 +859,8 @@ class TestRank:
         lambda bundle: bundle.update(n="x"),
         lambda bundle: bundle.update(n=-1),
         lambda bundle: ego_document(bundle).update(tokens=5),
+        lambda bundle: ego_document(bundle).update(tokens=""),
+        lambda bundle: member_document(bundle).update(tokens=""),
         lambda bundle: ego_document(bundle).update(doc_id=7),
         lambda bundle: ego_document(bundle).update(owner_id=None),
         lambda bundle: ego_document(bundle).update(dataset_no="1"),
@@ -856,9 +868,11 @@ class TestRank:
         lambda bundle: ego_document(bundle).update(dataset_no=True),
         lambda bundle: ego_document(bundle).update(bucket="Technology/Neutral"),
     ], ids=["inputs_a_list", "document_without_bucket", "empty_member", "unknown_member_kind",
+            "connections_count_a_string", "connections_count_negative",
+            "connections_count_true", "member_id_not_a_string",
             "df_a_list", "df_missing_a_word", "df_zero", "df_above_n",
             "n_a_string", "n_negative",
-            "tokens_not_a_string", "doc_id_not_a_string", "owner_id_null",
+            "tokens_not_a_string", "ego_tokens_empty", "member_tokens_empty", "doc_id_not_a_string", "owner_id_null",
             "ego_dataset_no_a_string", "dataset_no_5", "dataset_no_true", "unknown_bucket"])
     def test_malformed_bundle_exits_config_error(self, ingested, tmp_path, caplog, edit):
         bundle = json.loads((ingested / "out" / "bundle.json").read_text())

@@ -70,41 +70,48 @@ class TestDetectAndTranslate:
         assert looks_english("", SHIPPED_ENGLISH)
 
 
+def clean_of(text):
+    return primary_preprocess(make_doc(text), english_vocab=SHIPPED_ENGLISH)
+
+
 class TestExtractMentions:
+    """``extract_mentions`` gives the names; ``primary_preprocess`` drops the
+    mention tokens from the text."""
+
     def test_single_mention(self):
-        assert extract_mentions("hello @alice how are you") == ("hello how are you", ["alice"])
+        assert extract_mentions("hello @alice how are you") == ["alice"]
+        assert clean_of("hello @alice how are you").text == "hello how are you"
 
     def test_no_mentions_identity(self):
-        assert extract_mentions("no mentions here.") == ("no mentions here.", [])
+        assert extract_mentions("no mentions here.") == []
+        assert clean_of("no mentions here.").text == "no mentions here."
 
     def test_dedup_preserves_first_seen_order(self):
-        assert extract_mentions("@a @b @a hi") == ("hi", ["a", "b"])
+        assert extract_mentions("@a @b @a hi") == ["a", "b"]
+        assert clean_of("@a @b @a hi").text == "hi"
 
     def test_mention_keeps_original_case(self):
-        _, mentions = extract_mentions("ping @Bob now")
-        assert mentions == ["Bob"]
+        assert extract_mentions("ping @Bob now") == ["Bob"]
 
     def test_trailing_punctuation_trimmed_from_name(self):
-        text, mentions = extract_mentions("thanks @carol!!! bye")
-        assert mentions == ["carol"]
-        assert text == "thanks bye"
+        assert extract_mentions("thanks @carol!!! bye") == ["carol"]
+        assert clean_of("thanks @carol!!! bye").text == "thanks bye"
 
     def test_mid_token_at_is_not_a_mention(self):
-        text, mentions = extract_mentions("mail me a@b.com")
-        assert mentions == []
-        assert text == "mail me a@b.com"
+        assert extract_mentions("mail me a@b.com") == []
+        assert clean_of("mail me a@b.com").text == "mail me a b.com"
 
     @given(fuzz_text)
     @settings(max_examples=200)
     def test_idempotent(self, text):
-        once, _ = extract_mentions(text)
-        twice, again = extract_mentions(once)
-        assert once == twice
-        assert again == []
+        once = clean_of(text)
+        again = clean_of(once.text)
+        assert again.text == once.text
+        assert extract_mentions(once.text) == []
 
     def test_non_mention_token_order_preserved(self):
-        text, _ = extract_mentions("one @x two @y three")
-        assert text == "one two three"
+        assert extract_mentions("one @x two @y three") == ["x", "y"]
+        assert clean_of("one @x two @y three").text == "one two three"
 
 
 class TestStripNoise:
@@ -260,6 +267,15 @@ mixed_text = st.lists(
 ).map("".join)
 
 
+def assert_matches_reference(text):
+    """``primary_preprocess`` gives what the references give, stage by stage."""
+    clean = primary_preprocess(make_doc(text), english_vocab=ENGLISH)
+    stripped, names = reference_extract_mentions(text)
+    assert clean.text == reference_strip_noise(stripped).lower()
+    assert clean.mentions == tuple(names)
+    assert clean.flagged_non_english == (not reference_looks_english(text, ENGLISH))
+
+
 class TestMatchesReference:
     @given(st.one_of(mixed_text, fuzz_text))
     @settings(max_examples=150, deadline=None)
@@ -269,7 +285,12 @@ class TestMatchesReference:
     @given(st.one_of(mixed_text, fuzz_text))
     @settings(max_examples=150, deadline=None)
     def test_extract_mentions(self, text):
-        assert extract_mentions(text) == reference_extract_mentions(text)
+        assert extract_mentions(text) == reference_extract_mentions(text)[1]
+
+    @given(st.one_of(mixed_text, fuzz_text))
+    @settings(max_examples=150, deadline=None)
+    def test_primary_preprocess(self, text):
+        assert_matches_reference(text)
 
     @given(st.one_of(mixed_text, fuzz_text))
     @settings(max_examples=150, deadline=None)
@@ -282,5 +303,6 @@ class TestMatchesReference:
     ])
     def test_edge_cases(self, text):
         assert looks_english(text, ENGLISH) == reference_looks_english(text, ENGLISH)
-        assert extract_mentions(text) == reference_extract_mentions(text)
+        assert extract_mentions(text) == reference_extract_mentions(text)[1]
         assert strip_noise(text) == reference_strip_noise(text)
+        assert_matches_reference(text)
