@@ -210,15 +210,11 @@ def load_config(path: str | Path, flags: Mapping[str, Any]) -> PipelineConfig:
 
     datasets: dict[int, Path] = {}
     for key, value in _object(raw, "datasets").items():
-        try:
-            no = int(key)
-        except ValueError:
-            no = 0
-        if not 1 <= no <= 9:
+        if len(key) != 1 or not "1" <= key <= "9":
             raise ConfigError(f"datasets key must be a dataset number 1-9, got {key!r}")
-        resolved = _file(value, base, f"datasets.{key}", f"datasets.{no}")
+        resolved = _file(value, base, f"datasets.{key}", f"datasets.{key}")
         if resolved is not None:
-            datasets[no] = resolved
+            datasets[int(key)] = resolved
     for no in CONTENT_DATASETS + (5,):
         if no not in datasets:
             raise ConfigError(f"datasets.{no} is not configured")

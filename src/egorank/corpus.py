@@ -6,10 +6,10 @@ messages (4); the list of interacted network members (5); and the members'
 counterparts (6-9). Datasets 2, 3, 7 and 8 are dependent: each of their
 rows references a parent post in dataset 1 or 6.
 
-Both CSV loaders read their rows through one reader, which checks the
-header and each row's cell count and numbers the rows. All loading is
-single-threaded per file. Loaded documents and members are frozen and safe
-to share across threads.
+Every CSV input, the labeled seed corpus included, is read through one
+reader, ``csv_rows``, which checks the header and each row's cell count
+and numbers the rows. All loading is single-threaded per file. Loaded
+documents and members are frozen and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -125,9 +125,9 @@ def parse_timestamp(value: str) -> datetime:
     return parsed.astimezone(timezone.utc)
 
 
-# --- activity CSV loading -------------------------------------------------------
+# --- CSV loading --------------------------------------------------------------
 
-def _rows(path: Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+def csv_rows(path: Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """(row number, cells) of each non-blank data row of a ``utf-8-sig`` CSV,
     after checking that its header is exactly ``header`` and that the row
     holds one cell per column. The header is row 1."""
@@ -185,7 +185,7 @@ def load_activity_csv(
     docs: list[Document] = []
     seen_post_ids: set[str] = set()
     for row_no, (post_id, content, _, user_id, reacts, shares, _, time_raw,
-                 parent_raw) in _rows(path, ACTIVITY_HEADER):
+                 parent_raw) in csv_rows(path, ACTIVITY_HEADER):
         post_id = post_id.strip()
         if not post_id:
             raise BadRowError(path, row_no, "empty post_id")
@@ -224,7 +224,7 @@ def load_members_csv(path: str | Path) -> list[InteractedMember]:
     path = Path(path)
     merged: dict[str, InteractedMember] = {}
     for row_no, (member_id, display_name, kind_raw, activities,
-                 conn_raw) in _rows(path, MEMBER_HEADER):
+                 conn_raw) in csv_rows(path, MEMBER_HEADER):
         member_id = member_id.strip()
         if not member_id:
             raise BadRowError(path, row_no, "empty member_id")

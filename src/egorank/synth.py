@@ -200,6 +200,9 @@ def generate_synthetic_corpus(
         raise ConfigError("members and docs_per_member must both be >= 1")
     if planted_members + group_members > members:
         raise ConfigError("planted_members + group_members exceeds the member count")
+    if members <= group_members:
+        raise ConfigError(f"members must exceed the {group_members} Group members, "
+                          "which are never targets")
     rng = random.Random(seed)
     other_buckets = [(c, s) for c in DEMO_TOPIC_PROFILES for s in SENTIMENT_WORDS
                      if (c, s) != EGO_BUCKET]

@@ -6,11 +6,13 @@ brute-force oracle in tests/oracle.py (or by explicit hand arithmetic
 inside the test) and then frozen.
 """
 
+import json
 import math
 import os
 import random
 import re
 import resource
+import shutil
 import subprocess
 import sys
 import time
@@ -22,6 +24,7 @@ import pytest
 import oracle
 from conftest import build_models, word_store
 from egorank import resources
+from egorank.cli import main
 from egorank.classify import (
     Bucket,
     Category,
@@ -341,6 +344,42 @@ def test_criterion_6_planted_target_recovery():
     report(6, f"{recovered}/10 planted members in top 15; ranking matches the "
               f"brute-force oracle and the frozen fixture; defaults removed = "
               f"{sorted(selection.defaults_removed)}")
+
+
+# --- a known weakness: one repeated word buys a target ------------------------------
+
+def test_repetition_spammer_reaches_rank_1(tmp_path, capsys):
+    """The non-planted member m050 of ``synth --seed 7`` adds one post,
+    ``love great computer ×n gadget.``, and is ranked among the 11 members
+    of Technology/Positive. The pinned thresholds are the target a
+    mitigation has to move: under ``raw`` m050 is 1st from n = 13, and
+    under ``mean`` from n = 8, where each normalization's n - 1 leaves it
+    2nd; and the ``raw`` score rises with n."""
+    seed7 = tmp_path / "seed7"
+    assert main(["synth", "--out", str(seed7), "--seed", "7"]) == 0
+
+    def rank_of_spammer(n, normalization):
+        tree = tmp_path / f"spam{n}"
+        if not tree.exists():
+            shutil.copytree(seed7, tree)
+            with (tree / "dataset_6.csv").open("a", encoding="utf-8") as fh:
+                fh.write(f"pspam,love great {'computer ' * n}gadget.,member050,m050,0,0,en,"
+                         "2024-06-01T00:00:00+00:00,\n")
+            assert main(["ingest", "--config", str(tree / "config.json")]) == 0
+        assert main(["rank", "--config", str(tree / "config.json"),
+                     "--bucket", "Technology/Positive", "--normalization", normalization]) == 0
+        ranking = json.loads((tree / "out" / "ranking_Technology_Positive.json").read_text())
+        assert len(ranking["entries"]) == 11
+        (spammer,) = [e for e in ranking["entries"] if e["member_id"] == "m050"]
+        return spammer["rank"], spammer["score"]
+
+    raw = [rank_of_spammer(n, "raw") for n in (3, 12, 13)]
+    assert [rank for rank, _ in raw] == [11, 2, 1]
+    assert raw[0][1] < raw[1][1] < raw[2][1]
+    assert [rank_of_spammer(n, "mean")[0] for n in (7, 8)] == [2, 1]
+    capsys.readouterr()  # the CLI's own lines
+    report("spam", "a non-planted member repeating one ego word n times is ranked 1st "
+                   "from n = 13 under raw and from n = 8 under mean")
 
 
 # --- criterion 7: performance envelope ---------------------------------------------

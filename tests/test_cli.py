@@ -100,6 +100,16 @@ class TestSynth:
         for path in sorted(synth_dir.iterdir()):
             assert path.read_bytes() == (again / path.name).read_bytes(), path.name
 
+    def test_no_member_but_groups_exits_config_error(self, tmp_path, caplog):
+        # Both members would be Groups, so the config written would ask for n_it 0.
+        out = tmp_path / "groups"
+        with caplog.at_level("ERROR"):
+            code = run_cli("synth", "--out", str(out), "--members", "2", "--planted", "0")
+        assert code == 1
+        assert [r.message for r in caplog.records] == [
+            "members must exceed the 2 Group members, which are never targets"]
+        assert not out.exists()
+
     def test_output_is_pinned(self, tmp_path):
         # sha256 of each file `synth --seed 7` wrote when these were taken.
         # Every pinned figure of the CLI tests starts from this corpus, so
@@ -142,6 +152,11 @@ class TestIngest:
         (lambda c: c["datasets"].update(x="dataset_1.csv"), (), "datasets key"),
         (lambda c: c["datasets"].update({"10": "dataset_1.csv"}), (),
          "datasets key must be a dataset number 1-9, got '10'"),
+        # int() would map these to 1, and the last of the two keys would win.
+        (lambda c: c["datasets"].update({"01": "dataset_6.csv"}), (),
+         "datasets key must be a dataset number 1-9, got '01'"),
+        (lambda c: c["datasets"].update({" 1": "dataset_6.csv"}), (),
+         "datasets key must be a dataset number 1-9, got ' 1'"),
         (lambda c: c["window"].update(since="yesterday"), (), "window.since"),
         (lambda c: c.update(allow_small="false"), (), "allow_small"),
         (lambda c: None, ("--until", "tomorrow"), "--until"),
@@ -155,9 +170,9 @@ class TestIngest:
         (lambda c: c["resources"].update(embeddings=["embeddings.txt"]), (),
          "resources.embeddings"),
     ], ids=["n_it", "bool_threshold", "workers", "dataset_key", "dataset_key_range",
-            "window", "allow_small", "until_flag", "window_string", "datasets_list",
-            "resources_list", "out_dir_number", "bucket_number", "ego_id_number",
-            "dataset_path_number", "resource_path_list"])
+            "dataset_key_padded", "dataset_key_spaced", "window", "allow_small", "until_flag",
+            "window_string", "datasets_list", "resources_list", "out_dir_number",
+            "bucket_number", "ego_id_number", "dataset_path_number", "resource_path_list"])
     def test_mistyped_field_exits_config_error(self, synth_dir, edit, argv, field, caplog):
         config = json.loads((synth_dir / "config.json").read_text())
         edit(config)
@@ -471,15 +486,14 @@ class TestIngest:
          "row {n}: unknown activity in 'Post;Poke'"),
         ("members.csv", "m099,Someone,Friend,,",
          "row {n}: activity_types must name at least one activity"),
-        ("seed_categories.csv", "HEADER",
-         "line 1: labeled seed corpus must have header 'text,category'"),
-        ("seed_categories.csv", "one,two,three", "line {n}: 3 columns, expected 2"),
+        ("seed_categories.csv", "HEADER", "row 1: header order mismatch: expected text,category"),
+        ("seed_categories.csv", "one,two,three", "row {n}: expected 2 columns, got 3"),
         ("dataset_6.csv", f"px,{'x' * 131073},Al,m001,{STAMP}",
          "row {n}: field larger than field limit (131072)"),
         ("members.csv", f"m099,{'x' * 131073},Friend,Post,",
          "row {n}: field larger than field limit (131072)"),
         ("seed_categories.csv", f"{'x' * 131073},Technology",
-         "line {n}: field larger than field limit (131072)"),
+         "row {n}: field larger than field limit (131072)"),
     ], ids=["activity_columns", "member_columns", "empty_post_id", "empty_user_id",
             "empty_member_id", "unknown_activity", "no_activity", "seed_header",
             "seed_columns", "activity_cell_too_long", "member_cell_too_long",
@@ -491,7 +505,7 @@ class TestIngest:
         path = broken / name
         lines = path.read_text().splitlines()
         if line == "HEADER":
-            lines[0] = "txt,category"
+            lines[0] = "category,text"
         else:
             lines.append(line)
         path.write_text("\n".join(lines) + "\n")
@@ -548,13 +562,13 @@ class TestIngest:
         ("lemma_dictionary", "runs\trun\nbroken line\n"): "line 2: expected form<TAB>lemma",
         ("sentiment_lexicon", "good\t1.9\nbad\tvery\n"): "line 2: bad valence 'very'",
         ("labeled_seed", "text,category\nfine text,Technology\none,two,three\n"):
-            "line 3: 3 columns, expected 2",
+            "row 3: expected 2 columns, got 3",
         ("spelling_dictionary", "good\t10\nbroken line\n"): "line 2: expected word<TAB>count",
         # A comment line is skipped, as in the other two tab-separated resources.
         ("spelling_dictionary", "# unigram counts\ngood\t10\nbroken line\n"):
             "line 3: expected word<TAB>count",
         ("labeled_seed", "text,category\ngreat code software,Technlogy\n"):
-            "line 2: unknown category 'Technlogy'",
+            "row 2: unknown category 'Technlogy'",
     }
 
     @pytest.mark.parametrize("resource, text", BAD_LINES)

@@ -208,10 +208,10 @@ def test_labeled_seed_keeps_a_quoted_line_break(tmp_path):
     path = tmp_path / "seed.csv"
     path.write_text('text,category\n"code\nships fast",Technology\n', encoding="utf-8")
     assert resources.load_labeled_seed(path) == [("code\nships fast", Category.TECHNOLOGY)]
-    # a bad row after the quoted one is named by its line in the file
+    # a bad row after the quoted one is named by its row number, the header being row 1
     with path.open("a", encoding="utf-8") as fh:
         fh.write("match day,Sprots\n")
-    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 4: unknown category 'Sprots'$"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: row 3: unknown category 'Sprots'$"):
         resources.load_labeled_seed(path)
 
 

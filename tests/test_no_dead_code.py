@@ -11,6 +11,10 @@ that only tests call is flagged. Likewise a defaulted parameter counts as
 used only when some call in the package passes it, by keyword or by
 position, so an option that only tests set is flagged. A ``_name`` is
 private to its module: no other module in the package imports it.
+
+Two more checks keep one read path for input files: ``corpus.csv_rows``
+holds the only ``csv.reader`` call, and no module imports ``importlib``,
+so the shipped resources are read as plain files.
 """
 
 import ast
@@ -164,3 +168,35 @@ def test_no_private_name_is_imported_across_modules():
                 for alias in node.names
                 if alias.name.startswith("_") and not alias.name.startswith("__")]
     assert not imported, "private names imported from another module: " + ", ".join(imported)
+
+
+def _scopes(tree):
+    """(enclosing module-level def or None, node) of each node of a module."""
+    for top in tree.body:
+        scope = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            yield scope, node
+
+
+def test_every_csv_file_is_read_by_one_reader():
+    # Every CSV input, the labeled seed corpus included, goes through
+    # corpus.csv_rows, so its header, cell-count and row-number rules hold for all.
+    readers = [(module, scope)
+               for module, tree in _trees().items()
+               for scope, node in _scopes(tree)
+               if (isinstance(node, ast.Attribute) and node.attr == "reader"
+                   and isinstance(node.value, ast.Name) and node.value.id == "csv")
+               or (isinstance(node, ast.ImportFrom) and node.module == "csv")]
+    assert readers == [("corpus.py", "csv_rows")]
+
+
+def test_no_module_imports_importlib():
+    # Shipped resources are read as plain files, like the user's own.
+    importing = [f"{module}:{node.lineno}"
+                 for module, tree in _trees().items()
+                 for node in ast.walk(tree)
+                 if (isinstance(node, ast.Import)
+                     and any(a.name.split(".")[0] == "importlib" for a in node.names))
+                 or (isinstance(node, ast.ImportFrom)
+                     and (node.module or "").split(".")[0] == "importlib")]
+    assert not importing, "importlib imported in src/egorank: " + ", ".join(importing)
