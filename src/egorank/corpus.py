@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import BadRowError, DataError, utf8_text
+from .errors import BadRowError, utf8_text
 
 log = logging.getLogger(__name__)
 
@@ -135,15 +135,9 @@ def csv_rows(path: Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]
         rows = enumerate(csv.reader(fh), start=1)
         row_no = 0  # the last row read; a reader error is in the next one
         try:
-            row_no, got = next(rows, (1, None))
-            if got is None:
-                raise DataError(f"empty file (no header row): {path}")
-            got = [h.strip() for h in got]
-            for name in header:
-                if name not in got:
-                    raise DataError(f"missing required column '{name}' in {path}")
-            if got != list(header):
-                raise BadRowError(path, 1, f"header order mismatch: expected {','.join(header)}")
+            row_no, got = next(rows, (1, []))
+            if [h.strip() for h in got] != list(header):
+                raise BadRowError(path, 1, f"header must be {','.join(header)}")
             for row_no, row in rows:
                 if not any(map(str.strip, row)):
                     continue

@@ -474,7 +474,7 @@ class TestIngest:
             assert any(f"{path}: row {len(lines)}:" in r.message for r in caplog.records), name
 
     # One row per raise site of the CSV loaders: the file, the line that goes
-    # last in it (or, for "HEADER", the header that replaces its first), and
+    # last in it (or, after "HEADER ", the header that replaces its first), and
     # the whole message after the file's path, where {n} is that line's number.
     @pytest.mark.parametrize("name, line, detail", [
         ("dataset_1.csv", "px,some text", "row {n}: expected 9 columns, got 2"),
@@ -486,7 +486,8 @@ class TestIngest:
          "row {n}: unknown activity in 'Post;Poke'"),
         ("members.csv", "m099,Someone,Friend,,",
          "row {n}: activity_types must name at least one activity"),
-        ("seed_categories.csv", "HEADER", "row 1: header order mismatch: expected text,category"),
+        ("seed_categories.csv", "HEADER txt,category", "row 1: header must be text,category"),
+        ("seed_categories.csv", "HEADER category,text", "row 1: header must be text,category"),
         ("seed_categories.csv", "one,two,three", "row {n}: expected 2 columns, got 3"),
         ("dataset_6.csv", f"px,{'x' * 131073},Al,m001,{STAMP}",
          "row {n}: field larger than field limit (131072)"),
@@ -496,16 +497,16 @@ class TestIngest:
          "row {n}: field larger than field limit (131072)"),
     ], ids=["activity_columns", "member_columns", "empty_post_id", "empty_user_id",
             "empty_member_id", "unknown_activity", "no_activity", "seed_header",
-            "seed_columns", "activity_cell_too_long", "member_cell_too_long",
-            "seed_cell_too_long"])
+            "seed_header_order", "seed_columns", "activity_cell_too_long",
+            "member_cell_too_long", "seed_cell_too_long"])
     def test_malformed_input_names_file_and_line(self, synth_dir, tmp_path, caplog, name,
                                                  line, detail):
         broken = tmp_path / "broken"
         shutil.copytree(synth_dir, broken, ignore=shutil.ignore_patterns("out"))
         path = broken / name
         lines = path.read_text().splitlines()
-        if line == "HEADER":
-            lines[0] = "category,text"
+        if line.startswith("HEADER "):
+            lines[0] = line.removeprefix("HEADER ")
         else:
             lines.append(line)
         path.write_text("\n".join(lines) + "\n")
