@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import csv
 import logging
-from datetime import datetime, timezone
+import re
+from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -113,15 +114,34 @@ class InteractedMember(NamedTuple):
 
 # --- timestamps ---------------------------------------------------------------
 
+# Exactly what Python 3.10's datetime.fromisoformat accepts, quirks included, so
+# that a timestamp reads the same on every supported Python; 3.11 widened it.
+_TIMESTAMP = re.compile(r"""
+    ([0-9]{4})-([0-9]{2})-([0-9]{2})
+    (?:(?s:.)                                        # any one separator
+      ([0-9]{2})(?::([0-9]{2})(?::([0-9]{2}))?)?     # hours[:minutes[:seconds]]
+      (?:(?(6)[.:]|\.)([0-9]{3}|[0-9]{6}))?          # fraction
+      (?:(?(7)|(?=[\x00-\x7f])[^+-])?                # one ASCII character after a field
+        ([+-])([0-9]{2}):([0-9]{2})(?::([0-9]{2})(?:[.:]([0-9]{6}))?)?  # offset
+      |(?(7)|\x00?))                                 # or a NUL after a field, and no offset
+    )?""", re.X)
+
+
 def parse_timestamp(value: str) -> datetime:
-    """Parse an ISO-8601 timestamp; naive values are taken as UTC.
-    Raises ValueError for anything else."""
+    """Parse a timestamp in ``_TIMESTAMP``'s grammar, with a trailing Z for
+    UTC; naive values are taken as UTC. Raises ValueError for anything else."""
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
-    parsed = datetime.fromisoformat(text)
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
+    match = _TIMESTAMP.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a timestamp: {value!r}")
+    *fields, fraction, sign, hours, minutes, seconds, micros = (g or "0" for g in match.groups())
+    parsed = datetime(*map(int, fields), int(fraction.ljust(6, "0")), tzinfo=timezone.utc)
+    offset = timedelta(hours=int(hours), minutes=int(minutes), seconds=int(seconds))
+    if offset:  # as in 3.10, an offset under one second reads as none
+        offset += timedelta(microseconds=int(micros))
+        parsed = parsed.replace(tzinfo=timezone(-offset if sign == "-" else offset))
     return parsed.astimezone(timezone.utc)
 
 

@@ -6,13 +6,13 @@ datasets, keeps the rows inside the time window (counting the others),
 preprocesses and labels them, buckets the documents of the ego and of
 members who can be targets, counts each word's document frequency (df)
 over every non-inert document, and writes the labelled corpus and df to a
-bundle under a fingerprint of what it read. Rank reads back only the
-records of the buckets the config selects (refusing a bundle that does
-not parse, that other inputs or another egorank version made, or whose
-records are malformed) and reuses a saved ranking only if its two files
-are, byte for byte, what it would write now for the entries the JSON
-holds. It ranks the other selected buckets from documents it checks as
-it reads them: an empty ranking for a bucket with no ego or no member
+bundle under a fingerprint of what it read, sealed by a SHA-256 of its
+bytes in a ``sha256sum`` sidecar. Rank reads back only the records of the
+buckets the config selects (refusing a bundle whose bytes do not match
+the seal, or that other inputs or another egorank version made) and
+reuses a saved ranking only if its two files are, byte for byte, what it
+would write now for the entries the JSON holds. It ranks the other
+selected buckets: an empty ranking for a bucket with no ego or no member
 documents, scores for the others. Targets gets its rankings from rank,
 then applies the selection algorithm; it checks N_it against the network
 size before it reads any ranking. Every file is written whole or not at
@@ -22,6 +22,7 @@ all, and the same config and inputs give byte-identical files.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -74,6 +75,7 @@ from .textprep import primary_preprocess
 log = logging.getLogger(__name__)
 
 BUNDLE_NAME = "bundle.json"
+SEAL_NAME = f"{BUNDLE_NAME}.sha256"  # ``sha256sum -c`` reads it too
 INGEST_REPORT_NAME = "ingest_report.json"
 
 
@@ -127,35 +129,17 @@ def _member_to_dict(m: InteractedMember) -> dict[str, Any]:
 
 
 def _member_from_dict(data: Mapping[str, Any]) -> InteractedMember:
-    """The member a bundle record holds, with the field types ``load_members_csv``
-    gives; ValueError for any other."""
-    member = InteractedMember(*(data[name] for name in InteractedMember._fields))
-    count = member.connections_count
-    if not (isinstance(member.member_id, str) and member.member_id
-            and isinstance(member.display_name, str)
-            and (count is None or type(count) is int and count >= 0)):
-        raise ValueError("a member record of the wrong shape")
+    """The member a bundle record holds."""
+    member = InteractedMember(**data)
     return member._replace(kind=MemberKind(member.kind),
                            activity_types=frozenset(map(ActivityType, member.activity_types)))
 
 
 def _document_to_dict(d: Document, bucket: Bucket | None) -> dict[str, Any]:
-    """A document as the bundle records it; ``_document_from_dict`` reads it
-    back. Tokens are [a-z0-9]+ runs, so joining them with spaces is lossless."""
+    """A document as the bundle records it; ``run_rank`` reads it back. Tokens
+    are [a-z0-9]+ runs, so joining them with spaces is lossless."""
     return {"doc_id": d.doc_id, "owner_id": d.owner_id, "dataset_no": d.dataset_no,
             "tokens": " ".join(d.tokens), "bucket": None if bucket is None else str(bucket)}
-
-
-def _document_from_dict(data: Mapping[str, Any]) -> Document:
-    """The document a bucketed bundle record holds; ValueError for a field of
-    the wrong type, or for no tokens, as ingest buckets no inert document."""
-    doc_id, owner_id = data["doc_id"], data["owner_id"]
-    dataset_no, tokens = data["dataset_no"], data["tokens"]
-    if not (isinstance(doc_id, str) and isinstance(owner_id, str) and isinstance(tokens, str)
-            and tokens.strip() and type(dataset_no) is int and dataset_no in CONTENT_DATASETS):
-        raise ValueError("a document record of the wrong shape")
-    # One string per distinct word, as build_document_set leaves them.
-    return Document(doc_id, owner_id, dataset_no, tuple(map(sys.intern, tokens.split())))
 
 
 def _label(
@@ -257,6 +241,8 @@ def run_ingest(cfg: PipelineConfig) -> None:
     # Compact, so that json encodes it in C; indent=2 would not.
     _replace(cfg.out_dir / BUNDLE_NAME,
              json.dumps(bundle, sort_keys=True, separators=(",", ":")) + "\n")
+    _replace(cfg.out_dir / SEAL_NAME,
+             f"{file_sha256(cfg.out_dir / BUNDLE_NAME)}  {BUNDLE_NAME}\n")
     _replace(cfg.out_dir / INGEST_REPORT_NAME, _json(report))
     log.info(
         "ingested %d documents (%d flagged non-English, %d bucketed), %d members",
@@ -276,62 +262,53 @@ def _fields(record: dict[str, Any], prefix: str = "") -> Iterator[tuple[str, Any
 def load_bundle(cfg: PipelineConfig) -> IngestResult:
     """Read the ingested corpus back, with the document records of the
     config's buckets only (every other bucket is left empty; rank reads the
-    records of the buckets it ranks now), refusing a bundle that does not
-    parse, that another egorank version wrote, that was ingested from other
-    inputs than the config names now, whose inputs, member records, df or n
-    are of the wrong shape, or whose document names no bucket."""
+    records of the buckets it ranks now), refusing a bundle whose bytes do
+    not match the seal ingest wrote beside it, that another egorank version
+    wrote, or that was ingested from other inputs than the config names now."""
     path = cfg.out_dir / BUNDLE_NAME
     if not path.is_file():
         raise ConfigError(f"no ingested bundle at {path}; run the ingest command first")
-    try:
-        bundle = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError:  # a JSON or UTF-8 decoding error
-        bundle = None
-    if not isinstance(bundle, dict):
-        raise ConfigError(f"{path} does not parse as a JSON object; run ingest again")
-    if bundle.get("version") != __version__:
+    seal = cfg.out_dir / SEAL_NAME
+    data = path.read_bytes()
+    if not (seal.is_file() and seal.read_bytes()
+            == f"{hashlib.sha256(data).hexdigest()}  {BUNDLE_NAME}\n".encode()):
+        raise ConfigError(f"{path} does not match {seal}; run ingest again")
+    text = data.decode("utf-8")
+    del data  # the parse holds the text only, as a read_text would
+    bundle = json.loads(text)
+    if bundle["version"] != __version__:
         raise ConfigError(f"{path} was ingested with a different version; egorank "
-                          f"{bundle.get('version')} wrote it, this is {__version__}; "
+                          f"{bundle['version']} wrote it, this is {__version__}; "
                           "run ingest again")
-    missing = sorted({"inputs", "members", "df", "n", "documents"} - bundle.keys())
-    if missing:
-        raise ConfigError(f"{path} lacks {', '.join(missing)}; run ingest again")
     inputs = cfg.ingest_inputs()
+    saved = dict(_fields(bundle["inputs"]))
+    for name, value in _fields(inputs):
+        if saved.get(name) != value:
+            raise ConfigError(f"{path} was ingested with a different {name}; run ingest again")
     # Every bucket name, and null, maps to its bucket if the config selects it, else to None.
     wanted = dict.fromkeys([None, *map(str, ALL_BUCKETS)]) | {str(b): b for b in cfg.bucket}
     filled: dict[Bucket, list[dict[str, Any]]] = {bucket: [] for bucket in ALL_BUCKETS}
-    try:
-        saved = dict(_fields(bundle["inputs"]))
-        for name, value in _fields(inputs):
-            if saved.get(name) != value:
-                raise ConfigError(f"{path} was ingested with a different {name}; "
-                                  "run ingest again")
-        df, n = bundle["df"], bundle["n"]
-        if not (isinstance(df, dict) and type(n) is int and n >= 0):
-            raise ValueError("df or n of the wrong shape")
-        for record in bundle["documents"]:
-            bucket = wanted[record["bucket"]]  # a KeyError for a name no bucket has
-            if bucket is not None:
-                filled[bucket].append(record)
-        return IngestResult(
-            members=[_member_from_dict(m) for m in bundle["members"]],
-            df=df,
-            n=n,
-            buckets=filled,
-            inputs_digest=digest(inputs),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError):  # a record of the wrong shape
-        raise ConfigError(f"{path} holds a malformed record; run ingest again") from None
+    for record in bundle["documents"]:
+        bucket = wanted[record["bucket"]]
+        if bucket is not None:
+            filled[bucket].append(record)
+    return IngestResult(
+        members=[_member_from_dict(m) for m in bundle["members"]],
+        df=bundle["df"],
+        n=bundle["n"],
+        buckets=filled,
+        inputs_digest=digest(inputs),
+    )
 
 
 # --- rank -----------------------------------------------------------------------
 
-def _empty_side(docs: list[Document]) -> str | None:
-    """The side of a bucket that has no documents, the ego's first; None
-    when both have some and the bucket can be scored."""
-    if not any(d.dataset_no in EGO_DATASETS for d in docs):
+def _empty_side(records: list[dict[str, Any]]) -> str | None:
+    """The side of a bucket's bundle records that has none, the ego's first;
+    None when both have some and the bucket can be scored."""
+    if not any(r["dataset_no"] in EGO_DATASETS for r in records):
         return "ego"
-    if all(d.dataset_no in EGO_DATASETS for d in docs):
+    if all(r["dataset_no"] in EGO_DATASETS for r in records):
         return "member"
     return None
 
@@ -403,11 +380,11 @@ def run_rank(cfg: PipelineConfig, ingest: IngestResult) -> dict[Bucket, MemberRa
     A saved ranking is reused when ``load_ranking_report`` finds it current;
     current files are not rewritten, and when every selected ranking is
     current no document is built and no word vector is loaded. Each bucket
-    ranked now takes its records out of ``ingest.buckets`` into checked
-    documents (a malformed one exits 1), freed before the vectors load;
-    ingest kept the member-side ones of possible targets only. A bucket with
-    no ego or no member documents gets an empty ranking and a warning. Each
-    other bucket's model is built from its own documents by the worker that
+    ranked now takes its records out of ``ingest.buckets``, freed before the
+    vectors load; ingest kept the member-side ones of possible targets only.
+    A bucket with no ego or no member records gets an empty ranking and a
+    warning, and no document is built for it. Each other bucket's records
+    become documents, and its model is built from them by the worker that
     scores it. With no bucket scored, the embeddings file is still checked
     for structure, but no row is parsed and no model is built.
     """
@@ -427,23 +404,19 @@ def run_rank(cfg: PipelineConfig, ingest: IngestResult) -> dict[Bucket, MemberRa
         return rankings
 
     scored: dict[Bucket, list[Document]] = {}
-    try:
-        for bucket in stale:
-            docs = [_document_from_dict(record) for record in ingest.buckets.pop(bucket)]
-            side = _empty_side(docs)
-            if side is None:
-                scored[bucket] = docs
-            else:
-                log.warning("bucket %s: no %s documents; writing empty ranking", bucket, side)
-                rankings[bucket] = MemberRanking(bucket=bucket, entries=[])
-        words = {w for docs in scored.values() for doc in docs for w in doc.tokens}
-        counts = [ingest.df[w] for w in words]
-        if not ({*map(type, counts)} <= {int}
-                and min(counts, default=1) >= 1 and max(counts, default=0) <= ingest.n):
-            raise ValueError("a scored word's df is no count from 1 to n")
-    except (KeyError, TypeError, ValueError):  # a record of the wrong shape
-        raise ConfigError(f"{cfg.out_dir / BUNDLE_NAME} holds a malformed record; "
-                          "run ingest again") from None
+    for bucket in stale:
+        records = ingest.buckets.pop(bucket)
+        side = _empty_side(records)
+        if side is None:
+            # One string per distinct word, as build_document_set leaves them.
+            scored[bucket] = [Document(r["doc_id"], r["owner_id"], r["dataset_no"],
+                                       tuple(map(sys.intern, r["tokens"].split())))
+                              for r in records]
+        else:
+            log.warning("bucket %s: no %s documents; writing empty ranking", bucket, side)
+            rankings[bucket] = MemberRanking(bucket=bucket, entries=[])
+    del records  # freed before the vectors load
+    words = {w for docs in scored.values() for doc in docs for w in doc.tokens}
     vectors = load_word_vectors(embeddings, words)
     if scored:
         # here, not at the top: only scoring needs the thread pool

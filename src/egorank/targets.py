@@ -56,10 +56,15 @@ def top_most(
 
     An unknown connection count is never treated as above the threshold;
     removal requires evidence. Raises RankingTooSmallError when the
-    ranking holds fewer than ``n_it`` members.
+    ranking holds fewer than ``n_it`` members, and warns when a tie on
+    score across the N_it cut leaves the choice to member id.
     """
     if len(ranking.entries) < n_it:
         raise RankingTooSmallError(ranking.bucket, len(ranking.entries), n_it)
+    cut = ranking.entries[n_it - 1:n_it + 1]
+    if len(cut) == 2 and cut[0].score == cut[1].score:
+        log.warning("bucket %s: members ranked %d and %d tie on score %r; selection across "
+                    "the cut falls to member id", ranking.bucket, n_it, n_it + 1, cut[0].score)
     selected = [entry.member_id for entry in ranking.entries[:n_it]]
     connections = {m.member_id: m.connections_count for m in members}
     # An unknown count reads as 0, which is below every threshold (>= 1).

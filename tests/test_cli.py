@@ -85,6 +85,38 @@ def ego_word(bundle):
     return ego_document(bundle)["tokens"].split()[0]
 
 
+def edit_values(bundle):
+    """Edit values only, every type kept: raise a scored word's df by 1, and
+    move one member document from Sports/Positive into Technology/Positive."""
+    bundle["df"][ego_word(bundle)] += 1
+    next(d for d in bundle["documents"] if d["bucket"] == "Sports/Positive"
+         and d["dataset_no"] > 5)["bucket"] = "Technology/Positive"
+
+
+def bundle_text(bundle):
+    """``bundle`` as ingest writes it."""
+    return json.dumps(bundle, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def seal(out):
+    """Seal the bundle at ``out`` as ingest does, for a test that rewrites it on purpose."""
+    digest = hashlib.sha256((out / "bundle.json").read_bytes()).hexdigest()
+    (out / "bundle.json.sha256").write_text(f"{digest}  bundle.json\n")
+
+
+def copy_bundle(out, to):
+    """Copy the bundle at ``out``, and the seal beside it, into ``to``."""
+    for name in ("bundle.json", "bundle.json.sha256"):
+        shutil.copy(out / name, to)
+
+
+def ingested_by_0_1_0(tree):
+    """Rewrite the bundle in ``tree`` as egorank 0.1.0 would have written it, and seal it."""
+    bundle = tree / "out" / "bundle.json"
+    bundle.write_text(bundle.read_text().replace(f'"version":"{__version__}"', '"version":"0.1.0"'))
+    seal(tree / "out")
+
+
 class TestSynth:
     def test_writes_all_inputs(self, synth_dir):
         names = {p.name for p in synth_dir.iterdir()}
@@ -732,6 +764,7 @@ class TestRank:
         next(d for d in documents if d["dataset_no"] == 1)["bucket"] = ego_only
         next(d for d in documents if d["dataset_no"] == 6)["bucket"] = member_only
         bundle_path.write_text(json.dumps(bundle))
+        seal(out)
 
         cfg = load_config(config, {"out_dir": str(out)})
         provenance = {
@@ -839,10 +872,7 @@ class TestRank:
         (lambda d: None, ("--since", "2024-03-01T00:00:00+00:00"), "window"),
         (lambda d: d.joinpath("lemmas.tsv").write_text("runs\trun\n"),
          ("--lemma-dictionary", "LEMMAS"), "resources.lemma_dictionary"),
-        (lambda d: d.joinpath("out", "bundle.json").write_text(
-            d.joinpath("out", "bundle.json").read_text().replace(
-                f'"version":"{__version__}"', '"version":"0.1.0"')),
-         (), f"version; egorank 0.1.0 wrote it, this is {__version__}"),
+        (ingested_by_0_1_0, (), f"version; egorank 0.1.0 wrote it, this is {__version__}"),
     ], ids=["dataset_content", "since", "lemma_dictionary", "version"])
     def test_stale_bundle_exits_config_error(self, synth_dir, tmp_path, caplog,
                                              command, edit, argv, field):
@@ -882,24 +912,66 @@ class TestRank:
         lambda bundle: ego_document(bundle).update(dataset_no=5),
         lambda bundle: ego_document(bundle).update(dataset_no=True),
         lambda bundle: ego_document(bundle).update(bucket="Technology/Neutral"),
+        edit_values,
     ], ids=["inputs_a_list", "document_without_bucket", "empty_member", "unknown_member_kind",
             "connections_count_a_string", "connections_count_negative",
             "connections_count_true", "member_id_not_a_string",
             "df_a_list", "df_missing_a_word", "df_zero", "df_above_n",
             "n_a_string", "n_negative",
             "tokens_not_a_string", "ego_tokens_empty", "member_tokens_empty", "doc_id_not_a_string", "owner_id_null",
-            "ego_dataset_no_a_string", "dataset_no_5", "dataset_no_true", "unknown_bucket"])
+            "ego_dataset_no_a_string", "dataset_no_5", "dataset_no_true", "unknown_bucket",
+            "values_only"])
     def test_malformed_bundle_exits_config_error(self, ingested, tmp_path, caplog, edit):
-        bundle = json.loads((ingested / "out" / "bundle.json").read_text())
+        # The edited bundle keeps its seal, and is written as ingest writes
+        # it, so only the edit changes a byte.
+        copy_bundle(ingested / "out", tmp_path)
+        text = (tmp_path / "bundle.json").read_text()
+        bundle = json.loads(text)
+        assert bundle_text(bundle) == text
         edit(bundle)
-        (tmp_path / "bundle.json").write_text(json.dumps(bundle))
+        (tmp_path / "bundle.json").write_text(bundle_text(bundle))
         caplog.clear()
         with caplog.at_level("ERROR"):
             code = run_cli("rank", "--config", str(ingested / "config.json"),
                            "--out-dir", str(tmp_path))
         assert code == 1
         assert [r.message for r in caplog.records] == [
-            f"{tmp_path / 'bundle.json'} holds a malformed record; run ingest again"]
+            f"{tmp_path / 'bundle.json'} does not match {tmp_path / 'bundle.json.sha256'}; "
+            "run ingest again"]
+
+    @pytest.mark.parametrize("case", ["seal_missing", "ingest_died_before_the_seal"])
+    def test_unsealed_bundle_exits_config_error(self, synth_dir, tmp_path, caplog, monkeypatch,
+                                                case):
+        argv = ["--config", str(synth_dir / "config.json"), "--out-dir", str(tmp_path)]
+        assert run_cli("ingest", *argv) == 0
+        bundle, sealed = tmp_path / "bundle.json", tmp_path / "bundle.json.sha256"
+        # sha256sum's format, so that `sha256sum -c bundle.json.sha256` checks it too
+        assert sealed.read_text() == (
+            f"{hashlib.sha256(bundle.read_bytes()).hexdigest()}  bundle.json\n")
+        if case == "seal_missing":
+            sealed.unlink()
+        else:
+            # An ingest from other inputs replaces the bundle, then dies
+            # before it replaces the seal.
+            replace = pipeline._replace
+
+            def die_at_the_seal(path, text):
+                if path == sealed:
+                    raise OSError("No space left on device")
+                replace(path, text)
+
+            argv += ["--since", "2024-03-01T00:00:00+00:00"]
+            before = bundle.read_bytes()
+            with monkeypatch.context() as patch:
+                patch.setattr(pipeline, "_replace", die_at_the_seal)
+                assert run_cli("ingest", *argv) == 1
+            assert bundle.read_bytes() != before
+        for command in ("rank", "targets"):
+            caplog.clear()
+            with caplog.at_level("ERROR"):
+                assert run_cli(command, *argv) == 1
+            assert [r.message for r in caplog.records] == [
+                f"{bundle} does not match {sealed}; run ingest again"]
 
     def test_rank_reads_labels_from_the_bundle(self, synth_dir, tmp_path, monkeypatch):
         config = str(synth_dir / "config.json")
@@ -918,7 +990,7 @@ class TestRank:
         # before the word vectors load.
         cfg = load_config(ingested / "config.json",
                           {"out_dir": str(tmp_path), "bucket": "Technology/Positive"})
-        shutil.copy(ingested / "out" / "bundle.json", tmp_path)
+        copy_bundle(ingested / "out", tmp_path)
         ingest = pipeline.load_bundle(cfg)
         (bucket,) = cfg.bucket
         assert ingest.buckets[bucket]
@@ -934,7 +1006,7 @@ class TestRank:
     def test_each_bucket_model_holds_that_bucket_only(self, ingested, tmp_path, monkeypatch):
         # No bucket's score reads another bucket's documents, so each scored
         # bucket's model is built, in the worker that scores it, from its own.
-        shutil.copy(ingested / "out" / "bundle.json", tmp_path)
+        copy_bundle(ingested / "out", tmp_path)
         bundle = json.loads((tmp_path / "bundle.json").read_text())
         buckets: dict[str, list[dict]] = {}
         for d in bundle["documents"]:
@@ -1227,6 +1299,29 @@ class TestTargets:
         for path in sorted(fresh.iterdir()):
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
+    def test_wrong_vocabulary_warns_of_ties_at_the_cut(self, synth_dir, tmp_path, caplog):
+        # Word vectors of the right shape for words that no document holds:
+        # every score is 0.0, so member id alone decides each selection.
+        header, *rows = (synth_dir / "embeddings.txt").read_text().splitlines()
+        wrong = tmp_path / "wrong_vocabulary.txt"
+        wrong.write_text("".join(f"{line}\n" for line in [header, *(
+            f"zz{i:05d} {row.split(' ', 1)[1]}" for i, row in enumerate(rows))]))
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING"):
+            assert run_cli("run", "--config", str(synth_dir / "config.json"), "--out-dir",
+                           str(out), "--embeddings", str(wrong)) == 0
+        n_it = json.loads((synth_dir / "config.json").read_text())["n_it"]
+        rankings = {}
+        for bucket in map(str, ALL_BUCKETS):
+            path = out / f"ranking_{bucket.replace('/', '_')}.json"
+            rankings[bucket] = json.loads(path.read_text())["entries"]
+        assert {e["score"] for entries in rankings.values() for e in entries} == {0.0}
+        tied = [bucket for bucket, entries in rankings.items() if len(entries) > n_it]
+        assert tied
+        assert [r.message for r in caplog.records if "tie" in r.message] == [
+            f"bucket {bucket}: members ranked {n_it} and {n_it + 1} tie on score 0.0; "
+            "selection across the cut falls to member id" for bucket in tied]
+
     def test_targets_without_ingest_is_config_error(self, synth_dir, tmp_path):
         code = run_cli("targets", "--config", str(synth_dir / "config.json"),
                        "--out-dir", str(tmp_path / "nothing"))
@@ -1414,7 +1509,7 @@ class TestRun:
             assert run_cli("run", "--config", str(corpus / "config.json"),
                            "--out-dir", str(out)) == 0
             outputs[corpus] = {p.name: p.read_bytes() for p in out.iterdir()
-                               if p.name != "bundle.json"}
+                               if p.name not in ("bundle.json", "bundle.json.sha256")}
         plain, moved = outputs[synth_dir], outputs[shuffled]
         assert sorted(plain) == sorted(moved)
         assert any(name.startswith("targets_") for name in plain)
@@ -1613,11 +1708,11 @@ ERROR_EXITS = {
         1, "[Errno 20] Not a directory: '{dir}/blocker/out'"),
     "bundle_not_json": (
         {"out/bundle.json": "{"}, ["targets", "--config", "{dir}/config.json"],
-        1, "{dir}/out/bundle.json does not parse as a JSON object; run ingest again"),
+        1, "{dir}/out/bundle.json does not match {dir}/out/bundle.json.sha256; run ingest again"),
     "bundle_without_inputs": (
         {"out/bundle.json": json.dumps({"version": __version__})},
         ["targets", "--config", "{dir}/config.json"],
-        1, "{dir}/out/bundle.json lacks df, documents, inputs, members, n; run ingest again"),
+        1, "{dir}/out/bundle.json does not match {dir}/out/bundle.json.sha256; run ingest again"),
 }
 
 

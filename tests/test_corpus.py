@@ -12,6 +12,7 @@ from egorank.corpus import (
     build_interaction_list,
     load_activity_csv,
     load_members_csv,
+    parse_timestamp,
 )
 from egorank.errors import BadRowError, ConfigError, DataError
 from egorank.simdex import load_word_vectors
@@ -165,6 +166,48 @@ def _vectors(path):
     store = load_word_vectors(path, {"good", "bad"})
     return store.unit.tolist(), store.index
 
+
+
+# Each string with Python 3.10.13's datetime.fromisoformat verdict: the UTC
+# instant it reads as, naive taken as UTC, or None for a rejection. A trailing
+# Z or z reads as UTC. Python 3.11 and later accept the rejected strings down
+# to "2024-01-02T0304"; no version accepts the last three.
+TIMESTAMPS = {
+    "2024-01-02": "2024-01-02T00:00:00+00:00",
+    "2024-01-02T03": "2024-01-02T03:00:00+00:00",
+    "2024-01-02T03:04": "2024-01-02T03:04:00+00:00",
+    "2024-01-02 03:04:05": "2024-01-02T03:04:05+00:00",
+    "2024-01-02x03:04:05": "2024-01-02T03:04:05+00:00",
+    "2024-01-02T03:04:05.123": "2024-01-02T03:04:05.123000+00:00",
+    "2024-01-02T03:04:05.123456": "2024-01-02T03:04:05.123456+00:00",
+    "2024-01-02T03:04:05+02:00": "2024-01-02T01:04:05+00:00",
+    "2024-01-02T03:04:05+02:00:30": "2024-01-02T01:03:35+00:00",
+    "2024-01-02T03:04:05-02:00": "2024-01-02T05:04:05+00:00",
+    "2024-01-02T03:04:05Z": "2024-01-02T03:04:05+00:00",
+    "2024-01-02T03:04:05z": "2024-01-02T03:04:05+00:00",
+    "2024-01-02T03:04:05:123456": "2024-01-02T03:04:05.123456+00:00",
+    "2024-01-02T03.123": "2024-01-02T03:00:00.123000+00:00",
+    "2024-01-02T03:04:05.1": None,
+    "2024-01-02T03:04:05+0200": None,
+    "2024-01-02T03:04:05+02": None,
+    "20240102T030405": None,
+    "20240102T030405Z": None,
+    "2024-W01-2": None,
+    "2024-01-02T03:04:05,123": None,
+    "2024-01-02T0304": None,
+    "2024-01-02T24:00": None,
+    "2024-01-02T03:04:05+24:00": None,
+    "2024-02-30": None,
+}
+
+
+@pytest.mark.parametrize("text, instant", TIMESTAMPS.items(), ids=list(TIMESTAMPS))
+def test_timestamps_read_as_python_3_10_reads_them(text, instant):
+    if instant is None:
+        with pytest.raises(ValueError):
+            parse_timestamp(text)
+    else:
+        assert parse_timestamp(text).isoformat() == instant
 
 # Each resource loader, and a file it reads whose first line matters.
 BOM_LOADERS = {

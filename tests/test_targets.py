@@ -69,6 +69,19 @@ class TestSelectTargets:
             top_most(ranking_of(0), 1, [], threshold=5000)
 
 
+    @pytest.mark.parametrize("n_it, warned", [(1, False), (2, True), (3, False), (4, False)])
+    def test_tie_across_the_cut_warns(self, caplog, n_it, warned):
+        scores = [3.0, 2.0, 2.0, 1.0]
+        ranking = MemberRanking(BUCKET, [RankEntry(f"m{i}", score, "d")
+                                         for i, score in enumerate(scores)])
+        with caplog.at_level("WARNING"):
+            selection = top_most(ranking, n_it, [], threshold=5000)
+        assert selection.selected == [f"m{i}" for i in range(n_it)]
+        assert [r.message for r in caplog.records] == [
+            "bucket Politics/Positive: members ranked 2 and 3 tie on score 2.0; selection "
+            "across the cut falls to member id"] * warned
+
+
 class TestRemoveDefaults:
     def test_three_megas_removed(self):
         members = [member(f"m{i:04d}", connections=6000 if i < 3 else 100) for i in range(50)]
