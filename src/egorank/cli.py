@@ -69,7 +69,6 @@ def _override_flags() -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="egorank", description=__doc__)
     parser.add_argument("--version", action="version", version=f"egorank {__version__}")
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = _override_flags()
@@ -118,11 +117,8 @@ def main(argv: list[str] | None = None) -> int:
     # Scoring never calls BLAS, so spare numpy's import the start of its threads.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s",
+                        stream=sys.stderr)
     try:
         if args.command == "synth":
             return cmd_synth(args)

@@ -198,7 +198,7 @@ def load_config(path: str | Path, flags: Mapping[str, Any]) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8-sig"))
-    except ValueError as exc:  # a JSON or UTF-8 decoding error
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise ConfigError(f"config file is not valid JSON: {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file is not a JSON object: {path}")

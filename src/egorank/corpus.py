@@ -129,20 +129,25 @@ _TIMESTAMP = re.compile(r"""
 
 def parse_timestamp(value: str) -> datetime:
     """Parse a timestamp in ``_TIMESTAMP``'s grammar, with a trailing Z for
-    UTC; naive values are taken as UTC. Raises ValueError for anything else."""
+    UTC, to a UTC datetime; naive values are taken as UTC. Raises ValueError
+    for anything else, and for an instant that a UTC datetime cannot hold."""
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     match = _TIMESTAMP.fullmatch(text)
     if match is None:
         raise ValueError(f"not a timestamp: {value!r}")
-    *fields, fraction, sign, hours, minutes, seconds, micros = (g or "0" for g in match.groups())
+    *fields, fraction, sign, hours, minutes, seconds, micros = match.groups("0")
     parsed = datetime(*map(int, fields), int(fraction.ljust(6, "0")), tzinfo=timezone.utc)
     offset = timedelta(hours=int(hours), minutes=int(minutes), seconds=int(seconds))
-    if offset:  # as in 3.10, an offset under one second reads as none
-        offset += timedelta(microseconds=int(micros))
-        parsed = parsed.replace(tzinfo=timezone(-offset if sign == "-" else offset))
-    return parsed.astimezone(timezone.utc)
+    if not offset:  # as in 3.10, an offset under one second reads as none
+        return parsed
+    offset += timedelta(microseconds=int(micros))
+    zone = timezone(-offset if sign == "-" else offset)  # refuses a day or more of offset
+    try:
+        return parsed.replace(tzinfo=zone).astimezone(timezone.utc)
+    except OverflowError:  # such as 0001-01-01T00:00:00+01:00
+        raise ValueError(f"outside datetime's range in UTC: {value!r}") from None
 
 
 # --- CSV loading --------------------------------------------------------------

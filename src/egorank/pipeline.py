@@ -11,12 +11,13 @@ bytes in a ``sha256sum`` sidecar. Rank reads back only the records of the
 buckets the config selects (refusing a bundle whose bytes do not match
 the seal, or that other inputs or another egorank version made) and
 reuses a saved ranking only if its two files are, byte for byte, what it
-would write now for the entries the JSON holds. It ranks the other
-selected buckets: an empty ranking for a bucket with no ego or no member
-documents, scores for the others. Targets gets its rankings from rank,
-then applies the selection algorithm; it checks N_it against the network
-size before it reads any ranking. Every file is written whole or not at
-all, and the same config and inputs give byte-identical files.
+would write now for the entries the JSON holds, read as rank's own types.
+It ranks the other selected buckets: an empty ranking for a bucket with
+no ego or no member documents, scores for the others. Targets gets its
+rankings from rank, then applies the selection algorithm; it checks N_it
+against the network size before it reads any ranking. Every file is
+written whole or not at all, no JSON report holds a NaN or infinity, and
+the same config and inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import hashlib
 import io
 import json
 import logging
-import math
 import os
 import sys
 from collections import Counter
@@ -117,7 +117,8 @@ def _table(header: list[str], rows: Iterable[Iterable[Any]]) -> str:
 
 
 def _json(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """A report's JSON text; raises ValueError on a NaN or infinity."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # --- ingest ---------------------------------------------------------------------
@@ -238,6 +239,9 @@ def run_ingest(cfg: PipelineConfig) -> None:
         # Every document, kept for inspection; rank reads only bucketed ones.
         "documents": [_document_to_dict(d, buckets.get(d.doc_id)) for d in documents],
     }
+    # The old report describes the old bundle: gone before the bundle is replaced.
+    if (cfg.out_dir / INGEST_REPORT_NAME).is_file():
+        (cfg.out_dir / INGEST_REPORT_NAME).unlink()
     # Compact, so that json encodes it in C; indent=2 would not.
     _replace(cfg.out_dir / BUNDLE_NAME,
              json.dumps(bundle, sort_keys=True, separators=(",", ":")) + "\n")
@@ -341,34 +345,25 @@ def write_ranking_reports(cfg: PipelineConfig, ranking: MemberRanking,
 
 def load_ranking_report(cfg: PipelineConfig, bucket: Bucket,
                         provenance: dict[str, str]) -> MemberRanking | None:
-    """The saved ranking of ``bucket``; None when there is none, when an
-    entry lacks a field or holds one of the wrong type or a score that is
-    not a finite float, or when the JSON and its CSV twin are not, byte for
-    byte, what ``write_ranking_reports`` would write now for the entries
-    the JSON holds. So a missing or edited twin, another provenance or
-    ``rank`` numbering, or a JSON that is not an object is ranked again."""
+    """The saved ranking of ``bucket``, its entries read as rank's own types;
+    None when there is none, or when the JSON and its CSV twin are not, byte
+    for byte, what ``write_ranking_reports`` would write now for those
+    entries. So a missing or edited twin, another provenance or ``rank``
+    numbering, a field missing or of another JSON type, a score that is not
+    finite, and a file that does not read or render are ranked again."""
     path = cfg.out_dir / f"ranking_{_bucket_slug(bucket)}.json"
     if not path.is_file():
         return None
     try:
-        data = json.loads(path.read_bytes())
-    except ValueError:  # a JSON or UTF-8 decoding error
-        data = None
-    if isinstance(data, dict):
-        try:
-            entries = [RankEntry(e["member_id"], e["score"], e["best_doc_id"])
-                       for e in data["entries"]]
-        except (KeyError, TypeError):  # a field missing, or entries not a list of objects
-            entries = None
-        if entries is None or not all(
-                isinstance(e.member_id, str) and type(e.score) is float and math.isfinite(e.score)
-                and isinstance(e.best_doc_id, str) for e in entries):
-            log.info("%s holds a malformed entry; ranking again", path)
-            return None
-        ranking = MemberRanking(bucket=bucket, entries=entries)
+        ranking = MemberRanking(bucket=bucket, entries=[
+            RankEntry(str(e["member_id"]), float(e["score"]), str(e["best_doc_id"]))
+            for e in json.loads(path.read_bytes())["entries"]])
         if all(saved.is_file() and saved.read_bytes() == text.encode("utf-8")
                for saved, text in _ranking_files(cfg, ranking, provenance).items()):
             return ranking
+    # ValueError covers bad JSON, bad UTF-8, a lone surrogate and a NaN score.
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
+        pass
     log.info("%s or its CSV twin is not what rank would write now; ranking again", path)
     return None
 

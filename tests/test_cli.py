@@ -224,6 +224,16 @@ class TestIngest:
         assert [r.message for r in caplog.records] == [
             f"config file is not a JSON object: {config}"]
 
+    def test_config_nested_too_deep_exits_config_error(self, tmp_path, caplog):
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 100_000)
+        with caplog.at_level("ERROR"):
+            code = run_cli("ingest", "--config", str(config))
+        assert code == 1
+        [message] = [r.message for r in caplog.records]
+        assert message.startswith(
+            f"config file is not valid JSON: {config}: maximum recursion depth exceeded")
+
     def test_config_not_utf8_exits_config_error(self, synth_dir, tmp_path, caplog):
         config = tmp_path / "config.json"
         config.write_bytes((synth_dir / "config.json").read_bytes() + b"\xff")
@@ -527,10 +537,15 @@ class TestIngest:
          "row {n}: field larger than field limit (131072)"),
         ("seed_categories.csv", f"{'x' * 131073},Technology",
          "row {n}: field larger than field limit (131072)"),
+        # Each reads in 3.10 as an instant that a UTC datetime cannot hold.
+        *(("dataset_6.csv", f"px,some text,Al,m001,0,0,en,{time},",
+           f"row {{n}}: unparseable timestamp '{time}'")
+          for time in ("0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00")),
     ], ids=["activity_columns", "member_columns", "empty_post_id", "empty_user_id",
             "empty_member_id", "unknown_activity", "no_activity", "seed_header",
             "seed_header_order", "seed_columns", "activity_cell_too_long",
-            "member_cell_too_long", "seed_cell_too_long"])
+            "member_cell_too_long", "seed_cell_too_long", "time_before_utc_range",
+            "time_after_utc_range"])
     def test_malformed_input_names_file_and_line(self, synth_dir, tmp_path, caplog, name,
                                                  line, detail):
         broken = tmp_path / "broken"
@@ -966,6 +981,8 @@ class TestRank:
                 patch.setattr(pipeline, "_replace", die_at_the_seal)
                 assert run_cli("ingest", *argv) == 1
             assert bundle.read_bytes() != before
+            # The first ingest's report describes a bundle that is gone.
+            assert not (tmp_path / "ingest_report.json").exists()
         for command in ("rank", "targets"):
             caplog.clear()
             with caplog.at_level("ERROR"):
@@ -1044,6 +1061,18 @@ class TestRank:
         with pytest.raises(RuntimeError, match="disk went away"):
             pipeline.write_ranking_reports(cfg, ranking, {"inputs_digest": "0" * 64})
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_score_is_never_written(self, synth_dir, tmp_path, score):
+        with pytest.raises(ValueError):
+            pipeline._json({"score": score})
+        cfg = load_config(synth_dir / "config.json",
+                          {"out_dir": str(tmp_path), "bucket": "Sports/Negative"})
+        ranking = MemberRanking(bucket=cfg.bucket[0], entries=[RankEntry("m1", score, "d6-a")])
+        with pytest.raises(ValueError):
+            pipeline.write_ranking_reports(cfg, ranking, {"inputs_digest": "0" * 64})
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.usefixtures("ingested")
@@ -1241,31 +1270,38 @@ class TestTargets:
         for path in sorted(fresh.iterdir()):
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
-    # A score counts only as a finite JSON float: a string or bool that
-    # float() would take, NaN or infinity makes the bucket rank again.
-    @pytest.mark.parametrize("entries", [
-        [{"rank": 1}],
-        "oops",
-        [{"rank": 1, "member_id": "m001", "score": "x", "best_doc_id": "d001"}],
-        [{"rank": 1, "member_id": 1, "score": 1.0, "best_doc_id": "d001"}],
-        *([{"rank": 1, "member_id": "m001", "score": score, "best_doc_id": "d001"}]
-          for score in ("0.5", True, "nan", "inf", math.nan)),
+    # Entries are read as rank's types and must render as saved: a string
+    # or bool that float() would take, NaN or infinity, a lone surrogate, a
+    # score past float and a file nested past the JSON parser's depth make
+    # the bucket rank again.
+    @pytest.mark.parametrize("text", [
+        *((lambda data, entries=entries: json.dumps(data | {"entries": entries}))
+          for entries in [
+              [{"rank": 1}],
+              "oops",
+              [{"rank": 1, "member_id": "m001", "score": "x", "best_doc_id": "d001"}],
+              [{"rank": 1, "member_id": 1, "score": 1.0, "best_doc_id": "d001"}],
+              *([{"rank": 1, "member_id": "m001", "score": score, "best_doc_id": "d001"}]
+                for score in ("0.5", True, "nan", "inf", math.nan, 10**400)),
+              [{"rank": 1, "member_id": "\ud800", "score": 1.0, "best_doc_id": "d001"}],
+          ]),
+        lambda data: "[" * 100_000,
     ], ids=["no_member_id", "entries_not_a_list", "score_not_a_number",
             "member_id_not_a_string", "score_a_string", "score_a_bool", "score_nan_string",
-            "score_inf_string", "score_nan"])
-    def test_malformed_ranking_entry_is_ranked_again(self, synth_dir, tmp_path, caplog, entries):
+            "score_inf_string", "score_nan", "score_past_float", "member_id_lone_surrogate",
+            "nested_100000_deep"])
+    def test_malformed_ranking_entry_is_ranked_again(self, synth_dir, tmp_path, caplog, text):
         config = str(synth_dir / "config.json")
         out, fresh = tmp_path / "out", tmp_path / "fresh"
         for path in (out, fresh):
             assert run_cli("run", "--config", config, "--out-dir", str(path)) == 0
         malformed = out / "ranking_Technology_Positive.json"
-        data = json.loads(malformed.read_text())
-        data["entries"] = entries
-        malformed.write_text(json.dumps(data))
+        malformed.write_text(text(json.loads(malformed.read_text())))
         caplog.clear()
         with caplog.at_level("INFO"):
             assert run_cli("targets", "--config", config, "--out-dir", str(out)) == 0
-        assert f"{malformed} holds a malformed entry; ranking again" in caplog.messages
+        assert (f"{malformed} or its CSV twin is not what rank would write now; ranking again"
+                in caplog.messages)
         for path in sorted(fresh.iterdir()):
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
@@ -1624,6 +1660,11 @@ ERROR_EXITS = {
         1, f"window.{bound} must be an ISO-8601 timestamp string, got {value!r}")
        for bound in ("since", "until")
        for name, value in (("0", 0), ("false", False), ("list", []))},
+    **{f"{bound}_outside_utc_range": (
+        {}, ["ingest", "--config", "{dir}/config.json", f"--{bound}", time],
+        1, f"--{bound} is not an ISO-8601 timestamp: '{time}'")
+       for bound, time in (("since", "0001-01-01T00:00:00+01:00"),
+                           ("until", "9999-12-31T23:59:59-01:00"))},
     "since_after_until": (
         {}, ["ingest", "--config", "{dir}/config.json", "--since", "2025-06-01T00:00:00+00:00",
              "--until", "2024-06-01T00:00:00+00:00"],
@@ -1788,7 +1829,7 @@ def test_flag_reads_as_the_file_field_it_replaces(synth_dir, tmp_path, section, 
 
 
 def test_every_config_field_but_datasets_has_its_flag():
-    flags = set(parse_flags()) - {"command", "config", "verbose"}
+    flags = set(parse_flags()) - {"command", "config"}
     fields = set(PipelineConfig._fields) - {"datasets", "window", "resources"}
     assert flags == fields | {"since", "until"} | set(RESOURCE_KEYS)
     assert flags == {key for _, key, _ in FLAG_CASES.values()}

@@ -171,7 +171,9 @@ def _vectors(path):
 # Each string with Python 3.10.13's datetime.fromisoformat verdict: the UTC
 # instant it reads as, naive taken as UTC, or None for a rejection. A trailing
 # Z or z reads as UTC. Python 3.11 and later accept the rejected strings down
-# to "2024-01-02T0304"; no version accepts the last three.
+# to "2024-01-02T0304"; no version accepts the next four. The last two read
+# in every version as instants that a UTC datetime cannot hold, and are
+# rejected; the four before them can be held.
 TIMESTAMPS = {
     "2024-01-02": "2024-01-02T00:00:00+00:00",
     "2024-01-02T03": "2024-01-02T03:00:00+00:00",
@@ -197,7 +199,14 @@ TIMESTAMPS = {
     "2024-01-02T0304": None,
     "2024-01-02T24:00": None,
     "2024-01-02T03:04:05+24:00": None,
+    "9999-12-31-02+59:01": None,
     "2024-02-30": None,
+    "0001-01-01T00:00:00": "0001-01-01T00:00:00+00:00",
+    "0001-01-01T00:00:00-01:00": "0001-01-01T01:00:00+00:00",
+    "9999-12-31T23:59:59.999999": "9999-12-31T23:59:59.999999+00:00",
+    "9999-12-31T23:59:59+01:00": "9999-12-31T22:59:59+00:00",
+    "0001-01-01T00:00:00+01:00": None,
+    "9999-12-31T23:59:59-01:00": None,
 }
 
 
