@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import logging
 import re
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -114,38 +114,28 @@ class InteractedMember(NamedTuple):
 
 # --- timestamps ---------------------------------------------------------------
 
-# Exactly what Python 3.10's datetime.fromisoformat accepts, quirks included, so
-# that a timestamp reads the same on every supported Python; 3.11 widened it.
+# README's forms: YYYY-MM-DD, then a Z, or T, t or a space and HH[:MM[:SS[.fff]]]
+# (.fff or .ffffff) with an optional offset ±HH:MM[:SS] or Z. [0-9], as \d also
+# matches other scripts' digits. fromisoformat reads these alike on 3.10 and later.
 _TIMESTAMP = re.compile(r"""
-    ([0-9]{4})-([0-9]{2})-([0-9]{2})
-    (?:(?s:.)                                        # any one separator
-      ([0-9]{2})(?::([0-9]{2})(?::([0-9]{2}))?)?     # hours[:minutes[:seconds]]
-      (?:(?(6)[.:]|\.)([0-9]{3}|[0-9]{6}))?          # fraction
-      (?:(?(7)|(?=[\x00-\x7f])[^+-])?                # one ASCII character after a field
-        ([+-])([0-9]{2}):([0-9]{2})(?::([0-9]{2})(?:[.:]([0-9]{6}))?)?  # offset
-      |(?(7)|\x00?))                                 # or a NUL after a field, and no offset
-    )?""", re.X)
+    [0-9]{4}-[0-9]{2}-[0-9]{2}
+    (?:[Tt ][0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?
+      (?:[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2})?|[Zz])?
+    |[Zz])?""", re.X)
 
 
 def parse_timestamp(value: str) -> datetime:
-    """Parse a timestamp in ``_TIMESTAMP``'s grammar, with a trailing Z for
-    UTC, to a UTC datetime; naive values are taken as UTC. Raises ValueError
-    for anything else, and for an instant that a UTC datetime cannot hold."""
+    """Parse a timestamp in ``_TIMESTAMP``'s grammar to a UTC datetime; a Z,
+    or no offset, means UTC. Raises ValueError for anything else, and for an
+    instant that a UTC datetime cannot hold."""
     text = value.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    match = _TIMESTAMP.fullmatch(text)
-    if match is None:
+    if _TIMESTAMP.fullmatch(text) is None:
         raise ValueError(f"not a timestamp: {value!r}")
-    *fields, fraction, sign, hours, minutes, seconds, micros = match.groups("0")
-    parsed = datetime(*map(int, fields), int(fraction.ljust(6, "0")), tzinfo=timezone.utc)
-    offset = timedelta(hours=int(hours), minutes=int(minutes), seconds=int(seconds))
-    if not offset:  # as in 3.10, an offset under one second reads as none
-        return parsed
-    offset += timedelta(microseconds=int(micros))
-    zone = timezone(-offset if sign == "-" else offset)  # refuses a day or more of offset
+    parsed = datetime.fromisoformat(text.rstrip("Zz"))
+    if parsed.tzinfo is None:
+        return parsed.replace(tzinfo=timezone.utc)
     try:
-        return parsed.replace(tzinfo=zone).astimezone(timezone.utc)
+        return parsed.astimezone(timezone.utc)
     except OverflowError:  # such as 0001-01-01T00:00:00+01:00
         raise ValueError(f"outside datetime's range in UTC: {value!r}") from None
 

@@ -537,15 +537,17 @@ class TestIngest:
          "row {n}: field larger than field limit (131072)"),
         ("seed_categories.csv", f"{'x' * 131073},Technology",
          "row {n}: field larger than field limit (131072)"),
-        # Each reads in 3.10 as an instant that a UTC datetime cannot hold.
+        # The first two read as instants that a UTC datetime cannot hold; the
+        # third's separator is outside the documented grammar.
         *(("dataset_6.csv", f"px,some text,Al,m001,0,0,en,{time},",
            f"row {{n}}: unparseable timestamp '{time}'")
-          for time in ("0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00")),
+          for time in ("0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00",
+                       "2024-01-02x03:04:05")),
     ], ids=["activity_columns", "member_columns", "empty_post_id", "empty_user_id",
             "empty_member_id", "unknown_activity", "no_activity", "seed_header",
             "seed_header_order", "seed_columns", "activity_cell_too_long",
             "member_cell_too_long", "seed_cell_too_long", "time_before_utc_range",
-            "time_after_utc_range"])
+            "time_after_utc_range", "time_other_separator"])
     def test_malformed_input_names_file_and_line(self, synth_dir, tmp_path, caplog, name,
                                                  line, detail):
         broken = tmp_path / "broken"
@@ -1660,11 +1662,13 @@ ERROR_EXITS = {
         1, f"window.{bound} must be an ISO-8601 timestamp string, got {value!r}")
        for bound in ("since", "until")
        for name, value in (("0", 0), ("false", False), ("list", []))},
-    **{f"{bound}_outside_utc_range": (
+    **{name: (
         {}, ["ingest", "--config", "{dir}/config.json", f"--{bound}", time],
         1, f"--{bound} is not an ISO-8601 timestamp: '{time}'")
-       for bound, time in (("since", "0001-01-01T00:00:00+01:00"),
-                           ("until", "9999-12-31T23:59:59-01:00"))},
+       for name, bound, time in (
+           ("since_outside_utc_range", "since", "0001-01-01T00:00:00+01:00"),
+           ("until_outside_utc_range", "until", "9999-12-31T23:59:59-01:00"),
+           ("since_fraction_after_hour", "since", "2024-01-02T03.123"))},
     "since_after_until": (
         {}, ["ingest", "--config", "{dir}/config.json", "--since", "2025-06-01T00:00:00+00:00",
              "--until", "2024-06-01T00:00:00+00:00"],

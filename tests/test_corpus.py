@@ -1,5 +1,10 @@
 import json
+import os
+import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +31,7 @@ from egorank.synth import (
 HEADER = "post_id,content,user_name,user_id,react_count,share_count,language,time,parent_post_id"
 MEMBER_HEADER_ROW = "member_id,display_name,kind,activity_types,connections_count"
 
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 T1 = "2024-03-01T10:00:00+00:00"
 T2 = "2024-03-02T10:00:00+00:00"
 
@@ -168,18 +174,21 @@ def _vectors(path):
 
 
 
-# Each string with Python 3.10.13's datetime.fromisoformat verdict: the UTC
-# instant it reads as, naive taken as UTC, or None for a rejection. A trailing
-# Z or z reads as UTC. Python 3.11 and later accept the rejected strings down
-# to "2024-01-02T0304"; no version accepts the next four. The last two read
-# in every version as instants that a UTC datetime cannot hold, and are
-# rejected; the four before them can be held.
+# Each string with the UTC instant it reads as on every supported Python
+# (naive taken as UTC), or None for a refusal. A Z or z reads as UTC. Python
+# 3.10's fromisoformat reads the seven refused strings from
+# "2024-01-02x03:04:05" to "2024-01-02T03:04:123+02:00"; 3.11 and later read
+# all of those but the Z with an offset, and the eight after them down to
+# "2024-01-02T0304"; no version reads the next four. The last two read in
+# every version as instants that a UTC datetime cannot hold, and are
+# refused; the four before them can be held.
 TIMESTAMPS = {
     "2024-01-02": "2024-01-02T00:00:00+00:00",
+    "2024-01-02Z": "2024-01-02T00:00:00+00:00",
     "2024-01-02T03": "2024-01-02T03:00:00+00:00",
     "2024-01-02T03:04": "2024-01-02T03:04:00+00:00",
+    "2024-01-02t03:04": "2024-01-02T03:04:00+00:00",
     "2024-01-02 03:04:05": "2024-01-02T03:04:05+00:00",
-    "2024-01-02x03:04:05": "2024-01-02T03:04:05+00:00",
     "2024-01-02T03:04:05.123": "2024-01-02T03:04:05.123000+00:00",
     "2024-01-02T03:04:05.123456": "2024-01-02T03:04:05.123456+00:00",
     "2024-01-02T03:04:05+02:00": "2024-01-02T01:04:05+00:00",
@@ -187,8 +196,13 @@ TIMESTAMPS = {
     "2024-01-02T03:04:05-02:00": "2024-01-02T05:04:05+00:00",
     "2024-01-02T03:04:05Z": "2024-01-02T03:04:05+00:00",
     "2024-01-02T03:04:05z": "2024-01-02T03:04:05+00:00",
-    "2024-01-02T03:04:05:123456": "2024-01-02T03:04:05.123456+00:00",
-    "2024-01-02T03.123": "2024-01-02T03:00:00.123000+00:00",
+    "2024-01-02x03:04:05": None,
+    "2024-01-02T03:04:05:123456": None,
+    "2024-01-02T03.123": None,
+    "2024-01-02T03:04:05\x00": None,
+    "2024-01-02T03:04:05+02:00:30.000001": None,
+    "2024-01-02T03:04:05Z+02:00": None,
+    "2024-01-02T03:04:123+02:00": None,
     "2024-01-02T03:04:05.1": None,
     "2024-01-02T03:04:05+0200": None,
     "2024-01-02T03:04:05+02": None,
@@ -217,6 +231,112 @@ def test_timestamps_read_as_python_3_10_reads_them(text, instant):
             parse_timestamp(text)
     else:
         assert parse_timestamp(text).isoformat() == instant
+
+
+def read_timestamp(text):
+    """``parse_timestamp``'s instant for ``text`` in ISO form, or None."""
+    try:
+        return parse_timestamp(text).isoformat()
+    except ValueError:
+        return None
+
+
+def generated_timestamps(count=3000, seed=39):
+    """``count`` strings drawn from the timestamp grammar, each part a step
+    outside it one time in ten."""
+    rng = random.Random(seed)
+    parts = [  # (in the grammar, outside it)
+        (["2024-01-02", "0001-01-01", "9999-12-31", "2024-02-29"],
+         ["2023-02-29", "2024-13-01", "20240102", "2024-W01-2", "2024-01-0\u0662"]),
+        (["T", "t", " "], ["", "x", "_", "\x00"]),
+        (["00", "03", "23"], ["24", "3", "\u0660\u0663"]),
+        ([":04", ":59", ""], [":60", "04"]),
+        ([":05", ":59", ""], [":60", "05"]),
+        ([".123", ".123456", ""], [".1", ":123", ",123", ".1234567"]),
+        (["+02:00", "-02:00", "+02:00:30", "-23:59:59", "+00:00", "Z", "z", ""],
+         ["+24:00", "+0200", "+02", "+02:00:30.000001"]),
+        ([""], ["Z", "z", "\x00", " "]),
+    ]
+    return ["".join(rng.choice(outside if rng.random() < 0.1 else inside)
+                    for inside, outside in parts) for _ in range(count)]
+
+
+# Reads each JSON string on stdin with parse_timestamp, printing its instant
+# or null.
+READ_TIMESTAMPS = """
+import json, sys
+from egorank.corpus import parse_timestamp
+
+def read(text):
+    try:
+        return parse_timestamp(text).isoformat()
+    except ValueError:
+        return None
+
+print(json.dumps([read(text) for text in json.load(sys.stdin)]))
+"""
+
+
+def other_pythons():
+    """Every CPython 3.10+ on this host but the running one, found as
+    ``python3.N`` on PATH and as pyenv's ``versions/3.*/bin/python``: each is
+    run once, and one that cannot start, such as the pyenv shim of a version
+    not selected, is dropped."""
+    candidates = [path for folder in os.get_exec_path()
+                  for path in sorted(Path(folder).glob("python3.*"))
+                  if re.fullmatch(r"python3\.[0-9]+", path.name)]
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    candidates += sorted(pyenv.glob("versions/3.*/bin/python"))
+    probe = ("import os, platform, sys; print(platform.python_implementation(), "
+             "sys.version_info >= (3, 10), platform.python_version(), "
+             "os.path.realpath(sys.executable))")
+    here, found = os.path.realpath(sys.executable), {}
+    for path in candidates:
+        try:
+            proc = subprocess.run([str(path), "-c", probe], capture_output=True, text=True,
+                                  timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if proc.returncode == 0 and proc.stdout.startswith("CPython True "):
+            _, _, version, executable = proc.stdout.rstrip("\n").split(" ", 3)
+            if executable != here:
+                found.setdefault(executable, version)
+    return [pytest.param(executable, id=version) for executable, version in found.items()]
+
+
+def ingest_seed_7(python, cwd):
+    """The exit code, stdout and stderr of ``synth --seed 7`` and then of
+    ``ingest`` of it under ``python`` in ``cwd``, and every file they wrote."""
+    cwd.mkdir()
+    runs = [subprocess.run([python, "-m", "egorank.cli", *argv], cwd=cwd, capture_output=True,
+                           env=dict(os.environ, PYTHONPATH=str(SRC_DIR)), timeout=300)
+            for argv in (["synth", "--out", "corpus", "--seed", "7"],
+                         ["ingest", "--config", "corpus/config.json"])]
+    return ([(run.returncode, run.stdout, run.stderr) for run in runs],
+            {str(path.relative_to(cwd)): path.read_bytes()
+             for path in sorted(cwd.rglob("*")) if path.is_file()})
+
+
+@pytest.fixture(scope="module")
+def seed_7_here(tmp_path_factory):
+    return ingest_seed_7(sys.executable, tmp_path_factory.mktemp("here") / "run")
+
+
+@pytest.mark.parametrize("python", other_pythons() or [pytest.param(None, marks=pytest.mark.skip(
+    reason="no other CPython 3.10+ on this host"))])
+def test_ingest_reads_alike_on_every_python(python, seed_7_here, tmp_path):
+    texts = list(TIMESTAMPS) + generated_timestamps()
+    proc = subprocess.run([python, "-c", READ_TIMESTAMPS], input=json.dumps(texts),
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=str(SRC_DIR)))
+    assert proc.returncode == 0, proc.stderr
+    assert [(text, there) for text, there in zip(texts, json.loads(proc.stdout))
+            if there != read_timestamp(text)] == []
+    runs, files = ingest_seed_7(python, tmp_path / "run")
+    assert [code for code, _, _ in runs] == [0, 0]
+    assert runs == seed_7_here[0]
+    assert files == seed_7_here[1]
+
 
 # Each resource loader, and a file it reads whose first line matters.
 BOM_LOADERS = {
