@@ -107,6 +107,11 @@ def _replace(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)  # a no-op once the rename has happened
 
 
+def _seal_line(sha256: str) -> str:
+    """The seal of a bundle of that SHA-256 hex digest, as ``sha256sum`` writes it."""
+    return f"{sha256}  {BUNDLE_NAME}\n"
+
+
 def _table(header: list[str], rows: Iterable[Iterable[Any]]) -> str:
     """A report's CSV text; a None cell reads as empty."""
     text = io.StringIO()
@@ -245,8 +250,7 @@ def run_ingest(cfg: PipelineConfig) -> None:
     # Compact, so that json encodes it in C; indent=2 would not.
     _replace(cfg.out_dir / BUNDLE_NAME,
              json.dumps(bundle, sort_keys=True, separators=(",", ":")) + "\n")
-    _replace(cfg.out_dir / SEAL_NAME,
-             f"{file_sha256(cfg.out_dir / BUNDLE_NAME)}  {BUNDLE_NAME}\n")
+    _replace(cfg.out_dir / SEAL_NAME, _seal_line(file_sha256(cfg.out_dir / BUNDLE_NAME)))
     _replace(cfg.out_dir / INGEST_REPORT_NAME, _json(report))
     log.info(
         "ingested %d documents (%d flagged non-English, %d bucketed), %d members",
@@ -274,8 +278,8 @@ def load_bundle(cfg: PipelineConfig) -> IngestResult:
         raise ConfigError(f"no ingested bundle at {path}; run the ingest command first")
     seal = cfg.out_dir / SEAL_NAME
     data = path.read_bytes()
-    if not (seal.is_file() and seal.read_bytes()
-            == f"{hashlib.sha256(data).hexdigest()}  {BUNDLE_NAME}\n".encode()):
+    if not (seal.is_file()
+            and seal.read_bytes() == _seal_line(hashlib.sha256(data).hexdigest()).encode()):
         raise ConfigError(f"{path} does not match {seal}; run ingest again")
     text = data.decode("utf-8")
     del data  # the parse holds the text only, as a read_text would

@@ -8,21 +8,17 @@ inside the test) and then frozen.
 
 import json
 import math
-import os
 import random
 import re
 import resource
 import shutil
-import subprocess
-import sys
 import time
 from datetime import datetime, timezone
-from pathlib import Path
 
 import pytest
 
 import oracle
-from conftest import build_models, word_store
+from conftest import build_models, run_python, word_store
 from egorank import resources
 from egorank.cli import main
 from egorank.classify import (
@@ -45,8 +41,6 @@ from egorank.recommend import Normalization, rank_members, score_bucket
 from egorank.synth import generate_synthetic_corpus, random_vectors, synthetic_seed_corpus
 from egorank.targets import filter_eligible, top_most
 from egorank.textprep import extract_mentions, primary_preprocess, strip_noise
-
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def report(criterion, message):
@@ -386,15 +380,10 @@ def test_repetition_spammer_reaches_rank_1(tmp_path, capsys):
 
 @pytest.mark.slow
 def test_criterion_7_performance_envelope(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     synth_dir = tmp_path / "perf"
 
     def cli(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "egorank.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=600,
-        )
+        return run_python("-m", "egorank.cli", *argv, timeout=600)
 
     proc = cli("synth", "--out", str(synth_dir), "--seed", "7",
                "--members", "50", "--docs-per-member", "40", "--planted", "10",

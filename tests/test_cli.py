@@ -6,14 +6,13 @@ import math
 import os
 import random
 import shutil
-import subprocess
 import sys
 import threading
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
+from conftest import run_python
 from egorank import __version__, pipeline, textprep
 from egorank.classify import ALL_BUCKETS
 from egorank.cli import build_parser, main
@@ -21,8 +20,6 @@ from egorank.config import RESOURCE_KEYS, PipelineConfig, load_config
 from egorank.corpus import CONTENT_DATASETS, EGO_DATASETS, parse_timestamp
 from egorank.recommend import MemberRanking, RankEntry
 from egorank.simdex import SimilarityModels, load_word_vectors
-
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -1488,11 +1485,8 @@ class TestRun:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_module_form_logs_under_the_package_name(self, synth_dir):
-        env = dict(os.environ,
-                   PYTHONPATH=str(SRC_DIR) + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run([sys.executable, "-m", "egorank.cli", "rank", "--config",
-                               str(synth_dir / "config.json"), "--bucket", "Tech/Positive"],
-                              env=env, capture_output=True, text=True, timeout=60)
+        proc = run_python("-m", "egorank.cli", "rank", "--config", str(synth_dir / "config.json"),
+                          "--bucket", "Tech/Positive", timeout=60)
         assert proc.returncode == 1
         assert proc.stderr == (
             "ERROR egorank.cli: unknown bucket 'Tech/Positive'; categories are ['Technology', "
@@ -1566,10 +1560,8 @@ class TestRun:
         # starts threads; the synthetic vocabulary is small, so the bucket-wide
         # test in test_recommend.py is the one where BLAS itself would differ
         def cli(threads, *argv):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=str(SRC_DIR) + os.pathsep + os.environ.get("PYTHONPATH", ""))
-            proc = subprocess.run([sys.executable, "-m", "egorank.cli", *argv], env=env,
-                                  capture_output=True, text=True, timeout=300)
+            proc = run_python("-m", "egorank.cli", *argv,
+                              env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
             assert proc.returncode == 0, proc.stderr
 
         synth = tmp_path / "synth"
@@ -1592,10 +1584,7 @@ class TestRun:
                  "print(' '.join(f for f in m.__cpu_dispatch__ if m.__cpu_features__.get(f)))")
 
         def cli(disabled, *argv):
-            env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
-                       PYTHONPATH=str(SRC_DIR) + os.pathsep + os.environ.get("PYTHONPATH", ""))
-            proc = subprocess.run([sys.executable, *argv], env=env,
-                                  capture_output=True, text=True, timeout=300)
+            proc = run_python(*argv, env={"NPY_DISABLE_CPU_FEATURES": disabled})
             assert proc.returncode == 0, proc.stderr
             return proc.stdout
 
@@ -1901,11 +1890,8 @@ class TestStartup:
     def probe(*argv, code=0, **env_vars):
         """The probe's report on a CLI process that must exit with ``code``,
         with the process's piped standard output under ``stdout``."""
-        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-        env.update(env_vars,
-                   PYTHONPATH=str(SRC_DIR) + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_python("-c", STARTUP_PROBE, *argv, env=env_vars, drop=BLAS_THREAD_VARS,
+                          timeout=120)
         assert proc.returncode == code, proc.stderr
         (line,) = [ln for ln in proc.stderr.splitlines() if ln.startswith("probe:")]
         return json.loads(line.split(" ", 1)[1]) | {"stdout": proc.stdout}

@@ -1,13 +1,12 @@
 import json
-import os
 import random
 import re
-import subprocess
+import shutil
 import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import other_pythons, run_python
 from egorank import resources
 from egorank.classify import Category
 from egorank.corpus import (
@@ -31,7 +30,6 @@ from egorank.synth import (
 HEADER = "post_id,content,user_name,user_id,react_count,share_count,language,time,parent_post_id"
 MEMBER_HEADER_ROW = "member_id,display_name,kind,activity_types,connections_count"
 
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 T1 = "2024-03-01T10:00:00+00:00"
 T2 = "2024-03-02T10:00:00+00:00"
 
@@ -277,41 +275,14 @@ print(json.dumps([read(text) for text in json.load(sys.stdin)]))
 """
 
 
-def other_pythons():
-    """Every CPython 3.10+ on this host but the running one, found as
-    ``python3.N`` on PATH and as pyenv's ``versions/3.*/bin/python``: each is
-    run once, and one that cannot start, such as the pyenv shim of a version
-    not selected, is dropped."""
-    candidates = [path for folder in os.get_exec_path()
-                  for path in sorted(Path(folder).glob("python3.*"))
-                  if re.fullmatch(r"python3\.[0-9]+", path.name)]
-    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
-    candidates += sorted(pyenv.glob("versions/3.*/bin/python"))
-    probe = ("import os, platform, sys; print(platform.python_implementation(), "
-             "sys.version_info >= (3, 10), platform.python_version(), "
-             "os.path.realpath(sys.executable))")
-    here, found = os.path.realpath(sys.executable), {}
-    for path in candidates:
-        try:
-            proc = subprocess.run([str(path), "-c", probe], capture_output=True, text=True,
-                                  timeout=60)
-        except (OSError, subprocess.TimeoutExpired):
-            continue
-        if proc.returncode == 0 and proc.stdout.startswith("CPython True "):
-            _, _, version, executable = proc.stdout.rstrip("\n").split(" ", 3)
-            if executable != here:
-                found.setdefault(executable, version)
-    return [pytest.param(executable, id=version) for executable, version in found.items()]
+SEED_7 = (["synth", "--out", "corpus", "--seed", "7"], ["ingest", "--config", "corpus/config.json"])
 
 
-def ingest_seed_7(python, cwd):
-    """The exit code, stdout and stderr of ``synth --seed 7`` and then of
-    ``ingest`` of it under ``python`` in ``cwd``, and every file they wrote."""
-    cwd.mkdir()
-    runs = [subprocess.run([python, "-m", "egorank.cli", *argv], cwd=cwd, capture_output=True,
-                           env=dict(os.environ, PYTHONPATH=str(SRC_DIR)), timeout=300)
-            for argv in (["synth", "--out", "corpus", "--seed", "7"],
-                         ["ingest", "--config", "corpus/config.json"])]
+def cli_runs(python, cwd, *argvs):
+    """The exit code, stdout and stderr of each egorank command of ``argvs``,
+    run in turn under ``python`` in ``cwd``, and every file under ``cwd`` after them."""
+    runs = [run_python("-m", "egorank.cli", *argv, python=python, cwd=cwd, text=False)
+            for argv in argvs]
     return ([(run.returncode, run.stdout, run.stderr) for run in runs],
             {str(path.relative_to(cwd)): path.read_bytes()
              for path in sorted(cwd.rglob("*")) if path.is_file()})
@@ -319,23 +290,44 @@ def ingest_seed_7(python, cwd):
 
 @pytest.fixture(scope="module")
 def seed_7_here(tmp_path_factory):
-    return ingest_seed_7(sys.executable, tmp_path_factory.mktemp("here") / "run")
+    return cli_runs(sys.executable, tmp_path_factory.mktemp("here"), *SEED_7)
 
 
-@pytest.mark.parametrize("python", other_pythons() or [pytest.param(None, marks=pytest.mark.skip(
-    reason="no other CPython 3.10+ on this host"))])
+@pytest.mark.parametrize("python", other_pythons())
 def test_ingest_reads_alike_on_every_python(python, seed_7_here, tmp_path):
     texts = list(TIMESTAMPS) + generated_timestamps()
-    proc = subprocess.run([python, "-c", READ_TIMESTAMPS], input=json.dumps(texts),
-                          capture_output=True, text=True, timeout=300,
-                          env=dict(os.environ, PYTHONPATH=str(SRC_DIR)))
+    proc = run_python("-c", READ_TIMESTAMPS, python=python, input=json.dumps(texts))
     assert proc.returncode == 0, proc.stderr
     assert [(text, there) for text, there in zip(texts, json.loads(proc.stdout))
             if there != read_timestamp(text)] == []
-    runs, files = ingest_seed_7(python, tmp_path / "run")
+    runs, files = cli_runs(python, tmp_path, *SEED_7)
     assert [code for code, _, _ in runs] == [0, 0]
     assert runs == seed_7_here[0]
     assert files == seed_7_here[1]
+
+
+@pytest.fixture(scope="module")
+def ranked_seed_7(tmp_path_factory):
+    """A folder holding ``synth --seed 7``, ingested and then ranked in every
+    bucket under the running interpreter."""
+    folder = tmp_path_factory.mktemp("ranked")
+    runs, _ = cli_runs(sys.executable, folder, *SEED_7,
+                       ["rank", "--config", "corpus/config.json", "--bucket", "all"])
+    assert [code for code, _, _ in runs] == [0, 0, 0]
+    return folder
+
+
+@pytest.mark.parametrize("python", other_pythons())
+def test_targets_read_alike_on_every_python(python, ranked_seed_7, tmp_path):
+    # every ranking is current, so targets needs no numpy
+    runs = {}
+    for name, executable in (("here", sys.executable), ("there", python)):
+        shutil.copytree(ranked_seed_7, tmp_path / name)
+        runs[name] = cli_runs(executable, tmp_path / name,
+                              ["targets", "--config", "corpus/config.json", "--bucket", "all"])
+    assert [code for code, _, _ in runs["there"][0]] == [0]
+    assert any(name.startswith("corpus/out/targets_") for name in runs["there"][1])
+    assert runs["there"] == runs["here"]
 
 
 # Each resource loader, and a file it reads whose first line matters.

@@ -18,9 +18,10 @@ so the shipped resources are read as plain files.
 """
 
 import ast
-from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "egorank"
+from conftest import SRC
+
+PACKAGE = SRC / "egorank"
 
 # Tests drive the entry point, so only main's argv is left to its default.
 EXEMPT = {"cli.main.argv"}

@@ -1,8 +1,5 @@
 import math
-import os
 import random
-import subprocess
-import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -11,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import build_models, word_store
+from conftest import build_models, run_python, word_store
 from egorank.classify import Bucket, Category, SentimentClass
 from egorank import recommend
 from egorank.corpus import Document
@@ -370,13 +367,10 @@ for score in score_bucket(docs, models):
 def test_blas_thread_count_does_not_change_scores():
     # a bucket wide enough (about 180 x 96 x 400 word-vector products) for a
     # threaded BLAS to split the work, which would move the last digits
-    here = Path(__file__).resolve().parent
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
-        proc = subprocess.run([sys.executable, "-c", WIDE_BUCKET_SCRIPT], env=env,
-                              capture_output=True, text=True, timeout=300)
+        proc = run_python("-c", WIDE_BUCKET_SCRIPT, path=[Path(__file__).resolve().parent],
+                          env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0].count("DocumentScore(") == 300

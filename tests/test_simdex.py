@@ -1,19 +1,16 @@
 import json
 import math
-import os
 import random
-import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_models, word_store
+from conftest import build_models, other_pythons, run_python, word_store
 
 from egorank.corpus import Document
 from egorank.errors import BadRowError, DataError
@@ -22,9 +19,6 @@ from egorank.simdex import SimilarityModels, load_word_vectors
 from egorank.synth import random_vectors, write_embeddings
 
 NO_VECTORS = word_store({})
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
-PYENV_ROOT = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
-OTHER_PYTHONS = sorted(PYENV_ROOT.glob("versions/3.1[0-3]*/bin/python"))
 # Prints the tf-idf lengths of 400 documents whose squared weights span four
 # orders of magnitude, as float.hex, without numpy. A plain float sum() of
 # those squares depends on the word order and, since Python 3.12 made it
@@ -350,14 +344,10 @@ class TestTfIdf:
             squares = [x * x for x in (c * idf[w] for w, c in sorted(Counter(doc.tokens).items()))]
             assert model.lengths[doc.doc_id] == math.sqrt(math.fsum(squares)), doc.doc_id
 
-    @pytest.mark.parametrize(
-        "python", OTHER_PYTHONS or [pytest.param(None, marks=pytest.mark.skip(
-            reason="no pyenv interpreter 3.10-3.13 installed"))],
-        ids=lambda path: path.parent.parent.name if path else "none")
+    @pytest.mark.parametrize("python", other_pythons())
     def test_lengths_agree_across_interpreters(self, python):
         def lengths(executable):
-            proc = subprocess.run([str(executable), "-c", LENGTHS_SCRIPT], capture_output=True,
-                                  text=True, env=dict(os.environ, PYTHONPATH=str(SRC_DIR)))
+            proc = run_python("-c", LENGTHS_SCRIPT, python=executable)
             assert proc.returncode == 0, proc.stderr
             return json.loads(proc.stdout)
 
