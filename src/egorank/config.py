@@ -71,12 +71,6 @@ class PipelineConfig(NamedTuple):
         }
 
 
-def digest(record: Mapping[str, Any]) -> str:
-    """sha256 of a JSON record in canonical form (sorted keys, no spaces)."""
-    canon = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
 def file_sha256(path: Path) -> str:
     # In 1 MiB blocks: a whole embeddings file read at once would add its
     # size to the process's peak memory.

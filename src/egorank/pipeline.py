@@ -11,11 +11,13 @@ bytes in a ``sha256sum`` sidecar. Rank reads back only the records of the
 buckets the config selects (refusing a bundle whose bytes do not match
 the seal, or that other inputs or another egorank version made) and
 reuses a saved ranking only if its two files are, byte for byte, what it
-would write now for the entries the JSON holds, read as rank's own types.
-It ranks the other selected buckets: an empty ranking for a bucket with
-no ego or no member documents, scores for the others. Targets gets its
-rankings from rank, then applies the selection algorithm; it checks N_it
-against the network size before it reads any ranking. Every file is
+would write now for the entries the JSON holds, read as rank's own types;
+a ranking names its bundle by the seal's digest. It ranks the other
+selected buckets: an empty ranking for a bucket with no ego or no member
+documents, scores for the others. Targets gets its rankings from rank,
+then applies the selection algorithm, and names each ranking it selected
+from by the SHA-256 of its JSON; it checks N_it against the network size
+before it reads any ranking. Every file is
 written whole or not at all, no JSON report holds a NaN or infinity, and
 the same config and inputs give byte-identical files.
 """
@@ -43,7 +45,7 @@ from .classify import (
     label_documents,
     train_category_classifier,
 )
-from .config import PipelineConfig, digest, file_sha256
+from .config import PipelineConfig, file_sha256
 from .corpus import (
     CONTENT_DATASETS,
     EGO_DATASETS,
@@ -87,7 +89,7 @@ class IngestResult(NamedTuple):
     df: Mapping[str, int]  # documents holding each word, over all n non-inert ones
     n: int
     buckets: dict[Bucket, list[dict[str, Any]]]  # records; run_rank takes out those it ranks
-    inputs_digest: str  # config.digest of the ingest inputs: each ranking's provenance
+    bundle_sha256: str  # the seal's hex digest: each ranking's provenance
 
 
 def _bucket_slug(bucket: Bucket) -> str:
@@ -278,8 +280,8 @@ def load_bundle(cfg: PipelineConfig) -> IngestResult:
         raise ConfigError(f"no ingested bundle at {path}; run the ingest command first")
     seal = cfg.out_dir / SEAL_NAME
     data = path.read_bytes()
-    if not (seal.is_file()
-            and seal.read_bytes() == _seal_line(hashlib.sha256(data).hexdigest()).encode()):
+    sha256 = hashlib.sha256(data).hexdigest()
+    if not (seal.is_file() and seal.read_bytes() == _seal_line(sha256).encode()):
         raise ConfigError(f"{path} does not match {seal}; run ingest again")
     text = data.decode("utf-8")
     del data  # the parse holds the text only, as a read_text would
@@ -288,9 +290,8 @@ def load_bundle(cfg: PipelineConfig) -> IngestResult:
         raise ConfigError(f"{path} was ingested with a different version; egorank "
                           f"{bundle['version']} wrote it, this is {__version__}; "
                           "run ingest again")
-    inputs = cfg.ingest_inputs()
     saved = dict(_fields(bundle["inputs"]))
-    for name, value in _fields(inputs):
+    for name, value in _fields(cfg.ingest_inputs()):
         if saved.get(name) != value:
             raise ConfigError(f"{path} was ingested with a different {name}; run ingest again")
     # Every bucket name, and null, maps to its bucket if the config selects it, else to None.
@@ -305,7 +306,7 @@ def load_bundle(cfg: PipelineConfig) -> IngestResult:
         df=bundle["df"],
         n=bundle["n"],
         buckets=filled,
-        inputs_digest=digest(inputs),
+        bundle_sha256=sha256,
     )
 
 
@@ -394,7 +395,7 @@ def run_rank(cfg: PipelineConfig, ingest: IngestResult) -> dict[Bucket, MemberRa
     provenance = {
         "version": __version__,
         "normalization": cfg.normalization.value,
-        "inputs_digest": ingest.inputs_digest,
+        "bundle_sha256": ingest.bundle_sha256,
         "embeddings_sha256": file_sha256(embeddings),
     }
     rankings = {bucket: load_ranking_report(cfg, bucket, provenance) for bucket in cfg.bucket}
@@ -437,7 +438,8 @@ def run_rank(cfg: PipelineConfig, ingest: IngestResult) -> dict[Bucket, MemberRa
 
 def write_target_reports(cfg: PipelineConfig, selection: TargetSelection,
                          members: list[InteractedMember]) -> None:
-    stem = f"targets_{_bucket_slug(selection.bucket)}"
+    slug = _bucket_slug(selection.bucket)
+    stem = f"targets_{slug}"
     connections = {m.member_id: m.connections_count for m in members}
     sections = {"selected": selection.selected, "default": selection.defaults_removed,
                 "effective": selection.effective}
@@ -450,6 +452,7 @@ def write_target_reports(cfg: PipelineConfig, selection: TargetSelection,
         "version": __version__,
         "bucket": str(selection.bucket),
         "n_it": selection.n_it,
+        "ranking_sha256": file_sha256(cfg.out_dir / f"ranking_{slug}.json"),
         "threshold": cfg.threshold,  # decides defaults_removed
         "d_it": selection.d_it,
         "effective_count": selection.n_it - selection.d_it,

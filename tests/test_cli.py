@@ -420,6 +420,20 @@ class TestIngest:
         bundle = json.loads((out / "bundle.json").read_text())
         assert {d["doc_id"] for d in bundle["documents"]} == kept
 
+    def test_window_keeps_rows_at_both_bounds(self, synth_dir, tmp_path, capsys):
+        # The window is closed: a row timed exactly at --since or at --until is kept.
+        with (synth_dir / "dataset_1.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        stamps = sorted({row["time"] for row in rows}, key=parse_timestamp)
+        since, until = stamps[1], stamps[-2]  # each the time of one row; one row lies outside each
+        assert run_cli("ingest", "--config", str(synth_dir / "config.json"),
+                       "--out-dir", str(tmp_path), "--since", since, "--until", until) == 0
+        report = json.loads(capsys.readouterr().out)
+        low, high = parse_timestamp(since), parse_timestamp(until)
+        inside = sum(low <= parse_timestamp(row["time"]) <= high for row in rows)
+        assert report["dataset_counts"]["1"] == inside
+        assert report["window_dropped"]["1"] == len(rows) - inside == 2
+
     def test_z_bound_filters_as_utc_offset(self, synth_dir, tmp_path, capsys):
         # Python 3.10's fromisoformat rejects a trailing Z; the bound must not.
         written = []
@@ -712,7 +726,7 @@ class TestRank:
         assert first[0] == "1"
         json_path = synth_dir / "out" / "ranking_Technology_Positive.json"
         report = json.loads(json_path.read_text())
-        assert set(report) == {"version", "bucket", "normalization", "inputs_digest",
+        assert set(report) == {"version", "bucket", "normalization", "bundle_sha256",
                                "embeddings_sha256", "entries"}
         assert report["entries"][0]["rank"] == 1
 
@@ -783,7 +797,7 @@ class TestRank:
         cfg = load_config(config, {"out_dir": str(out)})
         provenance = {
             "normalization": cfg.normalization,
-            "inputs_digest": pipeline.load_bundle(cfg._replace(bucket=())).inputs_digest,
+            "bundle_sha256": pipeline.load_bundle(cfg._replace(bucket=())).bundle_sha256,
             "embeddings_sha256": hashlib.sha256(
                 (synth_dir / "embeddings.txt").read_bytes()).hexdigest(),
         }
@@ -1053,12 +1067,12 @@ class TestRank:
                           {"out_dir": str(tmp_path), "bucket": "Sports/Negative"})
         ranking = MemberRanking(bucket=cfg.bucket[0],
                                 entries=[RankEntry("m1", 2.0, "d6-a"), RankEntry("m2", 1.0, "d6-b")])
-        pipeline.write_ranking_reports(cfg, ranking, {"inputs_digest": "0" * 64})
+        pipeline.write_ranking_reports(cfg, ranking, {"bundle_sha256": "0" * 64})
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         # the second row fails after the header and the first row were written
         ranking.entries[1] = RankEntry("m2", Unprintable(1.0), "d6-b")
         with pytest.raises(RuntimeError, match="disk went away"):
-            pipeline.write_ranking_reports(cfg, ranking, {"inputs_digest": "0" * 64})
+            pipeline.write_ranking_reports(cfg, ranking, {"bundle_sha256": "0" * 64})
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf],
@@ -1070,7 +1084,7 @@ class TestRank:
                           {"out_dir": str(tmp_path), "bucket": "Sports/Negative"})
         ranking = MemberRanking(bucket=cfg.bucket[0], entries=[RankEntry("m1", score, "d6-a")])
         with pytest.raises(ValueError):
-            pipeline.write_ranking_reports(cfg, ranking, {"inputs_digest": "0" * 64})
+            pipeline.write_ranking_reports(cfg, ranking, {"bundle_sha256": "0" * 64})
         assert not list(tmp_path.iterdir())
 
 
@@ -1087,6 +1101,24 @@ class TestTargets:
         sections = {line.split(",")[0] for line in csv_path.read_text().splitlines()[1:]}
         assert sections <= {"selected", "default", "effective"}
         assert "selected" in sections and "effective" in sections
+
+    def test_digest_chain_runs_from_targets_to_the_seal(self, synth_dir, tmp_path):
+        # sha256sum checks every link: a targets JSON names its ranking JSON,
+        # which names the bundle by the seal's digest
+        assert run_cli("run", "--config", str(synth_dir / "config.json"),
+                       "--out-dir", str(tmp_path), "--bucket", "all") == 0
+        sealed, name = (tmp_path / "bundle.json.sha256").read_text().split()
+        assert name == "bundle.json"
+        assert sealed == hashlib.sha256((tmp_path / "bundle.json").read_bytes()).hexdigest()
+        rankings = sorted(tmp_path.glob("ranking_*.json"))
+        targets = sorted(tmp_path.glob("targets_*.json"))
+        assert len(rankings) == 10 and targets
+        for path in rankings:
+            assert json.loads(path.read_text())["bundle_sha256"] == sealed, path.name
+        for path in targets:
+            ranking = (tmp_path / path.name.replace("targets_", "ranking_")).read_bytes()
+            assert json.loads(path.read_text())["ranking_sha256"] == (
+                hashlib.sha256(ranking).hexdigest()), path.name
 
     def test_planted_megas_are_removed(self, targeted):
         report = json.loads(
@@ -1223,15 +1255,17 @@ class TestTargets:
         config = str(corpus / "config.json")
         assert run_cli("run", "--config", config) == 0
         ranking = corpus / "out" / "ranking_Technology_Positive.json"
-        before = json.loads(ranking.read_text())["inputs_digest"]
+        before = json.loads(ranking.read_text())["bundle_sha256"]
         dataset = corpus / "dataset_6.csv"
         dataset.write_text(dataset.read_text().replace("internet", "intranet"))
         assert run_cli("ingest", "--config", config) == 0
         assert run_cli("targets", "--config", config) == 0
-        after = json.loads(ranking.read_text())["inputs_digest"]
+        after = json.loads(ranking.read_text())["bundle_sha256"]
         assert after != before
         cfg = load_config(config, {})._replace(bucket=())
-        assert after == pipeline.load_bundle(cfg).inputs_digest
+        assert after == pipeline.load_bundle(cfg).bundle_sha256
+        targets = json.loads((corpus / "out" / "targets_Technology_Positive.json").read_text())
+        assert targets["ranking_sha256"] == hashlib.sha256(ranking.read_bytes()).hexdigest()
 
     def test_targets_reranks_under_new_embeddings(self, synth_dir, tmp_path):
         corpus, fresh = tmp_path / "corpus", tmp_path / "fresh"
@@ -1521,7 +1555,7 @@ class TestRun:
 
     def test_shuffled_input_rows_give_the_same_reports(self, synth_dir, tmp_path):
         # every input is a set of rows, so their order may change only the
-        # content digests that the ranking JSONs record
+        # content digests that the ranking and targets JSONs record
         shuffled = tmp_path / "shuffled"
         shutil.copytree(synth_dir, shuffled, ignore=shutil.ignore_patterns("out"))
         config = json.loads((shuffled / "config.json").read_text())
@@ -1545,11 +1579,12 @@ class TestRun:
         plain, moved = outputs[synth_dir], outputs[shuffled]
         assert sorted(plain) == sorted(moved)
         assert any(name.startswith("targets_") for name in plain)
-        digests = ("inputs_digest", "embeddings_sha256")
+        digests = {"ranking_": ("bundle_sha256", "embeddings_sha256"),
+                   "targets_": ("ranking_sha256",)}
         for name in plain:
-            if name.startswith("ranking_") and name.endswith(".json"):
+            if name.endswith(".json") and name[:8] in digests:
                 before, after = json.loads(plain[name]), json.loads(moved[name])
-                for key in digests:
+                for key in digests[name[:8]]:
                     assert before.pop(key) != after.pop(key), (name, key)
                 assert before == after, name
             else:

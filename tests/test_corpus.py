@@ -419,6 +419,14 @@ class TestMembersCsv:
             write_csv(tmp_path, "backward.csv", [MEMBER_HEADER_ROW, *rows[::-1]]))
         assert forward == backward
 
+    @pytest.mark.parametrize("names", [("Bob", "Alice"), ("Alice", "Bob"), ("", "Alice")],
+                             ids=["bob_first", "alice_first", "empty_first"])
+    def test_merged_member_keeps_the_first_name_alphabetically(self, tmp_path, names):
+        path = write_csv(tmp_path, "d5.csv", [MEMBER_HEADER_ROW, *(
+            f"A,{name},Friend,React," for name in names)])
+        (member,) = load_members_csv(path)
+        assert member.display_name == "Alice"
+
     def test_unknown_kind_is_bad_row(self, tmp_path):
         path = write_csv(tmp_path, "d5.csv", [
             MEMBER_HEADER_ROW,

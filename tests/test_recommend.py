@@ -399,6 +399,11 @@ class TestRankMembers:
         ranking = rank_members(scores, BUCKET)
         assert [e.member_id for e in ranking.entries] == ["A", "B"]
 
+    def test_tie_between_a_members_documents_goes_to_the_lowest_doc_id(self):
+        scores = self.make_scores([("A", "d6-b", 2.0), ("A", "d6-a", 2.0), ("A", "d6-c", 1.0)])
+        (entry,) = rank_members(scores, BUCKET).entries
+        assert (entry.member_id, entry.score, entry.best_doc_id) == ("A", 2.0, "d6-a")
+
     def test_empty(self):
         ranking = rank_members([], BUCKET)
         assert ranking.entries == []

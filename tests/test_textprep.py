@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from egorank.corpus import Document
 from egorank.resources import load_english_words, load_spelling_dictionary
 from egorank.textprep import (
+    ENGLISH_TOKEN_RATIO,
+    FOREIGN_LETTER_RATIO,
     extract_mentions,
     looks_english,
     normalize_case_and_spell,
@@ -68,6 +70,19 @@ class TestDetectAndTranslate:
 
     def test_empty_text_is_english(self):
         assert looks_english("", SHIPPED_ENGLISH)
+
+    def test_foreign_letter_ratio_at_its_bound_is_english(self):
+        # 3 foreign letters of 10 is exactly the ratio allowed; a 4th is not
+        assert 3 / 10 == FOREIGN_LETTER_RATIO
+        assert looks_english("the cats éèê", SHIPPED_ENGLISH)
+        assert not looks_english("the cats éèêë", SHIPPED_ENGLISH)
+
+    def test_english_token_ratio_at_its_bound_is_english(self):
+        # 17 known words of 50 is exactly the share needed; 16 are too few
+        assert 17 / 50 == ENGLISH_TOKEN_RATIO
+        assert "zzqx" not in SHIPPED_ENGLISH
+        assert looks_english(" ".join(["the"] * 17 + ["zzqx"] * 33), SHIPPED_ENGLISH)
+        assert not looks_english(" ".join(["the"] * 16 + ["zzqx"] * 34), SHIPPED_ENGLISH)
 
 
 def clean_of(text):
