@@ -13,6 +13,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple
 
+from . import __version__
 from .classify import ALL_BUCKETS, Bucket, Category, SentimentClass
 from .corpus import CONTENT_DATASETS, Platform, parse_timestamp
 from .errors import ConfigError
@@ -52,22 +53,23 @@ class PipelineConfig(NamedTuple):
     workers: int
 
     def ingest_inputs(self) -> dict[str, Any]:
-        """What ingest reads, files by content: the bundle's provenance.
+        """What ingest reads, files by content, by the dotted name that a
+        stale bundle's message prints: the bundle's fingerprint.
 
-        A null resource stands for the shipped default. ``bucket``,
-        ``normalization``, the embeddings and the target-selection fields
-        are read only after ingest, so they stay out.
+        ``version`` is the egorank that ingests, and a null resource stands
+        for the shipped default. ``bucket``, ``normalization``, the
+        embeddings and the target-selection fields are read only after
+        ingest, so they stay out.
         """
         return {
+            "version": __version__,
             "platform": self.platform.value,
             "ego_id": self.ego_id,
             "window": [self.window[0].isoformat(), self.window[1].isoformat()],
-            "datasets": {str(no): file_sha256(self.datasets[no])
-                         for no in sorted(CONTENT_DATASETS + (5,))},
-            "resources": {
-                key: (file_sha256(self.resources[key]) if self.resources.get(key) else None)
-                for key in RESOURCE_KEYS if key != "embeddings"
-            },
+            **{f"datasets.{no}": file_sha256(self.datasets[no])
+               for no in sorted(CONTENT_DATASETS + (5,))},
+            **{f"resources.{key}": file_sha256(self.resources[key]) if self.resources.get(key)
+               else None for key in RESOURCE_KEYS if key != "embeddings"},
         }
 
 

@@ -7,10 +7,11 @@ preprocesses and labels them, buckets the documents of the ego and of
 members who can be targets, counts each word's document frequency (df)
 over every non-inert document, and writes the labelled corpus and df to a
 bundle under a fingerprint of what it read, sealed by a SHA-256 of its
-bytes in a ``sha256sum`` sidecar. Rank reads back only the records of the
-buckets the config selects (refusing a bundle whose bytes do not match
-the seal, or that other inputs or another egorank version made) and
-reuses a saved ranking only if its two files are, byte for byte, what it
+bytes in a ``sha256sum`` sidecar; a bundle other than the one sealed
+before first removes every ranking and targets file. Rank reads back only
+the records of the buckets the config selects (refusing a bundle whose
+bytes do not match the seal, or that other inputs or another egorank
+version made) and reuses a saved ranking only if its two files are, byte for byte, what it
 would write now for the entries the JSON holds, read as rank's own types;
 a ranking names its bundle by the seal's digest. It ranks the other
 selected buckets: an empty ranking for a bucket with no ego or no member
@@ -34,7 +35,7 @@ import sys
 from collections import Counter
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from . import __version__
 from .classify import (
@@ -238,7 +239,6 @@ def run_ingest(cfg: PipelineConfig) -> None:
         },
     }
     bundle = {
-        "version": __version__,
         "inputs": inputs,
         "members": [_member_to_dict(m) for m in members],
         "df": df,
@@ -246,35 +246,37 @@ def run_ingest(cfg: PipelineConfig) -> None:
         # Every document, kept for inspection; rank reads only bucketed ones.
         "documents": [_document_to_dict(d, buckets.get(d.doc_id)) for d in documents],
     }
-    # The old report describes the old bundle: gone before the bundle is replaced.
-    if (cfg.out_dir / INGEST_REPORT_NAME).is_file():
-        (cfg.out_dir / INGEST_REPORT_NAME).unlink()
     # Compact, so that json encodes it in C; indent=2 would not.
-    _replace(cfg.out_dir / BUNDLE_NAME,
-             json.dumps(bundle, sort_keys=True, separators=(",", ":")) + "\n")
-    _replace(cfg.out_dir / SEAL_NAME, _seal_line(file_sha256(cfg.out_dir / BUNDLE_NAME)))
-    _replace(cfg.out_dir / INGEST_REPORT_NAME, _json(report))
+    text = json.dumps(bundle, sort_keys=True, separators=(",", ":")) + "\n"
+    seal = _seal_line(hashlib.sha256(text.encode("utf-8")).hexdigest())
+    out, sealed = cfg.out_dir, cfg.out_dir / SEAL_NAME
+    # The old report describes the old bundle: gone before the bundle is
+    # replaced. So is every ranking and targets file once the bundle changes,
+    # since each names the bundle that was there when it was written.
+    if (out / INGEST_REPORT_NAME).is_file():
+        (out / INGEST_REPORT_NAME).unlink()
+    if not (sealed.is_file() and sealed.read_bytes() == seal.encode()):
+        stale = [*out.glob("ranking_*"), *out.glob("targets_*")]
+        for path in stale:
+            path.unlink()
+        if stale:
+            log.info("removed %d ranking and targets files of the previous bundle", len(stale))
+    _replace(out / BUNDLE_NAME, text)
+    _replace(sealed, seal)
+    _replace(out / INGEST_REPORT_NAME, _json(report))
     log.info(
         "ingested %d documents (%d flagged non-English, %d bucketed), %d members",
         len(documents), flagged, len(buckets), len(members),
     )
 
 
-def _fields(record: dict[str, Any], prefix: str = "") -> Iterator[tuple[str, Any]]:
-    """(dotted name, value) of each leaf of a nested record, in record order."""
-    for key, value in record.items():
-        if isinstance(value, dict):
-            yield from _fields(value, f"{prefix}{key}.")
-        else:
-            yield prefix + key, value
-
-
 def load_bundle(cfg: PipelineConfig) -> IngestResult:
     """Read the ingested corpus back, with the document records of the
     config's buckets only (every other bucket is left empty; rank reads the
     records of the buckets it ranks now), refusing a bundle whose bytes do
-    not match the seal ingest wrote beside it, that another egorank version
-    wrote, or that was ingested from other inputs than the config names now."""
+    not match the seal ingest wrote beside it, then one whose ``inputs``
+    differ in any field from ``cfg.ingest_inputs()``, the egorank version
+    included; the message names the first such field and both values."""
     path = cfg.out_dir / BUNDLE_NAME
     if not path.is_file():
         raise ConfigError(f"no ingested bundle at {path}; run the ingest command first")
@@ -286,14 +288,11 @@ def load_bundle(cfg: PipelineConfig) -> IngestResult:
     text = data.decode("utf-8")
     del data  # the parse holds the text only, as a read_text would
     bundle = json.loads(text)
-    if bundle["version"] != __version__:
-        raise ConfigError(f"{path} was ingested with a different version; egorank "
-                          f"{bundle['version']} wrote it, this is {__version__}; "
-                          "run ingest again")
-    saved = dict(_fields(bundle["inputs"]))
-    for name, value in _fields(cfg.ingest_inputs()):
+    saved = bundle["inputs"]
+    for name, value in cfg.ingest_inputs().items():
         if saved.get(name) != value:
-            raise ConfigError(f"{path} was ingested with a different {name}; run ingest again")
+            raise ConfigError(f"{path} was ingested with a different {name}; it records "
+                              f"{saved.get(name)!r}, now {value!r}; run ingest again")
     # Every bucket name, and null, maps to its bucket if the config selects it, else to None.
     wanted = dict.fromkeys([None, *map(str, ALL_BUCKETS)]) | {str(b): b for b in cfg.bucket}
     filled: dict[Bucket, list[dict[str, Any]]] = {bucket: [] for bucket in ALL_BUCKETS}
@@ -393,7 +392,6 @@ def run_rank(cfg: PipelineConfig, ingest: IngestResult) -> dict[Bucket, MemberRa
         raise ConfigError("resources.embeddings must point at a word-vector file")
     # What a saved ranking records it was made from, and must match to be reused.
     provenance = {
-        "version": __version__,
         "normalization": cfg.normalization.value,
         "bundle_sha256": ingest.bundle_sha256,
         "embeddings_sha256": file_sha256(embeddings),
@@ -449,7 +447,6 @@ def write_target_reports(cfg: PipelineConfig, selection: TargetSelection,
          for section, ids in sections.items()
          for position, member_id in enumerate(ids, start=1)]))
     _replace(cfg.out_dir / f"{stem}.json", _json({
-        "version": __version__,
         "bucket": str(selection.bucket),
         "n_it": selection.n_it,
         "ranking_sha256": file_sha256(cfg.out_dir / f"ranking_{slug}.json"),

@@ -36,7 +36,7 @@ from .simdex import SimilarityModels
 
 # Lower clamp for cosine distance between word vectors.
 DISTANCE_FLOOR = 1e-6
-SLICE_COLUMNS = 2048  # target words per slice of W
+SLICE_COLUMNS = 256  # target words per slice of W
 
 
 class Normalization(str, Enum):

@@ -300,6 +300,44 @@ class TestIngest:
         run_cli("ingest", "--config", str(synth_dir / "config.json"))
         assert bundle.read_bytes() == first
 
+    def test_new_bundle_removes_every_ranking_and_targets_file(self, seed7_dir, tmp_path,
+                                                               caplog):
+        # Each ranking names the bundle that was there when it was written,
+        # so none is current for another bundle.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(seed7_dir, corpus, ignore=shutil.ignore_patterns("out"))
+        config, out = str(corpus / "config.json"), corpus / "out"
+        assert run_cli("run", "--config", config) == 0
+        swept = [*out.glob("ranking_*"), *out.glob("targets_*")]
+        assert len(swept) > 20
+        with (corpus / "dataset_6.csv").open("a") as fh:
+            fh.write(f"px-new,great software love,m001,m001,{STAMP}\n")
+        caplog.clear()
+        with caplog.at_level("INFO"):
+            assert run_cli("ingest", "--config", config) == 0
+        assert (f"removed {len(swept)} ranking and targets files of the previous bundle"
+                in caplog.messages)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "bundle.json", "bundle.json.sha256", "ingest_report.json"]
+
+    def test_ingest_from_unchanged_inputs_keeps_every_ranking_and_targets_file(
+            self, synth_dir, tmp_path, caplog):
+        argv = ["--config", str(synth_dir / "config.json"), "--out-dir", str(tmp_path)]
+        assert run_cli("run", *argv) == 0
+        saved = sorted([*tmp_path.glob("ranking_*"), *tmp_path.glob("targets_*")])
+        assert saved
+        for path in saved:
+            os.utime(path, ns=(10**9, 10**9))
+        before = {path: path.read_bytes() for path in saved}
+        caplog.clear()
+        with caplog.at_level("INFO"):
+            assert run_cli("ingest", *argv) == 0
+        assert not [m for m in caplog.messages if m.startswith("removed")]
+        assert sorted([*tmp_path.glob("ranking_*"), *tmp_path.glob("targets_*")]) == saved
+        for path in saved:
+            assert path.read_bytes() == before[path], path.name
+            assert path.stat().st_mtime_ns == 10**9, path.name
+
     def test_ingest_output_is_pinned(self, tmp_path):
         # sha256 of the canonical JSON of what ingest wrote for `synth --seed 7`
         # when these were taken: the bundle's documents, and the ingest report
@@ -449,9 +487,21 @@ class TestIngest:
         config = str(synth_dir / "config.json")
         assert run_cli("ingest", "--config", config, "--out-dir", str(tmp_path)) == 0
         bundle = json.loads((tmp_path / "bundle.json").read_text())
-        assert set(bundle) == {"version", "inputs", "members", "df", "n", "documents"}
+        assert set(bundle) == {"inputs", "members", "df", "n", "documents"}
         assert {key for d in bundle["documents"] for key in d} == {
             "doc_id", "owner_id", "dataset_no", "tokens", "bucket"}
+
+    def test_fingerprint_names_each_ingest_input_once(self, synth_dir):
+        # The bundle's ``inputs``, by the names a stale bundle's message prints.
+        inputs = load_config(synth_dir / "config.json", {}).ingest_inputs()
+        assert list(inputs) == [
+            "version", "platform", "ego_id", "window",
+            *(f"datasets.{no}" for no in range(1, 10)),
+            *(f"resources.{key}" for key in RESOURCE_KEYS if key != "embeddings")]
+        assert inputs["version"] == __version__
+        assert inputs["datasets.5"] == hashlib.sha256(
+            (synth_dir / "members.csv").read_bytes()).hexdigest()
+        assert inputs["resources.stop_list"] is None  # the shipped default
 
     def test_bundle_df_and_n_span_every_non_inert_document(self, synth_dir, tmp_path):
         config = str(synth_dir / "config.json")
@@ -726,7 +776,7 @@ class TestRank:
         assert first[0] == "1"
         json_path = synth_dir / "out" / "ranking_Technology_Positive.json"
         report = json.loads(json_path.read_text())
-        assert set(report) == {"version", "bucket", "normalization", "bundle_sha256",
+        assert set(report) == {"bucket", "normalization", "bundle_sha256",
                                "embeddings_sha256", "entries"}
         assert report["entries"][0]["rank"] == 1
 
@@ -897,11 +947,18 @@ class TestRank:
         (lambda d: d.joinpath("dataset_6.csv").write_text(
             d.joinpath("dataset_6.csv").read_text().replace("internet", "intranet", 1)),
          (), "datasets.6"),
+        (lambda d: d.joinpath("members.csv").write_text(
+            d.joinpath("members.csv").read_text().replace(",12540\n", ",12541\n", 1)),
+         (), "datasets.5"),
         (lambda d: None, ("--since", "2024-03-01T00:00:00+00:00"), "window"),
+        (lambda d: None, ("--platform", "Twitter"),
+         "platform; it records 'Facebook', now 'Twitter'"),
+        (lambda d: None, ("--ego-id", "m001"), "ego_id; it records 'ego', now 'm001'"),
         (lambda d: d.joinpath("lemmas.tsv").write_text("runs\trun\n"),
          ("--lemma-dictionary", "LEMMAS"), "resources.lemma_dictionary"),
-        (ingested_by_0_1_0, (), f"version; egorank 0.1.0 wrote it, this is {__version__}"),
-    ], ids=["dataset_content", "since", "lemma_dictionary", "version"])
+        (ingested_by_0_1_0, (), f"version; it records '0.1.0', now '{__version__}'"),
+    ], ids=["dataset_content", "members_csv", "since", "platform", "ego_id", "lemma_dictionary",
+            "version"])
     def test_stale_bundle_exits_config_error(self, synth_dir, tmp_path, caplog,
                                              command, edit, argv, field):
         corpus = tmp_path / "corpus"
@@ -1236,19 +1293,6 @@ class TestTargets:
         for path in sorted(fresh.glob("ranking_*")) + sorted(fresh.glob("targets_*")):
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
-    def test_targets_reranks_a_ranking_of_another_version(self, synth_dir, tmp_path):
-        config, out = str(synth_dir / "config.json"), tmp_path / "out"
-        assert run_cli("run", "--config", config, "--out-dir", str(out)) == 0
-        stale, kept = out / "ranking_Technology_Positive.json", out / "ranking_Sports_Positive.json"
-        fresh = stale.read_bytes()
-        data = json.loads(fresh)
-        data["version"] = "0.1.0"
-        stale.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        os.utime(kept, ns=(10**9, 10**9))
-        assert run_cli("targets", "--config", config, "--out-dir", str(out)) == 0
-        assert stale.read_bytes() == fresh
-        assert kept.stat().st_mtime_ns == 10**9
-
     def test_targets_reranks_after_a_new_ingest(self, synth_dir, tmp_path):
         corpus = tmp_path / "corpus"
         shutil.copytree(synth_dir, corpus)
@@ -1340,11 +1384,14 @@ class TestTargets:
 
     # A saved ranking is reused only when its JSON and CSV files are, byte
     # for byte, what rank would write now for the entries the JSON holds.
+    # A key rank does not write, such as the version older rankings held,
+    # makes it rank again too.
     @pytest.mark.parametrize("edit", [
-        lambda entries, rows: entries.reverse(),  # each entry keeps its rank field
-        lambda entries, rows: rows[1].__setitem__(2, repr(float(rows[1][2]) + 1.0)),
-        lambda entries, rows: [entry.update(rank=entry["rank"] - 1) for entry in entries],
-    ], ids=["entries_reversed", "csv_score_changed", "rank_from_zero"])
+        lambda data, rows: data["entries"].reverse(),  # each entry keeps its rank field
+        lambda data, rows: rows[1].__setitem__(2, repr(float(rows[1][2]) + 1.0)),
+        lambda data, rows: [entry.update(rank=entry["rank"] - 1) for entry in data["entries"]],
+        lambda data, rows: data.update(version="0.1.0"),
+    ], ids=["entries_reversed", "csv_score_changed", "rank_from_zero", "extra_version_key"])
     def test_edited_ranking_is_ranked_again(self, synth_dir, tmp_path, caplog, edit):
         config = str(synth_dir / "config.json")
         out, fresh = tmp_path / "out", tmp_path / "fresh"
@@ -1354,7 +1401,7 @@ class TestTargets:
         data = json.loads(edited.read_text())
         rows = list(csv.reader(twin.read_text().splitlines()))
         assert len(data["entries"]) > 1
-        edit(data["entries"], rows)
+        edit(data, rows)
         edited.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
         with twin.open("w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
